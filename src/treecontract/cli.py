@@ -2,7 +2,7 @@
 the oracles, and sweep families for round/memory tables.
 
 Exit codes: 0 success, 1 verification mismatch (or a not-isomorphic verdict),
-2 simulation fault, 3 input error.
+2 simulation fault or any unexpected error, 3 input error.
 """
 
 import argparse
@@ -247,6 +247,10 @@ def main(argv=None):
         return 3
     except (SimFault, LogIntegrityError) as exc:
         print("simulation fault: %s" % exc, file=sys.stderr)
+        return 2
+    except Exception as exc:  # exit 1 means a mismatch, so never borrow it
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
         return 2
 
 

@@ -15,9 +15,10 @@ contraction, and keeps the books.
 """
 
 import math
+from fractions import Fraction
 
 from .errors import InputError, LogIntegrityError, SimFault
-from .sim import Machine, Simulator, _entry_words
+from .sim import Machine, Simulator
 from .trees import (
     decompose,
     group_components,
@@ -105,9 +106,9 @@ def payload_slot_ids(rnode):
     return out
 
 
-def check_payload_budget(rnode, c_w, who):
+def check_payload_budget(rnode, words, c_w, who):
+    """rnode, of `words` words, must fit C_w per slot plus C_w."""
     budget = c_w * (payload_slots(rnode) + 1)
-    words = word_count(rnode)
     if words > budget:
         raise SimFault("%s: payload of %d words exceeds %d (non-conforming "
                        "contractor)" % (who, words, budget))
@@ -346,10 +347,37 @@ def _enc_uint(n, out):
 
 
 def _enc_obj(obj, out):
-    from fractions import Fraction
-    if obj is None:
+    cls = type(obj)
+    if cls is tuple:
+        n = len(obj)
+        out.append(7)
+        if n < 0x80:
+            out.append(n)
+        else:
+            _enc_uint(n, out)
+        for item in obj:
+            _enc_obj(item, out)
+    elif cls is int:
+        z = obj << 1 if obj >= 0 else ((-obj) << 1) | 1
+        out.append(3)
+        if z < 0x80:
+            out.append(z)
+        else:
+            _enc_uint(z, out)
+    elif obj is None:
         out.append(0)
-    elif obj is True:
+    elif cls is str:
+        raw = obj.encode("utf-8")
+        out.append(6)
+        _enc_uint(len(raw), out)
+        out.extend(raw)
+    else:
+        _enc_other(obj, out)
+
+
+def _enc_other(obj, out):
+    """Every type outside _enc_obj's dispatch, subclasses included."""
+    if obj is True:
         out.append(1)
     elif obj is False:
         out.append(2)
@@ -379,9 +407,15 @@ def _enc_obj(obj, out):
         raise InputError("unencodable object %r" % (obj,))
 
 
+def _truncated(pos):
+    return InputError("contraction log truncated at offset %d" % pos)
+
+
 def _dec_uint(buf, pos):
     n = shift = 0
     while True:
+        if pos >= len(buf):
+            raise _truncated(pos)
         b = buf[pos]
         pos += 1
         n |= (b & 0x7F) << shift
@@ -391,7 +425,8 @@ def _dec_uint(buf, pos):
 
 
 def _dec_obj(buf, pos):
-    from fractions import Fraction
+    if pos >= len(buf):
+        raise _truncated(pos)
     tag = buf[pos]
     pos += 1
     if tag == 0:
@@ -408,10 +443,17 @@ def _dec_obj(buf, pos):
     if tag == 5:
         z, pos = _dec_uint(buf, pos)
         d, pos = _dec_uint(buf, pos)
+        if not d:
+            raise InputError("zero denominator at offset %d" % (pos - 1))
         return Fraction(-(z >> 1) if z & 1 else z >> 1, d), pos
     if tag == 6:
         k, pos = _dec_uint(buf, pos)
-        return buf[pos:pos + k].decode("utf-8"), pos + k
+        if pos + k > len(buf):
+            raise _truncated(len(buf))
+        try:
+            return buf[pos:pos + k].decode("utf-8"), pos + k
+        except UnicodeDecodeError:
+            raise InputError("bad string at offset %d" % pos) from None
     if tag == 7:
         k, pos = _dec_uint(buf, pos)
         items = []
@@ -433,9 +475,10 @@ class ContractionLog:
         self.records = []
         self.total_words = 0
 
-    def append(self, rec):
+    def append(self, rec, words):
+        """Add a record whose to_obj() is `words` words."""
         self.records.append(rec)
-        self.total_words += word_count(rec.to_obj())
+        self.total_words += words
 
     def __len__(self):
         return len(self.records)
@@ -458,12 +501,15 @@ class ContractionLog:
             raise InputError("not a contraction log: bad header")
         pos = len(LOG_MAGIC)
         header, pos = _dec_obj(buf, pos)
-        root, vertices, final_payload, count = header
-        log = cls(root, vertices)
-        log.final_payload = final_payload
-        for _ in range(count):
-            obj, pos = _dec_obj(buf, pos)
-            log.append(Record.from_obj(obj))
+        try:
+            root, vertices, final_payload, count = header
+            log = cls(root, vertices)
+            log.final_payload = final_payload
+            for _ in range(count):
+                obj, pos = _dec_obj(buf, pos)
+                log.append(Record.from_obj(obj), word_count(obj))
+        except (TypeError, ValueError) as exc:
+            raise InputError("malformed contraction log: %s" % exc) from None
         if pos != len(buf):
             raise InputError("trailing bytes in log file")
         return log
@@ -493,9 +539,8 @@ def _spec_words(spec):
     return sum(4 + len(o) for o in outs)
 
 
-def _estimate(tree, spec):
-    return _spec_words(spec) + sum(word_count(tree.payload[m])
-                                   for m in spec[0])
+def _estimate(pwords, spec):
+    return _spec_words(spec) + sum(pwords[m] for m in spec[0])
 
 
 def _cc_machine(plugin, stage, comp_specs):
@@ -507,14 +552,13 @@ def _cc_machine(plugin, stage, comp_specs):
             payloads = {m: ctx.read(("P", m)) for m in members}
             new_payload = contract_component(plugin, members, parents, outs,
                                              payloads)
-            check_payload_budget(new_payload, plugin.C_w,
+            words = ctx.write(("P", members[0]), new_payload)
+            check_payload_budget(new_payload, words, plugin.C_w,
                                  "%s survivor %r" % (stage, members[0]))
             rec = Record(stage, "connected", members[0], members, payloads,
                          virt, None, parents, outs, root_outs_known)
-            obj = rec.to_obj()
-            ctx.write(("P", members[0]), new_payload)
-            ctx.write(("LOG", stage, members[0]), obj)
-            out.append((new_payload, obj))
+            log_words = ctx.write(("LOG", stage, members[0]), rec.to_obj())
+            out.append((rec, new_payload, words, log_words))
         return out
 
     return Machine(input_words, run, stage)
@@ -538,14 +582,13 @@ def _sc_machine(plugin, stage, batch_specs):
                     plugin.node_value(node[3]), node[2]))
             data, edge = plugin.sibling_fold(contributions)
             new_payload = ("k", leaves[0], edge, data, ())
-            check_payload_budget(new_payload, plugin.C_w,
+            words = ctx.write(("P", leaves[0]), new_payload)
+            check_payload_budget(new_payload, words, plugin.C_w,
                                  "%s survivor %r" % (stage, leaves[0]))
             rec = Record(stage, "sibling", leaves[0], leaves, payloads, virt,
                          parent)
-            obj = rec.to_obj()
-            ctx.write(("P", leaves[0]), new_payload)
-            ctx.write(("LOG", stage, leaves[0]), obj)
-            out.append((new_payload, obj))
+            log_words = ctx.write(("LOG", stage, leaves[0]), rec.to_obj())
+            out.append((rec, new_payload, words, log_words))
         return out
 
     return Machine(input_words, run, stage)
@@ -567,10 +610,12 @@ def _pack(items, sizes, cap):
     return bins
 
 
-def _apply_results(tree, log, virtual, results):
+def _apply_results(tree, log, virtual, pwords, results):
+    """Apply each machine's records to the host tree: the survivor takes the
+    new payload and its word count, and the record joins the log with the
+    count its LOG write returned."""
     for machine_out in results:
-        for new_payload, obj in machine_out:
-            rec = Record.from_obj(obj)
+        for rec, new_payload, words, log_words in machine_out:
             if rec.kind == "connected":
                 tree.contract(set(rec.members), rec.survivor)
             else:
@@ -578,7 +623,8 @@ def _apply_results(tree, log, virtual, results):
                     tree.remove_leaf(leaf)
                 virtual.add(rec.survivor)
             tree.payload[rec.survivor] = new_payload
-            log.append(rec)
+            pwords[rec.survivor] = words
+            log.append(rec, log_words)
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +644,9 @@ def _ordered_comp(members, rank):
     return tuple(sorted(members, key=rank.__getitem__))
 
 
-def _bounded_units(tree, plugin, cfg, rank, log, virtual, prefix=""):
-    """Unit stream of the bounded-degree contraction. Yields
+def _bounded_units(tree, plugin, cfg, rank, log, virtual, pwords, prefix=""):
+    """Unit stream of the bounded-degree contraction. pwords maps each live
+    vertex to its payload's word count and is kept current. Yields
     ("charge", label, rounds), ("round", machines) whose send-value is the
     per-machine results, or ("fault", message). Every phase emits the same
     unit shapes, so parallel streams can be merged step by step."""
@@ -630,33 +677,33 @@ def _bounded_units(tree, plugin, cfg, rank, log, virtual, prefix=""):
         machines = [_cc_machine(plugin, label + " compress", specs)
                     for _gi, specs in sorted(per_group.items())]
         results = yield ("round", machines)
-        _apply_results(tree, log, virtual, results)
+        _apply_results(tree, log, virtual, pwords, results)
         specs, sizes = [], []
         for p in sorted(tree.vertices(), key=rank.__getitem__):
             leaf_kids = [u for u in tree.children[p] if tree.is_leaf(u)]
             if leaf_kids:
                 spec = _comp_spec(tree, (p,) + tuple(leaf_kids), virtual)
                 specs.append(spec)
-                sizes.append(_estimate(tree, spec))
+                sizes.append(_estimate(pwords, spec))
         machines = [_cc_machine(plugin, label + " rake", bundle)
                     for bundle in _pack(specs, sizes, cfg.S)]
         results = yield ("round", machines)
-        _apply_results(tree, log, virtual, results)
+        _apply_results(tree, log, virtual, pwords, results)
         if tree.n > max(1, k):
             raise LogIntegrityError(
                 "%s left %d vertices, over the group count %d"
                 % (label, tree.n, k))
 
 
-def _general_units(tree, plugin, cfg, rank, log, virtual):
+def _general_units(tree, plugin, cfg, rank, log, virtual, pwords):
     lam = degree_budget(cfg)
     alpha = sibling_batch(cfg)
     phase = 0
     while tree.n > 1:
         spec = _comp_spec(tree, _ordered_comp(tree.vertices(), rank), virtual)
-        if _estimate(tree, spec) <= cfg.S:
+        if _estimate(pwords, spec) <= cfg.S:
             results = yield ("round", [_cc_machine(plugin, "final", [spec])])
-            _apply_results(tree, log, virtual, results)
+            _apply_results(tree, log, virtual, pwords, results)
             break
         phase += 1
         if phase > cfg.phase_cap:
@@ -671,7 +718,7 @@ def _general_units(tree, plugin, cfg, rank, log, virtual):
                 continue
             members = _ordered_comp(comp, rank)
             spec = _comp_spec(tree, members, virtual)
-            size = _estimate(tree, spec)
+            size = _estimate(pwords, spec)
             if size <= cfg.S:
                 direct.append(spec)
                 direct_sizes.append(size)
@@ -680,14 +727,15 @@ def _general_units(tree, plugin, cfg, rank, log, virtual):
         machines = [_cc_machine(plugin, label + " compress", bundle)
                     for bundle in _pack(direct, direct_sizes, cfg.S)]
         results = yield ("round", machines)
-        _apply_results(tree, log, virtual, results)
+        _apply_results(tree, log, virtual, pwords, results)
         if nested:
             slices, subs = [], []
             for members in nested:
                 sub = tree.slice(set(members), members[0])
                 slices.append((members, sub))
                 subs.append(_bounded_units(sub, plugin, cfg, rank, log,
-                                           virtual, prefix=label + " "))
+                                           virtual, pwords,
+                                           prefix=label + " "))
             yield ("lockstep", subs)
             for members, sub in slices:
                 if sub.n != 1:
@@ -714,13 +762,13 @@ def _general_units(tree, plugin, cfg, rank, log, virtual):
             if level > cfg.inv_eps:
                 yield ("fault", "%s sibling level %d exceeds %d"
                        % (label, level, cfg.inv_eps))
-            sizes = [sum(word_count(tree.payload[u]) + 2 for u in chunk)
+            sizes = [sum(pwords[u] + 2 for u in chunk)
                      for _p, chunk, _v in batches]
             machines = [_sc_machine(plugin, "%s rake L%d" % (label, level),
                                     bundle)
                         for bundle in _pack(batches, sizes, cfg.S)]
             results = yield ("round", machines)
-            _apply_results(tree, log, virtual, results)
+            _apply_results(tree, log, virtual, pwords, results)
         specs, sizes = [], []
         for p in sorted(tree.vertices(), key=rank.__getitem__):
             leaf_kids = [u for u in tree.children[p] if tree.is_leaf(u)]
@@ -728,11 +776,11 @@ def _general_units(tree, plugin, cfg, rank, log, virtual):
                 spec = _comp_spec(tree, (p,) + tuple(leaf_kids), virtual,
                                   root_outs_known=False)
                 specs.append(spec)
-                sizes.append(_estimate(tree, spec))
+                sizes.append(_estimate(pwords, spec))
         machines = [_cc_machine(plugin, label + " fold", bundle)
                     for bundle in _pack(specs, sizes, cfg.S)]
         results = yield ("round", machines)
-        _apply_results(tree, log, virtual, results)
+        _apply_results(tree, log, virtual, pwords, results)
         if tree.n >= n_before:
             raise LogIntegrityError("%s made no progress (%d vertices)"
                                     % (label, tree.n))
@@ -823,26 +871,18 @@ def _fresh_run(tree, plugin, cfg, sim):
     if plugin.C_w != cfg.C_w:
         cfg = cfg.replaced(C_w=plugin.C_w)
     work = tree.copy()
+    pwords = {}
     for v in work.vertices():
-        work.payload[v] = initial_payload(plugin, work, v)
-        check_payload_budget(work.payload[v], plugin.C_w, "vertex %r" % (v,))
+        payload = work.payload[v] = initial_payload(plugin, work, v)
+        pwords[v] = word_count(payload)
+        check_payload_budget(payload, pwords[v], plugin.C_w,
+                             "vertex %r" % (v,))
     if sim is None:
-        sim = Simulator(cfg, initial={("P", v): work.payload[v]
-                                      for v in work.vertices()})
-    else:
-        table = dict(sim.generation)
-        words = sim._gen_words
-        for v in work.vertices():
-            key = ("P", v)
-            if key in table:
-                words -= _entry_words(key, table[key])
-            table[key] = work.payload[v]
-            words += _entry_words(key, work.payload[v])
-        sim.generation = table
-        sim._gen_words = words
-        sim.total_words = max(sim.total_words, words)
+        sim = Simulator(cfg)
+    sim.store((("P", v), (work.payload[v], pwords[v]))
+              for v in work.vertices())
     log = ContractionLog(work.root, work.vertices())
-    return work, cfg, sim, log
+    return work, cfg, sim, log, pwords
 
 
 def _finish(work, plugin, sim, log):
@@ -860,11 +900,11 @@ def _finish(work, plugin, sim, log):
 def bounded_tree_contract(tree, plugin, cfg, sim=None):
     """Contract a tree whose degrees fit the decomposition budget; the answer
     is read at the root. Returns (answer, ContractionLog, metrics)."""
-    work, cfg, sim, log = _fresh_run(tree, plugin, cfg, sim)
+    work, cfg, sim, log, pwords = _fresh_run(tree, plugin, cfg, sim)
     if work.n > 1:
         rank = preorder_number(work)
         virtual = set()
-        gen = _bounded_units(work, plugin, cfg, rank, log, virtual)
+        gen = _bounded_units(work, plugin, cfg, rank, log, virtual, pwords)
         with sim.phase("contract"):
             _drive(sim, gen)
     return _finish(work, plugin, sim, log)
@@ -875,11 +915,11 @@ def tree_contract(tree, plugin, cfg, sim=None):
     degree-split structure (components too big for one machine run the
     bounded algorithm on a slice, side by side with their peers), then fold
     leaf siblings in batches and absorb the last leaf of every star."""
-    work, cfg, sim, log = _fresh_run(tree, plugin, cfg, sim)
+    work, cfg, sim, log, pwords = _fresh_run(tree, plugin, cfg, sim)
     if work.n > 1:
         rank = preorder_number(work)
         virtual = set()
-        gen = _general_units(work, plugin, cfg, rank, log, virtual)
+        gen = _general_units(work, plugin, cfg, rank, log, virtual, pwords)
         with sim.phase("contract"):
             _drive(sim, gen)
     return _finish(work, plugin, sim, log)

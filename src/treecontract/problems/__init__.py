@@ -89,10 +89,10 @@ def _check_eval(trees, text, result):
 
 def _solve_iso(trees, text, cfg, seed):
     verdict, detail = iso.tree_isomorphism(trees[0], trees[1], cfg, seed=seed)
-    detail.pop("metrics", None)
+    metrics = detail.pop("metrics")
     word = "isomorphic" if verdict else "not-isomorphic"
     return {"value": word, "lines": [word], "structure": detail,
-            "metrics": None, "exit": 0 if verdict else 1}
+            "metrics": metrics, "exit": 0 if verdict else 1}
 
 
 def _check_iso(trees, text, result):

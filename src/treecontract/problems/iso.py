@@ -179,13 +179,14 @@ def tree_isomorphism(t1, t2, cfg, alpha=1, seed=0, prime_table=None, sim=None):
     never rejected; a non-isomorphic pair can slip through with probability
     shrinking in n^alpha, so callers repeat with fresh seeds."""
     detail = {"n_left": t1.n, "n_right": t2.n, "alpha": alpha, "seed": seed}
-    if t1.n != t2.n:
-        detail["reason"] = "size"
-        return False, detail
     if cfg.n < t1.n:
         cfg = cfg.replaced(n=t1.n)
     if sim is None:
         sim = Simulator(cfg.replaced(C_w=HeightAlgebra.C_w))
+    if t1.n != t2.n:
+        detail["reason"] = "size"
+        detail["metrics"] = sim.snapshot_metrics()
+        return False, detail
     h1, log1, _ = height_run(t1, cfg, sim=sim)
     h2, log2, _ = height_run(t2, cfg, sim=sim)
     detail["height_left"] = h1

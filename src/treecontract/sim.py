@@ -2,9 +2,13 @@
 
 Machines run one round at a time against a frozen previous hash-table
 generation; their writes materialize the next generation at round end.
-All budgets are counted in machine words (word_count in trees.py). Costs of
-cited external subroutines (preorder numbering, connectivity, relabeling)
-are charged as opaque round blocks rather than re-implemented.
+All budgets are counted in machine words (word_count in trees.py). A value's
+words are counted once, when it is written: the simulator keeps a per-key
+word ledger next to the generation, charges a read the ledger's count, and
+lets the round-end merge reuse the writer's count for the new value and the
+ledger's count for the value it replaces. Costs of cited external
+subroutines (preorder numbering, connectivity, relabeling) are charged as
+opaque round blocks rather than re-implemented.
 """
 
 import json
@@ -83,16 +87,19 @@ class Machine:
 
 class _Ctx:
     """Per-machine round context: adaptive reads from the frozen previous
-    generation, writes buffered for the round-end merge."""
+    generation, writes buffered for the round-end merge. A read is charged
+    the words the ledger holds for its key; a write counts its value once and
+    keeps the count next to it for the merge."""
 
-    __slots__ = ("_table", "read_ops", "read_words", "writes", "write_words",
-                 "_closed")
+    __slots__ = ("_table", "_words", "read_ops", "read_words", "writes",
+                 "write_words", "_closed")
 
-    def __init__(self, table):
+    def __init__(self, table, words):
         self._table = table
+        self._words = words
         self.read_ops = 0
         self.read_words = 0
-        self.writes = {}
+        self.writes = {}  # key -> (value, its word count)
         self.write_words = 0
         self._closed = False
 
@@ -100,26 +107,25 @@ class _Ctx:
         if self._closed:
             raise SimFault("read after round end (generation frozen)")
         self.read_ops += 1
-        if key in self._table:
-            value = self._table[key]
-        elif default is KeyError:
-            raise SimFault("read of missing key %r" % (key,))
-        else:
-            value = default
-        self.read_words += word_count(value) if key in self._table else 1
-        return value
+        words = self._words.get(key)
+        if words is None:
+            if default is KeyError:
+                raise SimFault("read of missing key %r" % (key,))
+            self.read_words += 1
+            return default
+        self.read_words += words
+        return self._table[key]
 
     def write(self, key, value):
+        """Buffer a write; returns the value's word count."""
         if self._closed:
             raise SimFault("write after round end (generation frozen)")
-        if key in self.writes and self.writes[key] != value:
+        if key in self.writes and self.writes[key][0] != value:
             raise SimFault("conflicting writes to key %r" % (key,))
-        self.writes[key] = value
-        self.write_words += 1 + word_count(value)
-
-
-def _entry_words(key, value):
-    return 1 + word_count(value)
+        words = word_count(value)
+        self.writes[key] = (value, words)
+        self.write_words += 1 + words
+        return words
 
 
 class Simulator:
@@ -131,11 +137,11 @@ class Simulator:
     def __init__(self, cfg, initial=None):
         self.cfg = cfg
         self.rounds = 0
-        self.generation = dict(initial) if initial else {}
-        self._gen_words = sum(_entry_words(k, v)
-                              for k, v in self.generation.items())
+        self.generation = {}
+        self._words = {}  # key -> word count of its value in the generation
+        self._gen_words = 0
         self.peak_machine_words = 0
-        self.total_words = self._gen_words
+        self.total_words = 0
         self.dht_reads = 0
         self.dht_writes = 0
         self.violations = []
@@ -143,6 +149,8 @@ class Simulator:
         self._phase_stack = []
         self.rng = random.Random(cfg.seed)
         self._threads = max(1, int(os.environ.get("TC_THREADS", "1") or 1))
+        if initial:
+            self.store((k, (v, word_count(v))) for k, v in initial.items())
 
     # -- faults ------------------------------------------------------------
 
@@ -150,6 +158,26 @@ class Simulator:
         self.violations.append(msg)
         if self.cfg.strict:
             raise SimFault(msg)
+
+    # -- generation ----------------------------------------------------------
+
+    def store(self, entries):
+        """Put (key, (value, words)) entries into the current generation,
+        where words is the value's word count, and keep the ledger, the
+        generation's size and its peak (total_words) current. An entry costs
+        one word for its key plus its value's words. The host seeds payloads
+        through here; run_round merges each round's writes through here."""
+        table, ledger = self.generation, self._words
+        size = self._gen_words
+        for key, (value, words) in entries:
+            old = ledger.get(key)
+            if old is not None:
+                size -= 1 + old
+            table[key] = value
+            ledger[key] = words
+            size += 1 + words
+        self._gen_words = size
+        self.total_words = max(self.total_words, size)
 
     # -- rounds ------------------------------------------------------------
 
@@ -160,14 +188,13 @@ class Simulator:
 
     def run_round(self, machines):
         """Execute machine-programs against the frozen current generation;
-        merge their writes into the next one. Returns their results in
-        machine order."""
-        frozen = self.generation
+        merge their writes into it once every machine has run. Returns their
+        results in machine order."""
         self._advance(1)
         if len(machines) > self.cfg.machine_cap:
             self.fault("round %d: %d machines exceed cap %d"
                        % (self.rounds, len(machines), self.cfg.machine_cap))
-        ctxs = [_Ctx(frozen) for _ in machines]
+        ctxs = [_Ctx(self.generation, self._words) for _ in machines]
 
         def run_one(i):
             return machines[i].run(ctxs[i])
@@ -178,8 +205,6 @@ class Simulator:
         else:
             results = [run_one(i) for i in range(len(machines))]
 
-        nxt = dict(frozen)
-        words = self._gen_words
         merged = {}
         cap = self.cfg.C_q * self.cfg.S
         for i, (m, ctx) in enumerate(zip(machines, ctxs)):
@@ -199,17 +224,11 @@ class Simulator:
                                           m.input_words + ctx.read_words)
             self.dht_reads += ctx.read_ops
             self.dht_writes += len(ctx.writes)
-            for key, value in ctx.writes.items():
-                if key in merged and merged[key] != value:
+            for key, entry in ctx.writes.items():
+                if key in merged and merged[key][0] != entry[0]:
                     self.fault("%s: conflicting write to key %r" % (who, key))
-                merged[key] = value
-                if key in nxt:
-                    words -= _entry_words(key, nxt[key])
-                nxt[key] = value
-                words += _entry_words(key, value)
-        self.generation = nxt
-        self._gen_words = words
-        self.total_words = max(self.total_words, words)
+                merged[key] = entry
+        self.store(merged.items())
         return results
 
     def charge_subroutine(self, name, rounds):

@@ -14,9 +14,32 @@ from .errors import InputError
 NEG_INF = float("-inf")
 
 
+# words per scalar, by exact type; anything else goes through the
+# isinstance chain in _word_count_fallback
+_SCALAR_WORDS = {type(None): 1, bool: 1, int: 1, float: 1, str: 1,
+                 Fraction: 2}
+
+
 def word_count(obj):
     """Number of machine words a payload occupies."""
-    if obj is None or isinstance(obj, (bool, int, float)):
+    cls = type(obj)
+    if cls is tuple or cls is list:
+        words = 0
+        scalar = _SCALAR_WORDS.get
+        for x in obj:
+            # 0 marks a container or an unlisted type; an empty container
+            # recounts to 0 either way
+            words += scalar(type(x), 0) or word_count(x)
+        return words
+    words = _SCALAR_WORDS.get(cls)
+    if words is not None:
+        return words
+    return _word_count_fallback(obj)
+
+
+def _word_count_fallback(obj):
+    """Subclasses of the payload types, and the TypeError for the rest."""
+    if isinstance(obj, (bool, int, float)):
         return 1
     if isinstance(obj, Fraction):
         return 2

@@ -112,6 +112,21 @@ class TestSolve:
                            "--input", p, "--input", p)
         assert code == 0 and out.splitlines()[0] == "isomorphic"
 
+    def test_iso_report_carries_metrics(self, tmp_path, capsys):
+        p = self._write(tmp_path, "3 1\n1 -\n2 1\n3 2\n", "p.tree")
+        q = self._write(tmp_path, "2 1\n1 -\n2 1\n", "q.tree")
+        rep = tmp_path / "rep.jsonl"
+        run(capsys, "solve", "--problem", "iso", "--input", p, "--input", p,
+            "--report", str(rep))
+        run(capsys, "solve", "--problem", "iso", "--input", p, "--input", q,
+            "--report", str(rep))
+        same, sizes = [json.loads(line) for line in rep.read_text().splitlines()]
+        assert same["value"] == "isomorphic"
+        assert same["metrics"]["rounds"] > 0
+        assert not same["metrics"]["violations"]
+        assert sizes["value"] == "not-isomorphic"
+        assert sizes["metrics"]["rounds"] == 0
+
 
 class TestVerify:
     def test_agreement_across_problems(self, tmp_path, capsys):
@@ -213,6 +228,20 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", "--problem", "sum",
                            "--input", str(src))
         assert code == 2 and "forced" in err
+
+    def test_unexpected_exception_maps_to_two(self, tmp_path, capsys,
+                                              monkeypatch):
+        src = tmp_path / "t.tree"
+        run(capsys, "gen", "--family", "path", "--n", "3", "--out", str(src))
+
+        def boom(trees, text, cfg, seed):
+            raise RuntimeError("forced")
+
+        monkeypatch.setitem(REGISTRY["sum"], "solve", boom)
+        code, _, err = run(capsys, "solve", "--problem", "sum",
+                           "--input", str(src))
+        assert code == 2
+        assert err == "internal error: RuntimeError: forced\n"
 
     def test_tc_threads_validation(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TC_THREADS", "banana")

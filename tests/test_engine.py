@@ -30,7 +30,9 @@ from treecontract.oracles import (
     path,
     random_tree,
     star,
+    with_edge_weights,
 )
+from treecontract.problems.matching import mwm_solve
 from treecontract.sim import SimConfig
 from treecontract.trees import Tree
 
@@ -357,3 +359,40 @@ class TestLogCodec:
 
     def test_magic_is_versioned(self):
         assert LOG_MAGIC == b"TCLOG1\n"
+
+    def test_truncated_file(self, tmp_path):
+        tree = with_edge_weights(random_tree(200, 3), 3)
+        _v, _e, _t, log, _m = mwm_solve(tree, cfg(200))
+        p = tmp_path / "run.tclog"
+        log.save(p)
+        data = p.read_bytes()
+        p.write_bytes(data[:len(data) // 2])
+        with pytest.raises(InputError, match="truncated"):
+            ContractionLog.load(p)
+
+    def test_every_prefix_is_an_input_error(self, tmp_path):
+        t = valued(path(6))
+        _a, log, _m = tree_contract(t, sum_plugin(), cfg(6))
+        p = tmp_path / "run.tclog"
+        log.save(p)
+        data = p.read_bytes()
+        for cut in range(len(LOG_MAGIC), len(data)):
+            p.write_bytes(data[:cut])
+            with pytest.raises(InputError):
+                ContractionLog.load(p)
+
+    def test_varint_runs_off_the_end(self, tmp_path):
+        with pytest.raises(InputError, match="truncated"):
+            _dec_obj(bytes([3, 0x80, 0x80]), 0)
+        p = tmp_path / "run.tclog"
+        p.write_bytes(LOG_MAGIC + bytes([7, 0x84]))
+        with pytest.raises(InputError, match="truncated"):
+            ContractionLog.load(p)
+
+    def test_malformed_header(self, tmp_path):
+        p = tmp_path / "run.tclog"
+        out = bytearray(LOG_MAGIC)
+        _enc_obj((1, 2), out)
+        p.write_bytes(bytes(out))
+        with pytest.raises(InputError, match="malformed"):
+            ContractionLog.load(p)

@@ -1,0 +1,173 @@
+"""Golden model metrics and log bytes for a fixed matrix of solves.
+
+Each solve pins its rounds, peak machine words, total words, DHT reads and
+writes, the log's own word total and the sha256 of the bytes that
+`ContractionLog.save` writes. A change to the host code may make a run
+faster; it may not move any of these.
+"""
+
+import hashlib
+
+import pytest
+
+from treecontract import oracles
+from treecontract.engine import ContractionLog
+from treecontract.problems import REGISTRY, iso
+from treecontract.sim import SimConfig
+
+N = 1 << 10
+SEED = 7
+MODEL = ("rounds", "peak_machine_words", "total_words", "dht_reads",
+         "dht_writes")
+
+
+def _expression():
+    terms, length, i = [], 0, 0
+    while length < N:
+        term = "(" + oracles.random_expression(SEED * 1000 + i,
+                                               max_depth=5) + ")"
+        terms.append(term)
+        length += len(term) + 1
+        i += 1
+    return "+".join(terms)
+
+
+# name -> (problem, epsilon, make_inputs); make_inputs returns the trees
+# and the expression text, as the CLI hands them to a registry adapter
+CASES = {
+    "mwm": ("mwm", 0.5, lambda: ([oracles.with_edge_weights(
+        oracles.random_tree(N, SEED), SEED)], None)),
+    "mwis": ("mwis", 0.5, lambda: ([oracles.with_vertex_weights(
+        oracles.caterpillar(N), SEED)], None)),
+    "mis": ("mis", 0.5, lambda: ([oracles.random_tree(N, SEED + 1)], None)),
+    "matching": ("matching", 0.5, lambda: ([oracles.broom(N)], None)),
+    "height": ("height", 0.25, lambda: ([oracles.random_tree(N, SEED + 2)],
+                                        None)),
+    "sum": ("sum", 0.25, lambda: ([oracles.path(N)], None)),
+    "eval": ("eval", 0.5, lambda: ([], _expression())),
+}
+
+GOLDEN = {
+    "eval": {
+        "rounds": 14, "peak_machine_words": 521, "total_words": 14509,
+        "dht_reads": 651, "dht_writes": 218, "log_words": 9022,
+        "log_sha256":
+            "5f5bbbb7a3fbad6c889f37939c1bb486bd141df8454b064258f43f42df1a14dc",
+        "answer_sha256":
+            "e638fca512667951489f2214927307b319e402239327a760f6445a108a393c64"},
+    "height": {
+        "rounds": 47, "peak_machine_words": 93, "total_words": 20425,
+        "dht_reads": 1590, "dht_writes": 1134, "log_words": 13715,
+        "log_sha256":
+            "dba642bf4e826d8e5017577501eb0a5baee10ccf4a8a1518e4e6a6eabe4e7369",
+        "answer_sha256":
+            "3fdba35f04dc8c462986c992bcf875546257113072a909c162f7e470e581e278"},
+    "matching": {
+        "rounds": 10, "peak_machine_words": 264, "total_words": 12019,
+        "dht_reads": 1073, "dht_writes": 68, "log_words": 6740,
+        "log_sha256":
+            "6950182c647f5e54868b0558ff823a0bec722d78b2eb1e9c79f22a92b31e31c6",
+        "answer_sha256":
+            "35d8319ab2e3befbc3518577800ff94ee16bb18cef3a163b4acf7542aa0febd9"},
+    "mis": {
+        "rounds": 6, "peak_machine_words": 510, "total_words": 14302,
+        "dht_reads": 1198, "dht_writes": 350, "log_words": 8988,
+        "log_sha256":
+            "cc7d5953269570d6200d45c99b99f34cac5ebaa21f9668c243a4fcd895586525",
+        "answer_sha256":
+            "9e83f45de39d4a54c25c2d3489d2b360f59d4e7314c0d8aa1dc96dceb4b3431e"},
+    "mwis": {
+        "rounds": 13, "peak_machine_words": 421, "total_words": 30531,
+        "dht_reads": 1156, "dht_writes": 266, "log_words": 19807,
+        "log_sha256":
+            "e26a46757c17e1b91c27b1065e3bfd3014800ff059d3ca22cb940be640856199",
+        "answer_sha256":
+            "f1241a65c837e6459b2221ac28d7893f04f4d6118fb4168648b12177b014b666"},
+    "mwm": {
+        "rounds": 14, "peak_machine_words": 512, "total_words": 24828,
+        "dht_reads": 1268, "dht_writes": 490, "log_words": 15306,
+        "log_sha256":
+            "b981cc92fdcf13dc37b90aeff895821e395ee2c16846c86348a141562bfb4d69",
+        "answer_sha256":
+            "85508e52fbf4c41db32f6773b137242cd8d0089146013bf3666acb6e9d34eb61"},
+    "sum": {
+        "rounds": 19, "peak_machine_words": 55, "total_words": 15929,
+        "dht_reads": 1283, "dht_writes": 520, "log_words": 9958,
+        "log_sha256":
+            "c813e0e97d85b298312bdc268a2439b611c809da2d8d7ead7524c6e543c3b8d4",
+        "answer_sha256":
+            "e39eef82f61b21e2e7f762fcc4307358f165757f2e77ec855d6992f7e0191932"},
+}
+
+ISO_GOLDEN = {
+    "rounds": 45, "peak_machine_words": 512, "total_words": 28409,
+    "dht_reads": 5076, "dht_writes": 1968, "verdict": True,
+    "modulus": 326637205720375, "q_left": 117040723017685,
+    "q_right": 117040723017685,
+}
+
+
+def _config(epsilon, trees, text):
+    n = max(4, len(text)) if text is not None else max(t.n for t in trees)
+    return SimConfig(epsilon=epsilon, n=n, seed=SEED)
+
+
+@pytest.fixture(scope="module")
+def solved(tmp_path_factory):
+    """name -> (registry result, path of its saved log), each solved once."""
+    cache = {}
+    where = tmp_path_factory.mktemp("logs")
+
+    def get(name):
+        if name not in cache:
+            problem, epsilon, make_inputs = CASES[name]
+            trees, text = make_inputs()
+            cfg = _config(epsilon, trees, text)
+            result = REGISTRY[problem]["solve"](trees, text, cfg, SEED)
+            path = where / ("%s.tclog" % name)
+            result["log"].save(path)
+            cache[name] = result, path
+        return cache[name]
+
+    return get
+
+
+def fingerprint(result, path):
+    fp = {key: result["metrics"][key] for key in MODEL}
+    fp["log_words"] = result["log"].total_words
+    fp["log_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    fp["answer_sha256"] = hashlib.sha256(
+        "\n".join(result["lines"]).encode()).hexdigest()
+    return fp
+
+
+def iso_fingerprint():
+    left = oracles.random_tree(N, SEED)
+    right = oracles.relabeled_copy(left, SEED)
+    cfg = SimConfig(epsilon=0.5, n=N, seed=SEED)
+    verdict, detail = iso.tree_isomorphism(left, right, cfg, seed=SEED)
+    fp = {key: detail["metrics"][key] for key in MODEL}
+    fp.update(verdict=verdict, modulus=detail["modulus"],
+              q_left=detail["q_left"], q_right=detail["q_right"])
+    return fp
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_solve(name, solved):
+    assert fingerprint(*solved(name)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_log_round_trip(name, solved):
+    # load() counts every record from scratch; the live log took the counts
+    # its machines' writes returned
+    result, path = solved(name)
+    back = ContractionLog.load(path)
+    assert back.total_words == result["log"].total_words
+    again = path.with_name(path.name + ".again")
+    back.save(again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_golden_iso():
+    assert iso_fingerprint() == ISO_GOLDEN

@@ -1,6 +1,7 @@
 """Simulator accounting: rounds, budgets, freeze semantics, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -262,6 +263,27 @@ class TestBudgets:
         sim.run_round([Machine(0, w)])
         # three int entries at 2 words each
         assert sim.snapshot_metrics()["total_words"] == 6
+
+    def test_ledger_follows_overwrites(self):
+        sim = Simulator(cfg(), initial={"a": (1, 2, 3)})  # 4 words
+        counts = []
+
+        def shrink(ctx):
+            counts.append(ctx.write("a", 7))
+
+        def grow(ctx):
+            counts.append(ctx.write("b", (1, 2, Fraction(1, 3))))
+
+        def read_b(ctx):
+            return ctx.read("b")
+
+        sim.run_round([Machine(0, shrink)])  # generation: 2 words
+        sim.run_round([Machine(0, grow)])  # generation: 2 + 5 words
+        sim.run_round([Machine(1, read_b)])
+        m = sim.snapshot_metrics()
+        assert counts == [1, 4]
+        assert m["total_words"] == 7
+        assert m["peak_machine_words"] == 1 + 4
 
 
 class TestDeterminism:

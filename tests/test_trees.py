@@ -44,6 +44,58 @@ def test_word_count_scalars():
         word_count({1: 2})
 
 
+def reference_word_count(obj):
+    """The definition word_count must agree with: one word per scalar, two
+    per Fraction, containers free."""
+    if obj is None or isinstance(obj, (bool, int, float)):
+        return 1
+    if isinstance(obj, Fraction):
+        return 2
+    if isinstance(obj, str):
+        return 1
+    if isinstance(obj, (tuple, list)):
+        return sum(reference_word_count(x) for x in obj)
+    raise TypeError("unsupported payload element: %r" % (obj,))
+
+
+payloads = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.just(NEG_INF),
+              st.fractions(), st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.lists(inner, max_size=5).map(tuple)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads)
+def test_word_count_matches_reference(obj):
+    assert word_count(obj) == reference_word_count(obj)
+
+
+def test_word_count_subclasses_take_the_fallback():
+    import enum
+    from collections import namedtuple
+
+    class Colour(enum.IntEnum):
+        RED = 1
+
+    class Ratio(Fraction):
+        pass
+
+    Pair = namedtuple("Pair", "a b")
+    for obj in (Colour.RED, Pair(1, Fraction(1, 2)), [Ratio(1, 3), 2],
+                [Fraction(1, 2)], (Pair(Colour.RED, None), [True])):
+        assert word_count(obj) == reference_word_count(obj)
+    assert word_count(Pair(1, Fraction(1, 2))) == 3
+    assert word_count([Ratio(1, 3), 2]) == 3
+
+
+@pytest.mark.parametrize("bad", [{1: 2}, {1}, b"ab", 1j, (1, [2, {3}])])
+def test_word_count_rejects_other_types(bad):
+    with pytest.raises(TypeError):
+        word_count(bad)
+
+
 def test_log_words():
     assert log_words(1) == 1
     assert log_words(7) == 3
