@@ -20,6 +20,7 @@ from fractions import Fraction
 from .errors import InputError, LogIntegrityError, SimFault
 from .sim import Machine, Simulator
 from .trees import (
+    NEG_INF,
     decompose,
     group_components,
     low_degree_components,
@@ -88,10 +89,7 @@ def initial_payload(plugin, tree, v):
     return ("k", v, plugin.fresh_edge(tree, v), plugin.init_data(tree, v), ())
 
 
-def payload_slots(rnode):
-    if rnode[0] == "s":
-        return 1
-    return sum(payload_slots(kid) for kid in rnode[4])
+_NO_SLOTS = frozenset()
 
 
 def payload_slot_ids(rnode):
@@ -106,12 +104,13 @@ def payload_slot_ids(rnode):
     return out
 
 
-def check_payload_budget(rnode, words, c_w, who):
-    """rnode, of `words` words, must fit C_w per slot plus C_w."""
-    budget = c_w * (payload_slots(rnode) + 1)
+def check_payload_budget(words, slots, c_w, who, *who_args):
+    """A payload of `words` words with `slots` pending child slots must fit
+    C_w per slot plus C_w. The fault names the payload `who % who_args`."""
+    budget = c_w * (slots + 1)
     if words > budget:
         raise SimFault("%s: payload of %d words exceeds %d (non-conforming "
-                       "contractor)" % (who, words, budget))
+                       "contractor)" % (who % who_args, words, budget))
 
 
 def _compose(plugin, hi, lo):
@@ -323,6 +322,12 @@ class Record:
                 tuple(sorted(self.virtual)), self.parent_out, self.parents,
                 self.outs, self.root_outs_known)
 
+    def header_words(self):
+        """Words of to_obj() outside the payloads."""
+        return word_count((self.label, self.kind, self.survivor,
+                           self.members, tuple(self.virtual), self.parent_out,
+                           self.parents, self.outs, self.root_outs_known))
+
     @classmethod
     def from_obj(cls, obj):
         (label, kind, survivor, members, payloads, virtual, parent_out,
@@ -346,26 +351,40 @@ def _enc_uint(n, out):
             return
 
 
+# two-byte encodings of the small ints and tuple headers, indexed by the
+# varint payload (zigzagged for ints)
+_SMALL_INT = [bytes((3, z)) for z in range(0x80)]
+_SMALL_TUPLE = [bytes((7, n)) for n in range(0x80)]
+
+
 def _enc_obj(obj, out):
+    """Append obj's encoding to out: tuples with their int and None items,
+    None, -inf and str here by exact type, everything else in _enc_other."""
     cls = type(obj)
     if cls is tuple:
         n = len(obj)
-        out.append(7)
         if n < 0x80:
-            out.append(n)
+            out += _SMALL_TUPLE[n]
         else:
+            out.append(7)
             _enc_uint(n, out)
         for item in obj:
-            _enc_obj(item, out)
-    elif cls is int:
-        z = obj << 1 if obj >= 0 else ((-obj) << 1) | 1
-        out.append(3)
-        if z < 0x80:
-            out.append(z)
-        else:
-            _enc_uint(z, out)
+            cls = type(item)
+            if cls is int:
+                z = item << 1 if item >= 0 else ((-item) << 1) | 1
+                if z < 0x80:
+                    out += _SMALL_INT[z]
+                else:
+                    out.append(3)
+                    _enc_uint(z, out)
+            elif item is None:
+                out.append(0)
+            else:
+                _enc_obj(item, out)
     elif obj is None:
         out.append(0)
+    elif cls is float and obj == NEG_INF:
+        out.append(4)
     elif cls is str:
         raw = obj.encode("utf-8")
         out.append(6)
@@ -385,7 +404,7 @@ def _enc_other(obj, out):
         out.append(3)
         _enc_uint(obj << 1 if obj >= 0 else ((-obj) << 1) | 1, out)
     elif isinstance(obj, float):
-        if obj != float("-inf"):
+        if obj != NEG_INF:
             raise InputError("only -inf floats are encodable")
         out.append(4)
     elif isinstance(obj, Fraction):
@@ -518,20 +537,38 @@ class ContractionLog:
 # ---------------------------------------------------------------------------
 # machine builders
 
-def _comp_spec(tree, members, virtual, root_outs_known=True):
+class _Books:
+    """What the host keeps between rounds besides the tree: per vertex, its
+    payload's word count (pwords) and pending-slot ids (slots), both as the
+    machine that wrote the payload found them; the vertices that stand in
+    for a folded sibling batch (virtual); and the contraction log."""
+
+    __slots__ = ("pwords", "slots", "virtual", "log")
+
+    def __init__(self, pwords, slots, virtual, log):
+        self.pwords = pwords
+        self.slots = slots
+        self.virtual = virtual
+        self.log = log
+
+
+def _comp_spec(tree, members, books, root_outs_known=True):
     mset = set(members)
+    parent, children, slot_sets = tree.parent, tree.children, books.slots
     parents, outs = [], []
     for i, m in enumerate(members):
-        p = tree.parent[m]
+        p = parent[m]
         parents.append(p if p in mset else None)
-        if i == 0 and not root_outs_known:
+        kids = children[m]
+        if not kids or (i == 0 and not root_outs_known):
             outs.append(())
             continue
-        slots = payload_slot_ids(tree.payload[m])
-        outs.append(tuple(u for u in tree.children[m]
-                          if u not in mset and u not in slots))
+        slots = slot_sets[m]
+        outs.append(tuple([u for u in kids
+                           if u not in mset and u not in slots]))
+    virtual = books.virtual
     return (tuple(members), tuple(parents), tuple(outs),
-            tuple(m for m in members if m in virtual), root_outs_known)
+            tuple([m for m in members if m in virtual]), root_outs_known)
 
 
 def _spec_words(spec):
@@ -549,16 +586,21 @@ def _cc_machine(plugin, stage, comp_specs):
     def run(ctx):
         out = []
         for members, parents, outs, virt, root_outs_known in comp_specs:
+            survivor = members[0]
+            read_before = ctx.read_words
             payloads = {m: ctx.read(("P", m)) for m in members}
+            read_words = ctx.read_words - read_before
             new_payload = contract_component(plugin, members, parents, outs,
                                              payloads)
-            words = ctx.write(("P", members[0]), new_payload)
-            check_payload_budget(new_payload, words, plugin.C_w,
-                                 "%s survivor %r" % (stage, members[0]))
-            rec = Record(stage, "connected", members[0], members, payloads,
+            slots = payload_slot_ids(new_payload)
+            words = ctx.write(("P", survivor), new_payload)
+            check_payload_budget(words, len(slots), plugin.C_w,
+                                 "%s survivor %r", stage, survivor)
+            rec = Record(stage, "connected", survivor, members, payloads,
                          virt, None, parents, outs, root_outs_known)
-            log_words = ctx.write(("LOG", stage, members[0]), rec.to_obj())
-            out.append((rec, new_payload, words, log_words))
+            log_words = ctx.write(("LOG", stage, survivor), rec.to_obj(),
+                                  read_words + rec.header_words())
+            out.append((rec, new_payload, words, slots, log_words))
         return out
 
     return Machine(input_words, run, stage)
@@ -570,8 +612,10 @@ def _sc_machine(plugin, stage, batch_specs):
     def run(ctx):
         out = []
         for parent, leaves, virt in batch_specs:
+            survivor = leaves[0]
             payloads = {}
             contributions = []
+            read_before = ctx.read_words
             for leaf in leaves:
                 node = ctx.read(("P", leaf))
                 if node[4]:
@@ -580,15 +624,17 @@ def _sc_machine(plugin, stage, batch_specs):
                 payloads[leaf] = node
                 contributions.append(plugin.through_edge(
                     plugin.node_value(node[3]), node[2]))
+            read_words = ctx.read_words - read_before
             data, edge = plugin.sibling_fold(contributions)
-            new_payload = ("k", leaves[0], edge, data, ())
-            words = ctx.write(("P", leaves[0]), new_payload)
-            check_payload_budget(new_payload, words, plugin.C_w,
-                                 "%s survivor %r" % (stage, leaves[0]))
-            rec = Record(stage, "sibling", leaves[0], leaves, payloads, virt,
+            new_payload = ("k", survivor, edge, data, ())
+            words = ctx.write(("P", survivor), new_payload)
+            check_payload_budget(words, 0, plugin.C_w,
+                                 "%s survivor %r", stage, survivor)
+            rec = Record(stage, "sibling", survivor, leaves, payloads, virt,
                          parent)
-            log_words = ctx.write(("LOG", stage, leaves[0]), rec.to_obj())
-            out.append((rec, new_payload, words, log_words))
+            log_words = ctx.write(("LOG", stage, survivor), rec.to_obj(),
+                                  read_words + rec.header_words())
+            out.append((rec, new_payload, words, _NO_SLOTS, log_words))
         return out
 
     return Machine(input_words, run, stage)
@@ -610,21 +656,28 @@ def _pack(items, sizes, cap):
     return bins
 
 
-def _apply_results(tree, log, virtual, pwords, results):
-    """Apply each machine's records to the host tree: the survivor takes the
-    new payload and its word count, and the record joins the log with the
-    count its LOG write returned."""
+def _apply_results(tree, books, results):
+    """Apply one round's records to the host tree: the survivor takes the
+    new payload with the word count and slot ids its machine found, and the
+    record joins the log with the count its LOG write was given. Folded
+    leaves go once the round's records are in, one pass per parent."""
+    pwords, slot_sets, virtual, log = (books.pwords, books.slots,
+                                       books.virtual, books.log)
+    folded = {}
     for machine_out in results:
-        for rec, new_payload, words, log_words in machine_out:
+        for rec, new_payload, words, slots, log_words in machine_out:
+            survivor = rec.survivor
             if rec.kind == "connected":
-                tree.contract(set(rec.members), rec.survivor)
+                tree.contract(set(rec.members), survivor)
             else:
-                for leaf in rec.members[1:]:
-                    tree.remove_leaf(leaf)
-                virtual.add(rec.survivor)
-            tree.payload[rec.survivor] = new_payload
-            pwords[rec.survivor] = words
+                folded.setdefault(rec.parent_out, []).extend(rec.members[1:])
+                virtual.add(survivor)
+            tree.payload[survivor] = new_payload
+            pwords[survivor] = words
+            slot_sets[survivor] = slots
             log.append(rec, log_words)
+    for p, leaves in folded.items():
+        tree.remove_leaves(p, leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -644,9 +697,9 @@ def _ordered_comp(members, rank):
     return tuple(sorted(members, key=rank.__getitem__))
 
 
-def _bounded_units(tree, plugin, cfg, rank, log, virtual, pwords, prefix=""):
-    """Unit stream of the bounded-degree contraction. pwords maps each live
-    vertex to its payload's word count and is kept current. Yields
+def _bounded_units(tree, plugin, cfg, rank, books, prefix=""):
+    """Unit stream of the bounded-degree contraction; books is kept current
+    for every live vertex. Yields
     ("charge", label, rounds), ("round", machines) whose send-value is the
     per-machine results, or ("fault", message). Every phase emits the same
     unit shapes, so parallel streams can be merged step by step."""
@@ -672,38 +725,44 @@ def _bounded_units(tree, plugin, cfg, rank, log, virtual, pwords, prefix=""):
         per_group = {}
         for gi, comp in group_components(tree, dec):
             if len(comp) > 1:
-                spec = _comp_spec(tree, _ordered_comp(comp, rank), virtual)
+                spec = _comp_spec(tree, _ordered_comp(comp, rank), books)
                 per_group.setdefault(gi, []).append(spec)
         machines = [_cc_machine(plugin, label + " compress", specs)
                     for _gi, specs in sorted(per_group.items())]
         results = yield ("round", machines)
-        _apply_results(tree, log, virtual, pwords, results)
+        _apply_results(tree, books, results)
         specs, sizes = [], []
         for p in sorted(tree.vertices(), key=rank.__getitem__):
             leaf_kids = [u for u in tree.children[p] if tree.is_leaf(u)]
             if leaf_kids:
-                spec = _comp_spec(tree, (p,) + tuple(leaf_kids), virtual)
+                spec = _comp_spec(tree, (p,) + tuple(leaf_kids), books)
                 specs.append(spec)
-                sizes.append(_estimate(pwords, spec))
+                sizes.append(_estimate(books.pwords, spec))
         machines = [_cc_machine(plugin, label + " rake", bundle)
                     for bundle in _pack(specs, sizes, cfg.S)]
         results = yield ("round", machines)
-        _apply_results(tree, log, virtual, pwords, results)
+        _apply_results(tree, books, results)
         if tree.n > max(1, k):
             raise LogIntegrityError(
                 "%s left %d vertices, over the group count %d"
                 % (label, tree.n, k))
 
 
-def _general_units(tree, plugin, cfg, rank, log, virtual, pwords):
+def _general_units(tree, plugin, cfg, rank, books):
     lam = degree_budget(cfg)
     alpha = sibling_batch(cfg)
+    pwords, virtual = books.pwords, books.virtual
     phase = 0
     while tree.n > 1:
-        spec = _comp_spec(tree, _ordered_comp(tree.vertices(), rank), virtual)
-        if _estimate(pwords, spec) <= cfg.S:
+        # the all-vertex spec has no outs, so its _estimate is 4 words per
+        # vertex plus the payloads; test that before building it
+        fixed = 4 * tree.n
+        if fixed <= cfg.S and fixed + sum(
+                map(pwords.__getitem__, tree.vertices())) <= cfg.S:
+            spec = _comp_spec(tree, _ordered_comp(tree.vertices(), rank),
+                              books)
             results = yield ("round", [_cc_machine(plugin, "final", [spec])])
-            _apply_results(tree, log, virtual, pwords, results)
+            _apply_results(tree, books, results)
             break
         phase += 1
         if phase > cfg.phase_cap:
@@ -717,7 +776,7 @@ def _general_units(tree, plugin, cfg, rank, log, virtual, pwords):
             if not is_fringe or len(comp) < 2:
                 continue
             members = _ordered_comp(comp, rank)
-            spec = _comp_spec(tree, members, virtual)
+            spec = _comp_spec(tree, members, books)
             size = _estimate(pwords, spec)
             if size <= cfg.S:
                 direct.append(spec)
@@ -727,14 +786,13 @@ def _general_units(tree, plugin, cfg, rank, log, virtual, pwords):
         machines = [_cc_machine(plugin, label + " compress", bundle)
                     for bundle in _pack(direct, direct_sizes, cfg.S)]
         results = yield ("round", machines)
-        _apply_results(tree, log, virtual, pwords, results)
+        _apply_results(tree, books, results)
         if nested:
             slices, subs = [], []
             for members in nested:
                 sub = tree.slice(set(members), members[0])
                 slices.append((members, sub))
-                subs.append(_bounded_units(sub, plugin, cfg, rank, log,
-                                           virtual, pwords,
+                subs.append(_bounded_units(sub, plugin, cfg, rank, books,
                                            prefix=label + " "))
             yield ("lockstep", subs)
             for members, sub in slices:
@@ -747,7 +805,7 @@ def _general_units(tree, plugin, cfg, rank, log, virtual, pwords):
         while True:
             batches = []
             for p in sorted(tree.vertices(), key=rank.__getitem__):
-                slots = payload_slot_ids(tree.payload[p])
+                slots = books.slots[p]
                 leaf_kids = [u for u in tree.children[p]
                              if tree.is_leaf(u) and u not in slots]
                 for i in range(0, len(leaf_kids), alpha):
@@ -768,19 +826,19 @@ def _general_units(tree, plugin, cfg, rank, log, virtual, pwords):
                                     bundle)
                         for bundle in _pack(batches, sizes, cfg.S)]
             results = yield ("round", machines)
-            _apply_results(tree, log, virtual, pwords, results)
+            _apply_results(tree, books, results)
         specs, sizes = [], []
         for p in sorted(tree.vertices(), key=rank.__getitem__):
             leaf_kids = [u for u in tree.children[p] if tree.is_leaf(u)]
             if leaf_kids:
-                spec = _comp_spec(tree, (p,) + tuple(leaf_kids), virtual,
+                spec = _comp_spec(tree, (p,) + tuple(leaf_kids), books,
                                   root_outs_known=False)
                 specs.append(spec)
                 sizes.append(_estimate(pwords, spec))
         machines = [_cc_machine(plugin, label + " fold", bundle)
                     for bundle in _pack(specs, sizes, cfg.S)]
         results = yield ("round", machines)
-        _apply_results(tree, log, virtual, pwords, results)
+        _apply_results(tree, books, results)
         if tree.n >= n_before:
             raise LogIntegrityError("%s made no progress (%d vertices)"
                                     % (label, tree.n))
@@ -867,22 +925,32 @@ def _lockstep(sim, gens):
 # ---------------------------------------------------------------------------
 # public entry points
 
-def _fresh_run(tree, plugin, cfg, sim):
+def solver_setup(plugin, cfg, sim=None, n=None):
+    """The config a plugin runs under (its own C_w, and n when given) and
+    the simulator to run it on: sim, or a fresh one on that config."""
     if plugin.C_w != cfg.C_w:
         cfg = cfg.replaced(C_w=plugin.C_w)
+    if n is not None:
+        cfg = cfg.replaced(n=n)
+    if sim is None:
+        sim = Simulator(cfg)
+    return cfg, sim
+
+
+def _fresh_run(tree, plugin, cfg, sim):
     work = tree.copy()
+    c_w = plugin.C_w
     pwords = {}
     for v in work.vertices():
         payload = work.payload[v] = initial_payload(plugin, work, v)
-        pwords[v] = word_count(payload)
-        check_payload_budget(payload, pwords[v], plugin.C_w,
-                             "vertex %r" % (v,))
-    if sim is None:
-        sim = Simulator(cfg)
+        words = pwords[v] = word_count(payload)
+        check_payload_budget(words, 0, c_w, "vertex %r", v)
+    cfg, sim = solver_setup(plugin, cfg, sim)
     sim.store((("P", v), (work.payload[v], pwords[v]))
               for v in work.vertices())
-    log = ContractionLog(work.root, work.vertices())
-    return work, cfg, sim, log, pwords
+    books = _Books(pwords, dict.fromkeys(pwords, _NO_SLOTS), set(),
+                   ContractionLog(work.root, work.vertices()))
+    return work, cfg, sim, books
 
 
 def _finish(work, plugin, sim, log):
@@ -900,14 +968,12 @@ def _finish(work, plugin, sim, log):
 def bounded_tree_contract(tree, plugin, cfg, sim=None):
     """Contract a tree whose degrees fit the decomposition budget; the answer
     is read at the root. Returns (answer, ContractionLog, metrics)."""
-    work, cfg, sim, log, pwords = _fresh_run(tree, plugin, cfg, sim)
+    work, cfg, sim, books = _fresh_run(tree, plugin, cfg, sim)
     if work.n > 1:
-        rank = preorder_number(work)
-        virtual = set()
-        gen = _bounded_units(work, plugin, cfg, rank, log, virtual, pwords)
+        gen = _bounded_units(work, plugin, cfg, preorder_number(work), books)
         with sim.phase("contract"):
             _drive(sim, gen)
-    return _finish(work, plugin, sim, log)
+    return _finish(work, plugin, sim, books.log)
 
 
 def tree_contract(tree, plugin, cfg, sim=None):
@@ -915,14 +981,12 @@ def tree_contract(tree, plugin, cfg, sim=None):
     degree-split structure (components too big for one machine run the
     bounded algorithm on a slice, side by side with their peers), then fold
     leaf siblings in batches and absorb the last leaf of every star."""
-    work, cfg, sim, log, pwords = _fresh_run(tree, plugin, cfg, sim)
+    work, cfg, sim, books = _fresh_run(tree, plugin, cfg, sim)
     if work.n > 1:
-        rank = preorder_number(work)
-        virtual = set()
-        gen = _general_units(work, plugin, cfg, rank, log, virtual, pwords)
+        gen = _general_units(work, plugin, cfg, preorder_number(work), books)
         with sim.phase("contract"):
             _drive(sim, gen)
-    return _finish(work, plugin, sim, log)
+    return _finish(work, plugin, sim, books.log)
 
 
 # ---------------------------------------------------------------------------

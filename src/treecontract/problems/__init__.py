@@ -10,12 +10,7 @@ from fractions import Fraction
 
 from .. import oracles
 from ..engine import tree_contract
-from ..sim import Simulator
 from . import exprs, indep, iso, lifted, matching
-
-
-def _metrics(sim):
-    return sim.snapshot_metrics()
 
 
 def _solve_mwm(trees, text, cfg, seed):
@@ -113,13 +108,9 @@ def _check_height(trees, text, result):
 
 
 def _solve_sum(trees, text, cfg, seed):
-    plugin = lifted.sum_plugin()
-    if plugin.C_w != cfg.C_w:
-        cfg = cfg.replaced(C_w=plugin.C_w)
-    sim = Simulator(cfg)
-    value, log, _ = tree_contract(trees[0], plugin, cfg, sim=sim)
+    value, log, metrics = tree_contract(trees[0], lifted.sum_plugin(), cfg)
     return {"value": value, "lines": [str(value)], "log": log,
-            "metrics": _metrics(sim)}
+            "metrics": metrics}
 
 
 def _check_sum(trees, text, result):

@@ -13,9 +13,9 @@ resolve; literal exponents never reach the contractor (see _pow_unfold).
 import math
 from fractions import Fraction
 
-from ..engine import Algebra, bounded_tree_contract, reconstruct
+from ..engine import (Algebra, bounded_tree_contract, reconstruct,
+                      solver_setup)
 from ..errors import ExprArithmeticError, InputError, LogIntegrityError
-from ..sim import Simulator
 from ..trees import Tree
 
 _CODE = {"+": 1, "-": 2, "*": 3, "/": 4, "**": 5}
@@ -429,13 +429,9 @@ def subexpression_values(log):
 def evaluate_expression(s, cfg, sim=None):
     """Returns (exact Fraction value, operator tree, log, metrics)."""
     plugin = EvalAlgebra()
-    if plugin.C_w != cfg.C_w:
-        cfg = cfg.replaced(C_w=plugin.C_w)
     tree, levels = _simplify(s, cfg)
-    if tree.n > cfg.n:
-        cfg = cfg.replaced(n=tree.n)
-    if sim is None:
-        sim = Simulator(cfg)
+    cfg, sim = solver_setup(plugin, cfg, sim,
+                            n=tree.n if tree.n > cfg.n else None)
     _charge_pipeline(sim, levels)
     value, log, _ = bounded_tree_contract(tree, plugin, cfg, sim=sim)
     return value, tree, log, sim.snapshot_metrics()

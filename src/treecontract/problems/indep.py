@@ -14,10 +14,9 @@ scoring the fused path between the two endpoint states.
 """
 
 from ..engine import (Algebra, bounded_tree_contract, degree_budget,
-                      reconstruct, tree_contract)
-from ..sim import Simulator
+                      reconstruct, solver_setup, tree_contract)
 from ..trees import Tree
-from .matching import NEG_INF, _add, mat_mul, segmentation_levels
+from .matching import NEG_INF, mat_mul, segmentation_levels
 
 FRESH_PAIR = 2  # (w1, w2) = (1, 0)
 
@@ -121,13 +120,8 @@ def bypass_expand(tree, cfg):
 
 def _misb_run(tree, cfg, sim):
     plugin = MisbAlgebra()
-    if plugin.C_w != cfg.C_w:
-        cfg = cfg.replaced(C_w=plugin.C_w)
     work, expanded = bypass_expand(tree, cfg)
-    if expanded:
-        cfg = cfg.replaced(n=work.n)
-    if sim is None:
-        sim = Simulator(cfg)
+    cfg, sim = solver_setup(plugin, cfg, sim, n=work.n if expanded else None)
     if expanded:
         sim.charge_subroutine("bypass", cfg.inv_eps)
     _, log, _ = bounded_tree_contract(work, plugin, cfg, sim=sim)
@@ -174,8 +168,7 @@ class MwisAlgebra(Algebra):
     def through_edge(self, value, edge):
         v_in, v_out = value
         ii, io, oi, oo = edge
-        return (max(_add(ii, v_in), _add(io, v_out)),
-                max(_add(oi, v_in), _add(oo, v_out)))
+        return (max(ii + v_in, io + v_out), max(oi + v_in, oo + v_out))
 
     def absorb(self, data, contribution):
         w, a_in, a_out = data
@@ -203,10 +196,7 @@ def mwis_solve(tree, cfg, sim=None):
     """Returns (optimum weight, chosen set, per-vertex (in, out) tables,
     log, metrics). Ties at a vertex resolve to leaving it out."""
     plugin = MwisAlgebra()
-    if plugin.C_w != cfg.C_w:
-        cfg = cfg.replaced(C_w=plugin.C_w)
-    if sim is None:
-        sim = Simulator(cfg)
+    cfg, sim = solver_setup(plugin, cfg, sim)
     value, log, _ = tree_contract(tree, plugin, cfg, sim=sim)
     tables = reconstruct(log, plugin)
     sim.charge_subroutine("set extraction",

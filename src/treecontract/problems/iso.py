@@ -10,9 +10,8 @@ t -> (a*t + b) mod m, so removing chain vertices stays one multiplication.
 
 import random
 
-from ..engine import Algebra, reconstruct, tree_contract
+from ..engine import Algebra, reconstruct, solver_setup, tree_contract
 from ..errors import InputError
-from ..sim import Simulator
 
 NEG_INF = float("-inf")
 
@@ -60,10 +59,7 @@ class HeightAlgebra(Algebra):
 def height_run(tree, cfg, sim=None):
     """Root height plus the log (reconstructable to per-vertex heights)."""
     plugin = HeightAlgebra()
-    if plugin.C_w != cfg.C_w:
-        cfg = cfg.replaced(C_w=plugin.C_w)
-    if sim is None:
-        sim = Simulator(cfg)
+    cfg, sim = solver_setup(plugin, cfg, sim)
     value, log, _ = tree_contract(tree, plugin, cfg, sim=sim)
     return value, log, sim.snapshot_metrics()
 
@@ -181,8 +177,7 @@ def tree_isomorphism(t1, t2, cfg, alpha=1, seed=0, prime_table=None, sim=None):
     detail = {"n_left": t1.n, "n_right": t2.n, "alpha": alpha, "seed": seed}
     if cfg.n < t1.n:
         cfg = cfg.replaced(n=t1.n)
-    if sim is None:
-        sim = Simulator(cfg.replaced(C_w=HeightAlgebra.C_w))
+    _, sim = solver_setup(HeightAlgebra(), cfg, sim)
     if t1.n != t2.n:
         detail["reason"] = "size"
         detail["metrics"] = sim.snapshot_metrics()

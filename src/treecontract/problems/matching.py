@@ -11,25 +11,19 @@ A fresh edge of weight w is (w, -inf, -inf, 0).
 
 import math
 
-from ..engine import Algebra, reconstruct, tree_contract
+from ..engine import Algebra, reconstruct, solver_setup, tree_contract
 from ..errors import LogIntegrityError
-from ..sim import Simulator
 
 NEG_INF = float("-inf")
 
 
-def _add(*xs):
-    if any(x == NEG_INF for x in xs):
-        return NEG_INF
-    return sum(xs)
-
-
 def mat_mul(hi, lo):
-    """(max, +) product of two edge four-tuples read as 2x2 matrices."""
+    """(max, +) product of two edge four-tuples read as 2x2 matrices. No
+    entry is ever +inf, so a plain sum already absorbs into -inf."""
     h1, h2, h3, h4 = hi
     l1, l2, l3, l4 = lo
-    return (max(_add(h1, l1), _add(h2, l3)), max(_add(h1, l2), _add(h2, l4)),
-            max(_add(h3, l1), _add(h4, l3)), max(_add(h3, l2), _add(h4, l4)))
+    return (max(h1 + l1, h2 + l3), max(h1 + l2, h2 + l4),
+            max(h3 + l1, h4 + l3), max(h3 + l2, h4 + l4))
 
 
 class MwmAlgebra(Algebra):
@@ -51,8 +45,7 @@ class MwmAlgebra(Algebra):
     def through_edge(self, value, edge):
         c, cp = value
         w1, w2, w3, w4 = edge
-        return (max(_add(w1, cp), _add(w2, c)),
-                max(_add(w3, cp), _add(w4, c)))
+        return (max(w1 + cp, w2 + c), max(w3 + cp, w4 + c))
 
     def absorb(self, data, contribution):
         a, b = data
@@ -77,7 +70,7 @@ class MwmAlgebra(Algebra):
             gain = NEG_INF if m == NEG_INF else m - cut
             best = max(best, gain)
             total += cut
-        return (0, 0), (NEG_INF, _add(best, total), NEG_INF, total)
+        return (0, 0), (NEG_INF, best + total, NEG_INF, total)
 
     def finalize(self, data):
         a, b = data
@@ -174,10 +167,7 @@ def mwm_solve(tree, cfg, sim=None):
     """Returns (optimum weight, matched edges as (child, parent, weight),
     per-vertex (c, c') tables, log, metrics)."""
     plugin = MwmAlgebra()
-    if plugin.C_w != cfg.C_w:
-        cfg = cfg.replaced(C_w=plugin.C_w)
-    if sim is None:
-        sim = Simulator(cfg)
+    cfg, sim = solver_setup(plugin, cfg, sim)
     value, log, _ = tree_contract(tree, plugin, cfg, sim=sim)
     tables = vertex_tables(log)
     if tables[tree.root][0] != value:

@@ -6,7 +6,10 @@ All budgets are counted in machine words (word_count in trees.py). A value's
 words are counted once, when it is written: the simulator keeps a per-key
 word ledger next to the generation, charges a read the ledger's count, and
 lets the round-end merge reuse the writer's count for the new value and the
-ledger's count for the value it replaces. Costs of cited external
+ledger's count for the value it replaces. A writer that already holds the
+count passes it to the write: the engine counts a contraction record from
+the words its payload reads were charged plus the record's header, and keeps
+each payload's count and slot ids on the host. Costs of cited external
 subroutines (preorder numbering, connectivity, relabeling) are charged as
 opaque round blocks rather than re-implemented.
 """
@@ -116,13 +119,15 @@ class _Ctx:
         self.read_words += words
         return self._table[key]
 
-    def write(self, key, value):
-        """Buffer a write; returns the value's word count."""
+    def write(self, key, value, words=None):
+        """Buffer a write; returns the value's word count. A writer that
+        already holds that count passes it as words."""
         if self._closed:
             raise SimFault("write after round end (generation frozen)")
         if key in self.writes and self.writes[key][0] != value:
             raise SimFault("conflicting writes to key %r" % (key,))
-        words = word_count(value)
+        if words is None:
+            words = word_count(value)
         self.writes[key] = (value, words)
         self.write_words += 1 + words
         return words

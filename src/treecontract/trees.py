@@ -201,6 +201,21 @@ class Tree:
         self.attrs.pop(v, None)
         self.payload.pop(v, None)
 
+    def remove_leaves(self, p, leaves):
+        """Remove leaf children of p, with one pass over p's children."""
+        gone = set(leaves)
+        for v in leaves:
+            if self.children[v]:
+                raise InputError("remove_leaves on internal vertex %r" % (v,))
+            if self.parent[v] != p:
+                raise InputError("%r is not a child of %r" % (v, p))
+        self.children[p] = [c for c in self.children[p] if c not in gone]
+        for v in leaves:
+            del self.parent[v]
+            del self.children[v]
+            self.attrs.pop(v, None)
+            self.payload.pop(v, None)
+
     def contract(self, members, survivor):
         """Contract the connected set `members` into `survivor` (its topmost
         member). External children of removed members reattach to the survivor

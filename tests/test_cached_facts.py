@@ -1,0 +1,131 @@
+"""Facts the engine keeps instead of recomputing must equal recomputation.
+
+Machines hand the host each new payload's word count and slot ids, and count
+a contraction record from the words their payload reads were charged plus
+the record's header. Every problem runs here at n = 2^9 with checks
+swapped in: each count a writer passes to `_Ctx.write` must equal
+`word_count` of the value, each kept slot set `_comp_spec` reads must equal
+the slot ids of the member's payload, and after every round the host's books
+must equal what the live payloads give when walked again.
+"""
+
+import pytest
+
+from treecontract import engine, oracles, sim
+from treecontract.engine import payload_slot_ids
+from treecontract.problems import REGISTRY, iso
+from treecontract.sim import SimConfig
+from treecontract.trees import word_count
+
+N = 1 << 9
+SEED = 5
+
+
+def _slot_nodes(rnode):
+    """Slot nodes of a residual tree, counted with multiplicity: the budget
+    check's slot count before slot sets were kept."""
+    if rnode[0] == "s":
+        return 1
+    return sum(_slot_nodes(kid) for kid in rnode[4])
+
+
+def _expression():
+    terms, length, i = [], 0, 0
+    while length < N:
+        term = "(" + oracles.random_expression(SEED * 1000 + i,
+                                               max_depth=5) + ")"
+        terms.append(term)
+        length += len(term) + 1
+        i += 1
+    return "+".join(terms)
+
+
+# name -> (problem, epsilon, make_inputs, endings of record labels the run
+# must produce: nested bounded runs, sibling fold levels, the final machine)
+CASES = {
+    "mwm": ("mwm", 0.5, lambda: ([oracles.with_edge_weights(
+        oracles.random_tree(N, SEED), SEED)], None),
+        ("phase 1 phase 1 compress",)),
+    "mwm_broom": ("mwm", 0.5, lambda: ([oracles.with_edge_weights(
+        oracles.broom(N), SEED)], None),
+        (" rake L2", "phase 2 phase 1 compress")),
+    "mwis": ("mwis", 0.5, lambda: ([oracles.with_vertex_weights(
+        oracles.star(N), SEED)], None), (" rake L2", " fold")),
+    "mis": ("mis", 0.5, lambda: ([oracles.random_tree(N, SEED)], None),
+            ("phase 1 compress",)),
+    "matching": ("matching", 0.5, lambda: ([oracles.broom(N)], None),
+                 ("phase 1 rake",)),
+    "height": ("height", 0.25, lambda: ([oracles.random_tree(N, SEED)],
+                                        None),
+               ("final", " rake L1", "phase 1 phase 1 compress")),
+    "height_star": ("height", 0.25, lambda: ([oracles.star(N)], None),
+                    (" rake L2",)),
+    "sum_path": ("sum", 0.25, lambda: ([oracles.path(N)], None),
+                 ("phase 1 phase 1 compress",)),
+    "eval": ("eval", 0.5, lambda: ([], _expression()), ("phase 1 rake",)),
+}
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Swaps the checks in; returns the tally of what they saw."""
+    seen = {"given": 0, "books": 0, "specs": 0}
+    write = sim._Ctx.write
+
+    def checked_write(ctx, key, value, words=None):
+        if words is not None:
+            assert words == word_count(value), key
+            seen["given"] += 1
+        return write(ctx, key, value, words)
+
+    comp_spec = engine._comp_spec
+
+    def checked_comp_spec(tree, members, books, root_outs_known=True):
+        for m in members:
+            assert books.slots[m] == payload_slot_ids(tree.payload[m]), m
+        seen["specs"] += 1
+        return comp_spec(tree, members, books, root_outs_known)
+
+    apply_results = engine._apply_results
+
+    def checked_apply(tree, books, results):
+        apply_results(tree, books, results)
+        for v in tree.vertices():
+            payload = tree.payload[v]
+            assert books.pwords[v] == word_count(payload), v
+            assert books.slots[v] == payload_slot_ids(payload), v
+            assert len(books.slots[v]) == _slot_nodes(payload), v
+        seen["books"] += 1
+
+    monkeypatch.setattr(sim._Ctx, "write", checked_write)
+    monkeypatch.setattr(engine, "_comp_spec", checked_comp_spec)
+    monkeypatch.setattr(engine, "_apply_results", checked_apply)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_kept_facts_match_recomputation(checked, name):
+    problem, epsilon, make_inputs, labels = CASES[name]
+    trees, text = make_inputs()
+    n = max(4, len(text)) if text is not None else trees[0].n
+    cfg = SimConfig(epsilon=epsilon, n=n, seed=SEED)
+    result = REGISTRY[problem]["solve"](trees, text, cfg, SEED)
+    log = result["log"]
+    assert log.total_words == sum(word_count(rec.to_obj())
+                                  for rec in log.records)
+    assert checked["given"] == len(log.records)
+    assert checked["books"] > 0 and checked["specs"] > 0
+    # the run went through the path this case is here for
+    for label in labels:
+        assert any(rec.label.endswith(label) for rec in log.records), label
+    ok = REGISTRY[problem]["check"](trees, text, result)[2]
+    assert ok
+
+
+def test_kept_facts_match_recomputation_iso(checked):
+    t1 = oracles.random_tree(N, SEED)
+    t2 = oracles.relabeled_copy(t1, SEED)
+    cfg = SimConfig(epsilon=0.5, n=N, seed=SEED)
+    verdict, _detail = iso.tree_isomorphism(t1, t2, cfg, seed=SEED)
+    assert verdict
+    assert checked["given"] > 0 and checked["books"] > 0

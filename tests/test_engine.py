@@ -1,10 +1,15 @@
 """Contraction engine: both algorithms, lifting, the log, reconstruction."""
 
+import os
 import re
+import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from treecontract import engine
 from treecontract.engine import (
     LOG_MAGIC,
     Algebra,
@@ -18,6 +23,7 @@ from treecontract.engine import (
     lift_unary,
     reconstruct,
     sibling_batch,
+    solver_setup,
     tree_contract,
     two_contraction_reference,
 )
@@ -32,8 +38,9 @@ from treecontract.oracles import (
     star,
     with_edge_weights,
 )
+from treecontract.problems.indep import MwisAlgebra
 from treecontract.problems.matching import mwm_solve
-from treecontract.sim import SimConfig
+from treecontract.sim import SimConfig, Simulator
 from treecontract.trees import Tree
 
 
@@ -287,6 +294,22 @@ class TestReconstruct:
             reconstruct(ContractionLog(1, (1,)), sum_plugin())
 
 
+class TestSolverSetup:
+    def test_plugin_width_and_size(self):
+        base = SimConfig(epsilon=0.5, n=64, C_w=8)
+        run_cfg, sim = solver_setup(MwisAlgebra(), base)
+        assert (run_cfg.C_w, run_cfg.n) == (16, 64)
+        assert sim.cfg is run_cfg
+        run_cfg, _ = solver_setup(MwisAlgebra(), base, n=100)
+        assert (run_cfg.C_w, run_cfg.n) == (16, 100)
+
+    def test_given_simulator_is_kept(self):
+        base = SimConfig(epsilon=0.5, n=64, C_w=16)
+        given_sim = Simulator(base)
+        run_cfg, sim = solver_setup(MwisAlgebra(), base, given_sim)
+        assert sim is given_sim and run_cfg is base
+
+
 class TestBudgets:
     def test_nonconforming_contractor_faults(self):
         class Fat(Algebra):
@@ -396,3 +419,59 @@ class TestLogCodec:
         p.write_bytes(bytes(out))
         with pytest.raises(InputError, match="malformed"):
             ContractionLog.load(p)
+
+
+# ---------------------------------------------------------------------------
+# the type-dispatch encoder against the isinstance chain it falls back to
+
+def chain_enc(obj, out):
+    """Reference encoder: None, then _enc_other's isinstance chain all the
+    way down (its tuple items come back through the patched _enc_obj)."""
+    if obj is None:
+        out.append(0)
+    else:
+        engine._enc_other(obj, out)
+
+
+def chain_bytes(obj):
+    out = bytearray()
+    with mock.patch.object(engine, "_enc_obj", chain_enc):
+        chain_enc(obj, out)
+    return bytes(out)
+
+
+log_scalars = st.one_of(
+    st.integers(), st.integers(min_value=2 ** 14, max_value=2 ** 70),
+    st.integers(min_value=-(2 ** 70), max_value=-1), st.booleans(),
+    st.none(), st.just(float("-inf")), st.fractions(), st.text(max_size=4))
+# tuples of 128 or more items take a multi-byte length
+log_values = st.recursive(
+    log_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=6).map(tuple),
+                            st.lists(st.integers(-3, 3), min_size=127,
+                                     max_size=129).map(tuple)),
+    max_leaves=40)
+
+
+class TestEncoderDispatch:
+    @settings(max_examples=300, deadline=None)
+    @given(log_values)
+    def test_bytes_match_the_chain(self, obj):
+        out = bytearray()
+        _enc_obj(obj, out)
+        assert bytes(out) == chain_bytes(obj)
+
+    @settings(max_examples=100, deadline=None)
+    @given(log_values)
+    def test_log_round_trip(self, obj):
+        log = ContractionLog(1, (1,))
+        log.final_payload = obj
+        with tempfile.TemporaryDirectory() as where:
+            p = os.path.join(where, "v.tclog")
+            log.save(p)
+            with open(p, "rb") as fh:
+                data = fh.read()
+            back = ContractionLog.load(p)
+        header = (1, (1,), obj, 0)
+        assert data == LOG_MAGIC + chain_bytes(header)
+        assert repr(back.final_payload) == repr(obj)

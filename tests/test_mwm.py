@@ -4,15 +4,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treecontract.engine import contract_component, tree_contract
 from treecontract.oracles import (all_shapes, enumerate_mwm, matching_is_valid,
                                   matching_weight, mwm_table, path,
                                   random_tree, star, with_edge_weights)
+from treecontract.problems.indep import MwisAlgebra
 from treecontract.problems.matching import (MwmAlgebra, NEG_INF,
                                             contract_chain, dp_combine,
-                                            format_matching, match_pointers,
-                                            mwm_solve, segmentation_levels,
+                                            format_matching, mat_mul,
+                                            match_pointers, mwm_solve,
+                                            segmentation_levels,
                                             vertex_tables)
 from treecontract.sim import SimConfig
 
@@ -120,6 +123,99 @@ class TestSibling:
         folds = {alg.sibling_fold(list(p))
                  for p in itertools.permutations(contribs)}
         assert len(folds) == 1
+
+
+# ---------------------------------------------------------------------------
+# the (max, +) edge algebra of mwm and mwis against its scanning definition
+
+def scan_add(*xs):
+    """Reference (max, +) sum: -inf absorbs, checked before summing."""
+    if any(x == NEG_INF for x in xs):
+        return NEG_INF
+    return sum(xs)
+
+
+def scan_mat_mul(hi, lo):
+    h1, h2, h3, h4 = hi
+    l1, l2, l3, l4 = lo
+    return (max(scan_add(h1, l1), scan_add(h2, l3)),
+            max(scan_add(h1, l2), scan_add(h2, l4)),
+            max(scan_add(h3, l1), scan_add(h4, l3)),
+            max(scan_add(h3, l2), scan_add(h4, l4)))
+
+
+def scan_mwm_through(value, edge):
+    c, cp = value
+    w1, w2, w3, w4 = edge
+    return (max(scan_add(w1, cp), scan_add(w2, c)),
+            max(scan_add(w3, cp), scan_add(w4, c)))
+
+
+def scan_mwm_chain(hi, data, lo):
+    a, b = data
+    mid = scan_mat_mul(hi, (NEG_INF, b, b, max(a, 0) + b))
+    return mid if lo is None else scan_mat_mul(mid, lo)
+
+
+def scan_mwis_through(value, edge):
+    v_in, v_out = value
+    ii, io, oi, oo = edge
+    return (max(scan_add(ii, v_in), scan_add(io, v_out)),
+            max(scan_add(oi, v_in), scan_add(oo, v_out)))
+
+
+def scan_mwis_chain(hi, data, lo):
+    w, a_in, a_out = data
+    mid = scan_mat_mul(hi, (w + a_in, NEG_INF, NEG_INF, a_out))
+    return mid if lo is None else scan_mat_mul(mid, lo)
+
+
+def same(got, want):
+    """Equal, and of the same types: -inf stays a float, sums stay ints."""
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+
+
+ints = st.integers(-10 ** 6, 10 ** 6)
+entries = st.one_of(ints, st.just(NEG_INF))
+edges4 = st.tuples(entries, entries, entries, entries)
+values2 = st.tuples(entries, entries)
+
+
+class TestMaxPlus:
+    @settings(max_examples=300, deadline=None)
+    @given(edges4, edges4)
+    def test_mat_mul(self, hi, lo):
+        same(mat_mul(hi, lo), scan_mat_mul(hi, lo))
+
+    @settings(max_examples=300, deadline=None)
+    @given(values2, edges4)
+    def test_through_edge(self, value, edge):
+        same(MwmAlgebra().through_edge(value, edge),
+             scan_mwm_through(value, edge))
+        same(MwisAlgebra().through_edge(value, edge),
+             scan_mwis_through(value, edge))
+
+    @settings(max_examples=300, deadline=None)
+    @given(edges4, st.tuples(ints, ints), st.tuples(ints, ints, ints),
+           st.one_of(st.none(), edges4))
+    def test_chain(self, hi, mwm_data, mwis_data, lo):
+        same(MwmAlgebra().chain(hi, mwm_data, lo),
+             scan_mwm_chain(hi, mwm_data, lo))
+        same(MwisAlgebra().chain(hi, mwis_data, lo),
+             scan_mwis_chain(hi, mwis_data, lo))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(entries, ints), min_size=1, max_size=6))
+    def test_mwm_sibling_fold(self, contributions):
+        best = NEG_INF
+        total = 0
+        for m, cut in contributions:
+            best = max(best, NEG_INF if m == NEG_INF else m - cut)
+            total += cut
+        data, edge = MwmAlgebra().sibling_fold(contributions)
+        assert data == (0, 0)
+        same(edge, (NEG_INF, scan_add(best, total), NEG_INF, total))
 
 
 class TestRecurrenceReduction:

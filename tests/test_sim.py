@@ -285,6 +285,23 @@ class TestBudgets:
         assert m["total_words"] == 7
         assert m["peak_machine_words"] == 1 + 4
 
+    def test_write_takes_a_count_the_writer_holds(self):
+        sim = Simulator(cfg())
+        counts = []
+
+        def write(ctx):
+            counts.append(ctx.write("a", (1, 2, 3), 3))
+            counts.append(ctx.write("b", 5))
+
+        def read(ctx):
+            ctx.read("a")
+            return ctx.read_words
+
+        sim.run_round([Machine(0, write)])
+        assert counts == [3, 1]
+        assert sim.run_round([Machine(0, read)]) == [3]
+        assert sim.snapshot_metrics()["total_words"] == (1 + 3) + (1 + 1)
+
 
 class TestDeterminism:
     @staticmethod

@@ -179,6 +179,25 @@ def test_remove_leaf():
         t.remove_leaf(1)
 
 
+def test_remove_leaves_matches_one_at_a_time():
+    one, batch = star(9), star(9)
+    for v in (7, 3, 4):
+        one.remove_leaf(v)
+    batch.remove_leaves(1, [7, 3, 4])
+    assert batch == one
+    assert batch.children[1] == [2, 5, 6, 8, 9]
+    assert list(batch.vertices()) == list(one.vertices())
+
+
+def test_remove_leaves_rejects_inner_and_foreign_vertices():
+    t = path(4)
+    with pytest.raises(InputError):
+        t.remove_leaves(2, [3])
+    with pytest.raises(InputError):
+        t.remove_leaves(1, [4])
+    assert t.n == 4
+
+
 # ---------------------------------------------------------------------------
 # text format
 
