@@ -233,10 +233,6 @@ def _build_parser():
 
 
 def main(argv=None):
-    threads = os.environ.get("TC_THREADS")
-    if threads and not threads.isdigit():
-        print("error: TC_THREADS must be a positive integer", file=sys.stderr)
-        return 3
     args = _build_parser().parse_args(argv)
     try:
         cmd = {"solve": _cmd_solve, "verify": _cmd_verify,

@@ -598,9 +598,9 @@ def _cc_machine(plugin, stage, comp_specs):
                                  "%s survivor %r", stage, survivor)
             rec = Record(stage, "connected", survivor, members, payloads,
                          virt, None, parents, outs, root_outs_known)
-            log_words = ctx.write(("LOG", stage, survivor), rec.to_obj(),
+            rec_words = ctx.write(("LOG", stage, survivor), rec.to_obj(),
                                   read_words + rec.header_words())
-            out.append((rec, new_payload, words, slots, log_words))
+            out.append((rec, new_payload, words, slots, rec_words))
         return out
 
     return Machine(input_words, run, stage)
@@ -632,9 +632,9 @@ def _sc_machine(plugin, stage, batch_specs):
                                  "%s survivor %r", stage, survivor)
             rec = Record(stage, "sibling", survivor, leaves, payloads, virt,
                          parent)
-            log_words = ctx.write(("LOG", stage, survivor), rec.to_obj(),
+            rec_words = ctx.write(("LOG", stage, survivor), rec.to_obj(),
                                   read_words + rec.header_words())
-            out.append((rec, new_payload, words, _NO_SLOTS, log_words))
+            out.append((rec, new_payload, words, _NO_SLOTS, rec_words))
         return out
 
     return Machine(input_words, run, stage)
@@ -665,7 +665,7 @@ def _apply_results(tree, books, results):
                                        books.virtual, books.log)
     folded = {}
     for machine_out in results:
-        for rec, new_payload, words, slots, log_words in machine_out:
+        for rec, new_payload, words, slots, rec_words in machine_out:
             survivor = rec.survivor
             if rec.kind == "connected":
                 tree.contract(set(rec.members), survivor)
@@ -675,7 +675,7 @@ def _apply_results(tree, books, results):
             tree.payload[survivor] = new_payload
             pwords[survivor] = words
             slot_sets[survivor] = slots
-            log.append(rec, log_words)
+            log.append(rec, rec_words)
     for p, leaves in folded.items():
         tree.remove_leaves(p, leaves)
 
@@ -794,7 +794,7 @@ def _general_units(tree, plugin, cfg, rank, books):
                 slices.append((members, sub))
                 subs.append(_bounded_units(sub, plugin, cfg, rank, books,
                                            prefix=label + " "))
-            yield ("lockstep", subs)
+            yield from _merged(subs)
             for members, sub in slices:
                 if sub.n != 1:
                     raise LogIntegrityError(
@@ -845,81 +845,76 @@ def _general_units(tree, plugin, cfg, rank, books):
 
 
 # ---------------------------------------------------------------------------
-# drivers
+# scheduling: a unit stream is a generator of ("charge", label, rounds),
+# ("round", machines) or ("fault", message) units; a round's send-value is
+# its machines' results, every other unit's is None. _merged turns several
+# streams into one, so the nested bounded runs of a general phase share their
+# rounds; _drive executes one stream and is the only engine code that
+# advances the simulator.
 
-def _exec_unit(sim, unit):
-    kind = unit[0]
-    if kind == "charge":
-        sim.charge_subroutine(unit[1], unit[2])
-        return None
-    if kind == "round":
-        machines = unit[1]
-        return sim.run_round(machines) if machines else []
-    if kind == "fault":
-        sim.fault(unit[1])
-        return None
-    if kind == "lockstep":
-        _lockstep(sim, unit[1])
-        return None
-    raise InputError("unknown unit %r" % (kind,))
+def _merged(streams):
+    """One stream running `streams` side by side, one merged unit per step.
+    A round step runs every stream's machines in one round, in stream order,
+    and sends each stream its own slice of the results. Streams emit the same
+    unit kinds and charges step by step, else LogIntegrityError; a stream
+    that finishes early just drops out."""
+    active = list(streams)
+    sends = [None] * len(active)
+    while active:
+        live, units = [], []
+        for gen, send in zip(active, sends):
+            try:
+                units.append(gen.send(send))
+            except StopIteration:
+                continue
+            live.append(gen)
+        active = live
+        if not units:
+            return
+        kinds = {u[0] for u in units}
+        if len(kinds) != 1:
+            raise LogIntegrityError("parallel runs diverged: %r" % (kinds,))
+        kind = kinds.pop()
+        sends = [None] * len(units)
+        if kind == "charge":
+            charges = {u[1:] for u in units}
+            if len(charges) != 1:
+                raise LogIntegrityError("parallel charges diverged: %r"
+                                        % (charges,))
+            yield units[0]
+        elif kind == "round":
+            results = yield ("round", [m for u in units for m in u[1]])
+            pos = 0
+            for i, u in enumerate(units):
+                sends[i] = results[pos:pos + len(u[1])]
+                pos += len(u[1])
+        elif kind == "fault":
+            for u in units:
+                yield u
+        else:
+            raise LogIntegrityError("unit %r inside a parallel step"
+                                    % (kind,))
 
 
 def _drive(sim, gen):
+    """Execute a unit stream on sim. A round with no machines runs no round
+    and sends back no results."""
     send = None
     while True:
         try:
             unit = gen.send(send)
         except StopIteration:
             return
-        send = _exec_unit(sim, unit)
-
-
-def _lockstep(sim, gens):
-    """Run unit streams side by side, one merged unit per step. The streams
-    emit identical unit shapes within a phase, so merged steps stay aligned;
-    a stream that finishes early just drops out."""
-    active = dict(enumerate(gens))
-    send = {i: None for i in active}
-    while active:
-        units = {}
-        for i in sorted(active):
-            try:
-                units[i] = active[i].send(send.get(i))
-            except StopIteration:
-                del active[i]
-        if not units:
-            break
-        kinds = {u[0] for u in units.values()}
-        if len(kinds) != 1:
-            raise LogIntegrityError("parallel runs diverged: %r" % (kinds,))
-        kind = kinds.pop()
-        send = {}
-        if kind == "charge":
-            charges = {(u[1], u[2]) for u in units.values()}
-            if len(charges) != 1:
-                raise LogIntegrityError("parallel charges diverged: %r"
-                                        % (charges,))
-            name, rounds = charges.pop()
-            sim.charge_subroutine(name, rounds)
-            send = {i: None for i in units}
-        elif kind == "round":
-            order = sorted(units)
-            merged = []
-            for i in order:
-                merged.extend(units[i][1])
-            results = sim.run_round(merged) if merged else []
-            pos = 0
-            for i in order:
-                take = len(units[i][1])
-                send[i] = results[pos:pos + take]
-                pos += take
+        kind, arg = unit[0], unit[1]
+        send = None
+        if kind == "round":
+            send = sim.run_round(arg) if arg else []
+        elif kind == "charge":
+            sim.charge_subroutine(arg, unit[2])
         elif kind == "fault":
-            for i in sorted(units):
-                sim.fault(units[i][1])
-                send[i] = None
+            sim.fault(arg)
         else:
-            raise LogIntegrityError("unit %r inside a parallel step"
-                                    % (kind,))
+            raise InputError("unknown unit %r" % (kind,))
 
 
 # ---------------------------------------------------------------------------
@@ -953,27 +948,36 @@ def _fresh_run(tree, plugin, cfg, sim):
     return work, cfg, sim, books
 
 
-def _finish(work, plugin, sim, log):
+def _log_budget(log, cfg):
+    """Unit stream that faults if the log outgrew total_budget_factor * n
+    words."""
+    budget = cfg.total_budget_factor * cfg.n
+    if log.total_words > budget:
+        yield ("fault", "contraction log of %d words exceeds %d"
+               % (log.total_words, budget))
+
+
+def _contract(tree, plugin, cfg, sim, units):
+    """Run the stream units(work, plugin, cfg, rank, books) on a fresh copy
+    of tree and read the answer at the root. Returns (answer,
+    ContractionLog, metrics)."""
+    work, cfg, sim, books = _fresh_run(tree, plugin, cfg, sim)
+    if work.n > 1:
+        with sim.phase("contract"):
+            _drive(sim, units(work, plugin, cfg, preorder_number(work), books))
     payload = work.payload[work.root]
     if payload[4]:
         raise LogIntegrityError("root payload still has pending children")
+    log = books.log
     log.final_payload = payload
-    budget = sim.cfg.total_budget_factor * sim.cfg.n
-    if log.total_words > budget:
-        sim.fault("contraction log of %d words exceeds %d"
-                  % (log.total_words, budget))
+    _drive(sim, _log_budget(log, sim.cfg))
     return plugin.finalize(payload[3]), log, sim.snapshot_metrics()
 
 
 def bounded_tree_contract(tree, plugin, cfg, sim=None):
     """Contract a tree whose degrees fit the decomposition budget; the answer
     is read at the root. Returns (answer, ContractionLog, metrics)."""
-    work, cfg, sim, books = _fresh_run(tree, plugin, cfg, sim)
-    if work.n > 1:
-        gen = _bounded_units(work, plugin, cfg, preorder_number(work), books)
-        with sim.phase("contract"):
-            _drive(sim, gen)
-    return _finish(work, plugin, sim, books.log)
+    return _contract(tree, plugin, cfg, sim, _bounded_units)
 
 
 def tree_contract(tree, plugin, cfg, sim=None):
@@ -981,12 +985,7 @@ def tree_contract(tree, plugin, cfg, sim=None):
     degree-split structure (components too big for one machine run the
     bounded algorithm on a slice, side by side with their peers), then fold
     leaf siblings in batches and absorb the last leaf of every star."""
-    work, cfg, sim, books = _fresh_run(tree, plugin, cfg, sim)
-    if work.n > 1:
-        gen = _general_units(work, plugin, cfg, preorder_number(work), books)
-        with sim.phase("contract"):
-            _drive(sim, gen)
-    return _finish(work, plugin, sim, books.log)
+    return _contract(tree, plugin, cfg, sim, _general_units)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ resolve; literal exponents never reach the contractor (see _pow_unfold).
 """
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 from ..engine import (Algebra, bounded_tree_contract, reconstruct,
@@ -188,9 +189,29 @@ def _pos_near(cells, alive, a, b):
 
 
 def _build(cells, cmatch, dead):
+    """Operator tree of the pruned cells as nested tuples: ("num", value,
+    pos) leaves and (sym, pos, left, right) operators. Each range is split
+    at its root operator among the operators at the range's own nesting
+    depth; the first malformed range in preorder raises."""
     alive = [i for i in range(len(cells)) if i not in dead]
-
-    def node(a, b):
+    depth_at = []  # nesting depth before each alive cell
+    ops = {}  # depth -> alive indices of the operators at that depth
+    depth = 0
+    for t, i in enumerate(alive):
+        kind = cells[i][0]
+        depth_at.append(depth)
+        if kind == "(":
+            depth += 1
+        elif kind == ")":
+            depth -= 1
+        elif kind == "op":
+            ops.setdefault(depth, []).append(t)
+    nodes = []  # preorder; an operator is [sym, pos, left, right] indices
+    stack = [(0, len(alive), None, 0)]
+    while stack:
+        a, b, up, side = stack.pop()
+        if up is not None:
+            nodes[up][side] = len(nodes)
         while (a < b and cells[alive[a]][0] == "("
                and cmatch.get(alive[a]) == alive[b - 1]):
             a += 1
@@ -198,40 +219,51 @@ def _build(cells, cmatch, dead):
         if a >= b:
             raise InputError("expected a number near position %d"
                              % _pos_near(cells, alive, a, b))
-        depth = 0
-        ops = []
-        for t in range(a, b):
-            kind = cells[alive[t]][0]
-            if kind == "(":
-                depth += 1
-            elif kind == ")":
-                depth -= 1
-            elif kind == "op" and depth == 0:
-                ops.append(t)
-        if not ops:
+        level = ops.get(depth_at[a], ())
+        lo, hi = bisect_left(level, a), bisect_left(level, b)
+        if lo == hi:
             if b - a == 1 and cells[alive[a]][0] == "num":
                 _, val, pos = cells[alive[a]]
-                return ("num", Fraction(val), pos)
+                nodes.append(("num", Fraction(val), pos))
+                continue
             raise InputError("expected a number near position %d"
                              % _pos_near(cells, alive, a, b))
-        addsub = [t for t in ops if cells[alive[t]][1] in "+-"]
-        muldiv = [t for t in ops if cells[alive[t]][1] in "*/"]
-        pick = addsub[-1] if addsub else (muldiv[-1] if muldiv else ops[0])
+        pick = level[lo]
+        if cells[alive[pick]][1] != "**":
+            pick = level[hi - 1]
         _, sym, pos = cells[alive[pick]]
-        return (sym, pos, node(a, pick), node(pick + 1, b))
-
-    return node(0, len(alive))
+        stack.append((pick + 1, b, len(nodes), 3))
+        stack.append((a, pick, len(nodes), 2))
+        nodes.append([sym, pos, None, None])
+    for k in range(len(nodes) - 1, -1, -1):  # children after their parent
+        nd = nodes[k]
+        if type(nd) is list:
+            nodes[k] = (nd[0], nd[1], nodes[nd[2]], nodes[nd[3]])
+    return nodes[0]
 
 
 def _pow_unfold(shape):
     """x ** d with a literal d becomes a balanced product of d copies of x
     (d = 0 becomes x*0 + 1 so errors inside x still surface). Only `**` with
-    a computed exponent stays a vertex."""
-    if shape[0] == "num":
-        return shape
-    sym, pos, left, right = shape
-    left = _pow_unfold(left)
-    right = _pow_unfold(right)
+    a computed exponent stays a vertex. Operands unfold before their
+    operator, left before right."""
+    done = []
+    stack = [(shape, False)]
+    while stack:
+        nd, ready = stack.pop()
+        if nd[0] == "num":
+            done.append(nd)
+        elif not ready:
+            stack += [(nd, True), (nd[3], False), (nd[2], False)]
+        else:
+            right = done.pop()
+            left = done.pop()
+            done.append(_unfold_one(nd[0], nd[1], left, right))
+    return done[0]
+
+
+def _unfold_one(sym, pos, left, right):
+    """One operator of _pow_unfold, its operands already unfolded."""
     if sym != "**" or right[0] != "num":
         return (sym, pos, left, right)
     d = right[1]
@@ -243,7 +275,7 @@ def _pow_unfold(shape):
         return ("+", pos, ("*", pos, left, ("num", Fraction(0), pos)),
                 ("num", Fraction(1), pos))
 
-    def bal(k):
+    def bal(k):  # depth log2(_POW_CAP)
         if k == 1:
             return left
         h = k // 2
@@ -253,23 +285,19 @@ def _pow_unfold(shape):
 
 
 def _to_tree(shape):
+    """Vertex ids 1.. in preorder, left operand before right."""
     parent = {}
     attrs = {}
-    counter = [0]
-
-    def emit(nd, p):
-        counter[0] += 1
-        v = counter[0]
+    stack = [(shape, None)]
+    while stack:
+        nd, p = stack.pop()
+        v = len(parent) + 1
         parent[v] = p
         if nd[0] == "num":
             attrs[v] = {"op": None, "num": nd[1], "pos": nd[2]}
         else:
             attrs[v] = {"op": nd[0], "pos": nd[1]}
-            emit(nd[2], v)
-            emit(nd[3], v)
-        return v
-
-    emit(shape, None)
+            stack += [(nd[3], v), (nd[2], v)]
     return Tree(1, parent, attrs=attrs)
 
 

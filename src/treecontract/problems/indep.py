@@ -68,15 +68,6 @@ class MisbAlgebra(Algebra):
         return 1, o * 3
 
 
-def misb_combine(data, children):
-    """Bit of a vertex whose children are all resolved. Runs on the unpacked
-    forms: data is (bypass, a), children holds (bit, (w1, w2)) entries."""
-    bypass, a = data
-    for bit, (w1, w2) in children:
-        a *= 1 - (w1 if bit else w2)
-    return 1 - a if bypass else a
-
-
 def scaffold_fan(cfg):
     return degree_budget(cfg.replaced(C_w=MisbAlgebra.C_w))
 

@@ -77,32 +77,6 @@ class MwmAlgebra(Algebra):
         return max(a, 0) + b
 
 
-def dp_combine(data, children):
-    """Resolve a vertex whose children are all resolved. children holds
-    (child id, (c, c'), edge tuple) triples; returns (c, c', match_ptr).
-    Ties prefer no child, then the lowest child id."""
-    alg = MwmAlgebra()
-    a, b = data
-    cp = b
-    best = max(a, 0)
-    best_u = None
-    for u, value, edge in sorted(children):
-        m, cut = alg.through_edge(value, edge)
-        cp += cut
-        gain = NEG_INF if m == NEG_INF else m - cut
-        if gain > best:
-            best = gain
-            best_u = u
-    return best + cp, cp, best_u
-
-
-def contract_chain(e_upper, e_lower, mid):
-    """Fuse two edges across a one-child vertex with resolved cut-off values
-    mid = (c, c')."""
-    c, cp = mid
-    return MwmAlgebra().chain(e_upper, (c - cp, cp), e_lower)
-
-
 def vertex_tables(log):
     """Per-vertex (c, c') pairs recovered from a finished contraction log."""
     return reconstruct(log, MwmAlgebra())

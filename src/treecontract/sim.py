@@ -14,11 +14,8 @@ subroutines (preorder numbering, connectivity, relabeling) are charged as
 opaque round blocks rather than re-implemented.
 """
 
-import json
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 from .errors import InputError, SimFault
@@ -153,7 +150,6 @@ class Simulator:
         self.phases = []
         self._phase_stack = []
         self.rng = random.Random(cfg.seed)
-        self._threads = max(1, int(os.environ.get("TC_THREADS", "1") or 1))
         if initial:
             self.store((k, (v, word_count(v))) for k, v in initial.items())
 
@@ -192,23 +188,15 @@ class Simulator:
             self._phase_stack[-1]["rounds"] += k
 
     def run_round(self, machines):
-        """Execute machine-programs against the frozen current generation;
-        merge their writes into it once every machine has run. Returns their
-        results in machine order."""
+        """Execute machine-programs one after another against the frozen
+        current generation; merge their writes into it once every machine has
+        run. Returns their results in machine order."""
         self._advance(1)
         if len(machines) > self.cfg.machine_cap:
             self.fault("round %d: %d machines exceed cap %d"
                        % (self.rounds, len(machines), self.cfg.machine_cap))
         ctxs = [_Ctx(self.generation, self._words) for _ in machines]
-
-        def run_one(i):
-            return machines[i].run(ctxs[i])
-
-        if self._threads > 1 and len(machines) > 1:
-            with ThreadPoolExecutor(max_workers=self._threads) as pool:
-                results = list(pool.map(run_one, range(len(machines))))
-        else:
-            results = [run_one(i) for i in range(len(machines))]
+        results = [m.run(ctx) for m, ctx in zip(machines, ctxs)]
 
         merged = {}
         cap = self.cfg.C_q * self.cfg.S
@@ -256,10 +244,6 @@ class Simulator:
 
     # -- reporting ----------------------------------------------------------
 
-    def table(self):
-        """Read-only view of the current generation (host-side inspection)."""
-        return self.generation
-
     def snapshot_metrics(self):
         return {
             "rounds": self.rounds,
@@ -270,6 +254,3 @@ class Simulator:
             "dht_writes": self.dht_writes,
             "violations": list(self.violations),
         }
-
-    def metrics_json(self):
-        return json.dumps(self.snapshot_metrics(), sort_keys=True)

@@ -7,7 +7,7 @@ only give the payload its shape.
 """
 
 from fractions import Fraction
-from math import ceil, log2
+from math import ceil
 
 from .errors import InputError
 
@@ -50,37 +50,14 @@ def _word_count_fallback(obj):
     raise TypeError("unsupported payload element: %r" % (obj,))
 
 
-def log_words(n):
-    """Bits per word for budget statements, against the original size n."""
-    return ceil(log2(n + 1))
-
-
-class WeightVector:
-    """Declared-size wrapper around a payload object.
-
-    bit_len is the semantic length (words * bits-per-word); the physical
-    encoding may be longer, never shorter.
-    """
-
-    __slots__ = ("obj", "words", "bit_len")
-
-    def __init__(self, obj, bits_n):
-        self.obj = obj
-        self.words = word_count(obj)
-        self.bit_len = self.words * log_words(bits_n)
-
-    def __repr__(self):
-        return "WeightVector(%r, words=%d)" % (self.obj, self.words)
-
-
 class Tree:
     """Mutable rooted tree. parent maps vertex -> parent id (None for root);
     children keeps insertion order. attrs carries per-vertex input keys
     (ew, vw, bypass); payload carries the problem's working data."""
 
-    __slots__ = ("root", "parent", "children", "attrs", "payload", "bits_n")
+    __slots__ = ("root", "parent", "children", "attrs", "payload")
 
-    def __init__(self, root, parent, child_order=None, attrs=None, bits_n=None):
+    def __init__(self, root, parent, child_order=None, attrs=None):
         self.root = root
         self.parent = dict(parent)
         self.children = {v: [] for v in self.parent}
@@ -99,7 +76,6 @@ class Tree:
         self.attrs = {v: dict(attrs.get(v, {})) for v in self.parent} if attrs else {
             v: {} for v in self.parent}
         self.payload = {}
-        self.bits_n = bits_n if bits_n is not None else len(self.parent)
         self.validate()
 
     @property
@@ -165,7 +141,6 @@ class Tree:
         t.children = {v: list(cs) for v, cs in self.children.items()}
         t.attrs = {v: dict(a) for v, a in self.attrs.items()}
         t.payload = dict(self.payload)
-        t.bits_n = self.bits_n
         return t
 
     def slice(self, members, root):
@@ -182,13 +157,7 @@ class Tree:
         t.children = {v: list(self.children[v]) for v in members}
         t.attrs = {v: dict(self.attrs[v]) for v in members}
         t.payload = {v: self.payload[v] for v in members if v in self.payload}
-        t.bits_n = self.bits_n
         return t
-
-    def set_payload(self, v, obj, c_w=None):
-        self.payload[v] = obj
-        if c_w is not None:
-            check_payload_budget(self, v, c_w)
 
     def remove_leaf(self, v):
         if self.children[v]:
@@ -248,15 +217,6 @@ class Tree:
 
     def __hash__(self):
         return hash((self.root, self.n))
-
-
-def check_payload_budget(tree, v, c_w):
-    """Payload of v must fit C_w*(deg(v)+1) words."""
-    w = word_count(tree.payload[v])
-    cap = c_w * (tree.deg(v) + 1)
-    if w > cap:
-        raise InputError("payload of %r is %d words, budget %d" % (v, w, cap))
-    return w
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from treecontract.oracles import (
 )
 from treecontract.problems.indep import MwisAlgebra
 from treecontract.problems.matching import mwm_solve
-from treecontract.sim import SimConfig, Simulator
+from treecontract.sim import Machine, SimConfig, Simulator
 from treecontract.trees import Tree
 
 
@@ -310,6 +310,93 @@ class TestSolverSetup:
         assert sim is given_sim and run_cfg is base
 
 
+def _stream(units, got):
+    """Unit stream yielding `units` in order; records each send-value."""
+    for unit in units:
+        got.append((yield unit))
+
+
+def _labelled(order, *labels):
+    """One machine per label; each notes its label in `order` when it runs
+    and returns it."""
+    def body(label):
+        def run(ctx):
+            order.append(label)
+            return label
+        return run
+
+    return [Machine(1, body(lb), lb) for lb in labels]
+
+
+def _drive_merged(sim, *unit_lists):
+    got = [[] for _ in unit_lists]
+    engine._drive(sim, engine._merged(
+        [_stream(units, g) for units, g in zip(unit_lists, got)]))
+    return got
+
+
+class TestScheduler:
+    def test_unit_kinds_must_agree(self):
+        sim = Simulator(cfg(16))
+        with pytest.raises(LogIntegrityError, match="diverged"):
+            _drive_merged(sim, [("charge", "relabel", 1)], [("round", [])])
+
+    def test_charges_must_agree(self):
+        for other in [("charge", "relabel", 2), ("charge", "preorder", 1)]:
+            sim = Simulator(cfg(16))
+            with pytest.raises(LogIntegrityError, match="charges diverged"):
+                _drive_merged(sim, [("charge", "relabel", 1)], [other])
+
+    def test_agreeing_charge_is_booked_once(self):
+        sim = Simulator(cfg(16))
+        got = _drive_merged(sim, [("charge", "relabel", 1)],
+                            [("charge", "relabel", 1)])
+        assert sim.rounds == 1
+        assert got == [[None], [None]]
+
+    def test_finished_stream_drops_out(self):
+        sim = Simulator(cfg(16))
+        order = []
+        got = _drive_merged(
+            sim,
+            [("round", _labelled(order, "a1"))],
+            [("round", _labelled(order, "b1")),
+             ("charge", "relabel", 1),
+             ("round", _labelled(order, "b2"))])
+        assert got == [[["a1"]], [["b1"], None, ["b2"]]]
+        assert order == ["a1", "b1", "b2"]
+        assert sim.rounds == 3
+
+    def test_round_results_split_in_stream_order(self):
+        sim = Simulator(cfg(16))
+        order = []
+        got = _drive_merged(sim,
+                            [("round", _labelled(order, "a1", "a2"))],
+                            [("round", [])],
+                            [("round", _labelled(order, "c1"))])
+        assert sim.rounds == 1
+        assert order == ["a1", "a2", "c1"]
+        assert got == [[["a1", "a2"]], [[]], [["c1"]]]
+
+    def test_step_without_machines_runs_no_round(self):
+        sim = Simulator(cfg(16))
+        got = _drive_merged(sim, [("round", [])], [("round", [])])
+        assert sim.rounds == 0
+        assert got == [[[]], [[]]]
+        got = _drive_merged(sim, [("round", [])])
+        assert sim.rounds == 0 and got == [[[]]]
+
+    def test_every_stream_fault_is_recorded(self):
+        sim = Simulator(cfg(16, strict=False))
+        got = _drive_merged(sim, [("fault", "a broke")],
+                            [("fault", "b broke")])
+        assert sim.violations == ["a broke", "b broke"]
+        assert got == [[None], [None]]
+        with pytest.raises(SimFault, match="a broke"):
+            _drive_merged(Simulator(cfg(16)), [("fault", "a broke")],
+                          [("fault", "b broke")])
+
+
 class TestBudgets:
     def test_nonconforming_contractor_faults(self):
         class Fat(Algebra):
@@ -330,6 +417,14 @@ class TestBudgets:
         _a, log, metrics = tree_contract(t, sum_plugin(), cfg(400))
         assert log.total_words <= 64 * 400
         assert metrics["total_words"] <= 64 * 400
+
+    def test_log_over_global_budget_is_a_violation(self):
+        t = valued(caterpillar(64))
+        _a, log, metrics = tree_contract(
+            t, sum_plugin(), cfg(64, total_budget_factor=1, strict=False))
+        assert log.total_words > 64
+        assert metrics["violations"][-1] == (
+            "contraction log of %d words exceeds 64" % log.total_words)
 
 
 class TestLogCodec:

@@ -119,6 +119,22 @@ class TestTreeBuild:
             with pytest.raises(InputError):
                 simplify_expression(s, cfg_for(s or "x"))
 
+    def test_deep_sum_without_recursion(self):
+        # 10^5 terms: a left spine far deeper than the recursion limit
+        terms = 10 ** 5
+        s = "+".join(["1"] * terms)
+        t = simplify_expression(s, cfg_for(s))
+        assert t.n == 2 * terms - 1
+        spine = [1]
+        while t.children[spine[-1]]:
+            spine.append(t.children[spine[-1]][0])
+        assert len(spine) == terms
+        assert all(t.attrs[v]["op"] == "+" for v in spine[:-1])
+        # preorder ids: each operator's left operand is the next id
+        assert spine == list(range(1, terms + 1))
+        assert t.attrs[spine[-1]]["pos"] == 0
+        assert t.attrs[1]["pos"] == len(s) - 2
+
 
 class TestEvaluate:
     def test_paper_string(self):

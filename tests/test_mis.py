@@ -10,8 +10,7 @@ from treecontract.oracles import (all_shapes, broom, brute_mwis, caterpillar,
                                   with_vertex_weights)
 from treecontract.problems.indep import (FRESH_PAIR, MisbAlgebra, MwisAlgebra,
                                          bypass_expand, maximal_matching_solve,
-                                         mis_solve, misb_combine, mwis_solve,
-                                         scaffold_fan)
+                                         mis_solve, mwis_solve, scaffold_fan)
 from treecontract.problems.matching import NEG_INF
 from treecontract.sim import SimConfig
 
@@ -22,6 +21,16 @@ def cfg_for(tree, epsilon=0.5):
 
 def pack(w1, w2):
     return w1 * 2 + w2
+
+
+# sequential reference the bit algebra is checked against
+def misb_combine(data, children):
+    """Bit of a vertex whose children are all resolved. Runs on the unpacked
+    forms: data is (bypass, a), children holds (bit, (w1, w2)) entries."""
+    bypass, a = data
+    for bit, (w1, w2) in children:
+        a *= 1 - (w1 if bit else w2)
+    return 1 - a if bypass else a
 
 
 class TestBitAlgebra:

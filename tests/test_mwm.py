@@ -12,7 +12,6 @@ from treecontract.oracles import (all_shapes, enumerate_mwm, matching_is_valid,
                                   random_tree, star, with_edge_weights)
 from treecontract.problems.indep import MwisAlgebra
 from treecontract.problems.matching import (MwmAlgebra, NEG_INF,
-                                            contract_chain, dp_combine,
                                             format_matching, mat_mul,
                                             match_pointers, mwm_solve,
                                             segmentation_levels,
@@ -21,6 +20,33 @@ from treecontract.sim import SimConfig
 
 FRESH = lambda w: (w, NEG_INF, NEG_INF, 0)
 NEUTRAL = (NEG_INF, NEG_INF, NEG_INF, 0)
+
+
+# sequential references the algebra is checked against
+def dp_combine(data, children):
+    """Resolve a vertex whose children are all resolved. children holds
+    (child id, (c, c'), edge tuple) triples; returns (c, c', match_ptr).
+    Ties prefer no child, then the lowest child id."""
+    alg = MwmAlgebra()
+    a, b = data
+    cp = b
+    best = max(a, 0)
+    best_u = None
+    for u, value, edge in sorted(children):
+        m, cut = alg.through_edge(value, edge)
+        cp += cut
+        gain = NEG_INF if m == NEG_INF else m - cut
+        if gain > best:
+            best = gain
+            best_u = u
+    return best + cp, cp, best_u
+
+
+def contract_chain(e_upper, e_lower, mid):
+    """Fuse two edges across a one-child vertex with resolved cut-off values
+    mid = (c, c')."""
+    c, cp = mid
+    return MwmAlgebra().chain(e_upper, (c - cp, cp), e_lower)
 
 
 def cfg_for(tree, epsilon=0.5):

@@ -58,7 +58,7 @@ class TestRounds:
         out = sim.run_round([])
         assert out == []
         assert sim.rounds == 1
-        assert sim.table() == {}
+        assert sim.generation == {}
 
     def test_copy_ten_keys(self):
         init = {("k", i): i * i for i in range(10)}
@@ -73,9 +73,9 @@ class TestRounds:
         assert m["dht_reads"] == 10
         assert m["dht_writes"] == 10
         assert m["peak_machine_words"] == 10 + 10
-        assert sim.table()[("c", 7)] == 49
+        assert sim.generation[("c", 7)] == 49
         # previous-generation entries carry forward unless overwritten
-        assert sim.table()[("k", 7)] == 49
+        assert sim.generation[("k", 7)] == 49
 
     def test_pointer_chase_is_one_round(self):
         # adaptive chain: each key read depends on the previous value
@@ -93,7 +93,7 @@ class TestRounds:
         assert sim.rounds == 1
         assert m["dht_reads"] == 5
         assert m["violations"] == []
-        assert sim.table()["end"] == 99
+        assert sim.generation["end"] == 99
 
     def test_results_in_machine_order(self):
         sim = Simulator(cfg())
@@ -114,7 +114,7 @@ class TestRounds:
             ctx.write("got", ctx.read("nope", default=-1))
 
         sim2.run_round([Machine(0, defaulted)])
-        assert sim2.table()["got"] == -1
+        assert sim2.generation["got"] == -1
         assert sim2.snapshot_metrics()["dht_reads"] == 1
 
 
@@ -174,7 +174,7 @@ class TestFreeze:
 
         out = sim.run_round([Machine(0, writer), Machine(1, reader)])
         assert out[1] == 1
-        assert sim.table()["x"] == 2
+        assert sim.generation["x"] == 2
 
 
 class TestWriteConflicts:
@@ -197,7 +197,7 @@ class TestWriteConflicts:
             ctx.write("k", 7)
 
         sim.run_round([Machine(0, w), Machine(0, w)])
-        assert sim.table()["k"] == 7
+        assert sim.generation["k"] == 7
         assert sim.snapshot_metrics()["violations"] == []
 
     def test_conflict_within_one_machine(self):
@@ -322,22 +322,15 @@ class TestDeterminism:
 
     def test_identical_reruns(self):
         a, b = self._workload(), self._workload()
-        assert a.metrics_json() == b.metrics_json()
-        assert a.table() == b.table()
-
-    def test_thread_schedule_independent(self, monkeypatch):
-        base = self._workload()
-        monkeypatch.setenv("TC_THREADS", "4")
-        threaded = self._workload()
-        assert threaded.metrics_json() == base.metrics_json()
-        assert threaded.table() == base.table()
+        assert a.snapshot_metrics() == b.snapshot_metrics()
+        assert a.generation == b.generation
 
 
 class TestMetrics:
     def test_schema(self):
         sim = Simulator(cfg())
         sim.run_round([])
-        m = json.loads(sim.metrics_json())
+        m = json.loads(json.dumps(sim.snapshot_metrics()))
         assert set(m) == {
             "rounds",
             "phases",

@@ -9,12 +9,10 @@ from treecontract.trees import (
     NEG_INF,
     Tree,
     build_big_small,
-    check_payload_budget,
     decompose,
     dependency_tree,
     group_components,
     leaf_fraction,
-    log_words,
     low_degree_components,
     parse_tree,
     preorder_number,
@@ -94,12 +92,6 @@ def test_word_count_subclasses_take_the_fallback():
 def test_word_count_rejects_other_types(bad):
     with pytest.raises(TypeError):
         word_count(bad)
-
-
-def test_log_words():
-    assert log_words(1) == 1
-    assert log_words(7) == 3
-    assert log_words(8) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +223,6 @@ def test_parse_rejects_garbage():
         parse_tree("2 1\n1 -\n")
     with pytest.raises(InputError):
         parse_tree("2 1\n1 -\n2 5\n")
-
-
-# ---------------------------------------------------------------------------
-# payload budget
-
-def test_payload_budget():
-    t = star(4)
-    t.set_payload(1, (1, 2, 3, 4), c_w=1)  # root deg 3: budget 4 words
-    t.set_payload(2, (1, 2))  # unchecked write
-    with pytest.raises(InputError):  # leaf budget is 1*(0+1) = 1 word
-        check_payload_budget(t, 2, 1)
-    with pytest.raises(InputError):
-        t.set_payload(3, (1, 2), c_w=1)
 
 
 # ---------------------------------------------------------------------------
