@@ -39,6 +39,14 @@ def _make_tree(family, n, seed, k):
     raise InputError("family %r is not generable as a single tree" % family)
 
 
+def _read_text(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise InputError("%s is not UTF-8 text" % path) from None
+
+
 def _load_inputs(args, arity):
     paths = args.input or []
     if arity == 0:
@@ -47,8 +55,7 @@ def _load_inputs(args, arity):
                              % args.problem)
         raw = paths[0]
         if os.path.isfile(raw):
-            with open(raw) as fh:
-                raw = fh.read().strip()
+            raw = _read_text(raw).strip()
         return [([], raw, raw.encode())]
     if not paths or len(paths) % max(arity, 1):
         raise InputError("problem %r takes inputs in groups of %d"
@@ -57,8 +64,7 @@ def _load_inputs(args, arity):
     for g in range(0, len(paths), arity):
         trees, blob = [], bytearray()
         for p in paths[g:g + arity]:
-            with open(p) as fh:
-                text = fh.read()
+            text = _read_text(p)
             trees.append(parse_tree(text))
             blob.extend(text.encode())
         instances.append((trees, None, bytes(blob)))

@@ -297,7 +297,10 @@ class Record:
     parents give each member's attachment within the component; outs list
     each member's still-live children outside it (for the component root
     only when root_outs_known); virtual flags members that stood in for a
-    folded sibling batch rather than one original vertex."""
+    folded sibling batch rather than one original vertex. The fields are
+    kept as given: members, parents and outs (of tuples) are tuples, virtual
+    a frozenset and payloads a dict, as the machines build them and from_obj
+    normalizes them."""
 
     __slots__ = ("label", "kind", "survivor", "members", "payloads",
                  "virtual", "parent_out", "parents", "outs",
@@ -308,33 +311,37 @@ class Record:
         self.label = label
         self.kind = kind
         self.survivor = survivor
-        self.members = tuple(members)
-        self.payloads = dict(payloads)
-        self.virtual = frozenset(virtual)
+        self.members = members
+        self.payloads = payloads
+        self.virtual = virtual
         self.parent_out = parent_out
-        self.parents = tuple(parents)
-        self.outs = tuple(tuple(o) for o in outs)
-        self.root_outs_known = bool(root_outs_known)
+        self.parents = parents
+        self.outs = outs
+        self.root_outs_known = root_outs_known
 
     def to_obj(self):
         return (self.label, self.kind, self.survivor, self.members,
-                tuple(self.payloads[m] for m in self.members),
+                tuple(map(self.payloads.__getitem__, self.members)),
                 tuple(sorted(self.virtual)), self.parent_out, self.parents,
                 self.outs, self.root_outs_known)
 
     def header_words(self):
-        """Words of to_obj() outside the payloads."""
-        return word_count((self.label, self.kind, self.survivor,
-                           self.members, tuple(self.virtual), self.parent_out,
-                           self.parents, self.outs, self.root_outs_known))
+        """Words of to_obj() outside the payloads, from the fields' shape:
+        label, kind, survivor, parent_out and root_outs_known are one word
+        each, and so is every vertex id in members, virtual, parents and
+        outs (a parent outside the component is None, also one word)."""
+        return (5 + len(self.members) + len(self.parents) + len(self.virtual)
+                + sum(map(len, self.outs)))
 
     @classmethod
     def from_obj(cls, obj):
         (label, kind, survivor, members, payloads, virtual, parent_out,
          parents, outs, root_outs_known) = obj
+        members = tuple(members)
         return cls(label, kind, survivor, members,
-                   dict(zip(members, payloads)), virtual, parent_out,
-                   parents, outs, root_outs_known)
+                   dict(zip(members, payloads)), frozenset(virtual),
+                   parent_out, tuple(parents), tuple(tuple(o) for o in outs),
+                   bool(root_outs_known))
 
 
 LOG_MAGIC = b"TCLOG1\n"
@@ -351,15 +358,17 @@ def _enc_uint(n, out):
             return
 
 
-# two-byte encodings of the small ints and tuple headers, indexed by the
-# varint payload (zigzagged for ints)
+# encodings by exact type, built once: the ints whose zigzag fits one varint
+# byte, the headers of tuples below 128 items, and the residual-tree tags
 _SMALL_INT = [bytes((3, z)) for z in range(0x80)]
 _SMALL_TUPLE = [bytes((7, n)) for n in range(0x80)]
+_TAGS = {"k": b"\x06\x01k", "s": b"\x06\x01s"}
 
 
 def _enc_obj(obj, out):
-    """Append obj's encoding to out: tuples with their int and None items,
-    None, -inf and str here by exact type, everything else in _enc_other."""
+    """Append obj's encoding to out: tuples with their int, None, -inf and
+    tag items, and ints, None, -inf and str, here by exact type; everything
+    else in _enc_other."""
     cls = type(obj)
     if cls is tuple:
         n = len(obj)
@@ -379,8 +388,14 @@ def _enc_obj(obj, out):
                     _enc_uint(z, out)
             elif item is None:
                 out.append(0)
+            elif cls is float and item == NEG_INF:
+                out.append(4)
+            elif cls is str and item in _TAGS:
+                out += _TAGS[item]
             else:
                 _enc_obj(item, out)
+    elif cls is int:
+        out += _int_bytes(obj)
     elif obj is None:
         out.append(0)
     elif cls is float and obj == NEG_INF:
@@ -392,6 +407,137 @@ def _enc_obj(obj, out):
         out.extend(raw)
     else:
         _enc_other(obj, out)
+
+
+def _varint_head(tag, n):
+    """The tag byte, then n as a varint."""
+    raw = bytearray((tag,))
+    _enc_uint(n, raw)
+    return bytes(raw)
+
+
+def _int_bytes(v):
+    """Encoding of the int v. The ids of trees below 8192 vertices take the
+    two-byte varint, made here in one step."""
+    z = v << 1 if v >= 0 else ((-v) << 1) | 1
+    if z < 0x80:
+        return _SMALL_INT[z]
+    if z < 0x4000:
+        return bytes((3, z & 0x7F | 0x80, z >> 7))
+    return _varint_head(3, z)
+
+
+class _ScalarBytes(dict):
+    """Encodings of exact ints and strs, each made on first use. Index it
+    only with an exact int or str (True == 1 would find 1's bytes). One
+    lives for one save, so it holds no more than that log's ids and labels."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        if type(key) is int:
+            raw = _int_bytes(key)
+        else:
+            raw = bytearray()
+            _enc_obj(key, raw)
+            raw = bytes(raw)
+        self[key] = raw
+        return raw
+
+
+def _enc_item(x, out, enc):
+    """Append x's encoding, through enc when x is an exact int or str."""
+    cls = type(x)
+    if cls is int or cls is str:
+        out += enc[x]
+    elif x is None:
+        out.append(0)
+    else:
+        _enc_obj(x, out)
+
+
+def _enc_items(seq, out, enc):
+    """Append the encoding of tuple(seq), int items through enc."""
+    n = len(seq)
+    out += _SMALL_TUPLE[n] if n < 0x80 else _varint_head(7, n)
+    for x in seq:
+        if type(x) is int:
+            out += enc[x]
+        elif x is None:
+            out.append(0)
+        else:
+            _enc_obj(x, out)
+
+
+_K_HEAD = _SMALL_TUPLE[5] + _TAGS["k"]
+_S_HEAD = _SMALL_TUPLE[3] + _TAGS["s"]
+
+
+def _enc_rnode(node, out, enc):
+    """Append _enc_obj(node)'s bytes, reading node as a residual-tree node:
+    a fixed head, the vertex id through enc, then edge and data (or acc)
+    through _enc_obj, then the kids. A node of any other shape or item type
+    goes to _enc_obj whole."""
+    if type(node) is tuple:
+        n = len(node)
+        if n == 5:
+            tag, vid, edge, data, kids = node
+            if (type(vid) is int and type(kids) is tuple
+                    and type(tag) is str and tag == "k"):
+                out += _K_HEAD
+                out += enc[vid]
+                if edge is None:
+                    out.append(0)
+                else:
+                    _enc_obj(edge, out)
+                if type(data) is int:
+                    out += enc[data]
+                else:
+                    _enc_obj(data, out)
+                n = len(kids)
+                out += _SMALL_TUPLE[n] if n < 0x80 else _varint_head(7, n)
+                for kid in kids:
+                    _enc_rnode(kid, out, enc)
+                return
+        elif n == 3:
+            tag, vid, acc = node
+            if type(vid) is int and type(tag) is str and tag == "s":
+                out += _S_HEAD
+                out += enc[vid]
+                if acc is None:
+                    out.append(0)
+                else:
+                    _enc_obj(acc, out)
+                return
+    _enc_obj(node, out)
+
+
+def _enc_record(rec, out, enc):
+    """Append _enc_obj(rec.to_obj())'s bytes field by field, without
+    building to_obj(). members, parents, outs and each outs entry are the
+    tuples a Record is built with."""
+    out += _SMALL_TUPLE[10]
+    _enc_item(rec.label, out, enc)
+    _enc_item(rec.kind, out, enc)
+    _enc_item(rec.survivor, out, enc)
+    members, payloads = rec.members, rec.payloads
+    _enc_items(members, out, enc)
+    n = len(members)
+    out += _SMALL_TUPLE[n] if n < 0x80 else _varint_head(7, n)
+    for m in members:
+        _enc_rnode(payloads[m], out, enc)
+    _enc_items(sorted(rec.virtual), out, enc)
+    _enc_item(rec.parent_out, out, enc)
+    _enc_items(rec.parents, out, enc)
+    outs = rec.outs
+    n = len(outs)
+    out += _SMALL_TUPLE[n] if n < 0x80 else _varint_head(7, n)
+    for o in outs:
+        if o == ():
+            out += _SMALL_TUPLE[0]
+        else:
+            _enc_items(o, out, enc)
+    _enc_item(rec.root_outs_known, out, enc)
 
 
 def _enc_other(obj, out):
@@ -503,14 +649,23 @@ class ContractionLog:
         return len(self.records)
 
     def save(self, path):
+        """Write LOG_MAGIC, then _enc_obj of (root, vertices, final_payload,
+        record count), then _enc_obj of each record's to_obj(): the same
+        bytes, written by shape with the ids and labels encoded once."""
         out = bytearray(LOG_MAGIC)
-        header = (self.root, self.vertices, self.final_payload,
-                  len(self.records))
-        _enc_obj(header, out)
+        # the ids in the records are the vertices: one pass over them costs
+        # less than a cache miss apiece
+        enc = _ScalarBytes({v: _int_bytes(v) for v in self.vertices
+                            if type(v) is int})
+        out += _SMALL_TUPLE[4]
+        _enc_item(self.root, out, enc)
+        _enc_items(self.vertices, out, enc)
+        _enc_rnode(self.final_payload, out, enc)
+        _enc_item(len(self.records), out, enc)
         for rec in self.records:
-            _enc_obj(rec.to_obj(), out)
+            _enc_record(rec, out, enc)
         with open(path, "wb") as fh:
-            fh.write(bytes(out))
+            fh.write(out)
 
     @classmethod
     def load(cls, path):
@@ -568,7 +723,7 @@ def _comp_spec(tree, members, books, root_outs_known=True):
                            if u not in mset and u not in slots]))
     virtual = books.virtual
     return (tuple(members), tuple(parents), tuple(outs),
-            tuple([m for m in members if m in virtual]), root_outs_known)
+            frozenset([m for m in members if m in virtual]), root_outs_known)
 
 
 def _spec_words(spec):
@@ -813,7 +968,7 @@ def _general_units(tree, plugin, cfg, rank, books):
                     if len(chunk) > 1:
                         batches.append(
                             (p, tuple(chunk),
-                             tuple(u for u in chunk if u in virtual)))
+                             frozenset([u for u in chunk if u in virtual])))
             if not batches:
                 break
             level += 1
@@ -938,7 +1093,8 @@ def _fresh_run(tree, plugin, cfg, sim):
     pwords = {}
     for v in work.vertices():
         payload = work.payload[v] = initial_payload(plugin, work, v)
-        words = pwords[v] = word_count(payload)
+        # "k" and the vertex id are a word each, the empty kids tuple none
+        words = pwords[v] = 2 + word_count(payload[2:4])
         check_payload_budget(words, 0, c_w, "vertex %r", v)
     cfg, sim = solver_setup(plugin, cfg, sim)
     sim.store((("P", v), (work.payload[v], pwords[v]))

@@ -94,11 +94,6 @@ def _render(cells):
     return "".join(parts), cell_at
 
 
-def inserted_form(s):
-    """The precedence-explicit string the pipeline matches parentheses on."""
-    return _render(_insert(tokenize(s)))[0]
-
-
 # ---------------------------------------------------------------------------
 # step 2: chunked matching. Chunks of ~n^eps cancel their complete pairs
 # locally; what is left of a chunk is a run of ')' then a run of '(' and those
@@ -146,17 +141,6 @@ def _match_levels(s, epsilon):
     if opens:
         raise InputError("unbalanced '(' at position %d" % opens[-1])
     return out, levels
-
-
-def match_parens(s, cfg, sim=None):
-    """Position involution over the parentheses of s; non-paren characters
-    are opaque. Each merge level books one round on the ledger."""
-    out, levels = _match_levels(s, cfg.epsilon)
-    if sim is not None:
-        sim.charge_subroutine("paren scan", 1)
-        if levels:
-            sim.charge_subroutine("paren merge", levels)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +305,6 @@ def _charge_pipeline(sim, levels):
         sim.charge_subroutine("paren merge", levels)
     sim.charge_subroutine("paren deletions", 1)
     sim.charge_subroutine("operator scan", 1)
-
-
-def simplify_expression(s, cfg, sim=None):
-    """Binary operator tree for the expression. Vertex attrs: op (None on
-    number leaves), num, and pos, the operator's offset in the source."""
-    tree, levels = _simplify(s, cfg)
-    if sim is not None:
-        _charge_pipeline(sim, levels)
-    return tree
 
 
 # ---------------------------------------------------------------------------

@@ -245,12 +245,18 @@ def parse_tree(text):
             v = int(parts[0])
         except ValueError:
             raise InputError("bad vertex id: %r" % parts[0]) from None
-        p = None if parts[1] == "-" else int(parts[1])
+        try:
+            p = None if parts[1] == "-" else int(parts[1])
+        except ValueError:
+            raise InputError("bad parent id of vertex %d: %r"
+                             % (v, parts[1])) from None
         kv = {}
         for tok in parts[2:]:
             if "=" not in tok:
                 raise InputError("bad attribute %r on vertex %d" % (tok, v))
             k, val = tok.split("=", 1)
+            if k in kv:
+                raise InputError("attribute %s repeated on vertex %d" % (k, v))
             try:
                 kv[k] = int(val)
             except ValueError:
@@ -457,9 +463,6 @@ class BigSmallTree:
         self.parent_of = parent_of
         self.kind = kind
         self.members = members
-
-    def children_count(self, node):
-        return sum(1 for x in self.nodes if self.parent_of[x] == node)
 
     def leaves(self):
         has_child = {x: False for x in self.nodes}

@@ -226,6 +226,34 @@ class TestExitCodes:
                            "--input", "1/0")
         assert code == 3 and "division by zero" in err
 
+    def test_non_integer_parent_id(self, tmp_path, capsys):
+        src = tmp_path / "t.tree"
+        src.write_text("2 1\n1 -\n2 x\n")
+        code, out, err = run(capsys, "solve", "--problem", "height",
+                             "--input", str(src))
+        assert code == 3 and out == ""
+        assert err == "error: bad parent id of vertex 2: 'x'\n"
+
+    def test_repeated_attribute_key(self, tmp_path, capsys):
+        src = tmp_path / "t.tree"
+        src.write_text("2 1\n1 -\n2 1 ew=3 ew=4\n")
+        code, out, err = run(capsys, "solve", "--problem", "mwm",
+                             "--input", str(src))
+        assert code == 3 and out == ""
+        assert err == "error: attribute ew repeated on vertex 2\n"
+
+    @pytest.mark.parametrize("problem,data", [
+        ("height", b"2 1\n1 -\n2 1 \xff\n"),
+        ("eval", b"1+\xfe2"),
+    ], ids=["tree", "expression"])
+    def test_non_utf8_input(self, tmp_path, capsys, problem, data):
+        src = tmp_path / "input.bin"
+        src.write_bytes(data)
+        code, out, err = run(capsys, "solve", "--problem", problem,
+                             "--input", str(src))
+        assert code == 3 and out == ""
+        assert err == "error: %s is not UTF-8 text\n" % src
+
     def test_sim_fault_maps_to_two(self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "t.tree"
         run(capsys, "gen", "--family", "path", "--n", "3", "--out", str(src))

@@ -14,6 +14,7 @@ from treecontract.engine import (
     LOG_MAGIC,
     Algebra,
     ContractionLog,
+    Record,
     _dec_obj,
     _enc_obj,
     bounded_tree_contract,
@@ -27,6 +28,7 @@ from treecontract.engine import (
     tree_contract,
     two_contraction_reference,
 )
+from treecontract import oracles
 from treecontract.errors import InputError, LogIntegrityError, SimFault
 from treecontract.oracles import (
     all_shapes,
@@ -40,8 +42,9 @@ from treecontract.oracles import (
 )
 from treecontract.problems.indep import MwisAlgebra
 from treecontract.problems.matching import mwm_solve
+from treecontract.problems import REGISTRY
 from treecontract.sim import Machine, SimConfig, Simulator
-from treecontract.trees import Tree
+from treecontract.trees import Tree, word_count
 
 
 def add(a, b):
@@ -570,3 +573,174 @@ class TestEncoderDispatch:
         header = (1, (1,), obj, 0)
         assert data == LOG_MAGIC + chain_bytes(header)
         assert repr(back.final_payload) == repr(obj)
+
+
+# ---------------------------------------------------------------------------
+# records: header counts by shape, and the save that writes them by shape
+
+def header_of(rec):
+    """to_obj() without the payloads: what header_words() counts."""
+    obj = rec.to_obj()
+    return obj[:4] + obj[5:]
+
+
+def leaf(v, edge=None, data=1):
+    return ("k", v, edge, data, ())
+
+
+class TestHeaderWords:
+    def test_hand_built_records(self):
+        connected = Record(
+            "phase 1 compress", "connected", 3, (3, 5, 8),
+            {3: ("k", 3, None, 2, (("s", 9, None),)), 5: leaf(5),
+             8: leaf(8)},
+            frozenset(), None, (None, 3, 5), ((), (), (10, 11)))
+        sibling = Record("phase 1 rake L1", "sibling", 4, (4, 6, 7),
+                         {4: leaf(4), 6: leaf(6), 7: leaf(7)},
+                         frozenset({6, 7}), 2)
+        fold = Record("phase 1 fold", "connected", 2, (2, 4),
+                      {2: leaf(2), 4: leaf(4)}, frozenset({4}), None,
+                      (None, 2), ((), ()), False)
+        assert sibling.parents == () and sibling.outs == ()
+        for rec, words in ((connected, 13), (sibling, 10), (fold, 10)):
+            assert rec.header_words() == word_count(header_of(rec)) == words
+
+    def test_every_record_of_a_run(self):
+        t = valued(star(300))
+        _a, log, _m = tree_contract(t, sum_plugin(), cfg(300))
+        seen = set()
+        for rec in log.records:
+            assert rec.header_words() == word_count(header_of(rec))
+            seen.add(rec.kind)
+            if rec.virtual:
+                seen.add("virtual")
+            if not rec.root_outs_known:
+                seen.add("root outs unknown")
+        assert seen == {"connected", "sibling", "virtual",
+                        "root outs unknown"}
+
+
+class IntId(int):
+    """A vertex id of an int subclass: encoded as an int, never cached."""
+
+
+ids = st.one_of(st.integers(-200, 20000), st.integers(2 ** 14, 2 ** 40),
+                st.booleans(), st.integers(-70, 70).map(IntId))
+node_values = st.recursive(
+    log_scalars, lambda inner: st.lists(inner, max_size=4).map(tuple),
+    max_leaves=6)
+pending = st.one_of(st.none(), node_values)
+slots = st.builds(lambda v, acc: ("s", v, acc), ids, pending)
+# wide parts are drawn from cheap items, so an example stays within
+# Hypothesis's data budget
+wide_kids = st.lists(st.integers(0, 300).map(lambda v: ("s", v, None)),
+                     min_size=128, max_size=130).map(tuple)
+rnodes = st.recursive(
+    slots,
+    lambda kids: st.builds(
+        lambda v, edge, data, kids: ("k", v, edge, data, kids), ids, pending,
+        node_values, st.one_of(st.lists(kids, max_size=3).map(tuple),
+                              wide_kids)),
+    max_leaves=12)
+# a payload is mostly a residual-tree node, but any log value must encode
+payloads = st.one_of(rnodes, rnodes, log_values,
+                     st.builds(lambda v, kids: ("k", v, None, 0, kids), ids,
+                               wide_kids),
+                     st.tuples(st.just("k"), ids, pending),
+                     st.tuples(st.just("s"), st.fractions(), pending))
+
+
+@st.composite
+def records(draw):
+    members = tuple(draw(st.lists(ids, min_size=1, max_size=3)))
+    n = len(members)
+    return Record(
+        draw(st.text(max_size=12)),
+        draw(st.sampled_from(["connected", "sibling"])), members[0], members,
+        {m: draw(payloads) for m in members},
+        frozenset(draw(st.lists(st.sampled_from(members), max_size=n))),
+        draw(st.one_of(st.none(), ids)),
+        tuple(draw(st.lists(st.one_of(st.none(), ids), min_size=n,
+                            max_size=n))),
+        tuple(tuple(draw(st.one_of(
+            st.lists(ids, max_size=3),
+            st.lists(st.integers(0, 20000), min_size=128, max_size=129))))
+              for _ in members),
+        draw(st.booleans()))
+
+
+@st.composite
+def logs(draw):
+    log = ContractionLog(draw(ids), draw(st.lists(ids, max_size=20)))
+    log.final_payload = draw(st.one_of(st.none(), payloads))
+    for rec in draw(st.lists(records(), max_size=3)):
+        log.append(rec, 0)
+    return log
+
+
+def saved_bytes(log):
+    with tempfile.TemporaryDirectory() as where:
+        p = os.path.join(where, "run.tclog")
+        log.save(p)
+        with open(p, "rb") as fh:
+            return fh.read()
+
+
+class TestShapeSave:
+    @settings(max_examples=60, deadline=None)
+    @given(logs())
+    def test_bytes_are_the_record_encodings(self, log):
+        header = (log.root, log.vertices, log.final_payload,
+                  len(log.records))
+        out = bytearray(LOG_MAGIC)
+        _enc_obj(header, out)
+        chain = [LOG_MAGIC, chain_bytes(header)]
+        for rec in log.records:
+            _enc_obj(rec.to_obj(), out)
+            chain.append(chain_bytes(rec.to_obj()))
+        data = saved_bytes(log)
+        assert data == bytes(out) == b"".join(chain)
+
+    def test_lookalike_items(self):
+        # True == 1 and IntId(1) == 1 hash alike; each keeps its own bytes
+        wide = ("k", 1, None, 1, tuple(("s", i, None) for i in range(130)))
+        odd = ("k", 2, (1, True), True,
+               (("s", False, 0), ("k", IntId(1), None, IntId(0), ()),
+                ("k", True, None, 1, ()), ("k", float("-inf"), None, 0, ()),
+                ("s", 1)))
+        # frozenset({8, 2}) iterates as 8, 2; the saved virtual is sorted
+        rec = Record("rake", "connected", 1, (1, 2, 8),
+                     {1: wide, 2: odd, 8: ("k", 8, None, "8", ())},
+                     frozenset({8, 2}), True, (None, 1, True),
+                     ((True, 1), (), tuple(range(128))), 1)
+        log = ContractionLog(1, (True, 1, 2, 8))
+        log.final_payload = odd
+        log.append(rec, 0)
+        out = bytearray(LOG_MAGIC)
+        _enc_obj((log.root, log.vertices, odd, 1), out)
+        _enc_obj(rec.to_obj(), out)
+        assert saved_bytes(log) == bytes(out)
+
+    @pytest.mark.parametrize("problem", sorted(
+        p for p, entry in REGISTRY.items() if entry["arity"] < 2))
+    def test_load_then_save_gives_the_same_bytes(self, problem, tmp_path):
+        n, seed = 1 << 9, 3
+        if problem == "eval":
+            trees, text = [], "+".join(
+                "(%s)" % oracles.random_expression(seed * 100 + i,
+                                                   max_depth=5)
+                for i in range(30))
+            n = len(text)
+        else:
+            tree = oracles.with_vertex_weights(oracles.with_edge_weights(
+                oracles.random_tree(n, seed), seed), seed)
+            trees, text = [tree], None
+        result = REGISTRY[problem]["solve"](
+            trees, text, SimConfig(epsilon=0.5, n=n, seed=seed), seed)
+        first, again = tmp_path / "first.tclog", tmp_path / "again.tclog"
+        result["log"].save(first)
+        back = ContractionLog.load(first)
+        back.save(again)
+        assert len(back) > 1
+        assert again.read_bytes() == first.read_bytes()
+        assert back.total_words == result["log"].total_words

@@ -8,11 +8,37 @@ import pytest
 from treecontract.errors import ExprArithmeticError, InputError
 from treecontract.oracles import (eval_reference, match_parens_reference,
                                   random_balanced_parens, random_expression)
-from treecontract.problems.exprs import (EvalAlgebra, evaluate_expression,
-                                         inserted_form, match_parens,
-                                         simplify_expression,
-                                         subexpression_values)
+from treecontract.problems.exprs import (EvalAlgebra, _charge_pipeline,
+                                         _insert, _match_levels, _render,
+                                         _simplify, evaluate_expression,
+                                         subexpression_values, tokenize)
 from treecontract.sim import SimConfig, Simulator
+
+
+# pipeline stages on their own, as only these tests call them
+def inserted_form(s):
+    """The precedence-explicit string the pipeline matches parentheses on."""
+    return _render(_insert(tokenize(s)))[0]
+
+
+def match_parens(s, cfg, sim=None):
+    """Position involution over the parentheses of s; non-paren characters
+    are opaque. Each merge level books one round on the ledger."""
+    out, levels = _match_levels(s, cfg.epsilon)
+    if sim is not None:
+        sim.charge_subroutine("paren scan", 1)
+        if levels:
+            sim.charge_subroutine("paren merge", levels)
+    return out
+
+
+def simplify_expression(s, cfg, sim=None):
+    """Binary operator tree for the expression. Vertex attrs: op (None on
+    number leaves), num, and pos, the operator's offset in the source."""
+    tree, levels = _simplify(s, cfg)
+    if sim is not None:
+        _charge_pipeline(sim, levels)
+    return tree
 
 
 def cfg_for(s, epsilon=0.5):
