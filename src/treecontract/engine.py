@@ -10,10 +10,13 @@ everywhere in unary algebras). Plain pending children are not represented:
 only the payload's root node may have them, and the host ships their ids
 alongside each component, so a payload stays O(C_w) words no matter how many
 children a vertex has. Problem semantics live entirely in an Algebra
-instance; the engine stitches residual trees, runs the local two-way
-contraction, and keeps the books.
+instance; the engine contracts each component in one pass over its members'
+payload tuples, children first, and keeps the books. Nothing it builds
+refers back to its parent, so a run leaves no reference cycles and runs with
+the cyclic collector paused.
 """
 
+import gc
 import math
 from fractions import Fraction
 
@@ -125,149 +128,78 @@ def _compose(plugin, hi, lo):
 
 
 # ---------------------------------------------------------------------------
-# machine-local residual trees
+# machine-local contraction
 
-class _LN:
-    """Mutable working form of a residual-tree node."""
-
-    __slots__ = ("known", "vid", "edge", "data", "kids", "parent", "acc",
-                 "outs")
-
-    def __init__(self, known, vid, edge=None, data=None, acc=None):
-        self.known = known
-        self.vid = vid
-        self.edge = edge
-        self.data = data
-        self.acc = acc
-        self.kids = []
-        self.parent = None
-        self.outs = []
-
-
-def _thaw(rnode):
-    if rnode[0] == "s":
-        return _LN(False, rnode[1], acc=rnode[2])
-    node = _LN(True, rnode[1], edge=rnode[2], data=rnode[3])
-    for kid in rnode[4]:
-        child = _thaw(kid)
-        child.parent = node
-        node.kids.append(child)
-    return node
-
-
-def _freeze(node, is_root=True):
-    if not node.known:
-        return ("s", node.vid, node.acc)
-    kids = [_freeze(kid, False) for kid in node.kids]
-    if not is_root:
-        # a surviving inner vertex must expose its remaining plain children,
-        # or later stitches cannot find their place in the structure
-        kids.extend(("s", u, None) for u in node.outs)
-    return ("k", node.vid, node.edge, node.data, tuple(kids))
+def _settle(plugin, data, kid, kept):
+    """Apply the local rules to one finished kid of a node whose data is
+    `data`: absorb a known leaf, remove a known node with one hole by chain
+    (or, with identity edges, merge_chain into the parent), else keep it on
+    `kept`. Returns the parent's data."""
+    if kid[0] == "s":
+        kept.append(kid)
+        return data
+    edge, kdata, holes = kid[2], kid[3], kid[4]
+    if not holes:
+        return plugin.absorb(data, plugin.through_edge(
+            plugin.node_value(kdata), edge))
+    if len(holes) == 1:
+        hole = holes[0]
+        # a known hole's index-2 field is its edge, a slot's its acc
+        chained = plugin.chain(edge, kdata, hole[2])
+        if chained is not NotImplemented:
+            kept.append(hole[:2] + (chained,) + hole[3:])
+            return data
+        if edge is None and (hole[0] == "k" or hole[2] is None):
+            merged = plugin.merge_chain(data, kdata)
+            if merged is not NotImplemented:
+                kept.append(hole)
+                return merged
+    kept.append(kid)
+    return data
 
 
-def _stitch(plugin, members, parents, outs, payloads):
-    """Assemble one component: thaw all member payloads, hang each non-root
-    member under its parent (through the parent's pending slot when one
-    exists), and note still-live external children on each member root."""
-    nodes = {m: _thaw(payloads[m]) for m in members}
-    slot_at = {}
-    for m in members:
-        stack = [nodes[m]]
-        while stack:
-            nd = stack.pop()
-            if nd.known:
-                stack.extend(nd.kids)
-            else:
-                slot_at[nd.vid] = nd
-    for m, pm in zip(members, parents):
-        if pm is None:
-            continue
-        sub = nodes[m]
-        slot = slot_at.pop(m, None)
-        if slot is not None:
-            sub.edge = _compose(plugin, slot.acc, sub.edge)
-            holder = slot.parent
-            holder.kids[holder.kids.index(slot)] = sub
-            sub.parent = holder
+def _contract_payload(plugin, node, done, plain=(), outs=()):
+    """Contract one payload in postorder: every known node settles each kid
+    once, left to right. A slot of a member in `done` takes that member's
+    finished node, edge composed with the slot's acc; the members in `plain`
+    that no slot took settle after the root's own kids; `outs` become fresh
+    slots at the end of the root's kids."""
+    data = node[3]
+    kept = []
+    for kid in node[4]:
+        if kid[0] == "k":
+            kid = _contract_payload(plugin, kid, done)
         else:
-            root = nodes[pm]
-            sub.parent = root
-            root.kids.append(sub)
-    for m, os in zip(members, outs):
-        nodes[m].outs = list(os)
-    return nodes[members[0]]
-
-
-def _local_contract(plugin, root):
-    """Trim known leaves and remove one-child known vertices until no rule
-    applies. The component root always survives."""
-    changed = True
-    while changed:
-        changed = False
-        order = []
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            stack.extend(node.kids)
-        for node in reversed(order):  # children before parents
-            if not node.known or node.parent is None:
-                continue
-            parent = node.parent
-            holes = len(node.kids) + len(node.outs)
-            if holes == 0:
-                value = plugin.node_value(node.data)
-                parent.data = plugin.absorb(
-                    parent.data, plugin.through_edge(value, node.edge))
-                parent.kids.remove(node)
-                changed = True
-                continue
-            if holes != 1:
-                continue
-            if node.kids:
-                kid = node.kids[0]
-                lo = kid.edge if kid.known else kid.acc
-                edge = plugin.chain(node.edge, node.data, lo)
-                if edge is not NotImplemented:
-                    if kid.known:
-                        kid.edge = edge
-                    else:
-                        kid.acc = edge
-                    kid.parent = parent
-                    parent.kids[parent.kids.index(node)] = kid
-                    changed = True
-                    continue
-                clean = node.edge is None and (kid.known or kid.acc is None)
-            else:
-                kid = None
-                edge = plugin.chain(node.edge, node.data, None)
-                if edge is not NotImplemented:
-                    slot = _LN(False, node.outs[0], acc=edge)
-                    slot.parent = parent
-                    parent.kids[parent.kids.index(node)] = slot
-                    changed = True
-                    continue
-                clean = node.edge is None
-            if not clean:
-                continue
-            merged = plugin.merge_chain(parent.data, node.data)
-            if merged is NotImplemented:
-                continue
-            parent.data = merged
-            if kid is None:
-                kid = _LN(False, node.outs[0])
-            kid.parent = parent
-            parent.kids[parent.kids.index(node)] = kid
-            changed = True
-    return root
+            sub = done.pop(kid[1], None)
+            if sub is not None:
+                kid = ("k", sub[1], _compose(plugin, kid[2], sub[2]), sub[3],
+                       sub[4])
+        data = _settle(plugin, data, kid, kept)
+    for m in plain:
+        sub = done.pop(m, None)
+        if sub is not None:
+            data = _settle(plugin, data, sub, kept)
+    kept.extend([("s", u, None) for u in outs])
+    return ("k", node[1], node[2], data, tuple(kept))
 
 
 def contract_component(plugin, members, parents, outs, payloads):
-    """Pure form of one connected contraction; returns the survivor payload."""
-    root = _stitch(plugin, members, parents, outs, payloads)
-    _local_contract(plugin, root)
-    return _freeze(root)
+    """Pure form of one connected contraction; returns the survivor payload.
+    Members are contracted children first (reverse component preorder), so
+    each hangs under its parent already contracted; the component root
+    survives and keeps its plain children off the payload."""
+    plain = {}
+    for m, pm in zip(members, parents):
+        if pm is not None:
+            plain.setdefault(pm, []).append(m)
+    done = {}
+    for i in range(len(members) - 1, 0, -1):
+        m = members[i]
+        done[m] = _contract_payload(plugin, payloads[m], done,
+                                    plain.get(m, ()), outs[i])
+    root = members[0]
+    return _contract_payload(plugin, payloads[root], done,
+                             plain.get(root, ()))
 
 
 def rnode_value(plugin, rnode, slot_fn, extra=()):
@@ -335,9 +267,19 @@ class Record:
 
     @classmethod
     def from_obj(cls, obj):
+        """Raises ValueError when a field's length disagrees with members:
+        one payload per member, and for a connected record one parent and
+        one outs entry per member (a sibling record has neither)."""
         (label, kind, survivor, members, payloads, virtual, parent_out,
          parents, outs, root_outs_known) = obj
         members = tuple(members)
+        n = len(members)
+        per_member = 0 if kind == "sibling" else n
+        if (len(payloads), len(parents), len(outs)) != (n, per_member,
+                                                        per_member):
+            raise ValueError(
+                "record of %d members has %d payloads, %d parents and %d "
+                "outs" % (n, len(payloads), len(parents), len(outs)))
         return cls(label, kind, survivor, members,
                    dict(zip(members, payloads)), frozenset(virtual),
                    parent_out, tuple(parents), tuple(tuple(o) for o in outs),
@@ -1116,18 +1058,29 @@ def _log_budget(log, cfg):
 def _contract(tree, plugin, cfg, sim, units):
     """Run the stream units(work, plugin, cfg, rank, books) on a fresh copy
     of tree and read the answer at the root. Returns (answer,
-    ContractionLog, metrics)."""
-    work, cfg, sim, books = _fresh_run(tree, plugin, cfg, sim)
-    if work.n > 1:
-        with sim.phase("contract"):
-            _drive(sim, units(work, plugin, cfg, preorder_number(work), books))
-    payload = work.payload[work.root]
-    if payload[4]:
-        raise LogIntegrityError("root payload still has pending children")
-    log = books.log
-    log.final_payload = payload
-    _drive(sim, _log_budget(log, sim.cfg))
-    return plugin.finalize(payload[3]), log, sim.snapshot_metrics()
+    ContractionLog, metrics).
+
+    The cyclic collector is paused meanwhile: the run's working data are
+    acyclic tuples that reference counting frees, so its passes would only
+    rescan the growing log. It is turned back on only if it was on."""
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        work, cfg, sim, books = _fresh_run(tree, plugin, cfg, sim)
+        if work.n > 1:
+            with sim.phase("contract"):
+                _drive(sim, units(work, plugin, cfg, preorder_number(work),
+                                  books))
+        payload = work.payload[work.root]
+        if payload[4]:
+            raise LogIntegrityError("root payload still has pending children")
+        log = books.log
+        log.final_payload = payload
+        _drive(sim, _log_budget(log, sim.cfg))
+        return plugin.finalize(payload[3]), log, sim.snapshot_metrics()
+    finally:
+        if was_on:
+            gc.enable()
 
 
 def bounded_tree_contract(tree, plugin, cfg, sim=None):

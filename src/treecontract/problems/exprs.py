@@ -258,14 +258,18 @@ def _unfold_one(sym, pos, left, right):
     if d == 0:
         return ("+", pos, ("*", pos, left, ("num", Fraction(0), pos)),
                 ("num", Fraction(1), pos))
+    return _pow_product(left, pos, d)
 
-    def bal(k):  # depth log2(_POW_CAP)
-        if k == 1:
-            return left
-        h = k // 2
-        return ("*", pos, bal(k - h), bal(h))
 
-    return bal(d)
+def _pow_product(base, pos, k):
+    """Balanced product of k >= 1 copies of base, recursing log2(_POW_CAP)
+    deep. A module-level function: a self-recursive closure would leave a
+    reference cycle per exponent."""
+    if k == 1:
+        return base
+    h = k // 2
+    return ("*", pos, _pow_product(base, pos, k - h),
+            _pow_product(base, pos, h))
 
 
 def _to_tree(shape):

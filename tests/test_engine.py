@@ -1,5 +1,6 @@
 """Contraction engine: both algorithms, lifting, the log, reconstruction."""
 
+import gc
 import os
 import re
 import tempfile
@@ -15,6 +16,7 @@ from treecontract.engine import (
     Algebra,
     ContractionLog,
     Record,
+    _compose,
     _dec_obj,
     _enc_obj,
     bounded_tree_contract,
@@ -41,8 +43,9 @@ from treecontract.oracles import (
     with_edge_weights,
 )
 from treecontract.problems.indep import MwisAlgebra
+from treecontract.problems.iso import HeightAlgebra
 from treecontract.problems.matching import mwm_solve
-from treecontract.problems import REGISTRY
+from treecontract.problems import REGISTRY, iso
 from treecontract.sim import Machine, SimConfig, Simulator
 from treecontract.trees import Tree, word_count
 
@@ -82,6 +85,28 @@ def cfg(n, epsilon=0.5, **kw):
     return SimConfig(epsilon=epsilon, n=n, **kw)
 
 
+class Keeper(Algebra):
+    """Unary data with no chain and no merge_chain: the local rules absorb
+    leaves and keep every other vertex."""
+
+    name = "keeper"
+
+    def init_data(self, tree, v):
+        return 1
+
+    def fresh_edge(self, tree, v):
+        return None
+
+    def node_value(self, data):
+        return data
+
+    def through_edge(self, value, edge):
+        return value
+
+    def absorb(self, data, contribution):
+        return data + contribution
+
+
 class TestKnobs:
     def test_degree_budget(self):
         # lambda = S // (2 C_w), floored at 2
@@ -113,6 +138,27 @@ class TestComponentContraction:
         out = contract_component(plugin, (1, 2, 3, 4, 5), parents, outs,
                                  payloads)
         assert out == ("k", 1, None, 15, (("s", 6, None),))
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_long_path_component_needs_no_deep_recursion(self, keep):
+        # 5000 members in a chain, one pending child below the last; with
+        # every rule declined the survivor payload nests 5000 deep
+        n = 5000
+        plugin = Keeper() if keep else sum_plugin()
+        t = valued(path(n))
+        members = tuple(range(1, n + 1))
+        payloads = {v: initial_payload(plugin, t, v) for v in members}
+        parents = (None,) + members[:-1]
+        outs = ((),) * (n - 1) + ((n + 1,),)
+        out = contract_component(plugin, members, parents, outs, payloads)
+        if not keep:
+            assert out == ("k", 1, None, n, (("s", n + 1, None),))
+            return
+        node, depth = out, 1
+        while node[0] == "k":
+            assert node[1] == depth and len(node[4]) == 1
+            node, depth = node[4][0], depth + 1
+        assert node == ("s", n + 1, None) and depth == n + 1
 
     def test_leaf_star_folds_pairwise(self):
         calls = []
@@ -510,6 +556,36 @@ class TestLogCodec:
         with pytest.raises(InputError, match="truncated"):
             ContractionLog.load(p)
 
+    @pytest.mark.parametrize("field,short", [
+        (4, (("k", 1, None, 0, ()),)),
+        (7, (None,)),
+        (8, ((),)),
+    ])
+    def test_record_fields_must_match_its_members(self, tmp_path, field,
+                                                  short):
+        # members (1, 2) with one payload, one parent or one outs entry
+        rec = ["x", "connected", 1, (1, 2),
+               (("k", 1, None, 0, ()), ("k", 2, None, 0, ())), (), None,
+               (None, 1), ((), ()), True]
+        rec[field] = short
+        out = bytearray(LOG_MAGIC)
+        _enc_obj((1, (1, 2), ("k", 1, None, 0, ()), 1), out)
+        _enc_obj(tuple(rec), out)
+        p = tmp_path / "run.tclog"
+        p.write_bytes(bytes(out))
+        with pytest.raises(InputError, match="malformed.*2 members"):
+            ContractionLog.load(p)
+
+    def test_sibling_record_without_parents_loads(self, tmp_path):
+        t = valued(star(40))
+        _a, log, _m = tree_contract(t, sum_plugin(), cfg(40))
+        assert any(rec.kind == "sibling" for rec in log.records)
+        p = tmp_path / "run.tclog"
+        log.save(p)
+        back = ContractionLog.load(p)
+        assert [r.to_obj() for r in back.records] == [
+            r.to_obj() for r in log.records]
+
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "run.tclog"
         out = bytearray(LOG_MAGIC)
@@ -744,3 +820,345 @@ class TestShapeSave:
         assert len(back) > 1
         assert again.read_bytes() == first.read_bytes()
         assert back.total_words == result["log"].total_words
+
+
+# ---------------------------------------------------------------------------
+# contract_component against the stitch-and-sweep it replaced: each member
+# payload thawed into mutable nodes linked both ways, stitched into one tree,
+# swept until no rule applies, and frozen back into tuples
+
+class _LN:
+    """Mutable working form of a residual-tree node."""
+
+    __slots__ = ("known", "vid", "edge", "data", "kids", "parent", "acc",
+                 "outs")
+
+    def __init__(self, known, vid, edge=None, data=None, acc=None):
+        self.known = known
+        self.vid = vid
+        self.edge = edge
+        self.data = data
+        self.acc = acc
+        self.kids = []
+        self.parent = None
+        self.outs = []
+
+
+def _thaw(rnode):
+    if rnode[0] == "s":
+        return _LN(False, rnode[1], acc=rnode[2])
+    node = _LN(True, rnode[1], edge=rnode[2], data=rnode[3])
+    for kid in rnode[4]:
+        child = _thaw(kid)
+        child.parent = node
+        node.kids.append(child)
+    return node
+
+
+def _freeze(node, is_root=True):
+    if not node.known:
+        return ("s", node.vid, node.acc)
+    kids = [_freeze(kid, False) for kid in node.kids]
+    if not is_root:
+        # a surviving inner vertex must expose its remaining plain children,
+        # or later stitches cannot find their place in the structure
+        kids.extend(("s", u, None) for u in node.outs)
+    return ("k", node.vid, node.edge, node.data, tuple(kids))
+
+
+def _stitch(plugin, members, parents, outs, payloads):
+    """Assemble one component: thaw all member payloads, hang each non-root
+    member under its parent (through the parent's pending slot when one
+    exists), and note still-live external children on each member root."""
+    nodes = {m: _thaw(payloads[m]) for m in members}
+    slot_at = {}
+    for m in members:
+        stack = [nodes[m]]
+        while stack:
+            nd = stack.pop()
+            if nd.known:
+                stack.extend(nd.kids)
+            else:
+                slot_at[nd.vid] = nd
+    for m, pm in zip(members, parents):
+        if pm is None:
+            continue
+        sub = nodes[m]
+        slot = slot_at.pop(m, None)
+        if slot is not None:
+            sub.edge = _compose(plugin, slot.acc, sub.edge)
+            holder = slot.parent
+            holder.kids[holder.kids.index(slot)] = sub
+            sub.parent = holder
+        else:
+            root = nodes[pm]
+            sub.parent = root
+            root.kids.append(sub)
+    for m, os in zip(members, outs):
+        nodes[m].outs = list(os)
+    return nodes[members[0]]
+
+
+def _local_contract(plugin, root):
+    """Trim known leaves and remove one-child known vertices until no rule
+    applies. The component root always survives."""
+    changed = True
+    while changed:
+        changed = False
+        order = []
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack.extend(node.kids)
+        for node in reversed(order):  # children before parents
+            if not node.known or node.parent is None:
+                continue
+            parent = node.parent
+            holes = len(node.kids) + len(node.outs)
+            if holes == 0:
+                value = plugin.node_value(node.data)
+                parent.data = plugin.absorb(
+                    parent.data, plugin.through_edge(value, node.edge))
+                parent.kids.remove(node)
+                changed = True
+                continue
+            if holes != 1:
+                continue
+            if node.kids:
+                kid = node.kids[0]
+                lo = kid.edge if kid.known else kid.acc
+                edge = plugin.chain(node.edge, node.data, lo)
+                if edge is not NotImplemented:
+                    if kid.known:
+                        kid.edge = edge
+                    else:
+                        kid.acc = edge
+                    kid.parent = parent
+                    parent.kids[parent.kids.index(node)] = kid
+                    changed = True
+                    continue
+                clean = node.edge is None and (kid.known or kid.acc is None)
+            else:
+                kid = None
+                edge = plugin.chain(node.edge, node.data, None)
+                if edge is not NotImplemented:
+                    slot = _LN(False, node.outs[0], acc=edge)
+                    slot.parent = parent
+                    parent.kids[parent.kids.index(node)] = slot
+                    changed = True
+                    continue
+                clean = node.edge is None
+            if not clean:
+                continue
+            merged = plugin.merge_chain(parent.data, node.data)
+            if merged is NotImplemented:
+                continue
+            parent.data = merged
+            if kid is None:
+                kid = _LN(False, node.outs[0])
+            kid.parent = parent
+            parent.kids[parent.kids.index(node)] = kid
+            changed = True
+    return root
+
+
+def reference_contract(plugin, members, parents, outs, payloads):
+    root = _stitch(plugin, members, parents, outs, payloads)
+    _local_contract(plugin, root)
+    return _freeze(root)
+
+
+def registry_expression(seed, length):
+    """A sum of random expressions, `**` among their operators, of about
+    `length` characters."""
+    terms, size, i = [], 0, 0
+    while size < length:
+        term = "(%s)" % oracles.random_expression(seed * 1000 + i,
+                                                  max_depth=5)
+        terms.append(term)
+        size += len(term) + 1
+        i += 1
+    return "+".join(terms)
+
+
+N_REG, SEED_REG = 1 << 9, 5
+# name -> (problem, epsilon, make_inputs, endings of connected-record labels
+# the run must produce); between them the runs reach both algorithms, nested
+# bounded runs, the fold and the final machine
+REGISTRY_RUNS = {
+    "mwm": ("mwm", 0.5, lambda: ([with_edge_weights(
+        random_tree(N_REG, SEED_REG), SEED_REG)], None),
+        ("phase 1 phase 1 compress", "phase 1 phase 1 rake")),
+    "mwis": ("mwis", 0.5, lambda: ([oracles.with_vertex_weights(
+        broom(N_REG), SEED_REG)], None),
+        (" fold", "phase 2 phase 1 compress")),
+    "mis": ("mis", 0.5, lambda: ([random_tree(N_REG, SEED_REG)], None),
+            ("phase 1 compress", "phase 1 rake")),
+    "matching": ("matching", 0.5, lambda: ([broom(N_REG)], None),
+                 ("phase 1 compress", "phase 1 rake")),
+    "height": ("height", 0.25, lambda: ([random_tree(N_REG, SEED_REG)],
+                                        None),
+               ("final", " fold", "phase 1 phase 1 compress")),
+    "sum": ("sum", 0.25, lambda: ([path(N_REG)], None),
+            ("phase 1 phase 1 compress",)),
+    "eval": ("eval", 0.5, lambda: ([], registry_expression(SEED_REG, N_REG)),
+             ("phase 1 compress", "phase 1 rake")),
+}
+REGISTRY_NAMES = sorted(REGISTRY_RUNS) + ["iso"]
+
+
+def registry_inputs(name):
+    if name == "iso":
+        t1 = random_tree(N_REG, SEED_REG)
+        return [t1, oracles.relabeled_copy(t1, SEED_REG)], None
+    return REGISTRY_RUNS[name][2]()
+
+
+def run_registry(name, trees, text):
+    """Solve a REGISTRY_RUNS case, or "iso" on a tree and a relabeled copy;
+    returns the solve's log (None for iso)."""
+    if name == "iso":
+        verdict, _detail = iso.tree_isomorphism(
+            trees[0], trees[1], cfg(N_REG, seed=SEED_REG), seed=SEED_REG)
+        assert verdict
+        return None
+    problem, epsilon = REGISTRY_RUNS[name][:2]
+    n = max(4, len(text)) if text is not None else trees[0].n
+    result = REGISTRY[problem]["solve"](
+        trees, text, cfg(n, epsilon=epsilon, seed=SEED_REG), SEED_REG)
+    return result["log"]
+
+
+def enc(obj):
+    out = bytearray()
+    _enc_obj(obj, out)
+    return bytes(out)
+
+
+class EdgeMerger(Keeper):
+    """Keeper with int edges, composed by addition, and merge_chain: a
+    one-hole vertex merges into its parent only where no edge is in the
+    way."""
+
+    name = "edge merger"
+
+    def through_edge(self, value, edge):
+        return value + (edge or 0)
+
+    def compose(self, hi_edge, lo_edge):
+        return hi_edge + lo_edge
+
+    def merge_chain(self, parent_data, mid_data):
+        return parent_data + mid_data
+
+
+@st.composite
+def components(draw):
+    """A component of up to 12 members, ids 1.. with every parent before
+    its children, drawn for one of four plugins that between them take
+    every local rule: sum (merge_chain), height (chain on edges, pending
+    accs), Keeper (neither) and EdgeMerger (merge_chain, edges). A member
+    hangs under its parent through a slot in the parent's payload or as a
+    plain child; payloads also carry slots of outside children, and members
+    have outs."""
+    plugin = draw(st.sampled_from([sum_plugin(), HeightAlgebra(), Keeper(),
+                                   EdgeMerger()]))
+    if isinstance(plugin, HeightAlgebra):
+        edges = st.tuples(st.integers(0, 3), st.integers(-1, 5))
+    elif isinstance(plugin, EdgeMerger):
+        edges = st.one_of(st.none(), st.integers(0, 3))
+    else:
+        edges = st.none()
+    k = draw(st.integers(1, 12))
+    members = tuple(range(1, k + 1))
+    parents = (None,) + tuple(draw(st.integers(1, v - 1))
+                              for v in members[1:])
+    slots = {m: [] for m in members}
+    for m, pm in zip(members[1:], parents[1:]):
+        if draw(st.booleans()):
+            slots[pm].append(("s", m, draw(st.one_of(st.none(), edges))))
+    outside = iter(range(100, 200))
+    outs = []
+    for m in members:
+        slots[m] += [("s", next(outside), draw(st.one_of(st.none(), edges)))
+                     for _ in range(draw(st.integers(0, 1)))]
+        outs.append(tuple(next(outside)
+                          for _ in range(draw(st.integers(0, 2)))))
+    payloads = {}
+    for m in members:
+        kids = draw(st.permutations(slots[m]))
+        edge = draw(edges) if m > 1 else None
+        payloads[m] = ("k", m, edge, draw(st.integers(0, 9)), tuple(kids))
+    return plugin, members, parents, tuple(outs), payloads
+
+
+class TestAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(components())
+    def test_drawn_components(self, comp):
+        out = contract_component(*comp)
+        want = reference_contract(*comp)
+        assert out == want
+        assert enc(out) == enc(want)
+
+    @pytest.mark.parametrize("name", REGISTRY_NAMES)
+    def test_every_component_of_a_solve(self, name, monkeypatch):
+        calls = []
+        contract = engine.contract_component
+
+        def recorded(plugin, members, parents, outs, payloads):
+            out = contract(plugin, members, parents, outs, payloads)
+            calls.append((plugin, members, parents, outs, payloads, out))
+            return out
+
+        monkeypatch.setattr(engine, "contract_component", recorded)
+        log = run_registry(name, *registry_inputs(name))
+        assert calls
+        if log is not None:
+            labels = [rec.label for rec in log.records
+                      if rec.kind == "connected"]
+            assert len(calls) == len(labels)
+            for ending in REGISTRY_RUNS[name][3]:
+                assert any(lb.endswith(ending) for lb in labels), ending
+        for plugin, members, parents, outs, payloads, out in calls:
+            want = reference_contract(plugin, members, parents, outs,
+                                      payloads)
+            assert out == want
+            assert enc(out) == enc(want)
+
+
+class TestNoCycles:
+    """The engine's working data are acyclic: a solve leaves nothing that
+    only the cyclic collector can free."""
+
+    @pytest.mark.parametrize("name", REGISTRY_NAMES)
+    def test_a_solve_leaves_no_cyclic_garbage(self, name):
+        trees, text = registry_inputs(name)
+        assert name != "eval" or "**" in text
+        was_on = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            log = run_registry(name, trees, text)
+            del log
+            assert gc.collect() == 0
+        finally:
+            if was_on:
+                gc.enable()
+
+    @pytest.mark.parametrize("on", [False, True])
+    def test_collector_state_is_restored(self, on):
+        t = valued(path(64))
+        was_on = gc.isenabled()
+        try:
+            (gc.enable if on else gc.disable)()
+            answer, _log, _m = tree_contract(t, sum_plugin(), cfg(64))
+            assert answer == 64
+            assert gc.isenabled() is on
+            with pytest.raises(SimFault):
+                tree_contract(t, sum_plugin(),
+                              cfg(64, total_budget_factor=1))
+            assert gc.isenabled() is on
+        finally:
+            (gc.enable if was_on else gc.disable)()
