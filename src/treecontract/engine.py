@@ -635,15 +635,17 @@ class ContractionLog:
 # machine builders
 
 class _Books:
-    """What the host keeps between rounds besides the tree: per vertex, its
-    payload's word count (pwords) and pending-slot ids (slots), both as the
-    machine that wrote the payload found them; the vertices that stand in
-    for a folded sibling batch (virtual); and the contraction log."""
+    """What the host plans from besides the tree: the simulator's read-only
+    word ledger (words), where ("P", v) holds the count of v's payload; per
+    vertex, its pending-slot ids (slots) as the machine that wrote the
+    payload found them; the vertices that stand in for a folded sibling
+    batch (virtual); and the contraction log. Payloads themselves live only
+    in the simulator's store."""
 
-    __slots__ = ("pwords", "slots", "virtual", "log")
+    __slots__ = ("words", "slots", "virtual", "log")
 
-    def __init__(self, pwords, slots, virtual, log):
-        self.pwords = pwords
+    def __init__(self, words, slots, virtual, log):
+        self.words = words
         self.slots = slots
         self.virtual = virtual
         self.log = log
@@ -673,8 +675,8 @@ def _spec_words(spec):
     return sum(4 + len(o) for o in outs)
 
 
-def _estimate(pwords, spec):
-    return _spec_words(spec) + sum(pwords[m] for m in spec[0])
+def _estimate(words, spec):
+    return _spec_words(spec) + sum(words[("P", m)] for m in spec[0])
 
 
 def _cc_machine(plugin, stage, comp_specs):
@@ -695,9 +697,9 @@ def _cc_machine(plugin, stage, comp_specs):
                                  "%s survivor %r", stage, survivor)
             rec = Record(stage, "connected", survivor, members, payloads,
                          virt, None, parents, outs, root_outs_known)
-            rec_words = ctx.write(("LOG", stage, survivor), rec.to_obj(),
-                                  read_words + rec.header_words())
-            out.append((rec, new_payload, words, slots, rec_words))
+            ctx.write(("LOG", stage, survivor), rec.to_obj(),
+                      read_words + rec.header_words())
+            out.append((rec, slots))
         return out
 
     return Machine(input_words, run, stage)
@@ -729,9 +731,9 @@ def _sc_machine(plugin, stage, batch_specs):
                                  "%s survivor %r", stage, survivor)
             rec = Record(stage, "sibling", survivor, leaves, payloads, virt,
                          parent)
-            rec_words = ctx.write(("LOG", stage, survivor), rec.to_obj(),
-                                  read_words + rec.header_words())
-            out.append((rec, new_payload, words, _NO_SLOTS, rec_words))
+            ctx.write(("LOG", stage, survivor), rec.to_obj(),
+                      read_words + rec.header_words())
+            out.append((rec, _NO_SLOTS))
         return out
 
     return Machine(input_words, run, stage)
@@ -754,25 +756,23 @@ def _pack(items, sizes, cap):
 
 
 def _apply_results(tree, books, results):
-    """Apply one round's records to the host tree: the survivor takes the
-    new payload with the word count and slot ids its machine found, and the
-    record joins the log with the count its LOG write was given. Folded
-    leaves go once the round's records are in, one pass per parent."""
-    pwords, slot_sets, virtual, log = (books.pwords, books.slots,
-                                       books.virtual, books.log)
+    """Apply one round's records to the host tree: the survivor keeps the
+    slot ids its machine found, and the record joins the log with the count
+    the ledger holds for its LOG entry. Folded leaves go once the round's
+    records are in, one pass per parent."""
+    words, slot_sets, virtual, log = (books.words, books.slots,
+                                      books.virtual, books.log)
     folded = {}
     for machine_out in results:
-        for rec, new_payload, words, slots, rec_words in machine_out:
+        for rec, slots in machine_out:
             survivor = rec.survivor
             if rec.kind == "connected":
                 tree.contract(set(rec.members), survivor)
             else:
                 folded.setdefault(rec.parent_out, []).extend(rec.members[1:])
                 virtual.add(survivor)
-            tree.payload[survivor] = new_payload
-            pwords[survivor] = words
             slot_sets[survivor] = slots
-            log.append(rec, rec_words)
+            log.append(rec, words[("LOG", rec.label, survivor)])
     for p, leaves in folded.items():
         tree.remove_leaves(p, leaves)
 
@@ -834,7 +834,7 @@ def _bounded_units(tree, plugin, cfg, rank, books, prefix=""):
             if leaf_kids:
                 spec = _comp_spec(tree, (p,) + tuple(leaf_kids), books)
                 specs.append(spec)
-                sizes.append(_estimate(books.pwords, spec))
+                sizes.append(_estimate(books.words, spec))
         machines = [_cc_machine(plugin, label + " rake", bundle)
                     for bundle in _pack(specs, sizes, cfg.S)]
         results = yield ("round", machines)
@@ -848,14 +848,14 @@ def _bounded_units(tree, plugin, cfg, rank, books, prefix=""):
 def _general_units(tree, plugin, cfg, rank, books):
     lam = degree_budget(cfg)
     alpha = sibling_batch(cfg)
-    pwords, virtual = books.pwords, books.virtual
+    words, virtual = books.words, books.virtual
     phase = 0
     while tree.n > 1:
         # the all-vertex spec has no outs, so its _estimate is 4 words per
         # vertex plus the payloads; test that before building it
         fixed = 4 * tree.n
         if fixed <= cfg.S and fixed + sum(
-                map(pwords.__getitem__, tree.vertices())) <= cfg.S:
+                words[("P", v)] for v in tree.vertices()) <= cfg.S:
             spec = _comp_spec(tree, _ordered_comp(tree.vertices(), rank),
                               books)
             results = yield ("round", [_cc_machine(plugin, "final", [spec])])
@@ -874,7 +874,7 @@ def _general_units(tree, plugin, cfg, rank, books):
                 continue
             members = _ordered_comp(comp, rank)
             spec = _comp_spec(tree, members, books)
-            size = _estimate(pwords, spec)
+            size = _estimate(words, spec)
             if size <= cfg.S:
                 direct.append(spec)
                 direct_sizes.append(size)
@@ -897,7 +897,6 @@ def _general_units(tree, plugin, cfg, rank, books):
                     raise LogIntegrityError(
                         "nested run left %d vertices" % sub.n)
                 tree.contract(set(members), members[0])
-                tree.payload[members[0]] = sub.payload[members[0]]
         level = 0
         while True:
             batches = []
@@ -917,7 +916,7 @@ def _general_units(tree, plugin, cfg, rank, books):
             if level > cfg.inv_eps:
                 yield ("fault", "%s sibling level %d exceeds %d"
                        % (label, level, cfg.inv_eps))
-            sizes = [sum(pwords[u] + 2 for u in chunk)
+            sizes = [sum(words[("P", u)] + 2 for u in chunk)
                      for _p, chunk, _v in batches]
             machines = [_sc_machine(plugin, "%s rake L%d" % (label, level),
                                     bundle)
@@ -931,7 +930,7 @@ def _general_units(tree, plugin, cfg, rank, books):
                 spec = _comp_spec(tree, (p,) + tuple(leaf_kids), books,
                                   root_outs_known=False)
                 specs.append(spec)
-                sizes.append(_estimate(pwords, spec))
+                sizes.append(_estimate(words, spec))
         machines = [_cc_machine(plugin, label + " fold", bundle)
                     for bundle in _pack(specs, sizes, cfg.S)]
         results = yield ("round", machines)
@@ -1032,17 +1031,17 @@ def solver_setup(plugin, cfg, sim=None, n=None):
 def _fresh_run(tree, plugin, cfg, sim):
     work = tree.copy()
     c_w = plugin.C_w
-    pwords = {}
+    entries = []
     for v in work.vertices():
-        payload = work.payload[v] = initial_payload(plugin, work, v)
+        payload = initial_payload(plugin, work, v)
         # "k" and the vertex id are a word each, the empty kids tuple none
-        words = pwords[v] = 2 + word_count(payload[2:4])
+        words = 2 + word_count(payload[2:4])
         check_payload_budget(words, 0, c_w, "vertex %r", v)
+        entries.append((("P", v), (payload, words)))
     cfg, sim = solver_setup(plugin, cfg, sim)
-    sim.store((("P", v), (work.payload[v], pwords[v]))
-              for v in work.vertices())
-    books = _Books(pwords, dict.fromkeys(pwords, _NO_SLOTS), set(),
-                   ContractionLog(work.root, work.vertices()))
+    sim.store(entries)
+    books = _Books(sim.words, dict.fromkeys(work.vertices(), _NO_SLOTS),
+                   set(), ContractionLog(work.root, work.vertices()))
     return work, cfg, sim, books
 
 
@@ -1071,7 +1070,7 @@ def _contract(tree, plugin, cfg, sim, units):
             with sim.phase("contract"):
                 _drive(sim, units(work, plugin, cfg, preorder_number(work),
                                   books))
-        payload = work.payload[work.root]
+        payload = sim.generation[("P", work.root)]
         if payload[4]:
             raise LogIntegrityError("root payload still has pending children")
         log = books.log

@@ -99,7 +99,10 @@ def _render(cells):
 # locally; what is left of a chunk is a run of ')' then a run of '(' and those
 # residues merge in groups per level until one summary remains.
 
-def _match_levels(s, epsilon):
+def _match_levels(s, epsilon, source_pos=None):
+    """Matching plus merge levels. An unbalanced parenthesis is reported at
+    its offset in s, or at source_pos(offset) when s was rendered from some
+    other input."""
     out = {}
     if not s:
         return out, 0
@@ -136,10 +139,11 @@ def _match_levels(s, epsilon):
             merged.append((closes, opens))
         summaries = merged
     closes, opens = summaries[0]
-    if closes:
-        raise InputError("unbalanced ')' at position %d" % closes[0])
-    if opens:
-        raise InputError("unbalanced '(' at position %d" % opens[-1])
+    if closes or opens:
+        paren, at = (")", closes[0]) if closes else ("(", opens[-1])
+        if source_pos is not None:
+            at = source_pos(at)
+        raise InputError("unbalanced %r at position %d" % (paren, at))
     return out, levels
 
 
@@ -295,7 +299,10 @@ def _simplify(s, cfg):
         raise InputError("empty expression")
     cells = _insert(toks)
     text, cell_at = _render(cells)
-    cm, levels = _match_levels(text, cfg.epsilon)
+    every = range(len(cells))
+    cm, levels = _match_levels(
+        text, cfg.epsilon,
+        lambda at: _pos_near(cells, every, cell_at[at], cell_at[at] + 1))
     cmatch = {cell_at[i]: cell_at[j] for i, j in cm.items()}
     dead = _prune(cells, cmatch)
     shape = _pow_unfold(_build(cells, cmatch, dead))

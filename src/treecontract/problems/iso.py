@@ -71,22 +71,26 @@ def subtree_heights(log):
 class IsoAlgebra(Algebra):
     """Data is the running product of (x - Q_child) factors mod m; an edge
     (a, b) maps a pending child's polynomial value t to (a*t + b) mod m. The
-    fresh edge of v is t -> x_{h(parent)} - t, with the drawn x stamped on v
-    as the `xh` attribute."""
+    fresh edge of v is t -> x_{h(parent)} - t, with x_i = xs[i - 1] the
+    drawn values and h = heights the subtree heights of the tree it runs
+    on."""
 
     name = "iso"
     C_w = 16
 
-    def __init__(self, m):
+    def __init__(self, m, xs, heights):
         self.m = m
+        self.xs = xs
+        self.heights = heights
 
     def init_data(self, tree, v):
         return 1
 
     def fresh_edge(self, tree, v):
-        if tree.parent[v] is None:
+        p = tree.parent[v]
+        if p is None:
             return None
-        return (self.m - 1, tree.attrs[v]["xh"] % self.m)
+        return (self.m - 1, self.xs[self.heights[p] - 1] % self.m)
 
     def node_value(self, data):
         return data % self.m
@@ -161,15 +165,6 @@ def make_prime_table(n, height, alpha=1, count=32, seed=0):
     return sorted(out)
 
 
-def _stamped(tree, heights, xs, m):
-    out = tree.copy()
-    for v in out.vertices():
-        p = out.parent[v]
-        if p is not None:
-            out.attrs[v]["xh"] = xs[heights[p] - 1] % m
-    return out
-
-
 def tree_isomorphism(t1, t2, cfg, alpha=1, seed=0, prime_table=None, sim=None):
     """Verdict plus a JSON-safe detail dict. One-sided: isomorphic inputs are
     never rejected; a non-isomorphic pair can slip through with probability
@@ -202,11 +197,10 @@ def tree_isomorphism(t1, t2, cfg, alpha=1, seed=0, prime_table=None, sim=None):
         m = rng.randint(base * base, 2 * base * base)
     sim.charge_subroutine("modulus draw", 1)
     xs = [rng.randint(1, m) for _ in range(h1)]
-    plugin = IsoAlgebra(m)
-    q1, _, _ = tree_contract(_stamped(t1, subtree_heights(log1), xs, m),
-                             plugin, cfg, sim=sim)
-    q2, _, _ = tree_contract(_stamped(t2, subtree_heights(log2), xs, m),
-                             plugin, cfg, sim=sim)
+    q1, _, _ = tree_contract(t1, IsoAlgebra(m, xs, subtree_heights(log1)),
+                             cfg, sim=sim)
+    q2, _, _ = tree_contract(t2, IsoAlgebra(m, xs, subtree_heights(log2)),
+                             cfg, sim=sim)
     detail.update(reason="polynomial", modulus=m, q_left=q1, q_right=q2,
                   metrics=sim.snapshot_metrics())
     return q1 == q2, detail

@@ -8,15 +8,16 @@ word ledger next to the generation, charges a read the ledger's count, and
 lets the round-end merge reuse the writer's count for the new value and the
 ledger's count for the value it replaces. A writer that already holds the
 count passes it to the write: the engine counts a contraction record from
-the words its payload reads were charged plus the record's header, and keeps
-each payload's count and slot ids on the host. Costs of cited external
-subroutines (preorder numbering, connectivity, relabeling) are charged as
-opaque round blocks rather than re-implemented.
+the words its payload reads were charged plus the record's header. The
+store is the only holder of payloads and their counts; the host plans from
+the read-only ledger view `Simulator.words` and keeps no copy of either.
+Costs of cited external subroutines (preorder numbering, connectivity,
+relabeling) are charged as opaque round blocks rather than re-implemented.
 """
 
 import math
-import random
 from contextlib import contextmanager
+from types import MappingProxyType
 
 from .errors import InputError, SimFault
 from .trees import word_count
@@ -149,9 +150,14 @@ class Simulator:
         self.violations = []
         self.phases = []
         self._phase_stack = []
-        self.rng = random.Random(cfg.seed)
         if initial:
             self.store((k, (v, word_count(v))) for k, v in initial.items())
+
+    @property
+    def words(self):
+        """Read-only view of the ledger: key -> word count of its value in
+        the current generation."""
+        return MappingProxyType(self._words)
 
     # -- faults ------------------------------------------------------------
 

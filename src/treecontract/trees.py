@@ -53,9 +53,9 @@ def _word_count_fallback(obj):
 class Tree:
     """Mutable rooted tree. parent maps vertex -> parent id (None for root);
     children keeps insertion order. attrs carries per-vertex input keys
-    (ew, vw, bypass); payload carries the problem's working data."""
+    (ew, vw, bypass)."""
 
-    __slots__ = ("root", "parent", "children", "attrs", "payload")
+    __slots__ = ("root", "parent", "children", "attrs")
 
     def __init__(self, root, parent, child_order=None, attrs=None):
         self.root = root
@@ -75,7 +75,6 @@ class Tree:
                     self.children[p].append(v)
         self.attrs = {v: dict(attrs.get(v, {})) for v in self.parent} if attrs else {
             v: {} for v in self.parent}
-        self.payload = {}
         self.validate()
 
     @property
@@ -120,27 +119,12 @@ class Tree:
         order = list(self.preorder())
         return reversed(order)
 
-    def height(self, v=None):
-        h = {}
-        for u in self.postorder():
-            h[u] = 1 + max((h[c] for c in self.children[u]), default=-1)
-        return h[v if v is not None else self.root]
-
-    def subtree(self, v):
-        stack, out = [v], []
-        while stack:
-            u = stack.pop()
-            out.append(u)
-            stack.extend(reversed(self.children[u]))
-        return out
-
     def copy(self):
         t = Tree.__new__(Tree)
         t.root = self.root
         t.parent = dict(self.parent)
         t.children = {v: list(cs) for v, cs in self.children.items()}
         t.attrs = {v: dict(a) for v, a in self.attrs.items()}
-        t.payload = dict(self.payload)
         return t
 
     def slice(self, members, root):
@@ -156,7 +140,6 @@ class Tree:
         t.parent = {v: (self.parent[v] if v != root else None) for v in members}
         t.children = {v: list(self.children[v]) for v in members}
         t.attrs = {v: dict(self.attrs[v]) for v in members}
-        t.payload = {v: self.payload[v] for v in members if v in self.payload}
         return t
 
     def remove_leaf(self, v):
@@ -168,7 +151,6 @@ class Tree:
         del self.parent[v]
         del self.children[v]
         self.attrs.pop(v, None)
-        self.payload.pop(v, None)
 
     def remove_leaves(self, p, leaves):
         """Remove leaf children of p, with one pass over p's children."""
@@ -183,7 +165,6 @@ class Tree:
             del self.parent[v]
             del self.children[v]
             self.attrs.pop(v, None)
-            self.payload.pop(v, None)
 
     def contract(self, members, survivor):
         """Contract the connected set `members` into `survivor` (its topmost
@@ -204,7 +185,6 @@ class Tree:
             del self.parent[m]
             del self.children[m]
             self.attrs.pop(m, None)
-            self.payload.pop(m, None)
         self.children[survivor] = new_children
         for c in new_children:
             self.parent[c] = survivor
@@ -346,10 +326,6 @@ def decompose(tree, lam, rank=None):
 def group_components(tree, dec):
     """Connected components of each group's induced forest, as
     (group_index, component vertex set) in (group, min-rank) order."""
-    group_of = {}
-    for gi, grp in enumerate(dec.groups(), start=1):
-        for v in grp:
-            group_of[v] = gi
     out = []
     for gi, grp in enumerate(dec.groups(), start=1):
         grp_set = set(grp)

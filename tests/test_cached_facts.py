@@ -1,12 +1,13 @@
 """Facts the engine keeps instead of recomputing must equal recomputation.
 
-Machines hand the host each new payload's word count and slot ids, and count
-a contraction record from the words their payload reads were charged plus
-the record's header. Every problem runs here at n = 2^9 with checks
-swapped in: each count a writer passes to `_Ctx.write` must equal
-`word_count` of the value, each kept slot set `_comp_spec` reads must equal
-the slot ids of the member's payload, and after every round the host's books
-must equal what the live payloads give when walked again.
+Machines hand the host each new payload's slot ids, the simulator's ledger
+holds each payload's word count, and a contraction record is counted from
+the words its payload reads were charged plus the record's header. Every
+problem runs here at n = 2^9 with checks swapped in: each count a writer
+passes to `_Ctx.write` must equal `word_count` of the value, each kept slot
+set `_comp_spec` reads must equal the slot ids of the member's payload in
+the store, and after every round the host's books must equal what the live
+payloads in the store give when walked again.
 """
 
 import pytest
@@ -70,6 +71,7 @@ CASES = {
 def checked(monkeypatch):
     """Swaps the checks in; returns the tally of what they saw."""
     seen = {"given": 0, "books": 0, "specs": 0}
+    store = {}  # "generation": the current run's simulator store
     write = sim._Ctx.write
 
     def checked_write(ctx, key, value, words=None):
@@ -78,11 +80,20 @@ def checked(monkeypatch):
             seen["given"] += 1
         return write(ctx, key, value, words)
 
+    fresh_run = engine._fresh_run
+
+    def recorded_fresh_run(tree, plugin, cfg, sim_):
+        work, cfg, sim_, books = fresh_run(tree, plugin, cfg, sim_)
+        store["generation"] = sim_.generation
+        return work, cfg, sim_, books
+
     comp_spec = engine._comp_spec
 
     def checked_comp_spec(tree, members, books, root_outs_known=True):
+        generation = store["generation"]
         for m in members:
-            assert books.slots[m] == payload_slot_ids(tree.payload[m]), m
+            assert books.slots[m] == payload_slot_ids(
+                generation[("P", m)]), m
         seen["specs"] += 1
         return comp_spec(tree, members, books, root_outs_known)
 
@@ -90,14 +101,16 @@ def checked(monkeypatch):
 
     def checked_apply(tree, books, results):
         apply_results(tree, books, results)
+        generation = store["generation"]
         for v in tree.vertices():
-            payload = tree.payload[v]
-            assert books.pwords[v] == word_count(payload), v
+            payload = generation[("P", v)]
+            assert books.words[("P", v)] == word_count(payload), v
             assert books.slots[v] == payload_slot_ids(payload), v
             assert len(books.slots[v]) == _slot_nodes(payload), v
         seen["books"] += 1
 
     monkeypatch.setattr(sim._Ctx, "write", checked_write)
+    monkeypatch.setattr(engine, "_fresh_run", recorded_fresh_run)
     monkeypatch.setattr(engine, "_comp_spec", checked_comp_spec)
     monkeypatch.setattr(engine, "_apply_results", checked_apply)
     return seen

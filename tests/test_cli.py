@@ -221,6 +221,19 @@ class TestExitCodes:
                            "--input", "1+")
         assert code == 3
 
+    @pytest.mark.parametrize("text, message", [
+        ("1+2)", "unbalanced ')' at position 3"),
+        ("(1+2", "unbalanced '(' at position 0"),
+        ("((3)))", "unbalanced ')' at position 5"),
+        ("1+(2*3", "unbalanced '(' at position 2"),
+        ("12345+)", "unbalanced ')' at position 6"),
+    ])
+    def test_unbalanced_paren_names_input_position(self, capsys, text,
+                                                   message):
+        code, _, err = run(capsys, "solve", "--problem", "eval",
+                           "--input", text)
+        assert code == 3 and err.strip() == "error: " + message
+
     def test_division_by_zero(self, capsys):
         code, _, err = run(capsys, "solve", "--problem", "eval",
                            "--input", "1/0")

@@ -16,6 +16,13 @@ from treecontract.sim import SimConfig
 from treecontract.trees import Tree
 
 
+def height(tree, v=None):
+    h = {}
+    for u in tree.postorder():
+        h[u] = 1 + max((h[c] for c in tree.children[u]), default=-1)
+    return h[v if v is not None else tree.root]
+
+
 def cfg_for(n, epsilon=0.5):
     return SimConfig(epsilon=epsilon, n=max(2, n))
 
@@ -26,7 +33,7 @@ class TestHeights:
                   random_tree(90, 3)]:
             h, log, metrics = height_run(t, cfg_for(t.n))
             table = height_table(t)
-            assert h == table[t.root] == t.height()
+            assert h == table[t.root] == height(t)
             assert subtree_heights(log) == table
             assert not metrics["violations"]
 

@@ -52,14 +52,21 @@ def test_oracles_do_not_import_engine_modules():
         assert not re.search(r"from\s+\.%s|import\s+%s\b" % (banned, banned), text)
 
 
+def height(tree, v=None):
+    h = {}
+    for u in tree.postorder():
+        h[u] = 1 + max((h[c] for c in tree.children[u]), default=-1)
+    return h[v if v is not None else tree.root]
+
+
 # ---------------------------------------------------------------------------
 # generators
 
 def test_generator_shapes():
-    assert path(5).height() == 4
+    assert height(path(5)) == 4
     assert star(5).deg(1) == 4
     assert broom(8, 4).deg(4) == 4
-    assert complete_kary(7, 2).height() == 2
+    assert height(complete_kary(7, 2)) == 2
     t = caterpillar(10)
     assert t.n == 10
     with pytest.raises(InputError):
@@ -218,7 +225,7 @@ def test_height_table():
     assert height_table(star(5))[1] == 1
     t = random_tree(50, 2)
     h = height_table(t)
-    assert h[t.root] == t.height()
+    assert h[t.root] == height(t)
     for v in t.vertices():
         assert h[v] == 1 + max((h[u] for u in t.children[v]), default=-1)
 

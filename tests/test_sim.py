@@ -285,6 +285,23 @@ class TestBudgets:
         assert m["total_words"] == 7
         assert m["peak_machine_words"] == 1 + 4
 
+    def test_words_is_a_read_only_view_of_the_ledger(self):
+        sim = Simulator(cfg(), initial={"a": (1, 2, 3)})
+        words = sim.words
+        assert dict(words) == {"a": 3}
+
+        def write(ctx):
+            ctx.write("a", 7)
+            ctx.write("b", (1, Fraction(1, 3)))
+
+        sim.run_round([Machine(0, write)])
+        assert dict(words) == {"a": 1, "b": 3}
+        with pytest.raises(TypeError):
+            words["a"] = 5
+        with pytest.raises(AttributeError):
+            sim.words = {}
+        assert dict(sim.words) == {"a": 1, "b": 3}
+
     def test_write_takes_a_count_the_writer_holds(self):
         sim = Simulator(cfg())
         counts = []

@@ -27,6 +27,22 @@ def tree_strategy(max_n=40):
         lambda n: st.tuples(st.just(n), st.integers(0, 2**31)))
 
 
+def height(tree, v=None):
+    h = {}
+    for u in tree.postorder():
+        h[u] = 1 + max((h[c] for c in tree.children[u]), default=-1)
+    return h[v if v is not None else tree.root]
+
+
+def subtree(tree, v):
+    stack, out = [v], []
+    while stack:
+        u = stack.pop()
+        out.append(u)
+        stack.extend(reversed(tree.children[u]))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # words
 
@@ -101,7 +117,7 @@ def test_single_vertex():
     t = Tree(1, {1: None})
     assert t.n == 1
     assert preorder_number(t) == {1: 1}
-    assert t.height() == 0
+    assert height(t) == 0
 
 
 def test_preorder_path():
@@ -146,7 +162,7 @@ def test_preorder_contiguity(args):
     rank = preorder_number(t)
     assert sorted(rank.values()) == list(range(1, n + 1))
     for v in t.vertices():
-        sub = t.subtree(v)
+        sub = subtree(t, v)
         ranks = sorted(rank[u] for u in sub)
         assert ranks == list(range(rank[v], rank[v] + len(sub)))
         p = t.parent[v]
