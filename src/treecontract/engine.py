@@ -88,10 +88,6 @@ class Algebra:
         return self.node_value(data)
 
 
-def initial_payload(plugin, tree, v):
-    return ("k", v, plugin.fresh_edge(tree, v), plugin.init_data(tree, v), ())
-
-
 _NO_SLOTS = frozenset()
 
 
@@ -200,24 +196,6 @@ def contract_component(plugin, members, parents, outs, payloads):
     root = members[0]
     return _contract_payload(plugin, payloads[root], done,
                              plain.get(root, ()))
-
-
-def rnode_value(plugin, rnode, slot_fn, extra=()):
-    """Subtree value of a residual tree. slot_fn(child_id, acc) supplies the
-    contribution of a slot child; extra lists contributions of the root
-    node's plain pending children."""
-    if rnode[0] == "s":
-        raise LogIntegrityError("value of a bare slot %r" % (rnode[1],))
-    data = rnode[3]
-    for kid in rnode[4]:
-        if kid[0] == "s":
-            data = plugin.absorb(data, slot_fn(kid[1], kid[2]))
-        else:
-            data = plugin.absorb(data, plugin.through_edge(
-                rnode_value(plugin, kid, slot_fn), kid[2]))
-    for contribution in extra:
-        data = plugin.absorb(data, contribution)
-    return plugin.node_value(data)
 
 
 # ---------------------------------------------------------------------------
@@ -740,18 +718,35 @@ def _sc_machine(plugin, stage, batch_specs):
 
 
 def _pack(items, sizes, cap):
-    """First-fit decreasing bin packing; returns lists of items."""
+    """First-fit decreasing bin packing; returns lists of items. A max tree
+    over the bins' free room (-inf for a bin not yet open) leads each item
+    to the leftmost bin with room for it, in O(log n); an item that fits no
+    open bin, one over cap included, opens the next bin."""
     order = sorted(range(len(items)), key=lambda i: -sizes[i])
-    bins, loads = [], []
+    leaves = 1
+    while leaves < len(items):
+        leaves *= 2
+    room = [NEG_INF] * (2 * leaves)
+    bins = []
     for i in order:
-        for b in range(len(bins)):
-            if loads[b] + sizes[i] <= cap:
-                bins[b].append(items[i])
-                loads[b] += sizes[i]
-                break
+        size = sizes[i]
+        if room[1] >= size:
+            node = 1
+            while node < leaves:
+                node *= 2
+                if room[node] < size:
+                    node += 1
+            bins[node - leaves].append(items[i])
+            room[node] -= size
         else:
+            node = leaves + len(bins)
             bins.append([items[i]])
-            loads.append(sizes[i])
+            room[node] = cap - size
+        node //= 2
+        while node:
+            left, right = room[2 * node], room[2 * node + 1]
+            room[node] = left if left >= right else right
+            node //= 2
     return bins
 
 
@@ -1029,17 +1024,21 @@ def solver_setup(plugin, cfg, sim=None, n=None):
 
 
 def _fresh_run(tree, plugin, cfg, sim):
-    work = tree.copy()
+    """The initial payloads, read from tree's attrs and stored with their
+    counts, and a work tree of tree's shape only: the run drops vertices
+    from it but reads no attrs."""
     c_w = plugin.C_w
+    fresh_edge, init_data = plugin.fresh_edge, plugin.init_data
     entries = []
-    for v in work.vertices():
-        payload = initial_payload(plugin, work, v)
+    for v in tree.vertices():
+        edge, data = fresh_edge(tree, v), init_data(tree, v)
         # "k" and the vertex id are a word each, the empty kids tuple none
-        words = 2 + word_count(payload[2:4])
+        words = 2 + word_count(edge) + word_count(data)
         check_payload_budget(words, 0, c_w, "vertex %r", v)
-        entries.append((("P", v), (payload, words)))
+        entries.append((("P", v), (("k", v, edge, data, ()), words)))
     cfg, sim = solver_setup(plugin, cfg, sim)
     sim.store(entries)
+    work = tree.shape()
     books = _Books(sim.words, dict.fromkeys(work.vertices(), _NO_SLOTS),
                    set(), ContractionLog(work.root, work.vertices()))
     return work, cfg, sim, books
@@ -1056,12 +1055,16 @@ def _log_budget(log, cfg):
 
 def _contract(tree, plugin, cfg, sim, units):
     """Run the stream units(work, plugin, cfg, rank, books) on a fresh copy
-    of tree and read the answer at the root. Returns (answer,
+    of tree's shape and read the answer at the root. Returns (answer,
     ContractionLog, metrics).
 
     The cyclic collector is paused meanwhile: the run's working data are
     acyclic tuples that reference counting frees, so its passes would only
-    rescan the growing log. It is turned back on only if it was on."""
+    rescan the growing log. It is turned back on only if it was on. On exit
+    every tracked object, the finished log included, is handed to the oldest
+    generation (freeze then unfreeze, a list splice), so the young
+    collections that follow do not traverse the log again; a caller that
+    froze objects of its own keeps its generations as they are."""
     was_on = gc.isenabled()
     gc.disable()
     try:
@@ -1078,6 +1081,9 @@ def _contract(tree, plugin, cfg, sim, units):
         _drive(sim, _log_budget(log, sim.cfg))
         return plugin.finalize(payload[3]), log, sim.snapshot_metrics()
     finally:
+        if not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
         if was_on:
             gc.enable()
 
@@ -1196,6 +1202,39 @@ def two_contraction_reference(tree, c1, r1, init=None):
 # ---------------------------------------------------------------------------
 # reconstruction
 
+def _replay_data(plugin, node, payloads, local, values, edges, met):
+    """Data of the residual node `node` with every kid absorbed in order: a
+    known kid's value through its own edge, a slot child's through the slot's
+    acc composed with the child's edge. A slot child's edge is its snapshot's
+    in `payloads` or else in `edges`; its value is in `local` or else in
+    `values`. Each slot id met, at any depth, is added to `met`."""
+    data = node[3]
+    for kid in node[4]:
+        if kid[0] == "s":
+            u = kid[1]
+            met.add(u)
+            if u in payloads:
+                edge = payloads[u][2]
+            elif u in edges:
+                edge = edges[u]
+            else:
+                raise LogIntegrityError("missing edge for vertex %r" % (u,))
+            if kid[2] is not None:
+                edge = _compose(plugin, kid[2], edge)
+            if u in local:
+                value = local[u]
+            elif u in values:
+                value = values[u]
+            else:
+                raise LogIntegrityError("missing value for vertex %r" % (u,))
+        else:
+            value = plugin.node_value(_replay_data(
+                plugin, kid, payloads, local, values, edges, met))
+            edge = kid[2]
+        data = plugin.absorb(data, plugin.through_edge(value, edge))
+    return data
+
+
 def reconstruct(log, plugin):
     """Per-vertex subtree values, by undoing the log newest-first.
 
@@ -1203,76 +1242,87 @@ def reconstruct(log, plugin):
     moment the replay has reached; each record rewrites its members' entries
     from the stored snapshots, so earlier records always see the state their
     machines saw. Fold survivors carry the batch aggregate until their own
-    fold record restores the single-vertex value."""
+    fold record restores the single-vertex value.
+
+    A connected record's members are valued children first, each from one
+    walk of its snapshot: the snapshot's kids, then the member's children in
+    the component that no slot of the snapshot took (in member order), then
+    its outs."""
     if log.final_payload is None:
         raise LogIntegrityError("log has no final payload")
-    values = {log.root: plugin.node_value(log.final_payload[3])}
+    node_value, through_edge, absorb = (plugin.node_value,
+                                        plugin.through_edge, plugin.absorb)
+    values = {log.root: node_value(log.final_payload[3])}
     edges = {}
     out = {log.root: values[log.root]}
-
-    def value_of(u, local):
-        if u in local:
-            return local[u]
-        if u not in values:
-            raise LogIntegrityError("missing value for vertex %r" % (u,))
-        return values[u]
-
-    def edge_of(u):
-        if u not in edges:
-            raise LogIntegrityError("missing edge for vertex %r" % (u,))
-        return edges[u]
-
-    def resolve(m, value):
-        if m in out:
-            raise LogIntegrityError("vertex %r resolved twice" % (m,))
-        out[m] = value
-
     for rec in reversed(log.records):
+        members, payloads, virtual = rec.members, rec.payloads, rec.virtual
         if rec.kind == "sibling":
-            for m in rec.members:
-                snap = rec.payloads[m]
+            for m in members:
+                snap = payloads[m]
                 if snap[4]:
                     raise LogIntegrityError(
                         "folded sibling %r had pending children" % (m,))
-                values[m] = plugin.node_value(snap[3])
+                values[m] = value = node_value(snap[3])
                 edges[m] = snap[2]
-                if m not in rec.virtual:
-                    resolve(m, values[m])
+                if m not in virtual:
+                    if m in out:
+                        raise LogIntegrityError("vertex %r resolved twice"
+                                                % (m,))
+                    out[m] = value
             continue
-        snap_slots = {m: payload_slot_ids(rec.payloads[m])
-                      for m in rec.members}
-        kids_of = {m: [] for m in rec.members}
-        for u, pu in zip(rec.members, rec.parents):
-            if pu is not None and u not in snap_slots[pu]:
-                kids_of[pu].append(u)
+        survivor, outs = rec.survivor, rec.outs
+        kids_of = {}
+        for u, pu in zip(members, rec.parents):
+            if pu is not None:
+                if pu in kids_of:
+                    kids_of[pu].append(u)
+                else:
+                    kids_of[pu] = [u]
         local = {}
-
-        def slot_fn(u, acc):
-            edge = rec.payloads[u][2] if u in rec.payloads else edge_of(u)
-            return plugin.through_edge(value_of(u, local),
-                                       _compose(plugin, acc, edge))
-
-        for i, m in reversed(list(enumerate(rec.members))):
-            if m == rec.survivor and not rec.root_outs_known:
+        for i in range(len(members) - 1, -1, -1):
+            m = members[i]
+            if m == survivor and not rec.root_outs_known:
                 continue
-            extra = [plugin.through_edge(local[u], rec.payloads[u][2])
-                     for u in kids_of[m]]
-            extra.extend(plugin.through_edge(value_of(u, local), edge_of(u))
-                         for u in rec.outs[i])
-            local[m] = rnode_value(plugin, rec.payloads[m], slot_fn, extra)
+            snap = payloads[m]
+            if snap[0] == "s":
+                raise LogIntegrityError("value of a bare slot %r" % (snap[1],))
+            if snap[4]:
+                met = set()
+                data = _replay_data(plugin, snap, payloads, local, values,
+                                    edges, met)
+            else:
+                met, data = _NO_SLOTS, snap[3]
+            for u in kids_of.get(m, ()):
+                if u not in met:
+                    data = absorb(data, through_edge(local[u], payloads[u][2]))
+            for u in outs[i]:
+                if u in local:
+                    value = local[u]
+                elif u in values:
+                    value = values[u]
+                else:
+                    raise LogIntegrityError("missing value for vertex %r"
+                                            % (u,))
+                if u not in edges:
+                    raise LogIntegrityError("missing edge for vertex %r"
+                                            % (u,))
+                data = absorb(data, through_edge(value, edges[u]))
+            local[m] = node_value(data)
         if rec.root_outs_known:
-            if values.get(rec.survivor) != local[rec.survivor]:
+            if values.get(survivor) != local[survivor]:
                 raise LogIntegrityError(
                     "undo mismatch at %r: stored %r, derived %r"
-                    % (rec.survivor, values.get(rec.survivor),
-                       local[rec.survivor]))
-        for m in rec.members:
-            edges[m] = rec.payloads[m][2]
-            if m == rec.survivor:
+                    % (survivor, values.get(survivor), local[survivor]))
+        for m in members:
+            edges[m] = payloads[m][2]
+            if m == survivor:
                 continue
-            values[m] = local[m]
-            if m not in rec.virtual:
-                resolve(m, local[m])
+            values[m] = value = local[m]
+            if m not in virtual:
+                if m in out:
+                    raise LogIntegrityError("vertex %r resolved twice" % (m,))
+                out[m] = value
     missing = set(log.vertices) - set(out)
     if missing:
         raise LogIntegrityError("unresolved vertices: %r"

@@ -495,27 +495,31 @@ def eval_reference(s):
     return _RefParser(s).parse()
 
 
+def _random_term(rng, depth, allow_pow):
+    """One random_expression draw of at most `depth` operator levels. A
+    module-level function: a self-recursive closure would leave a reference
+    cycle per call."""
+    if depth == 0 or rng.random() < 0.25:
+        return str(rng.randint(0, 9))
+    op = rng.choice(["+", "+", "-", "-", "*", "*", "/"]
+                    + (["**"] if allow_pow and depth >= 2 else []))
+    if op == "**":
+        base = _random_term(rng, depth - 1, allow_pow)
+        return "(" + base + ")**" + str(rng.randint(0, 3))
+    left = _random_term(rng, depth - 1, allow_pow)
+    right = _random_term(rng, depth - 1, allow_pow)
+    if rng.random() < 0.5:
+        left = "(" + left + ")"
+    if rng.random() < 0.5:
+        right = "(" + right + ")"
+    return left + op + right
+
+
 def random_expression(seed, max_depth=6, allow_pow=True):
     """Deterministic random expression that evaluates cleanly."""
     rng = random.Random(seed)
-
-    def build(depth):
-        if depth == 0 or rng.random() < 0.25:
-            return str(rng.randint(0, 9))
-        op = rng.choice(["+", "+", "-", "-", "*", "*", "/"]
-                        + (["**"] if allow_pow and depth >= 2 else []))
-        if op == "**":
-            base = build(depth - 1)
-            return "(" + base + ")**" + str(rng.randint(0, 3))
-        left, right = build(depth - 1), build(depth - 1)
-        if rng.random() < 0.5:
-            left = "(" + left + ")"
-        if rng.random() < 0.5:
-            right = "(" + right + ")"
-        return left + op + right
-
     for attempt in range(1000):
-        s = build(max_depth)
+        s = _random_term(rng, max_depth, allow_pow)
         try:
             eval_reference(s)
             return s

@@ -205,8 +205,10 @@ def _build(cells, cmatch, dead):
             a += 1
             b -= 1
         if a >= b:
-            raise InputError("expected a number near position %d"
-                             % _pos_near(cells, alive, a, b))
+            # a missing operand is named by the operator that lacks it
+            raise InputError("expected a number near position %d" % (
+                nodes[up][1] if up is not None
+                else _pos_near(cells, alive, a, b)))
         level = ops.get(depth_at[a], ())
         lo, hi = bisect_left(level, a), bisect_left(level, b)
         if lo == hi:
@@ -214,8 +216,16 @@ def _build(cells, cmatch, dead):
                 _, val, pos = cells[alive[a]]
                 nodes.append(("num", Fraction(val), pos))
                 continue
-            raise InputError("expected a number near position %d"
-                             % _pos_near(cells, alive, a, b))
+            # two operands with no operator between: name where the second
+            # starts, its pruned outer parentheses included
+            first = alive[a]
+            k = alive[a + 1 if cells[first][0] == "num"
+                      else bisect_left(alive, cmatch[first]) + 1]
+            while k - 1 in dead and cells[k - 1][0] == "(":
+                k -= 1
+            raise InputError("expected an operator near position %d"
+                             % _pos_near(cells, range(len(cells)), k,
+                                         len(cells)))
         pick = level[lo]
         if cells[alive[pick]][1] != "**":
             pick = level[hi - 1]

@@ -53,7 +53,7 @@ def _word_count_fallback(obj):
 class Tree:
     """Mutable rooted tree. parent maps vertex -> parent id (None for root);
     children keeps insertion order. attrs carries per-vertex input keys
-    (ew, vw, bypass)."""
+    (ew, vw, bypass); it is None on a tree of shape only (see shape)."""
 
     __slots__ = ("root", "parent", "children", "attrs")
 
@@ -120,16 +120,23 @@ class Tree:
         return reversed(order)
 
     def copy(self):
+        t = self.shape()
+        if self.attrs is not None:
+            t.attrs = {v: dict(a) for v, a in self.attrs.items()}
+        return t
+
+    def shape(self):
+        """Copy of the parent and children maps, with no attrs."""
         t = Tree.__new__(Tree)
         t.root = self.root
         t.parent = dict(self.parent)
         t.children = {v: list(cs) for v, cs in self.children.items()}
-        t.attrs = {v: dict(a) for v, a in self.attrs.items()}
+        t.attrs = None
         return t
 
     def slice(self, members, root):
-        """Standalone subtree over `members` rooted at `root`. Members must be
-        closed under children (no dangling child edges)."""
+        """Standalone subtree of shape only over `members` rooted at `root`.
+        Members must be closed under children (no dangling child edges)."""
         ms = set(members)
         for v in ms:
             for c in self.children[v]:
@@ -139,7 +146,7 @@ class Tree:
         t.root = root
         t.parent = {v: (self.parent[v] if v != root else None) for v in members}
         t.children = {v: list(self.children[v]) for v in members}
-        t.attrs = {v: dict(self.attrs[v]) for v in members}
+        t.attrs = None
         return t
 
     def remove_leaf(self, v):
@@ -150,7 +157,8 @@ class Tree:
             self.children[p].remove(v)
         del self.parent[v]
         del self.children[v]
-        self.attrs.pop(v, None)
+        if self.attrs is not None:
+            self.attrs.pop(v, None)
 
     def remove_leaves(self, p, leaves):
         """Remove leaf children of p, with one pass over p's children."""
@@ -161,10 +169,12 @@ class Tree:
             if self.parent[v] != p:
                 raise InputError("%r is not a child of %r" % (v, p))
         self.children[p] = [c for c in self.children[p] if c not in gone]
+        attrs = self.attrs
         for v in leaves:
             del self.parent[v]
             del self.children[v]
-            self.attrs.pop(v, None)
+            if attrs is not None:
+                attrs.pop(v, None)
 
     def contract(self, members, survivor):
         """Contract the connected set `members` into `survivor` (its topmost
@@ -179,12 +189,14 @@ class Tree:
         kept = [c for c in self.children[survivor] if c not in ms]
         # survivor keeps its own external children first, then adopts.
         new_children = kept + [c for c in adopted if self.parent[c] != survivor]
+        attrs = self.attrs
         for m in members:
             if m == survivor:
                 continue
             del self.parent[m]
             del self.children[m]
-            self.attrs.pop(m, None)
+            if attrs is not None:
+                attrs.pop(m, None)
         self.children[survivor] = new_children
         for c in new_children:
             self.parent[c] = survivor

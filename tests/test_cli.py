@@ -234,6 +234,26 @@ class TestExitCodes:
                            "--input", text)
         assert code == 3 and err.strip() == "error: " + message
 
+    @pytest.mark.parametrize("text, message", [
+        # a missing operator is named where the second operand starts
+        ("1 2", "expected an operator near position 2"),
+        ("1+2 3", "expected an operator near position 4"),
+        ("12 + 3 4", "expected an operator near position 7"),
+        ("2*(3 4)", "expected an operator near position 5"),
+        ("(1)(2)", "expected an operator near position 3"),
+        # a missing operand is named by the operator that lacks it
+        ("(+)", "expected a number near position 1"),
+        ("1+", "expected a number near position 1"),
+        ("+1", "expected a number near position 0"),
+        ("1*+2", "expected a number near position 1"),
+        ("()", "expected a number near position 0"),
+    ])
+    def test_malformed_expression_names_input_position(self, capsys, text,
+                                                       message):
+        code, _, err = run(capsys, "solve", "--problem", "eval",
+                           "--input", text)
+        assert code == 3 and err.strip() == "error: " + message
+
     def test_division_by_zero(self, capsys):
         code, _, err = run(capsys, "solve", "--problem", "eval",
                            "--input", "1/0")

@@ -22,8 +22,8 @@ from treecontract.engine import (
     bounded_tree_contract,
     contract_component,
     degree_budget,
-    initial_payload,
     lift_unary,
+    payload_slot_ids,
     reconstruct,
     sibling_batch,
     solver_setup,
@@ -42,16 +42,21 @@ from treecontract.oracles import (
     star,
     with_edge_weights,
 )
+from treecontract.problems.exprs import EvalAlgebra
 from treecontract.problems.indep import MwisAlgebra
 from treecontract.problems.iso import HeightAlgebra
-from treecontract.problems.matching import mwm_solve
-from treecontract.problems import REGISTRY, iso
+from treecontract.problems.matching import MwmAlgebra, mwm_solve
+from treecontract.problems import REGISTRY, exprs, indep, iso, matching
 from treecontract.sim import Machine, SimConfig, Simulator
 from treecontract.trees import Tree, word_count
 
 
 def add(a, b):
     return a + b
+
+
+def initial_payload(plugin, tree, v):
+    return ("k", v, plugin.fresh_edge(tree, v), plugin.init_data(tree, v), ())
 
 
 def sum_plugin():
@@ -1162,3 +1167,323 @@ class TestNoCycles:
             assert gc.isenabled() is on
         finally:
             (gc.enable if was_on else gc.disable)()
+
+
+class TestCollectorHandoff:
+    """A run leaves its objects, the log included, in the oldest
+    generation, so the young collections after it do not traverse them."""
+
+    def test_no_record_is_left_young(self):
+        t = valued(broom(300))
+        was_on = gc.isenabled()
+        gc.enable()
+        try:
+            _a, log, _m = tree_contract(t, sum_plugin(), cfg(300))
+            # the first allocation after the run may start a young
+            # collection, which would move what it finds to generation 1
+            young = gc.get_objects(generation=0) + gc.get_objects(
+                generation=1)
+            assert not any(type(obj) is Record for obj in young)
+            assert any(type(obj) is Record for obj in gc.get_objects())
+            assert log.records
+        finally:
+            (gc.enable if was_on else gc.disable)()
+
+    def test_a_caller_freeze_is_kept(self):
+        t = valued(broom(300))
+        was_on = gc.isenabled()
+        gc.enable()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert frozen
+            _a, log, _m = tree_contract(t, sum_plugin(), cfg(300))
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+            (gc.enable if was_on else gc.disable)()
+
+
+# ---------------------------------------------------------------------------
+# first-fit decreasing, one scan over the open bins per item: the reference
+# the max-tree _pack is checked against
+
+def reference_pack(items, sizes, cap):
+    """First-fit decreasing bin packing; returns lists of items."""
+    order = sorted(range(len(items)), key=lambda i: -sizes[i])
+    bins, loads = [], []
+    for i in order:
+        for b in range(len(bins)):
+            if loads[b] + sizes[i] <= cap:
+                bins[b].append(items[i])
+                loads[b] += sizes[i]
+                break
+        else:
+            bins.append([items[i]])
+            loads.append(sizes[i])
+    return bins
+
+
+class TestPack:
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda cap: st.tuples(
+        st.just(cap), st.lists(st.integers(0, cap + 10), max_size=70))))
+    def test_bins_equal_the_reference(self, drawn):
+        # sizes up to cap + 10 draw items over cap; few distinct sizes draw
+        # ties, which keep their input order
+        cap, sizes = drawn
+        items = ["item%d" % i for i in range(len(sizes))]
+        assert engine._pack(items, sizes, cap) == reference_pack(
+            items, sizes, cap)
+
+    def test_oversized_items_open_their_own_bins(self):
+        assert engine._pack("abcd", [9, 2, 12, 3], 10) == [
+            ["c"], ["a"], ["d", "b"]]
+
+
+# ---------------------------------------------------------------------------
+# reconstruction: the replay that walks each snapshot twice (slot ids, then
+# the value) and builds its helpers per record, kept as the reference the
+# one-walk replay is checked against
+
+def reference_rnode_value(plugin, rnode, slot_fn, extra=()):
+    """Subtree value of a residual tree. slot_fn(child_id, acc) supplies the
+    contribution of a slot child; extra lists contributions of the root
+    node's plain pending children."""
+    if rnode[0] == "s":
+        raise LogIntegrityError("value of a bare slot %r" % (rnode[1],))
+    data = rnode[3]
+    for kid in rnode[4]:
+        if kid[0] == "s":
+            data = plugin.absorb(data, slot_fn(kid[1], kid[2]))
+        else:
+            data = plugin.absorb(data, plugin.through_edge(
+                reference_rnode_value(plugin, kid, slot_fn), kid[2]))
+    for contribution in extra:
+        data = plugin.absorb(data, contribution)
+    return plugin.node_value(data)
+
+
+def reference_reconstruct(log, plugin):
+    """Per-vertex subtree values, by undoing the log newest-first.
+
+    Maintains, per vertex id, the value and upward edge current for the
+    moment the replay has reached; each record rewrites its members' entries
+    from the stored snapshots, so earlier records always see the state their
+    machines saw. Fold survivors carry the batch aggregate until their own
+    fold record restores the single-vertex value."""
+    if log.final_payload is None:
+        raise LogIntegrityError("log has no final payload")
+    values = {log.root: plugin.node_value(log.final_payload[3])}
+    edges = {}
+    out = {log.root: values[log.root]}
+
+    def value_of(u, local):
+        if u in local:
+            return local[u]
+        if u not in values:
+            raise LogIntegrityError("missing value for vertex %r" % (u,))
+        return values[u]
+
+    def edge_of(u):
+        if u not in edges:
+            raise LogIntegrityError("missing edge for vertex %r" % (u,))
+        return edges[u]
+
+    def resolve(m, value):
+        if m in out:
+            raise LogIntegrityError("vertex %r resolved twice" % (m,))
+        out[m] = value
+
+    for rec in reversed(log.records):
+        if rec.kind == "sibling":
+            for m in rec.members:
+                snap = rec.payloads[m]
+                if snap[4]:
+                    raise LogIntegrityError(
+                        "folded sibling %r had pending children" % (m,))
+                values[m] = plugin.node_value(snap[3])
+                edges[m] = snap[2]
+                if m not in rec.virtual:
+                    resolve(m, values[m])
+            continue
+        snap_slots = {m: payload_slot_ids(rec.payloads[m])
+                      for m in rec.members}
+        kids_of = {m: [] for m in rec.members}
+        for u, pu in zip(rec.members, rec.parents):
+            if pu is not None and u not in snap_slots[pu]:
+                kids_of[pu].append(u)
+        local = {}
+
+        def slot_fn(u, acc):
+            edge = rec.payloads[u][2] if u in rec.payloads else edge_of(u)
+            return plugin.through_edge(value_of(u, local),
+                                       _compose(plugin, acc, edge))
+
+        for i, m in reversed(list(enumerate(rec.members))):
+            if m == rec.survivor and not rec.root_outs_known:
+                continue
+            extra = [plugin.through_edge(local[u], rec.payloads[u][2])
+                     for u in kids_of[m]]
+            extra.extend(plugin.through_edge(value_of(u, local), edge_of(u))
+                         for u in rec.outs[i])
+            local[m] = reference_rnode_value(plugin, rec.payloads[m], slot_fn,
+                                             extra)
+        if rec.root_outs_known:
+            if values.get(rec.survivor) != local[rec.survivor]:
+                raise LogIntegrityError(
+                    "undo mismatch at %r: stored %r, derived %r"
+                    % (rec.survivor, values.get(rec.survivor),
+                       local[rec.survivor]))
+        for m in rec.members:
+            edges[m] = rec.payloads[m][2]
+            if m == rec.survivor:
+                continue
+            values[m] = local[m]
+            if m not in rec.virtual:
+                resolve(m, local[m])
+    missing = set(log.vertices) - set(out)
+    if missing:
+        raise LogIntegrityError("unresolved vertices: %r"
+                                % (sorted(missing)[:5],))
+    phantom = set(out) - set(log.vertices)
+    if phantom:
+        raise LogIntegrityError("phantom vertices resolved: %r"
+                                % (sorted(phantom)[:5],))
+    return out
+
+
+N_REPLAY, SEED_REPLAY = 1 << 12, 7
+
+
+def iso_pair(tree, seed):
+    return [tree, oracles.relabeled_copy(tree, seed)]
+
+# problem -> (epsilon, inputs); with eval's `**` among the operators
+REPLAY_RUNS = {
+    "mwm": (0.5, lambda: ([with_edge_weights(
+        random_tree(N_REPLAY, SEED_REPLAY), SEED_REPLAY)], None)),
+    "mwis": (0.5, lambda: ([oracles.with_vertex_weights(
+        caterpillar(N_REPLAY), SEED_REPLAY)], None)),
+    "mis": (0.5, lambda: ([broom(N_REPLAY)], None)),
+    "matching": (0.5, lambda: ([broom(N_REPLAY)], None)),
+    "height": (0.25, lambda: ([random_tree(N_REPLAY, SEED_REPLAY)], None)),
+    "sum": (0.25, lambda: ([path(N_REPLAY)], None)),
+    "eval": (0.5, lambda: ([], registry_expression(SEED_REPLAY, N_REPLAY))),
+    "iso": (0.5, lambda: (iso_pair(random_tree(N_REPLAY, SEED_REPLAY),
+                                   SEED_REPLAY), None)),
+}
+# the solvers whose answers need no replay: theirs is run on their log
+REPLAY_PLUGINS = {"height": HeightAlgebra, "sum": sum_plugin,
+                  "eval": EvalAlgebra}
+
+
+def _raised(fn, *args):
+    with pytest.raises(LogIntegrityError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def _broom_log():
+    """A sum log with sibling and connected records; virtual members stand
+    in for folded batches."""
+    t = valued(broom(300), lambda v: v % 7)
+    _a, log, _m = tree_contract(t, sum_plugin(), cfg(300))
+    kinds = {rec.kind for rec in log.records}
+    assert kinds == {"sibling", "connected"}
+    return log
+
+
+class TestReplay:
+    @pytest.mark.parametrize("name", sorted(REPLAY_RUNS))
+    def test_equals_the_reference(self, name, monkeypatch):
+        calls = []
+        replay = engine.reconstruct
+
+        def recorded(log, plugin):
+            out = replay(log, plugin)
+            calls.append((log, plugin, out))
+            return out
+
+        for module in (exprs, indep, iso, matching):
+            monkeypatch.setattr(module, "reconstruct", recorded)
+        epsilon, make = REPLAY_RUNS[name]
+        trees, text = make()
+        n = max(4, len(text)) if text is not None else trees[0].n
+        result = REGISTRY[name]["solve"](
+            trees, text, cfg(n, epsilon=epsilon, seed=SEED_REPLAY),
+            SEED_REPLAY)
+        assert REGISTRY[name]["check"](trees, text, result)[2]
+        if name in REPLAY_PLUGINS:
+            plugin = REPLAY_PLUGINS[name]()
+            calls.append((result["log"], plugin,
+                          replay(result["log"], plugin)))
+        assert name != "eval" or "**" in text
+        assert calls
+        for log, plugin, out in calls:
+            want = reference_reconstruct(log, plugin)
+            assert list(out.items()) == list(want.items())
+
+    @pytest.mark.parametrize("tamper, check", [
+        ("drop", "unresolved"),
+        ("duplicate", "resolved twice"),
+        ("survivor value", "undo mismatch"),
+        ("sibling kids", "had pending children"),
+        ("phantom", "phantom vertices"),
+    ])
+    def test_a_tampered_log_fails_the_reference_check(self, tamper, check):
+        log = _broom_log()
+        plugin = sum_plugin()
+        records = log.records
+        sibling = next(i for i, rec in enumerate(records)
+                       if rec.kind == "sibling")
+        rec = records[sibling]
+        if tamper == "drop":
+            del records[sibling]
+        elif tamper == "duplicate":
+            records.insert(sibling, rec)
+        elif tamper == "survivor value":
+            final = log.final_payload
+            log.final_payload = final[:3] + (final[3] + 1,) + final[4:]
+        elif tamper == "sibling kids":
+            m = rec.members[-1]
+            rec.payloads[m] = rec.payloads[m][:4] + (("s", 999, None),)
+        else:
+            ghost = 10 ** 6
+            rec.members = rec.members + (ghost,)
+            rec.payloads[ghost] = ("k", ghost, None, 1, ())
+        got = _raised(reconstruct, log, plugin)
+        assert check in got
+        assert got == _raised(reference_reconstruct, log, plugin)
+
+    def test_a_bare_slot_snapshot_is_rejected(self):
+        log = _broom_log()
+        rec = next(rec for rec in reversed(log.records)
+                   if rec.kind == "connected")
+        m = rec.members[-1]
+        rec.payloads[m] = ("s", m, None)
+        got = _raised(reconstruct, log, sum_plugin())
+        assert "bare slot" in got
+        assert got == _raised(reference_reconstruct, log, sum_plugin())
+
+
+N_LARGE = 1 << 16
+
+
+class TestLargeReplay:
+    """Per-vertex replays at n = 2^16 against the sequential tables."""
+
+    @pytest.mark.parametrize("name", ["mwm", "mwis", "height"])
+    def test_replay_equals_the_oracle_table(self, name):
+        seed = 11
+        if name == "mwm":
+            t = with_edge_weights(random_tree(N_LARGE, seed), seed)
+            plugin, table = MwmAlgebra(), oracles.mwm_table
+        elif name == "mwis":
+            t = oracles.with_vertex_weights(caterpillar(N_LARGE), seed)
+            plugin, table = MwisAlgebra(), oracles.mwis_table
+        else:
+            t = random_tree(N_LARGE, seed)
+            plugin, table = HeightAlgebra(), oracles.height_table
+        _a, log, _m = tree_contract(t, plugin, cfg(N_LARGE, seed=seed))
+        assert reconstruct(log, plugin) == table(t)

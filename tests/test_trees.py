@@ -226,6 +226,21 @@ def test_parse_tree_sample():
     assert t.attrs[4]["bypass"] == 1
 
 
+def test_shape_keeps_structure_only():
+    t = parse_tree(SAMPLE)
+    work = t.shape()
+    assert work.attrs is None
+    assert (work.root, work.parent, work.children) == (t.root, t.parent,
+                                                        t.children)
+    sub = work.slice({3, 4}, 3)
+    assert sub.attrs is None and sub.parent == {3: None, 4: 3}
+    work.remove_leaves(3, [4])
+    work.contract({1, 3}, 1)
+    work.remove_leaf(2)
+    assert work.n == 1 and work.copy() == work
+    assert t.n == 4 and t.children[3] == [4] and t.attrs[4]["bypass"] == 1
+
+
 def test_serialize_round_trip():
     t = parse_tree(SAMPLE)
     assert parse_tree(serialize_tree(t)) == t
