@@ -103,13 +103,14 @@ def payload_slot_ids(rnode):
     return out
 
 
-def check_payload_budget(words, slots, c_w, who, *who_args):
+def check_payload_budget(fault, words, slots, c_w, who, *who_args):
     """A payload of `words` words with `slots` pending child slots must fit
-    C_w per slot plus C_w. The fault names the payload `who % who_args`."""
+    C_w per slot plus C_w; else it is reported to `fault`, naming the payload
+    `who % who_args`."""
     budget = c_w * (slots + 1)
     if words > budget:
-        raise SimFault("%s: payload of %d words exceeds %d (non-conforming "
-                       "contractor)" % (who % who_args, words, budget))
+        fault("%s: payload of %d words exceeds %d (non-conforming "
+              "contractor)" % (who % who_args, words, budget))
 
 
 def _compose(plugin, hi, lo):
@@ -614,16 +615,19 @@ class ContractionLog:
 
 class _Books:
     """What the host plans from besides the tree: the simulator's read-only
-    word ledger (words), where ("P", v) holds the count of v's payload; per
-    vertex, its pending-slot ids (slots) as the machine that wrote the
-    payload found them; the vertices that stand in for a folded sibling
-    batch (virtual); and the contraction log. Payloads themselves live only
-    in the simulator's store."""
+    word ledger (words), where ("P", v) holds the count of v's payload; the
+    simulator's fault hook (fault), which raises or records a budget or cap
+    violation, and the plugin's C_w (c_w); per vertex, its pending-slot ids
+    (slots) as the machine that wrote the payload found them; the vertices
+    that stand in for a folded sibling batch (virtual); and the contraction
+    log. Payloads themselves live only in the simulator's store."""
 
-    __slots__ = ("words", "slots", "virtual", "log")
+    __slots__ = ("words", "fault", "c_w", "slots", "virtual", "log")
 
-    def __init__(self, words, slots, virtual, log):
+    def __init__(self, words, fault, c_w, slots, virtual, log):
         self.words = words
+        self.fault = fault
+        self.c_w = c_w
         self.slots = slots
         self.virtual = virtual
         self.log = log
@@ -669,15 +673,12 @@ def _cc_machine(plugin, stage, comp_specs):
             read_words = ctx.read_words - read_before
             new_payload = contract_component(plugin, members, parents, outs,
                                              payloads)
-            slots = payload_slot_ids(new_payload)
-            words = ctx.write(("P", survivor), new_payload)
-            check_payload_budget(words, len(slots), plugin.C_w,
-                                 "%s survivor %r", stage, survivor)
+            ctx.write(("P", survivor), new_payload)
             rec = Record(stage, "connected", survivor, members, payloads,
                          virt, None, parents, outs, root_outs_known)
             ctx.write(("LOG", stage, survivor), rec.to_obj(),
                       read_words + rec.header_words())
-            out.append((rec, slots))
+            out.append((rec, payload_slot_ids(new_payload)))
         return out
 
     return Machine(input_words, run, stage)
@@ -703,10 +704,7 @@ def _sc_machine(plugin, stage, batch_specs):
                     plugin.node_value(node[3]), node[2]))
             read_words = ctx.read_words - read_before
             data, edge = plugin.sibling_fold(contributions)
-            new_payload = ("k", survivor, edge, data, ())
-            words = ctx.write(("P", survivor), new_payload)
-            check_payload_budget(words, 0, plugin.C_w,
-                                 "%s survivor %r", stage, survivor)
+            ctx.write(("P", survivor), ("k", survivor, edge, data, ()))
             rec = Record(stage, "sibling", survivor, leaves, payloads, virt,
                          parent)
             ctx.write(("LOG", stage, survivor), rec.to_obj(),
@@ -752,11 +750,12 @@ def _pack(items, sizes, cap):
 
 def _apply_results(tree, books, results):
     """Apply one round's records to the host tree: the survivor keeps the
-    slot ids its machine found, and the record joins the log with the count
-    the ledger holds for its LOG entry. Folded leaves go once the round's
-    records are in, one pass per parent."""
-    words, slot_sets, virtual, log = (books.words, books.slots,
-                                      books.virtual, books.log)
+    slot ids its machine found, its payload's count in the ledger is checked
+    against the budget for that many slots, and the record joins the log
+    with the count the ledger holds for its LOG entry. Folded leaves go once
+    the round's records are in, one pass per parent."""
+    words, fault, c_w = books.words, books.fault, books.c_w
+    slot_sets, virtual, log = books.slots, books.virtual, books.log
     folded = {}
     for machine_out in results:
         for rec, slots in machine_out:
@@ -767,6 +766,8 @@ def _apply_results(tree, books, results):
                 folded.setdefault(rec.parent_out, []).extend(rec.members[1:])
                 virtual.add(survivor)
             slot_sets[survivor] = slots
+            check_payload_budget(fault, words[("P", survivor)], len(slots),
+                                 c_w, "%s survivor %r", rec.label, survivor)
             log.append(rec, words[("LOG", rec.label, survivor)])
     for p, leaves in folded.items():
         tree.remove_leaves(p, leaves)
@@ -791,10 +792,10 @@ def _ordered_comp(members, rank):
 
 def _bounded_units(tree, plugin, cfg, rank, books, prefix=""):
     """Unit stream of the bounded-degree contraction; books is kept current
-    for every live vertex. Yields
-    ("charge", label, rounds), ("round", machines) whose send-value is the
-    per-machine results, or ("fault", message). Every phase emits the same
-    unit shapes, so parallel streams can be merged step by step."""
+    for every live vertex. Yields ("charge", label, rounds) and ("round",
+    machines), whose send-value is the per-machine results. Every phase
+    emits the same unit shapes, so parallel streams can be merged step by
+    step; a phase over the cap is reported to books.fault."""
     lam = degree_budget(cfg)
     for v in tree.vertices():
         if tree.deg(v) > lam:
@@ -805,8 +806,8 @@ def _bounded_units(tree, plugin, cfg, rank, books, prefix=""):
     while tree.n > 1:
         phase += 1
         if phase > cfg.phase_cap:
-            yield ("fault", "%sphase %d exceeds the cap of %d"
-                   % (prefix, phase, cfg.phase_cap))
+            books.fault("%sphase %d exceeds the cap of %d"
+                        % (prefix, phase, cfg.phase_cap))
         label = "%sphase %d" % (prefix, phase)
         if phase == 1:
             yield ("charge", "preorder", cfg.inv_eps)
@@ -858,8 +859,8 @@ def _general_units(tree, plugin, cfg, rank, books):
             break
         phase += 1
         if phase > cfg.phase_cap:
-            yield ("fault", "phase %d exceeds the cap of %d"
-                   % (phase, cfg.phase_cap))
+            books.fault("phase %d exceeds the cap of %d"
+                        % (phase, cfg.phase_cap))
         label = "phase %d" % phase
         n_before = tree.n
         yield ("charge", "connectivity", cfg.inv_eps)
@@ -909,8 +910,8 @@ def _general_units(tree, plugin, cfg, rank, books):
                 break
             level += 1
             if level > cfg.inv_eps:
-                yield ("fault", "%s sibling level %d exceeds %d"
-                       % (label, level, cfg.inv_eps))
+                books.fault("%s sibling level %d exceeds %d"
+                            % (label, level, cfg.inv_eps))
             sizes = [sum(words[("P", u)] + 2 for u in chunk)
                      for _p, chunk, _v in batches]
             machines = [_sc_machine(plugin, "%s rake L%d" % (label, level),
@@ -936,19 +937,21 @@ def _general_units(tree, plugin, cfg, rank, books):
 
 
 # ---------------------------------------------------------------------------
-# scheduling: a unit stream is a generator of ("charge", label, rounds),
-# ("round", machines) or ("fault", message) units; a round's send-value is
-# its machines' results, every other unit's is None. _merged turns several
-# streams into one, so the nested bounded runs of a general phase share their
+# scheduling: a unit stream is a generator of two unit kinds,
+# ("charge", label, rounds) and ("round", machines); a round's send-value is
+# its machines' results, a charge's is None. _merged turns several streams
+# into one, so the nested bounded runs of a general phase share their
 # rounds; _drive executes one stream and is the only engine code that
-# advances the simulator.
+# advances the simulator. Budget and cap violations do not travel as units:
+# the streams report them to the simulator's fault hook themselves.
 
 def _merged(streams):
     """One stream running `streams` side by side, one merged unit per step.
     A round step runs every stream's machines in one round, in stream order,
     and sends each stream its own slice of the results. Streams emit the same
-    unit kinds and charges step by step, else LogIntegrityError; a stream
-    that finishes early just drops out."""
+    unit kinds and charges step by step, else LogIntegrityError, as does any
+    unit that is neither a round nor a charge; a stream that finishes early
+    just drops out."""
     active = list(streams)
     sends = [None] * len(active)
     while active:
@@ -979,17 +982,15 @@ def _merged(streams):
             for i, u in enumerate(units):
                 sends[i] = results[pos:pos + len(u[1])]
                 pos += len(u[1])
-        elif kind == "fault":
-            for u in units:
-                yield u
         else:
             raise LogIntegrityError("unit %r inside a parallel step"
                                     % (kind,))
 
 
 def _drive(sim, gen):
-    """Execute a unit stream on sim. A round with no machines runs no round
-    and sends back no results."""
+    """Execute a unit stream of rounds and charges on sim; any other unit
+    is an InputError. A round with no machines runs no round and sends back
+    no results."""
     send = None
     while True:
         try:
@@ -1002,8 +1003,6 @@ def _drive(sim, gen):
             send = sim.run_round(arg) if arg else []
         elif kind == "charge":
             sim.charge_subroutine(arg, unit[2])
-        elif kind == "fault":
-            sim.fault(arg)
         else:
             raise InputError("unknown unit %r" % (kind,))
 
@@ -1024,33 +1023,25 @@ def solver_setup(plugin, cfg, sim=None, n=None):
 
 
 def _fresh_run(tree, plugin, cfg, sim):
-    """The initial payloads, read from tree's attrs and stored with their
-    counts, and a work tree of tree's shape only: the run drops vertices
-    from it but reads no attrs."""
-    c_w = plugin.C_w
+    """The initial payloads, read from tree's attrs, checked against the
+    budget and stored with their counts, and a work tree of tree's shape
+    only: the run drops vertices from it but reads no attrs."""
+    cfg, sim = solver_setup(plugin, cfg, sim)
+    c_w, fault = plugin.C_w, sim.fault
     fresh_edge, init_data = plugin.fresh_edge, plugin.init_data
     entries = []
     for v in tree.vertices():
         edge, data = fresh_edge(tree, v), init_data(tree, v)
         # "k" and the vertex id are a word each, the empty kids tuple none
         words = 2 + word_count(edge) + word_count(data)
-        check_payload_budget(words, 0, c_w, "vertex %r", v)
+        check_payload_budget(fault, words, 0, c_w, "vertex %r", v)
         entries.append((("P", v), (("k", v, edge, data, ()), words)))
-    cfg, sim = solver_setup(plugin, cfg, sim)
     sim.store(entries)
     work = tree.shape()
-    books = _Books(sim.words, dict.fromkeys(work.vertices(), _NO_SLOTS),
-                   set(), ContractionLog(work.root, work.vertices()))
+    books = _Books(sim.words, fault, c_w,
+                   dict.fromkeys(work.vertices(), _NO_SLOTS), set(),
+                   ContractionLog(work.root, work.vertices()))
     return work, cfg, sim, books
-
-
-def _log_budget(log, cfg):
-    """Unit stream that faults if the log outgrew total_budget_factor * n
-    words."""
-    budget = cfg.total_budget_factor * cfg.n
-    if log.total_words > budget:
-        yield ("fault", "contraction log of %d words exceeds %d"
-               % (log.total_words, budget))
 
 
 def _contract(tree, plugin, cfg, sim, units):
@@ -1078,7 +1069,10 @@ def _contract(tree, plugin, cfg, sim, units):
             raise LogIntegrityError("root payload still has pending children")
         log = books.log
         log.final_payload = payload
-        _drive(sim, _log_budget(log, sim.cfg))
+        budget = sim.cfg.total_budget_factor * sim.cfg.n
+        if log.total_words > budget:
+            sim.fault("contraction log of %d words exceeds %d"
+                      % (log.total_words, budget))
         return plugin.finalize(payload[3]), log, sim.snapshot_metrics()
     finally:
         if not gc.get_freeze_count():

@@ -177,16 +177,16 @@ class Tree:
                 attrs.pop(v, None)
 
     def contract(self, members, survivor):
-        """Contract the connected set `members` into `survivor` (its topmost
-        member). External children of removed members reattach to the survivor
-        in member order, then child order."""
-        ms = set(members)
+        """Contract the connected set `members` (a set or frozenset, used as
+        given) into `survivor` (its topmost member). External children of
+        removed members reattach to the survivor in the set's iteration
+        order, then child order."""
         adopted = []
         for m in members:
             for c in self.children[m]:
-                if c not in ms:
+                if c not in members:
                     adopted.append(c)
-        kept = [c for c in self.children[survivor] if c not in ms]
+        kept = [c for c in self.children[survivor] if c not in members]
         # survivor keeps its own external children first, then adopts.
         new_children = kept + [c for c in adopted if self.parent[c] != survivor]
         attrs = self.attrs
@@ -318,13 +318,13 @@ def decompose(tree, lam, rank=None):
     if rank is None:
         rank = preorder_number(tree)
     order = sorted(tree.vertices(), key=rank.__getitem__)
-    for v in order:
-        if tree.deg(v) > lam:
-            raise InputError("degree of vertex %r exceeds lambda=%d" % (v, lam))
+    children = tree.children
     boundaries = [0]
     cur = 0
     for i, v in enumerate(order):
-        d = tree.deg(v)
+        d = len(children[v])
+        if d > lam:
+            raise InputError("degree of vertex %r exceeds lambda=%d" % (v, lam))
         if i > 0 and (cur >= lam or cur + d > lam):
             boundaries.append(i)
             cur = 0
@@ -415,13 +415,16 @@ def low_degree_components(tree, alpha):
     it is a leaf of the induced Big-Small tree (no big vertex below it)."""
     if alpha < 2:
         raise InputError("alpha must be >= 2")
-    small = {v for v in tree.vertices() if tree.deg(v) < alpha}
+    parent, children = tree.parent, tree.children
+    small = {v for v, kids in children.items() if len(kids) < alpha}
     comps = []
-    seen = set()
-    for v in tree.preorder():
-        if v not in small or v in seen:
+    walk = [tree.root]  # preorder: a component is met at its top vertex
+    while walk:
+        v = walk.pop()
+        walk.extend(reversed(children[v]))
+        if v not in small:
             continue
-        p = tree.parent[v]
+        p = parent[v]
         if p is not None and p in small:
             continue
         comp, is_leaf = [], True
@@ -429,8 +432,7 @@ def low_degree_components(tree, alpha):
         while stack:
             u = stack.pop()
             comp.append(u)
-            seen.add(u)
-            for c in tree.children[u]:
+            for c in children[u]:
                 if c in small:
                     stack.append(c)
                 else:

@@ -89,6 +89,16 @@ class TestSolve:
         assert out.splitlines()[0] == "3000"
         assert json.loads(out.splitlines()[-1])["metrics"]["violations"] == []
 
+    def test_eval_relaxed_finishes_over_budget(self, tmp_path, capsys):
+        # 400 parenthesized terms overflow the eval payload budget at
+        # epsilon 1/2; --relaxed records that and still prints the value
+        src = self._write(tmp_path, "+".join(["(1+2)"] * 400) + "\n",
+                          "e.txt")
+        code, out, err = run(capsys, "solve", "--problem", "eval",
+                             "--relaxed", "--input", src)
+        assert code == 0, err
+        assert out.splitlines()[0] == "1200"
+
     def test_mis_star(self, tmp_path, capsys):
         lines = ["10 1", "1 -"] + ["%d 1" % v for v in range(2, 11)]
         src = self._write(tmp_path, "\n".join(lines) + "\n")

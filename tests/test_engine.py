@@ -90,6 +90,23 @@ def cfg(n, epsilon=0.5, **kw):
     return SimConfig(epsilon=epsilon, n=n, **kw)
 
 
+def two_tails(tails, hub_leaves=40):
+    """A hub with `hub_leaves` leaves and one path per entry of `tails`
+    (that many vertices), in that order; every value is 1."""
+    parent = {1: None}
+    nxt = 2
+    for _ in range(hub_leaves):
+        parent[nxt] = 1
+        nxt += 1
+    for length in tails:
+        parent[nxt] = 1
+        nxt += 1
+        for _ in range(length - 1):
+            parent[nxt] = nxt - 1
+            nxt += 1
+    return valued(Tree(1, parent))
+
+
 class Keeper(Algebra):
     """Unary data with no chain and no merge_chain: the local rules absorb
     leaves and keep every other vertex."""
@@ -252,19 +269,7 @@ class TestGeneral:
     def test_nested_runs_share_rounds(self):
         # two oversized low-degree tails hang under one high-degree hub;
         # their bounded runs must interleave into common rounds
-        parent = {1: None}
-        nxt = 2
-        for _ in range(40):
-            parent[nxt] = 1
-            nxt += 1
-        for _ in range(2):
-            top = nxt
-            parent[nxt] = 1
-            nxt += 1
-            for _ in range(59):
-                parent[nxt] = nxt - 1
-                nxt += 1
-        t = valued(Tree(1, parent))
+        t = two_tails([60, 60])
         n = t.n
         answer, log, metrics = tree_contract(t, sum_plugin(),
                                              cfg(n, epsilon=1 / 3))
@@ -440,18 +445,86 @@ class TestScheduler:
         got = _drive_merged(sim, [("round", [])])
         assert sim.rounds == 0 and got == [[[]]]
 
-    def test_every_stream_fault_is_recorded(self):
-        sim = Simulator(cfg(16, strict=False))
-        got = _drive_merged(sim, [("fault", "a broke")],
-                            [("fault", "b broke")])
-        assert sim.violations == ["a broke", "b broke"]
-        assert got == [[None], [None]]
-        with pytest.raises(SimFault, match="a broke"):
-            _drive_merged(Simulator(cfg(16)), [("fault", "a broke")],
-                          [("fault", "b broke")])
+    def test_only_rounds_and_charges_are_units(self):
+        # a violation goes to the simulator's fault hook, never down the
+        # stream; a leftover "fault" unit is an unknown unit
+        with pytest.raises(InputError, match="unknown unit"):
+            engine._drive(Simulator(cfg(16)), _stream([("fault", "x")], []))
+        with pytest.raises(LogIntegrityError, match="inside a parallel step"):
+            _drive_merged(Simulator(cfg(16)), [("fault", "x")])
+
+
+class Hoarder(Algebra):
+    """Keeps every absorbed contribution in its data, so a vertex that
+    absorbs two children outgrows C_w; the value is still the subtree's
+    weight, 4 per vertex."""
+
+    name = "hoarder"
+    C_w = 8
+
+    def init_data(self, tree, v):
+        return (1, 1, 1, 1)
+
+    def fresh_edge(self, tree, v):
+        return None
+
+    def node_value(self, data):
+        return sum(data)
+
+    def through_edge(self, value, edge):
+        return value
+
+    def absorb(self, data, contribution):
+        return data + (contribution,)
 
 
 class TestBudgets:
+    SURVIVOR_FAULT = ("phase 1 rake survivor 2: payload of 9 words exceeds 8 "
+                      "(non-conforming contractor)")
+
+    def test_grown_payload_faults_in_strict_mode(self):
+        t = complete_kary(7, 2)
+        with pytest.raises(SimFault) as err:
+            bounded_tree_contract(t, Hoarder(), cfg(7))
+        assert str(err.value) == self.SURVIVOR_FAULT
+
+    def test_grown_payload_is_recorded_when_relaxed(self):
+        t = complete_kary(7, 2)
+        answer, log, metrics = bounded_tree_contract(
+            t, Hoarder(), cfg(7, strict=False))
+        assert answer == 4 * 7
+        assert metrics["violations"][0] == self.SURVIVOR_FAULT
+        assert all("non-conforming" in v for v in metrics["violations"])
+        assert reconstruct(log, Hoarder()) == {
+            v: 4 * s for v, s in subtree_sums(valued(t)).items()}
+
+    def test_nested_streams_report_their_own_cap_faults(self):
+        # the two tails run as nested bounded streams side by side, the
+        # longer one for a phase more; with a cap of 1 each stream reports
+        # every phase past it, in stream order within a step
+        t = two_tails([60, 200])
+        c = cfg(t.n, epsilon=1 / 3, C_p=0.25, strict=False)
+        assert c.phase_cap == 1
+        answer, log, metrics = tree_contract(t, sum_plugin(), c)
+        assert answer == t.n
+        assert reconstruct(log, sum_plugin()) == subtree_sums(t)
+        tops = (42, 102)  # each tail's top vertex; the second ends at 301
+        phases = [0, 0]
+        for rec in log.records:
+            m = re.match(r"phase 1 phase (\d+) ", rec.label)
+            if m:
+                i = int(rec.survivor >= tops[1])
+                assert rec.survivor >= tops[0]
+                phases[i] = max(phases[i], int(m.group(1)))
+        assert phases == [2, 3]
+        assert metrics["violations"] == [
+            "phase 1 phase 2 exceeds the cap of 1",  # first tail
+            "phase 1 phase 2 exceeds the cap of 1",  # second tail
+            "phase 1 phase 3 exceeds the cap of 1"]  # second tail
+        with pytest.raises(SimFault,
+                           match="^phase 1 phase 2 exceeds the cap of 1$"):
+            tree_contract(t, sum_plugin(), c.replaced(strict=True))
+
     def test_nonconforming_contractor_faults(self):
         class Fat(Algebra):
             name = "fat"
@@ -465,6 +538,11 @@ class TestBudgets:
         t = valued(path(2))
         with pytest.raises(SimFault, match="non-conforming"):
             bounded_tree_contract(t, Fat(), cfg(2))
+        _work, _cfg, sim, _books = engine._fresh_run(
+            t, Fat(), cfg(2, strict=False), None)
+        assert sim.violations == [
+            "vertex %d: payload of 103 words exceeds 16 (non-conforming "
+            "contractor)" % v for v in (1, 2)]
 
     def test_log_words_within_global_budget(self):
         t = valued(caterpillar(400))

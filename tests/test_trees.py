@@ -387,6 +387,53 @@ def test_low_degree_components_maximal():
         assert covered == {v for v in t.vertices() if t.deg(v) < alpha}
 
 
+def low_degree_components_reference(tree, alpha):
+    """low_degree_components as it was before it read the children map: a
+    deg() call per vertex and a Tree.preorder walk with a seen set."""
+    if alpha < 2:
+        raise InputError("alpha must be >= 2")
+    small = {v for v in tree.vertices() if tree.deg(v) < alpha}
+    comps = []
+    seen = set()
+    for v in tree.preorder():
+        if v not in small or v in seen:
+            continue
+        p = tree.parent[v]
+        if p is not None and p in small:
+            continue
+        comp, is_leaf = [], True
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            seen.add(u)
+            for c in tree.children[u]:
+                if c in small:
+                    stack.append(c)
+                else:
+                    is_leaf = False
+        comps.append((frozenset(comp), is_leaf))
+    return comps
+
+
+@st.composite
+def attached_trees(draw, max_n=60):
+    """A tree on 1..n rooted at 1 where vertex v hangs under a drawn earlier
+    vertex; small draws pile children on few vertices."""
+    picks = draw(st.lists(st.integers(0, 2**16), max_size=max_n - 1))
+    parent = {1: None}
+    for v, pick in enumerate(picks, start=2):
+        parent[v] = 1 + pick % (v - 1)
+    return Tree(1, parent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(attached_trees(), st.integers(2, 8))
+def test_low_degree_components_equal_the_reference(t, alpha):
+    assert low_degree_components(t, alpha) == \
+        low_degree_components_reference(t, alpha)
+
+
 def test_big_small_star():
     bst = build_big_small(star(4), 2)
     kinds = sorted(bst.kind.values())
