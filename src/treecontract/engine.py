@@ -1010,23 +1010,24 @@ def _drive(sim, gen):
 # ---------------------------------------------------------------------------
 # public entry points
 
-def solver_setup(plugin, cfg, sim=None, n=None):
-    """The config a plugin runs under (its own C_w, and n when given) and
-    the simulator to run it on: sim, or a fresh one on that config."""
-    if plugin.C_w != cfg.C_w:
-        cfg = cfg.replaced(C_w=plugin.C_w)
-    if n is not None:
-        cfg = cfg.replaced(n=n)
-    if sim is None:
-        sim = Simulator(cfg)
-    return cfg, sim
+def run_simulator(plugin, cfg, n):
+    """A fresh simulator for a run of plugin over a tree of n vertices: its
+    config, the only place one is derived, is cfg with the plugin's C_w and
+    n grown to at least n."""
+    return Simulator(cfg.replaced(C_w=plugin.C_w, n=max(cfg.n, n)))
 
 
 def _fresh_run(tree, plugin, cfg, sim):
     """The initial payloads, read from tree's attrs, checked against the
     budget and stored with their counts, and a work tree of tree's shape
-    only: the run drops vertices from it but reads no attrs."""
-    cfg, sim = solver_setup(plugin, cfg, sim)
+    only: the run drops vertices from it but reads no attrs. A given sim
+    must have the plugin's C_w and room for tree; its cfg is the run's."""
+    if sim is None:
+        sim = run_simulator(plugin, cfg, tree.n)
+    elif sim.cfg.C_w != plugin.C_w or sim.cfg.n < tree.n:
+        raise InputError("simulator for C_w=%d, n=%d cannot run %s (C_w=%d) "
+                         "on %d vertices" % (sim.cfg.C_w, sim.cfg.n,
+                                             plugin.name, plugin.C_w, tree.n))
     c_w, fault = plugin.C_w, sim.fault
     fresh_edge, init_data = plugin.fresh_edge, plugin.init_data
     entries = []
@@ -1041,7 +1042,7 @@ def _fresh_run(tree, plugin, cfg, sim):
     books = _Books(sim.words, fault, c_w,
                    dict.fromkeys(work.vertices(), _NO_SLOTS), set(),
                    ContractionLog(work.root, work.vertices()))
-    return work, cfg, sim, books
+    return work, sim.cfg, sim, books
 
 
 def _contract(tree, plugin, cfg, sim, units):
@@ -1069,7 +1070,7 @@ def _contract(tree, plugin, cfg, sim, units):
             raise LogIntegrityError("root payload still has pending children")
         log = books.log
         log.final_payload = payload
-        budget = sim.cfg.total_budget_factor * sim.cfg.n
+        budget = cfg.total_budget_factor * cfg.n
         if log.total_words > budget:
             sim.fault("contraction log of %d words exceeds %d"
                       % (log.total_words, budget))
@@ -1084,7 +1085,8 @@ def _contract(tree, plugin, cfg, sim, units):
 
 def bounded_tree_contract(tree, plugin, cfg, sim=None):
     """Contract a tree whose degrees fit the decomposition budget; the answer
-    is read at the root. Returns (answer, ContractionLog, metrics)."""
+    is read at the root. Returns (answer, ContractionLog, metrics). With sim
+    given, cfg is not read; else run_simulator sets one up."""
     return _contract(tree, plugin, cfg, sim, _bounded_units)
 
 
@@ -1092,7 +1094,8 @@ def tree_contract(tree, plugin, cfg, sim=None):
     """General contraction: per phase, contract the low-degree fringe of the
     degree-split structure (components too big for one machine run the
     bounded algorithm on a slice, side by side with their peers), then fold
-    leaf siblings in batches and absorb the last leaf of every star."""
+    leaf siblings in batches and absorb the last leaf of every star. With
+    sim given, cfg is not read; else run_simulator sets one up."""
     return _contract(tree, plugin, cfg, sim, _general_units)
 
 

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from ..engine import (Algebra, bounded_tree_contract, reconstruct,
-                      solver_setup)
+                      run_simulator)
 from ..errors import ExprArithmeticError, InputError, LogIntegrityError
 from ..trees import Tree
 
@@ -450,12 +450,11 @@ def subexpression_values(log):
     return reconstruct(log, EvalAlgebra())
 
 
-def evaluate_expression(s, cfg, sim=None):
+def evaluate_expression(s, cfg):
     """Returns (exact Fraction value, operator tree, log, metrics)."""
     plugin = EvalAlgebra()
     tree, levels = _simplify(s, cfg)
-    cfg, sim = solver_setup(plugin, cfg, sim,
-                            n=tree.n if tree.n > cfg.n else None)
+    sim = run_simulator(plugin, cfg, tree.n)
     _charge_pipeline(sim, levels)
-    value, log, _ = bounded_tree_contract(tree, plugin, cfg, sim=sim)
+    value, log, _ = bounded_tree_contract(tree, plugin, cfg, sim)
     return value, tree, log, sim.snapshot_metrics()

@@ -14,7 +14,7 @@ scoring the fused path between the two endpoint states.
 """
 
 from ..engine import (Algebra, bounded_tree_contract, degree_budget,
-                      reconstruct, solver_setup, tree_contract)
+                      reconstruct, run_simulator, tree_contract)
 from ..trees import Tree
 from .matching import NEG_INF, mat_mul, segmentation_levels
 
@@ -109,28 +109,28 @@ def bypass_expand(tree, cfg):
     return out, True
 
 
-def _misb_run(tree, cfg, sim):
+def _misb_run(tree, cfg):
     plugin = MisbAlgebra()
     work, expanded = bypass_expand(tree, cfg)
-    cfg, sim = solver_setup(plugin, cfg, sim, n=work.n if expanded else None)
+    sim = run_simulator(plugin, cfg, work.n)
     if expanded:
         sim.charge_subroutine("bypass", cfg.inv_eps)
-    _, log, _ = bounded_tree_contract(work, plugin, cfg, sim=sim)
+    _, log, _ = bounded_tree_contract(work, plugin, cfg, sim)
     return reconstruct(log, plugin), work, log, sim
 
 
-def mis_solve(tree, cfg, sim=None):
+def mis_solve(tree, cfg):
     """Greedy-canonical maximal independent set: all leaves, then every
     vertex none of whose children made it."""
-    bits, work, log, sim = _misb_run(tree, cfg, sim)
+    bits, work, log, sim = _misb_run(tree, cfg)
     chosen = sorted(v for v in tree.vertices() if bits[v])
     return chosen, bits, work, log, sim.snapshot_metrics()
 
 
-def maximal_matching_solve(tree, cfg, sim=None):
+def maximal_matching_solve(tree, cfg):
     """Greedy-canonical maximal matching: the free bit obeys the standard
     vertex rule, and a non-free vertex matches its first free child."""
-    bits, work, log, sim = _misb_run(tree, cfg, sim)
+    bits, work, log, sim = _misb_run(tree, cfg)
     sim.charge_subroutine("greedy edges", 1)
     edges = []
     for v in tree.vertices():
@@ -183,12 +183,12 @@ class MwisAlgebra(Algebra):
         return max(self.node_value(data))
 
 
-def mwis_solve(tree, cfg, sim=None):
+def mwis_solve(tree, cfg):
     """Returns (optimum weight, chosen set, per-vertex (in, out) tables,
     log, metrics). Ties at a vertex resolve to leaving it out."""
     plugin = MwisAlgebra()
-    cfg, sim = solver_setup(plugin, cfg, sim)
-    value, log, _ = tree_contract(tree, plugin, cfg, sim=sim)
+    sim = run_simulator(plugin, cfg, tree.n)
+    value, log, _ = tree_contract(tree, plugin, cfg, sim)
     tables = reconstruct(log, plugin)
     sim.charge_subroutine("set extraction",
                           max(1, segmentation_levels(tree.n, cfg.epsilon)))

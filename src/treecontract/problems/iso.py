@@ -10,7 +10,7 @@ t -> (a*t + b) mod m, so removing chain vertices stays one multiplication.
 
 import random
 
-from ..engine import Algebra, reconstruct, solver_setup, tree_contract
+from ..engine import Algebra, reconstruct, run_simulator, tree_contract
 from ..errors import InputError
 
 NEG_INF = float("-inf")
@@ -56,12 +56,9 @@ class HeightAlgebra(Algebra):
         return (max(contributions), (0, NEG_INF))
 
 
-def height_run(tree, cfg, sim=None):
+def height_run(tree, cfg):
     """Root height plus the log (reconstructable to per-vertex heights)."""
-    plugin = HeightAlgebra()
-    cfg, sim = solver_setup(plugin, cfg, sim)
-    value, log, _ = tree_contract(tree, plugin, cfg, sim=sim)
-    return value, log, sim.snapshot_metrics()
+    return tree_contract(tree, HeightAlgebra(), cfg)
 
 
 def subtree_heights(log):
@@ -165,20 +162,20 @@ def make_prime_table(n, height, alpha=1, count=32, seed=0):
     return sorted(out)
 
 
-def tree_isomorphism(t1, t2, cfg, alpha=1, seed=0, prime_table=None, sim=None):
+def tree_isomorphism(t1, t2, cfg, alpha=1, seed=0, prime_table=None):
     """Verdict plus a JSON-safe detail dict. One-sided: isomorphic inputs are
     never rejected; a non-isomorphic pair can slip through with probability
-    shrinking in n^alpha, so callers repeat with fresh seeds."""
+    shrinking in n^alpha, so callers repeat with fresh seeds. All four
+    passes run on one simulator sized by t1."""
     detail = {"n_left": t1.n, "n_right": t2.n, "alpha": alpha, "seed": seed}
-    if cfg.n < t1.n:
-        cfg = cfg.replaced(n=t1.n)
-    _, sim = solver_setup(HeightAlgebra(), cfg, sim)
+    height = HeightAlgebra()
+    sim = run_simulator(height, cfg, t1.n)
     if t1.n != t2.n:
         detail["reason"] = "size"
         detail["metrics"] = sim.snapshot_metrics()
         return False, detail
-    h1, log1, _ = height_run(t1, cfg, sim=sim)
-    h2, log2, _ = height_run(t2, cfg, sim=sim)
+    h1, log1, _ = tree_contract(t1, height, cfg, sim)
+    h2, log2, _ = tree_contract(t2, height, cfg, sim)
     detail["height_left"] = h1
     detail["height_right"] = h2
     if h1 != h2:
@@ -198,9 +195,9 @@ def tree_isomorphism(t1, t2, cfg, alpha=1, seed=0, prime_table=None, sim=None):
     sim.charge_subroutine("modulus draw", 1)
     xs = [rng.randint(1, m) for _ in range(h1)]
     q1, _, _ = tree_contract(t1, IsoAlgebra(m, xs, subtree_heights(log1)),
-                             cfg, sim=sim)
+                             cfg, sim)
     q2, _, _ = tree_contract(t2, IsoAlgebra(m, xs, subtree_heights(log2)),
-                             cfg, sim=sim)
+                             cfg, sim)
     detail.update(reason="polynomial", modulus=m, q_left=q1, q_right=q2,
                   metrics=sim.snapshot_metrics())
     return q1 == q2, detail

@@ -11,7 +11,7 @@ A fresh edge of weight w is (w, -inf, -inf, 0).
 
 import math
 
-from ..engine import Algebra, reconstruct, solver_setup, tree_contract
+from ..engine import Algebra, reconstruct, run_simulator, tree_contract
 from ..errors import LogIntegrityError
 
 NEG_INF = float("-inf")
@@ -137,12 +137,12 @@ def extract_matching(tree, tables, sim):
     return edges
 
 
-def mwm_solve(tree, cfg, sim=None):
+def mwm_solve(tree, cfg):
     """Returns (optimum weight, matched edges as (child, parent, weight),
     per-vertex (c, c') tables, log, metrics)."""
     plugin = MwmAlgebra()
-    cfg, sim = solver_setup(plugin, cfg, sim)
-    value, log, _ = tree_contract(tree, plugin, cfg, sim=sim)
+    sim = run_simulator(plugin, cfg, tree.n)
+    value, log, _ = tree_contract(tree, plugin, cfg, sim)
     tables = vertex_tables(log)
     if tables[tree.root][0] != value:
         raise LogIntegrityError("root table disagrees with the answer")

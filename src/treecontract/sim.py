@@ -51,6 +51,9 @@ class SimConfig:
         self.total_budget_factor = total_budget_factor
         self.seed = seed
         self.strict = strict
+        for name in ("C_s", "C_q", "C_w", "C_p", "total_budget_factor"):
+            if getattr(self, name) <= 0:
+                raise InputError("%s must be positive" % name)
 
     @property
     def S(self):
@@ -104,16 +107,13 @@ class _Ctx:
         self.write_words = 0
         self._closed = False
 
-    def read(self, key, default=KeyError):
+    def read(self, key):
         if self._closed:
             raise SimFault("read after round end (generation frozen)")
         self.read_ops += 1
         words = self._words.get(key)
         if words is None:
-            if default is KeyError:
-                raise SimFault("read of missing key %r" % (key,))
-            self.read_words += 1
-            return default
+            raise SimFault("read of missing key %r" % (key,))
         self.read_words += words
         return self._table[key]
 
@@ -137,7 +137,7 @@ class Simulator:
     machine and round; otherwise violations are recorded and the run
     proceeds."""
 
-    def __init__(self, cfg, initial=None):
+    def __init__(self, cfg):
         self.cfg = cfg
         self.rounds = 0
         self.generation = {}
@@ -150,8 +150,6 @@ class Simulator:
         self.violations = []
         self.phases = []
         self._phase_stack = []
-        if initial:
-            self.store((k, (v, word_count(v))) for k, v in initial.items())
 
     @property
     def words(self):

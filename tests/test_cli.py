@@ -221,6 +221,14 @@ class TestExitCodes:
                            "--input", str(src), "--epsilon", "2")
         assert code == 3 and "epsilon" in err
 
+    @pytest.mark.parametrize("space", ["0", "-2"])
+    def test_non_positive_space_constant(self, capsys, space):
+        code, out, err = run(capsys, "bench", "--problem", "height",
+                             "--family", "path", "--n", "64",
+                             "--space-constant", space)
+        assert code == 3 and out == ""
+        assert err == "error: C_s must be positive\n"
+
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "solve", "--problem", "mwm",
                          "--input", "no-such-file.tree")

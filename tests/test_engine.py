@@ -26,7 +26,7 @@ from treecontract.engine import (
     payload_slot_ids,
     reconstruct,
     sibling_batch,
-    solver_setup,
+    run_simulator,
     tree_contract,
     two_contraction_reference,
 )
@@ -43,7 +43,7 @@ from treecontract.oracles import (
     with_edge_weights,
 )
 from treecontract.problems.exprs import EvalAlgebra
-from treecontract.problems.indep import MwisAlgebra
+from treecontract.problems.indep import MisbAlgebra, MwisAlgebra
 from treecontract.problems.iso import HeightAlgebra
 from treecontract.problems.matching import MwmAlgebra, mwm_solve
 from treecontract.problems import REGISTRY, exprs, indep, iso, matching
@@ -318,6 +318,27 @@ class TestGeneral:
             assert reconstruct(log, plugin) == subtree_sums(t)
 
 
+class TestScaling:
+    """Rounds stay under the acceptance gate's ceilings (12/eps^3 general,
+    6/eps^2 bounded) well past the gate's n = 2^14, and total words stay
+    within 64n."""
+
+    N = 1 << 16
+
+    @pytest.mark.parametrize("family, height", [(path, N - 1), (star, 1)])
+    def test_height_at_two_to_the_sixteen(self, family, height):
+        t = family(self.N)
+        c = cfg(self.N, epsilon=0.25, C_w=16)
+        runs = [(tree_contract, 12 * c.inv_eps ** 3)]
+        if family is path:
+            runs.append((bounded_tree_contract, 6 * c.inv_eps ** 2))
+        for contract, ceiling in runs:
+            value, _log, metrics = contract(t, HeightAlgebra(), c)
+            assert value == height
+            assert metrics["rounds"] <= ceiling, contract.__name__
+            assert metrics["total_words"] <= 64 * self.N, contract.__name__
+
+
 class TestReference:
     def test_single_vertex(self):
         t = valued(path(1), lambda v: 3)
@@ -356,17 +377,48 @@ class TestReconstruct:
 class TestSolverSetup:
     def test_plugin_width_and_size(self):
         base = SimConfig(epsilon=0.5, n=64, C_w=8)
-        run_cfg, sim = solver_setup(MwisAlgebra(), base)
-        assert (run_cfg.C_w, run_cfg.n) == (16, 64)
-        assert sim.cfg is run_cfg
-        run_cfg, _ = solver_setup(MwisAlgebra(), base, n=100)
-        assert (run_cfg.C_w, run_cfg.n) == (16, 100)
+        sim = run_simulator(MwisAlgebra(), base, 10)
+        assert (sim.cfg.C_w, sim.cfg.n) == (16, 64)  # n never shrinks
+        sim = run_simulator(MwisAlgebra(), base, 100)
+        assert (sim.cfg.C_w, sim.cfg.n) == (16, 100)
+        assert (base.C_w, base.n) == (8, 64)
 
     def test_given_simulator_is_kept(self):
-        base = SimConfig(epsilon=0.5, n=64, C_w=16)
-        given_sim = Simulator(base)
-        run_cfg, sim = solver_setup(MwisAlgebra(), base, given_sim)
-        assert sim is given_sim and run_cfg is base
+        t = oracles.with_vertex_weights(random_tree(50, 1), 1)
+        sim = Simulator(cfg(64, C_w=16))
+        # cfg is not read when a simulator is given
+        value, _log, metrics = tree_contract(t, MwisAlgebra(),
+                                             cfg(1, epsilon=0.25), sim)
+        assert value == oracles.brute_mwis(t)[0]
+        assert metrics["rounds"] == sim.rounds > 0
+        fresh = tree_contract(t, MwisAlgebra(), cfg(64))[2]
+        assert metrics == fresh
+
+    @pytest.mark.parametrize("c_w, n", [(8, 64), (16, 49)])
+    def test_given_simulator_must_fit(self, c_w, n):
+        t = random_tree(50, 1)
+        sim = Simulator(cfg(n, C_w=c_w))
+        with pytest.raises(InputError, match="cannot run height"):
+            tree_contract(t, HeightAlgebra(), cfg(64), sim)
+        with pytest.raises(InputError, match="cannot run height"):
+            bounded_tree_contract(t, HeightAlgebra(), cfg(64), sim)
+        assert sim.rounds == 0
+
+    def test_scaffold_under_a_larger_n(self):
+        # the scaffold's fan is planned at n = 1024; the run keeps that n
+        t = star(100)
+        c = cfg(1024)
+        chosen, *_ = indep.mis_solve(t, c)
+        assert chosen == sorted(oracles.greedy_mis(t)) and len(chosen) == 99
+        edges, *_ = indep.maximal_matching_solve(t, c)
+        want = sorted(oracles.greedy_maximal_matching(t))
+        assert sorted(edges) == want and len(want) == 1
+
+    def test_n_grows_to_the_tree(self):
+        t = random_tree(1000, 3)
+        h, _log, metrics = tree_contract(t, HeightAlgebra(), cfg(10))
+        assert h == oracles.height_table(t)[t.root] == 15
+        assert metrics["violations"] == []
 
 
 def _stream(units, got):
@@ -1245,6 +1297,49 @@ class TestNoCycles:
             assert gc.isenabled() is on
         finally:
             (gc.enable if was_on else gc.disable)()
+
+
+# the plugin (class or instance; only its C_w is read) that each
+# REGISTRY_NAMES entry runs, and the size of the tree that run contracts
+SOLVE_PLUGIN = {"mwm": MwmAlgebra, "mwis": MwisAlgebra, "mis": MisbAlgebra,
+                "matching": MisbAlgebra, "height": HeightAlgebra,
+                "sum": sum_plugin(), "eval": EvalAlgebra,
+                "iso": HeightAlgebra}
+
+
+def contracted_size(name, trees, text, config):
+    if name in ("mis", "matching"):
+        return indep.bypass_expand(trees[0], config)[0].n
+    if name == "eval":
+        return exprs._simplify(text, config)[0].n
+    return trees[0].n
+
+
+class TestOneSimulatorPerSolve:
+    @pytest.mark.parametrize("small", [False, True])
+    @pytest.mark.parametrize("name", REGISTRY_NAMES)
+    def test_one_simulator_sized_by_the_tree(self, monkeypatch, name, small):
+        trees, text = registry_inputs(name)
+        epsilon = REGISTRY_RUNS[name][1] if name in REGISTRY_RUNS else 0.5
+        n = 4 if small else (max(4, len(text)) if text is not None
+                             else trees[0].n)
+        config = cfg(n, epsilon=epsilon, seed=SEED_REG)
+        built = []
+        init = Simulator.__init__
+
+        def recorded_init(sim, config):
+            built.append(config)
+            init(sim, config)
+
+        monkeypatch.setattr(Simulator, "__init__", recorded_init)
+        problem = REGISTRY[name]
+        result = problem["solve"](trees, text, config, SEED_REG)
+        assert problem["check"](trees, text, result)[2]
+        [run_cfg] = built
+        assert run_cfg.C_w == SOLVE_PLUGIN[name].C_w
+        assert run_cfg.n == max(n, contracted_size(name, trees, text,
+                                                   config))
+        assert (run_cfg.epsilon, run_cfg.seed) == (epsilon, SEED_REG)
 
 
 class TestCollectorHandoff:
