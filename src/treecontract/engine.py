@@ -24,10 +24,10 @@ from .errors import InputError, LogIntegrityError, SimFault
 from .sim import Machine, Simulator
 from .trees import (
     NEG_INF,
+    Tree,
     decompose,
     group_components,
     low_degree_components,
-    preorder_number,
     word_count,
 )
 
@@ -825,7 +825,7 @@ def _bounded_units(tree, plugin, cfg, rank, books, prefix=""):
         results = yield ("round", machines)
         _apply_results(tree, books, results)
         specs, sizes = [], []
-        for p in sorted(tree.vertices(), key=rank.__getitem__):
+        for p in tree.vertices():
             leaf_kids = [u for u in tree.children[p] if tree.is_leaf(u)]
             if leaf_kids:
                 spec = _comp_spec(tree, (p,) + tuple(leaf_kids), books)
@@ -852,8 +852,7 @@ def _general_units(tree, plugin, cfg, rank, books):
         fixed = 4 * tree.n
         if fixed <= cfg.S and fixed + sum(
                 words[("P", v)] for v in tree.vertices()) <= cfg.S:
-            spec = _comp_spec(tree, _ordered_comp(tree.vertices(), rank),
-                              books)
+            spec = _comp_spec(tree, tuple(tree.vertices()), books)
             results = yield ("round", [_cc_machine(plugin, "final", [spec])])
             _apply_results(tree, books, results)
             break
@@ -883,7 +882,7 @@ def _general_units(tree, plugin, cfg, rank, books):
         if nested:
             slices, subs = [], []
             for members in nested:
-                sub = tree.slice(set(members), members[0])
+                sub = tree.slice(members, members[0])
                 slices.append((members, sub))
                 subs.append(_bounded_units(sub, plugin, cfg, rank, books,
                                            prefix=label + " "))
@@ -896,7 +895,7 @@ def _general_units(tree, plugin, cfg, rank, books):
         level = 0
         while True:
             batches = []
-            for p in sorted(tree.vertices(), key=rank.__getitem__):
+            for p in tree.vertices():
                 slots = books.slots[p]
                 leaf_kids = [u for u in tree.children[p]
                              if tree.is_leaf(u) and u not in slots]
@@ -920,7 +919,7 @@ def _general_units(tree, plugin, cfg, rank, books):
             results = yield ("round", machines)
             _apply_results(tree, books, results)
         specs, sizes = [], []
-        for p in sorted(tree.vertices(), key=rank.__getitem__):
+        for p in tree.vertices():
             leaf_kids = [u for u in tree.children[p] if tree.is_leaf(u)]
             if leaf_kids:
                 spec = _comp_spec(tree, (p,) + tuple(leaf_kids), books,
@@ -1020,8 +1019,11 @@ def run_simulator(plugin, cfg, n):
 def _fresh_run(tree, plugin, cfg, sim):
     """The initial payloads, read from tree's attrs, checked against the
     budget and stored with their counts, and a work tree of tree's shape
-    only: the run drops vertices from it but reads no attrs. A given sim
-    must have the plugin's C_w and room for tree; its cfg is the run's."""
+    only, keyed in preorder: the run drops vertices from it but reads no
+    attrs and adds no keys, so its key order stays the rank order. One
+    preorder walk builds both, and a payload over budget is reported as the
+    walk meets it. A given sim must have the plugin's C_w and room for
+    tree; its cfg is the run's."""
     if sim is None:
         sim = run_simulator(plugin, cfg, tree.n)
     elif sim.cfg.C_w != plugin.C_w or sim.cfg.n < tree.n:
@@ -1030,24 +1032,36 @@ def _fresh_run(tree, plugin, cfg, sim):
                                              plugin.name, plugin.C_w, tree.n))
     c_w, fault = plugin.C_w, sim.fault
     fresh_edge, init_data = plugin.fresh_edge, plugin.init_data
-    entries = []
-    for v in tree.vertices():
+    tree_parent, tree_children = tree.parent, tree.children
+    parent, children, entries = {}, {}, []
+    stack = [tree.root]
+    while stack:
+        v = stack.pop()
+        kids = tree_children[v]
+        parent[v] = tree_parent[v]
+        children[v] = kids[:]
+        stack += kids[::-1]
         edge, data = fresh_edge(tree, v), init_data(tree, v)
-        # "k" and the vertex id are a word each, the empty kids tuple none
+        # "k" and the vertex id are a word each, the empty kids tuple none;
+        # two calls cost less than one on the whole payload, whose loop
+        # would take the scalars off word_count's fast path
         words = 2 + word_count(edge) + word_count(data)
-        check_payload_budget(fault, words, 0, c_w, "vertex %r", v)
+        if words > c_w:
+            check_payload_budget(fault, words, 0, c_w, "vertex %r", v)
         entries.append((("P", v), (("k", v, edge, data, ()), words)))
     sim.store(entries)
-    work = tree.shape()
-    books = _Books(sim.words, fault, c_w,
-                   dict.fromkeys(work.vertices(), _NO_SLOTS), set(),
-                   ContractionLog(work.root, work.vertices()))
+    work = Tree.__new__(Tree)
+    work.root, work.parent, work.children, work.attrs = (tree.root, parent,
+                                                         children, None)
+    books = _Books(sim.words, fault, c_w, dict.fromkeys(parent, _NO_SLOTS),
+                   set(), ContractionLog(work.root, parent))
     return work, sim.cfg, sim, books
 
 
 def _contract(tree, plugin, cfg, sim, units):
     """Run the stream units(work, plugin, cfg, rank, books) on a fresh copy
-    of tree's shape and read the answer at the root. Returns (answer,
+    of tree's shape, each vertex ranked by its place in the copy's preorder
+    key order, and read the answer at the root. Returns (answer,
     ContractionLog, metrics).
 
     The cyclic collector is paused meanwhile: the run's working data are
@@ -1062,9 +1076,9 @@ def _contract(tree, plugin, cfg, sim, units):
     try:
         work, cfg, sim, books = _fresh_run(tree, plugin, cfg, sim)
         if work.n > 1:
+            rank = dict(zip(work.parent, range(work.n)))
             with sim.phase("contract"):
-                _drive(sim, units(work, plugin, cfg, preorder_number(work),
-                                  books))
+                _drive(sim, units(work, plugin, cfg, rank, books))
         payload = sim.generation[("P", work.root)]
         if payload[4]:
             raise LogIntegrityError("root payload still has pending children")

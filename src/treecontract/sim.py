@@ -206,27 +206,32 @@ class Simulator:
         cap = self.cfg.C_q * self.cfg.S
         for i, (m, ctx) in enumerate(zip(machines, ctxs)):
             ctx._closed = True
-            who = "round %d machine %d%s" % (
-                self.rounds, i, " (%s)" % m.label if m.label else "")
             if m.input_words > self.cfg.S:
                 self.fault("%s: input %d words exceeds local space %d"
-                           % (who, m.input_words, self.cfg.S))
+                           % (self._machine_name(i, m), m.input_words,
+                              self.cfg.S))
             if ctx.read_words > cap:
                 self.fault("%s: read %d words exceeds budget %d"
-                           % (who, ctx.read_words, cap))
+                           % (self._machine_name(i, m), ctx.read_words, cap))
             if ctx.write_words > cap:
                 self.fault("%s: write %d words exceeds budget %d"
-                           % (who, ctx.write_words, cap))
+                           % (self._machine_name(i, m), ctx.write_words, cap))
             self.peak_machine_words = max(self.peak_machine_words,
                                           m.input_words + ctx.read_words)
             self.dht_reads += ctx.read_ops
             self.dht_writes += len(ctx.writes)
             for key, entry in ctx.writes.items():
                 if key in merged and merged[key][0] != entry[0]:
-                    self.fault("%s: conflicting write to key %r" % (who, key))
+                    self.fault("%s: conflicting write to key %r"
+                               % (self._machine_name(i, m), key))
                 merged[key] = entry
         self.store(merged.items())
         return results
+
+    def _machine_name(self, i, m):
+        """How a fault names machine i of the current round."""
+        return "round %d machine %d%s" % (
+            self.rounds, i, " (%s)" % m.label if m.label else "")
 
     def charge_subroutine(self, name, rounds):
         """Advance the clock for a cited external subroutine."""

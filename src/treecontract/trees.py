@@ -8,6 +8,7 @@ only give the payload its shape.
 
 from fractions import Fraction
 from math import ceil
+from operator import countOf
 
 from .errors import InputError
 
@@ -58,24 +59,31 @@ class Tree:
     __slots__ = ("root", "parent", "children", "attrs")
 
     def __init__(self, root, parent, child_order=None, attrs=None):
+        """Copies parent and attrs (each attrs dict too) once. Without
+        child_order, children come from the parent map in its order; a
+        given child_order must list each vertex's children exactly once."""
         self.root = root
-        self.parent = dict(parent)
-        self.children = {v: [] for v in self.parent}
-        if child_order is not None:
-            for v, cs in child_order.items():
-                if v not in self.children:
-                    raise InputError("unknown vertex %r in child order" % (v,))
-                self.children[v] = list(cs)
-        else:
-            for v in self.parent:  # insertion order of the parent map
-                p = self.parent[v]
+        self.parent = parent = dict(parent)
+        self.children = children = {v: [] for v in parent}
+        if child_order is None:
+            for v, p in parent.items():
                 if p is not None:
-                    if p not in self.children:
-                        raise InputError("unknown parent %r of vertex %r" % (p, v))
-                    self.children[p].append(v)
-        self.attrs = {v: dict(attrs.get(v, {})) for v in self.parent} if attrs else {
-            v: {} for v in self.parent}
-        self.validate()
+                    kids = children.get(p)
+                    if kids is None:
+                        raise InputError("unknown parent %r of vertex %r"
+                                         % (p, v))
+                    kids.append(v)
+        else:
+            for v, cs in child_order.items():
+                if v not in children:
+                    raise InputError("unknown vertex %r in child order" % (v,))
+                children[v] = list(cs)
+        if attrs:
+            get = attrs.get
+            self.attrs = {v: dict(get(v, ())) for v in parent}
+        else:
+            self.attrs = {v: {} for v in parent}
+        self.validate(derived=child_order is None)
 
     @property
     def n(self):
@@ -90,21 +98,45 @@ class Tree:
     def vertices(self):
         return self.parent.keys()
 
-    def validate(self):
-        if self.root not in self.parent or self.parent[self.root] is not None:
-            raise InputError("root %r missing or has a parent" % (self.root,))
-        roots = [v for v, p in self.parent.items() if p is None]
-        if roots != [self.root] and set(roots) != {self.root}:
+    def validate(self, derived=False):
+        """One root, every vertex reached once from it, and children that
+        agree with the parent map; derived=True vouches for the last, the
+        children having been read off the parent map. The walk only counts,
+        and stops once it passes n, so a cyclic child order ends it too."""
+        parent, children, root = self.parent, self.children, self.root
+        if root not in parent or parent[root] is not None:
+            raise InputError("root %r missing or has a parent" % (root,))
+        if countOf(parent.values(), None) != 1:
+            roots = [v for v, p in parent.items() if p is None]
             raise InputError("expected exactly one root, found %r" % (roots,))
+        n = len(parent)
         seen = 0
-        for v in self.preorder():
-            seen += 1
-        if seen != self.n:
+        stack = [root]
+        pop, extend = stack.pop, stack.extend
+        try:
+            while stack and seen <= n:
+                seen += 1
+                extend(children[pop()])
+        except KeyError as exc:
+            raise InputError("unknown vertex %r in child order"
+                             % exc.args) from None
+        if seen != n:
             raise InputError("tree is disconnected or cyclic")
-        for v, cs in self.children.items():
+        if derived:
+            return
+        listed = set()
+        for v, cs in children.items():
             for c in cs:
-                if self.parent.get(c) != v:
-                    raise InputError("parent/children maps disagree at %r" % (c,))
+                if parent.get(c) != v:
+                    raise InputError("parent/children maps disagree at %r"
+                                     % (c,))
+            listed.update(cs)
+        if len(listed) != n - 1:
+            # each listed child is under its own parent, yet one is missing:
+            # another is listed twice
+            v = next(v for v, cs in children.items() if len(set(cs)) < len(cs))
+            raise InputError("child order of %r is not a permutation of its "
+                             "children" % (v,))
 
     def preorder(self):
         """Iterative preorder walk in child order."""
@@ -228,37 +260,47 @@ def parse_tree(text):
         raise InputError("header must be 'n root_id'") from None
     if len(lines) - 1 != n:
         raise InputError("expected %d vertex lines, found %d" % (n, len(lines) - 1))
-    parent, attrs, order = {}, {}, []
+    # attrs holds only the vertices with attributes; Tree fills in the rest.
+    # A line out of id order is reported only once every line has parsed.
+    parent, attrs = {}, {}
+    last, in_order = NEG_INF, True
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) < 2:
+        width = len(parts)
+        if width < 2:
             raise InputError("bad vertex line: %r" % ln)
+        v, p = parts[0], parts[1]
         try:
-            v = int(parts[0])
+            v = int(v)
         except ValueError:
             raise InputError("bad vertex id: %r" % parts[0]) from None
         try:
-            p = None if parts[1] == "-" else int(parts[1])
+            p = None if p == "-" else int(p)
         except ValueError:
             raise InputError("bad parent id of vertex %d: %r"
                              % (v, parts[1])) from None
-        kv = {}
-        for tok in parts[2:]:
-            if "=" not in tok:
-                raise InputError("bad attribute %r on vertex %d" % (tok, v))
-            k, val = tok.split("=", 1)
-            if k in kv:
-                raise InputError("attribute %s repeated on vertex %d" % (k, v))
-            try:
-                kv[k] = int(val)
-            except ValueError:
-                raise InputError("attribute %s of vertex %d is not an integer" % (k, v)) from None
+        if width > 2:
+            kv = {}
+            for tok in parts[2:]:
+                k, eq, val = tok.partition("=")
+                if not eq:
+                    raise InputError("bad attribute %r on vertex %d" % (tok, v))
+                if k in kv:
+                    raise InputError("attribute %s repeated on vertex %d"
+                                     % (k, v))
+                try:
+                    kv[k] = int(val)
+                except ValueError:
+                    raise InputError("attribute %s of vertex %d is not an "
+                                     "integer" % (k, v)) from None
+            attrs[v] = kv
         if v in parent:
             raise InputError("duplicate vertex id %d" % v)
         parent[v] = p
-        attrs[v] = kv
-        order.append(v)
-    if order != sorted(order):
+        if v < last:
+            in_order = False
+        last = v
+    if not in_order:
         raise InputError("vertex lines must be in id order")
     if root not in parent:
         raise InputError("root %d has no vertex line" % root)

@@ -257,6 +257,33 @@ class TestBudgets:
         assert len(v) == 1 and "machine 0" in v[0] and "round 1" in v[0]
         assert sim.rounds == 1
 
+    def test_fault_messages_name_round_machine_and_label(self):
+        c = cfg(n=1, C_s=1, strict=False)  # S = 4, read and write cap 16
+        sim = seeded(c, {i: 0 for i in range(17)})
+        sim.run_round([Machine(0, noop)])
+
+        def hog(ctx):
+            for i in range(17):
+                ctx.read(i)
+            for i in range(9):
+                ctx.write(i, 0)
+
+        def write_one(ctx):
+            ctx.write("k", 1)
+
+        def write_two(ctx):
+            ctx.write("k", 2)
+
+        sim.run_round([Machine(5, noop), Machine(0, hog, "phase 1 rake"),
+                       Machine(0, write_one), Machine(0, write_two, "fold")])
+        assert sim.violations == [
+            "round 2 machine 0: input 5 words exceeds local space 4",
+            "round 2 machine 1 (phase 1 rake): read 17 words exceeds "
+            "budget 16",
+            "round 2 machine 1 (phase 1 rake): write 18 words exceeds "
+            "budget 16",
+            "round 2 machine 3 (fold): conflicting write to key 'k'"]
+
     def test_machine_cap(self):
         c = cfg(n=1)  # S=16, cap = ceil(64/16) = 4
         assert c.machine_cap == 4

@@ -19,7 +19,18 @@ from treecontract.trees import (
     serialize_tree,
     word_count,
 )
-from treecontract.oracles import all_shapes, caterpillar, path, random_tree, star
+from treecontract.oracles import (
+    all_shapes,
+    broom,
+    caterpillar,
+    complete_kary,
+    path,
+    random_tree,
+    relabeled_copy,
+    star,
+    with_edge_weights,
+    with_vertex_weights,
+)
 
 
 def tree_strategy(max_n=40):
@@ -254,6 +265,304 @@ def test_parse_rejects_garbage():
         parse_tree("2 1\n1 -\n")
     with pytest.raises(InputError):
         parse_tree("2 1\n1 -\n2 5\n")
+
+
+# ---------------------------------------------------------------------------
+# construction and parsing against the references
+
+def reference_tree(root, parent, child_order=None, attrs=None):
+    """Tree(...) as it was before construction took one pass: copy the
+    parent map, rebuild the children lists, copy every attrs dict, then
+    validate through the preorder generator with a roots list and a check of
+    every child against the parent map. A cyclic child order never ends."""
+    t = Tree.__new__(Tree)
+    t.root = root
+    t.parent = dict(parent)
+    t.children = {v: [] for v in t.parent}
+    if child_order is not None:
+        for v, cs in child_order.items():
+            if v not in t.children:
+                raise InputError("unknown vertex %r in child order" % (v,))
+            t.children[v] = list(cs)
+    else:
+        for v in t.parent:
+            p = t.parent[v]
+            if p is not None:
+                if p not in t.children:
+                    raise InputError("unknown parent %r of vertex %r" % (p, v))
+                t.children[p].append(v)
+    t.attrs = {v: dict(attrs.get(v, {})) for v in t.parent} if attrs else {
+        v: {} for v in t.parent}
+    if t.root not in t.parent or t.parent[t.root] is not None:
+        raise InputError("root %r missing or has a parent" % (t.root,))
+    roots = [v for v, p in t.parent.items() if p is None]
+    if roots != [t.root] and set(roots) != {t.root}:
+        raise InputError("expected exactly one root, found %r" % (roots,))
+    seen = 0
+    for _v in t.preorder():
+        seen += 1
+    if seen != t.n:
+        raise InputError("tree is disconnected or cyclic")
+    for v, cs in t.children.items():
+        for c in cs:
+            if t.parent.get(c) != v:
+                raise InputError("parent/children maps disagree at %r" % (c,))
+    return t
+
+
+def reference_parse_tree(text):
+    """parse_tree as it was before it checked id order inline: an order
+    list sorted at the end, and an attrs dict for every vertex."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise InputError("empty tree file")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise InputError("header must be 'n root_id'")
+    try:
+        n, root = int(head[0]), int(head[1])
+    except ValueError:
+        raise InputError("header must be 'n root_id'") from None
+    if len(lines) - 1 != n:
+        raise InputError("expected %d vertex lines, found %d"
+                         % (n, len(lines) - 1))
+    parent, attrs, order = {}, {}, []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) < 2:
+            raise InputError("bad vertex line: %r" % ln)
+        try:
+            v = int(parts[0])
+        except ValueError:
+            raise InputError("bad vertex id: %r" % parts[0]) from None
+        try:
+            p = None if parts[1] == "-" else int(parts[1])
+        except ValueError:
+            raise InputError("bad parent id of vertex %d: %r"
+                             % (v, parts[1])) from None
+        kv = {}
+        for tok in parts[2:]:
+            if "=" not in tok:
+                raise InputError("bad attribute %r on vertex %d" % (tok, v))
+            k, val = tok.split("=", 1)
+            if k in kv:
+                raise InputError("attribute %s repeated on vertex %d"
+                                 % (k, v))
+            try:
+                kv[k] = int(val)
+            except ValueError:
+                raise InputError("attribute %s of vertex %d is not an "
+                                 "integer" % (k, v)) from None
+        if v in parent:
+            raise InputError("duplicate vertex id %d" % v)
+        parent[v] = p
+        attrs[v] = kv
+        order.append(v)
+    if order != sorted(order):
+        raise InputError("vertex lines must be in id order")
+    if root not in parent:
+        raise InputError("root %d has no vertex line" % root)
+    return reference_tree(root, parent, attrs=attrs)
+
+
+def outcome(build, *args, **kwargs):
+    """("tree", root, parent, children and attrs as item lists, so key
+    order counts) or ("error", the InputError message)."""
+    try:
+        t = build(*args, **kwargs)
+    except InputError as exc:
+        return ("error", str(exc))
+    return ("tree", t.root, list(t.parent.items()),
+            list(t.children.items()), list(t.attrs.items()))
+
+
+# every message parse_tree and Tree give, each from one faulty input
+PARSE_ERRORS = [
+    ("", "empty tree file"),
+    ("\n  \n", "empty tree file"),
+    ("1\n1 -\n", "header must be 'n root_id'"),
+    ("1 1 1\n1 -\n", "header must be 'n root_id'"),
+    ("x 1\n1 -\n", "header must be 'n root_id'"),
+    ("2 1\n1 -\n", "expected 2 vertex lines, found 1"),
+    ("1 1\n1 -\n2 1\n", "expected 1 vertex lines, found 2"),
+    ("2 1\n1 -\n2\n", "bad vertex line: '2'"),
+    ("2 1\n1 -\nx 1\n", "bad vertex id: 'x'"),
+    ("2 1\n1 -\n2 y\n", "bad parent id of vertex 2: 'y'"),
+    ("2 1\n1 -\n2 1 ew\n", "bad attribute 'ew' on vertex 2"),
+    ("2 1\n1 -\n2 1 ew=1 ew=2\n", "attribute ew repeated on vertex 2"),
+    ("2 1\n1 -\n2 1 ew=z\n", "attribute ew of vertex 2 is not an integer"),
+    ("2 1\n1 -\n1 -\n", "duplicate vertex id 1"),
+    ("2 1\n2 1\n1 -\n", "vertex lines must be in id order"),
+    ("2 5\n1 -\n2 1\n", "root 5 has no vertex line"),
+    ("2 1\n1 -\n2 9\n", "unknown parent 9 of vertex 2"),
+    ("2 1\n1 2\n2 -\n", "root 1 missing or has a parent"),
+    ("3 1\n1 -\n2 1\n3 -\n", "expected exactly one root, found [1, 3]"),
+    ("3 1\n1 -\n2 3\n3 2\n", "tree is disconnected or cyclic"),
+]
+
+# inputs with two faults, and the message that wins
+PARSE_PRECEDENCE = [
+    ("1\n", "header must be 'n root_id'"),  # header, line count
+    ("3 1\n1 -\n2\n", "expected 3 vertex lines, found 2"),  # count, line
+    ("2 1\n1 -\nx y\n", "bad vertex id: 'x'"),  # id, parent
+    ("2 1\n1 -\n2 y ew\n", "bad parent id of vertex 2: 'y'"),  # parent, attr
+    ("2 1\n1 -\n2 1 ew=z ew=1\n",
+     "attribute ew of vertex 2 is not an integer"),  # value, repeat
+    ("2 1\n1 -\n2 1 ew=1 ew=z\n",
+     "attribute ew repeated on vertex 2"),  # repeat, value
+    ("2 1\n1 -\n1 - vw\n", "bad attribute 'vw' on vertex 1"),  # attr, dup
+    ("3 1\n2 1\n1 -\n2 1\n", "duplicate vertex id 2"),  # order, duplicate
+    ("3 1\n3 1\n1 -\n2\n", "bad vertex line: '2'"),  # order, bad line
+    ("3 1\n3 1\n1 -\n2 q\n", "bad parent id of vertex 2: 'q'"),
+    ("2 7\n2 1\n1 -\n", "vertex lines must be in id order"),  # order, root
+    ("2 1\n2 9\n1 -\n", "vertex lines must be in id order"),  # order, parent
+    ("2 5\n1 -\n2 9\n", "root 5 has no vertex line"),  # root line, parent
+    ("3 1\n1 -\n2 9\n3 -\n", "unknown parent 9 of vertex 2"),  # parent, roots
+    ("3 1\n1 3\n2 -\n3 -\n",
+     "root 1 missing or has a parent"),  # root's parent, roots
+    ("5 1\n1 -\n2 3\n3 2\n4 -\n5 4\n",
+     "expected exactly one root, found [1, 4]"),  # roots, cycle
+]
+
+
+@pytest.mark.parametrize("text,message", PARSE_ERRORS + PARSE_PRECEDENCE)
+def test_parse_error_messages(text, message):
+    for parse in (parse_tree, reference_parse_tree):
+        with pytest.raises(InputError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+
+def test_tree_error_messages():
+    cases = [
+        ((1, {1: None, 2: 9}), "unknown parent 9 of vertex 2"),
+        ((3, {1: None, 2: 1}), "root 3 missing or has a parent"),
+        ((1, {1: None, 2: None}), "expected exactly one root, found [1, 2]"),
+        ((1, {1: None, 2: 3, 3: 2}), "tree is disconnected or cyclic"),
+        ((1, {1: None, 2: 1}, {5: []}), "unknown vertex 5 in child order"),
+        ((1, {1: None, 2: 1}, {1: []}), "tree is disconnected or cyclic"),
+        ((1, {1: None, 2: 1, 3: 2}, {1: [3], 3: [2]}),
+         "parent/children maps disagree at 3"),
+    ]
+    for args, message in cases:
+        for build in (Tree, reference_tree):
+            with pytest.raises(InputError) as err:
+                build(*args)
+            assert str(err.value) == message
+
+
+def test_cyclic_child_order_is_rejected():
+    with pytest.raises(InputError, match="^tree is disconnected or cyclic$"):
+        Tree(1, {1: None, 2: 1}, child_order={1: [2], 2: [1]})
+
+
+def test_child_order_must_list_each_child_once():
+    with pytest.raises(InputError, match="not a permutation"):
+        Tree(1, {1: None, 2: 1, 3: 1}, child_order={1: [2, 2]})
+    with pytest.raises(InputError, match="^unknown vertex 9 in child order$"):
+        Tree(1, {1: None, 2: 1}, child_order={1: [2, 9]})
+    t = Tree(1, {1: None, 2: 1, 3: 1}, child_order={1: [3, 2]})
+    assert t.children == {1: [3, 2], 2: [], 3: []}
+
+
+FAMILIES = {
+    "path": lambda n, seed: path(n),
+    "star": lambda n, seed: star(n),
+    "broom": lambda n, seed: broom(n),
+    "caterpillar": lambda n, seed: caterpillar(n),
+    "random": random_tree,
+    "complete-kary": lambda n, seed: complete_kary(n, 1 + seed % 4),
+}
+
+
+def generated_text(family, n, seed, weights):
+    t = FAMILIES[family](n, seed)
+    if "ew" in weights:
+        with_edge_weights(t, seed)
+    if "vw" in weights:
+        with_vertex_weights(t, seed)
+    return serialize_tree(t)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES)), st.integers(1, 80),
+       st.integers(0, 2**31), st.sampled_from(["", "ew", "vw", "ew vw"]))
+def test_parse_equals_the_reference_on_generated_trees(family, n, seed,
+                                                       weights):
+    text = generated_text(family, n, seed, weights)
+    got = outcome(parse_tree, text)
+    assert got[0] == "tree"
+    assert got == outcome(reference_parse_tree, text)
+
+
+def test_parse_equals_the_reference_at_two_to_the_sixteen():
+    text = generated_text("random", 1 << 16, 3, "ew")
+    got = outcome(parse_tree, text)
+    assert got[0] == "tree" and len(got[2]) == 1 << 16
+    assert got == outcome(reference_parse_tree, text)
+
+
+def mutated(text, rng):
+    """text with one to three random edits: a line dropped, duplicated or
+    swapped with another, or a token replaced by a near miss."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        j = rng.randrange(len(lines))
+        edit = rng.randrange(4)
+        if edit == 0 and len(lines) > 1:
+            del lines[i]
+        elif edit == 1:
+            lines.insert(j, lines[i])
+        elif edit == 2:
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            toks = lines[i].split() or [""]
+            k = rng.randrange(len(toks))
+            toks[k] = rng.choice([
+                "", "-", "x", "=", "ew", "ew=", "ew=q", "vw=1", "0", "-3",
+                str(len(lines) + 5), toks[k] + "0", toks[k][:-1],
+                toks[k] + "=1", toks[k] + " " + toks[k]])
+            lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES)), st.integers(1, 12),
+       st.integers(0, 2**31), st.sampled_from(["", "ew", "vw ew"]),
+       st.randoms(use_true_random=False))
+def test_parse_equals_the_reference_on_mutated_texts(family, n, seed, weights,
+                                                     rng):
+    text = mutated(generated_text(family, n, seed, weights), rng)
+    assert outcome(parse_tree, text) == outcome(reference_parse_tree, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(1, 8), st.one_of(st.none(),
+                                                    st.integers(0, 9)),
+                       min_size=1, max_size=8),
+       st.integers(0, 9), st.booleans())
+def test_tree_equals_the_reference_on_parent_maps(parent, root, with_attrs):
+    attrs = {v: {"ew": v} for v in parent if v % 2} if with_attrs else None
+    assert outcome(Tree, root, parent, attrs=attrs) == \
+        outcome(reference_tree, root, parent, attrs=attrs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_strategy(), st.integers(0, 2**31))
+def test_tree_equals_the_reference_on_child_orders(args, seed):
+    n, tree_seed = args
+    t = relabeled_copy(random_tree(n, tree_seed), seed)
+    order = dict(t.children)
+    assert outcome(Tree, t.root, t.parent, child_order=order) == \
+        outcome(reference_tree, t.root, t.parent, child_order=order)
+    # an order that leaves a vertex out leaves its subtree unreached
+    v = next(v for v, cs in order.items() if cs)
+    partial = {u: cs for u, cs in order.items() if u != v}
+    got = outcome(Tree, t.root, t.parent, child_order=partial)
+    assert got == ("error", "tree is disconnected or cyclic")
+    assert got == outcome(reference_tree, t.root, t.parent,
+                          child_order=partial)
 
 
 # ---------------------------------------------------------------------------
