@@ -634,9 +634,13 @@ class _Books:
 
 
 def _comp_spec(tree, members, books, root_outs_known=True):
+    """The spec a machine contracts one component from: members, parents,
+    outs, virtual members, root_outs_known, and last its own words, 4 per
+    member plus its outs, counted once here for _estimate and _cc_machine."""
     mset = set(members)
     parent, children, slot_sets = tree.parent, tree.children, books.slots
     parents, outs = [], []
+    words = 4 * len(members)
     for i, m in enumerate(members):
         p = parent[m]
         parents.append(p if p in mset else None)
@@ -645,28 +649,25 @@ def _comp_spec(tree, members, books, root_outs_known=True):
             outs.append(())
             continue
         slots = slot_sets[m]
-        outs.append(tuple([u for u in kids
-                           if u not in mset and u not in slots]))
+        out = tuple([u for u in kids if u not in mset and u not in slots])
+        outs.append(out)
+        words += len(out)
     virtual = books.virtual
     return (tuple(members), tuple(parents), tuple(outs),
-            frozenset([m for m in members if m in virtual]), root_outs_known)
-
-
-def _spec_words(spec):
-    members, _parents, outs, _virt, _known = spec
-    return sum(4 + len(o) for o in outs)
+            frozenset([m for m in members if m in virtual]), root_outs_known,
+            words)
 
 
 def _estimate(words, spec):
-    return _spec_words(spec) + sum(words[("P", m)] for m in spec[0])
+    return spec[5] + sum([words[("P", m)] for m in spec[0]])
 
 
 def _cc_machine(plugin, stage, comp_specs):
-    input_words = sum(_spec_words(spec) for spec in comp_specs)
+    input_words = sum([spec[5] for spec in comp_specs])
 
     def run(ctx):
         out = []
-        for members, parents, outs, virt, root_outs_known in comp_specs:
+        for members, parents, outs, virt, root_outs_known, _w in comp_specs:
             survivor = members[0]
             read_before = ctx.read_words
             payloads = {m: ctx.read(("P", m)) for m in members}
@@ -766,8 +767,10 @@ def _apply_results(tree, books, results):
                 folded.setdefault(rec.parent_out, []).extend(rec.members[1:])
                 virtual.add(survivor)
             slot_sets[survivor] = slots
-            check_payload_budget(fault, words[("P", survivor)], len(slots),
-                                 c_w, "%s survivor %r", rec.label, survivor)
+            pwords = words[("P", survivor)]
+            if pwords > c_w * (len(slots) + 1):
+                check_payload_budget(fault, pwords, len(slots), c_w,
+                                     "%s survivor %r", rec.label, survivor)
             log.append(rec, words[("LOG", rec.label, survivor)])
     for p, leaves in folded.items():
         tree.remove_leaves(p, leaves)
@@ -794,14 +797,15 @@ def _bounded_units(tree, plugin, cfg, rank, books, prefix=""):
     """Unit stream of the bounded-degree contraction; books is kept current
     for every live vertex. Yields ("charge", label, rounds) and ("round",
     machines), whose send-value is the per-machine results. Every phase
-    emits the same unit shapes, so parallel streams can be merged step by
+    emits the same unit shapes, so nested streams side by side stay in
     step; a phase over the cap is reported to books.fault."""
     lam = degree_budget(cfg)
-    for v in tree.vertices():
-        if tree.deg(v) > lam:
+    children = tree.children
+    for v, kids in children.items():
+        if len(kids) > lam:
             raise InputError(
                 "vertex %r has degree %d over the budget %d; use the general "
-                "contraction or an expansion first" % (v, tree.deg(v), lam))
+                "contraction or an expansion first" % (v, len(kids), lam))
     phase = 0
     while tree.n > 1:
         phase += 1
@@ -825,8 +829,8 @@ def _bounded_units(tree, plugin, cfg, rank, books, prefix=""):
         results = yield ("round", machines)
         _apply_results(tree, books, results)
         specs, sizes = [], []
-        for p in tree.vertices():
-            leaf_kids = [u for u in tree.children[p] if tree.is_leaf(u)]
+        for p, kids in children.items():
+            leaf_kids = [u for u in kids if not children[u]]
             if leaf_kids:
                 spec = _comp_spec(tree, (p,) + tuple(leaf_kids), books)
                 specs.append(spec)
@@ -844,7 +848,7 @@ def _bounded_units(tree, plugin, cfg, rank, books, prefix=""):
 def _general_units(tree, plugin, cfg, rank, books):
     lam = degree_budget(cfg)
     alpha = sibling_batch(cfg)
-    words, virtual = books.words, books.virtual
+    words, virtual, children = books.words, books.virtual, tree.children
     phase = 0
     while tree.n > 1:
         # the all-vertex spec has no outs, so its _estimate is 4 words per
@@ -886,7 +890,7 @@ def _general_units(tree, plugin, cfg, rank, books):
                 slices.append((members, sub))
                 subs.append(_bounded_units(sub, plugin, cfg, rank, books,
                                            prefix=label + " "))
-            yield from _merged(subs)
+            yield from _merged(subs, cfg.machine_cap)
             for members, sub in slices:
                 if sub.n != 1:
                     raise LogIntegrityError(
@@ -895,10 +899,10 @@ def _general_units(tree, plugin, cfg, rank, books):
         level = 0
         while True:
             batches = []
-            for p in tree.vertices():
+            for p, kids in children.items():
                 slots = books.slots[p]
-                leaf_kids = [u for u in tree.children[p]
-                             if tree.is_leaf(u) and u not in slots]
+                leaf_kids = [u for u in kids
+                             if not children[u] and u not in slots]
                 for i in range(0, len(leaf_kids), alpha):
                     chunk = leaf_kids[i:i + alpha]
                     if len(chunk) > 1:
@@ -919,8 +923,8 @@ def _general_units(tree, plugin, cfg, rank, books):
             results = yield ("round", machines)
             _apply_results(tree, books, results)
         specs, sizes = [], []
-        for p in tree.vertices():
-            leaf_kids = [u for u in tree.children[p] if tree.is_leaf(u)]
+        for p, kids in children.items():
+            leaf_kids = [u for u in kids if not children[u]]
             if leaf_kids:
                 spec = _comp_spec(tree, (p,) + tuple(leaf_kids), books,
                                   root_outs_known=False)
@@ -939,51 +943,59 @@ def _general_units(tree, plugin, cfg, rank, books):
 # scheduling: a unit stream is a generator of two unit kinds,
 # ("charge", label, rounds) and ("round", machines); a round's send-value is
 # its machines' results, a charge's is None. _merged turns several streams
-# into one, so the nested bounded runs of a general phase share their
-# rounds; _drive executes one stream and is the only engine code that
-# advances the simulator. Budget and cap violations do not travel as units:
-# the streams report them to the simulator's fault hook themselves.
+# into one, so that independent runs (the nested bounded runs of a general
+# phase, or whole runs side by side) share their rounds; _drive executes one
+# stream and is the only engine code that advances the simulator. Budget and
+# cap violations do not travel as units: the streams report them to the
+# simulator's fault hook themselves.
 
-def _merged(streams):
-    """One stream running `streams` side by side, one merged unit per step.
-    A round step runs every stream's machines in one round, in stream order,
-    and sends each stream its own slice of the results. Streams emit the same
-    unit kinds and charges step by step, else LogIntegrityError, as does any
-    unit that is neither a round nor a charge; a stream that finishes early
-    just drops out."""
-    active = list(streams)
-    sends = [None] * len(active)
-    while active:
-        live, units = [], []
-        for gen, send in zip(active, sends):
-            try:
-                units.append(gen.send(send))
-            except StopIteration:
-                continue
-            live.append(gen)
-        active = live
-        if not units:
+def _merged(streams, cap):
+    """One stream running `streams` side by side. While any stream is at a
+    round, every stream at a round runs it: whole streams are packed in
+    stream order into rounds of at most `cap` machines (a stream over the
+    cap by itself gets a round of its own), and each stream is sent its own
+    slice of its round's results. Streams at a charge wait meanwhile; once
+    every stream is at a charge, each distinct charge is booked once, in
+    stream order. A stream that finishes just drops out; a unit that is
+    neither a round nor a charge is a LogIntegrityError."""
+    live = [[gen, None, None] for gen in streams]  # stream, unit, send-value
+    while True:
+        for entry in live:
+            if entry[1] is None:
+                try:
+                    entry[1] = unit = entry[0].send(entry[2])
+                except StopIteration:
+                    entry[0] = None
+                    continue
+                if unit[0] != "round" and unit[0] != "charge":
+                    raise LogIntegrityError("unit %r inside a parallel step"
+                                            % (unit[0],))
+        live = [entry for entry in live if entry[0] is not None]
+        if not live:
             return
-        kinds = {u[0] for u in units}
-        if len(kinds) != 1:
-            raise LogIntegrityError("parallel runs diverged: %r" % (kinds,))
-        kind = kinds.pop()
-        sends = [None] * len(units)
-        if kind == "charge":
-            charges = {u[1:] for u in units}
-            if len(charges) != 1:
-                raise LogIntegrityError("parallel charges diverged: %r"
-                                        % (charges,))
-            yield units[0]
-        elif kind == "round":
-            results = yield ("round", [m for u in units for m in u[1]])
+        at_round = [entry for entry in live if entry[1][0] == "round"]
+        if not at_round:
+            for charge in dict.fromkeys([entry[1] for entry in live]):
+                yield charge
+            for entry in live:
+                entry[1] = entry[2] = None
+            continue
+        bins, count = [], 0
+        for entry in at_round:
+            k = len(entry[1][1])
+            if not bins or count + k > cap:
+                bins.append([])
+                count = 0
+            bins[-1].append(entry)
+            count += k
+        for group in bins:
+            results = yield ("round",
+                             [m for entry in group for m in entry[1][1]])
             pos = 0
-            for i, u in enumerate(units):
-                sends[i] = results[pos:pos + len(u[1])]
-                pos += len(u[1])
-        else:
-            raise LogIntegrityError("unit %r inside a parallel step"
-                                    % (kind,))
+            for entry in group:
+                k = len(entry[1][1])
+                entry[1], entry[2] = None, results[pos:pos + k]
+                pos += k
 
 
 def _drive(sim, gen):
@@ -1058,37 +1070,55 @@ def _fresh_run(tree, plugin, cfg, sim):
     return work, sim.cfg, sim, books
 
 
-def _contract(tree, plugin, cfg, sim, units):
-    """Run the stream units(work, plugin, cfg, rank, books) on a fresh copy
-    of tree's shape, each vertex ranked by its place in the copy's preorder
-    key order, and read the answer at the root. Returns (answer,
-    ContractionLog, metrics).
+def _contract(runs, cfg, sim, units, label):
+    """Run the stream units(work, plugin, cfg, rank, books) of each
+    (tree, plugin) run in `runs` side by side on one simulator, in shared
+    rounds under one phase `label`: each on a fresh copy of its tree's
+    shape, each vertex ranked by its place in the copy's preorder key order.
+    The runs share the simulator's table, so their trees' vertex ids must be
+    disjoint. Returns one (answer, ContractionLog) per run, the answer read
+    at its root, and the metrics.
 
-    The cyclic collector is paused meanwhile: the run's working data are
+    The cyclic collector is paused meanwhile: the runs' working data are
     acyclic tuples that reference counting frees, so its passes would only
-    rescan the growing log. It is turned back on only if it was on. On exit
-    every tracked object, the finished log included, is handed to the oldest
-    generation (freeze then unfreeze, a list splice), so the young
-    collections that follow do not traverse the log again; a caller that
+    rescan the growing logs. It is turned back on only if it was on. On exit
+    every tracked object, the finished logs included, is handed to the
+    oldest generation (freeze then unfreeze, a list splice), so the young
+    collections that follow do not traverse the logs again; a caller that
     froze objects of its own keeps its generations as they are."""
+    if len(runs) > 1:
+        seen = set()
+        for tree, _plugin in runs:
+            if not seen.isdisjoint(tree.parent):
+                raise InputError("runs side by side share a vertex id")
+            seen.update(tree.parent)
     was_on = gc.isenabled()
     gc.disable()
     try:
-        work, cfg, sim, books = _fresh_run(tree, plugin, cfg, sim)
-        if work.n > 1:
-            rank = dict(zip(work.parent, range(work.n)))
-            with sim.phase("contract"):
-                _drive(sim, units(work, plugin, cfg, rank, books))
-        payload = sim.generation[("P", work.root)]
-        if payload[4]:
-            raise LogIntegrityError("root payload still has pending children")
-        log = books.log
-        log.final_payload = payload
+        started, streams = [], []
+        for tree, plugin in runs:
+            work, cfg, sim, books = _fresh_run(tree, plugin, cfg, sim)
+            started.append((work, plugin, books))
+            if work.n > 1:
+                rank = dict(zip(work.parent, range(work.n)))
+                streams.append(units(work, plugin, cfg, rank, books))
+        if streams:
+            with sim.phase(label):
+                _drive(sim, _merged(streams, cfg.machine_cap))
         budget = cfg.total_budget_factor * cfg.n
-        if log.total_words > budget:
-            sim.fault("contraction log of %d words exceeds %d"
-                      % (log.total_words, budget))
-        return plugin.finalize(payload[3]), log, sim.snapshot_metrics()
+        out = []
+        for work, plugin, books in started:
+            payload = sim.generation[("P", work.root)]
+            if payload[4]:
+                raise LogIntegrityError(
+                    "root payload still has pending children")
+            log = books.log
+            log.final_payload = payload
+            if log.total_words > budget:
+                sim.fault("contraction log of %d words exceeds %d"
+                          % (log.total_words, budget))
+            out.append((plugin.finalize(payload[3]), log))
+        return out, sim.snapshot_metrics()
     finally:
         if not gc.get_freeze_count():
             gc.freeze()
@@ -1097,11 +1127,21 @@ def _contract(tree, plugin, cfg, sim, units):
             gc.enable()
 
 
+def contract_side_by_side(runs, sim, label):
+    """General contraction of each (tree, plugin) run in `runs` on sim, the
+    runs side by side in shared rounds under the phase `label`; their trees'
+    vertex ids must be disjoint. Returns one (answer, ContractionLog) per
+    run, and the metrics."""
+    return _contract(runs, sim.cfg, sim, _general_units, label)
+
+
 def bounded_tree_contract(tree, plugin, cfg, sim=None):
     """Contract a tree whose degrees fit the decomposition budget; the answer
     is read at the root. Returns (answer, ContractionLog, metrics). With sim
     given, cfg is not read; else run_simulator sets one up."""
-    return _contract(tree, plugin, cfg, sim, _bounded_units)
+    ((answer, log),), metrics = _contract([(tree, plugin)], cfg, sim,
+                                          _bounded_units, "contract")
+    return answer, log, metrics
 
 
 def tree_contract(tree, plugin, cfg, sim=None):
@@ -1110,7 +1150,9 @@ def tree_contract(tree, plugin, cfg, sim=None):
     bounded algorithm on a slice, side by side with their peers), then fold
     leaf siblings in batches and absorb the last leaf of every star. With
     sim given, cfg is not read; else run_simulator sets one up."""
-    return _contract(tree, plugin, cfg, sim, _general_units)
+    ((answer, log),), metrics = _contract([(tree, plugin)], cfg, sim,
+                                          _general_units, "contract")
+    return answer, log, metrics
 
 
 # ---------------------------------------------------------------------------

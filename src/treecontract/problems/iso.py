@@ -10,8 +10,10 @@ t -> (a*t + b) mod m, so removing chain vertices stays one multiplication.
 
 import random
 
-from ..engine import Algebra, reconstruct, run_simulator, tree_contract
+from ..engine import (Algebra, contract_side_by_side, reconstruct,
+                      run_simulator, tree_contract)
 from ..errors import InputError
+from ..trees import Tree
 
 NEG_INF = float("-inf")
 
@@ -162,11 +164,28 @@ def make_prime_table(n, height, alpha=1, count=32, seed=0):
     return sorted(out)
 
 
+def _shifted(tree, offset):
+    """Copy of tree's shape with every vertex id moved up by offset: attrs
+    are left out (neither algebra here reads them) and the copy is not
+    validated again."""
+    out = Tree.__new__(Tree)
+    out.root = tree.root + offset
+    out.parent = {v + offset: (None if p is None else p + offset)
+                  for v, p in tree.parent.items()}
+    out.children = {v + offset: [c + offset for c in kids]
+                    for v, kids in tree.children.items()}
+    out.attrs = None
+    return out
+
+
 def tree_isomorphism(t1, t2, cfg, alpha=1, seed=0, prime_table=None):
     """Verdict plus a JSON-safe detail dict. One-sided: isomorphic inputs are
     never rejected; a non-isomorphic pair can slip through with probability
-    shrinking in n^alpha, so callers repeat with fresh seeds. All four
-    passes run on one simulator sized by t1."""
+    shrinking in n^alpha, so callers repeat with fresh seeds. Two steps run
+    on one simulator sized by t1, each contracting both trees side by side
+    in shared rounds: the height pass (phase "iso height"), then, after the
+    modulus draw, the polynomial pass (phase "iso polynomial"). t2 runs on
+    a copy whose ids lie past t1's, as the two runs share one table."""
     detail = {"n_left": t1.n, "n_right": t2.n, "alpha": alpha, "seed": seed}
     height = HeightAlgebra()
     sim = run_simulator(height, cfg, t1.n)
@@ -174,14 +193,17 @@ def tree_isomorphism(t1, t2, cfg, alpha=1, seed=0, prime_table=None):
         detail["reason"] = "size"
         detail["metrics"] = sim.snapshot_metrics()
         return False, detail
-    h1, log1, _ = tree_contract(t1, height, cfg, sim)
-    h2, log2, _ = tree_contract(t2, height, cfg, sim)
+    t2 = _shifted(t2, max(t1.parent) + 1 - min(t2.parent))
+    ((h1, log1), (h2, log2)), _ = contract_side_by_side(
+        [(t1, height), (t2, height)], sim, "iso height")
     detail["height_left"] = h1
     detail["height_right"] = h2
     if h1 != h2:
         detail["reason"] = "height"
         detail["metrics"] = sim.snapshot_metrics()
         return False, detail
+    heights1, heights2 = subtree_heights(log1), subtree_heights(log2)
+    del log1, log2
     rng = random.Random(seed)
     base = max(1, h1) * t1.n ** (alpha + 1)
     if prime_table is not None:
@@ -194,12 +216,11 @@ def tree_isomorphism(t1, t2, cfg, alpha=1, seed=0, prime_table=None):
         m = rng.randint(base * base, 2 * base * base)
     sim.charge_subroutine("modulus draw", 1)
     xs = [rng.randint(1, m) for _ in range(h1)]
-    q1, _, _ = tree_contract(t1, IsoAlgebra(m, xs, subtree_heights(log1)),
-                             cfg, sim)
-    q2, _, _ = tree_contract(t2, IsoAlgebra(m, xs, subtree_heights(log2)),
-                             cfg, sim)
+    ((q1, _), (q2, _)), metrics = contract_side_by_side(
+        [(t1, IsoAlgebra(m, xs, heights1)), (t2, IsoAlgebra(m, xs, heights2))],
+        sim, "iso polynomial")
     detail.update(reason="polynomial", modulus=m, q_left=q1, q_right=q2,
-                  metrics=sim.snapshot_metrics())
+                  metrics=metrics)
     return q1 == q2, detail
 
 

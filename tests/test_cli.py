@@ -146,6 +146,24 @@ class TestSolve:
         assert sizes["value"] == "not-isomorphic"
         assert sizes["metrics"]["rounds"] == 0
 
+    def test_report_phases_name_iso_steps(self, tmp_path, capsys):
+        p = self._write(tmp_path, "3 1\n1 -\n2 1\n3 2\n", "p.tree")
+        rep = tmp_path / "rep.jsonl"
+        run(capsys, "solve", "--problem", "iso", "--input", p, "--input", p,
+            "--report", str(rep))
+        run(capsys, "solve", "--problem", "height", "--input", p,
+            "--report", str(rep))
+        iso_report, height_report = [
+            json.loads(line) for line in rep.read_text().splitlines()]
+        phases = iso_report["metrics"]["phases"]
+        assert [ph["label"] for ph in phases] == [
+            "iso height", "modulus draw", "iso polynomial"]
+        assert sum(ph["rounds"] for ph in phases) == (
+            iso_report["metrics"]["rounds"])
+        # a single run keeps its one phase
+        assert [ph["label"] for ph in height_report["metrics"]["phases"]] == [
+            "contract"]
+
 
 class TestVerify:
     def test_agreement_across_problems(self, tmp_path, capsys):

@@ -21,6 +21,7 @@ from treecontract.engine import (
     _enc_obj,
     bounded_tree_contract,
     contract_component,
+    contract_side_by_side,
     degree_budget,
     lift_unary,
     payload_slot_ids,
@@ -442,21 +443,74 @@ def _labelled(order, *labels):
 def _drive_merged(sim, *unit_lists):
     got = [[] for _ in unit_lists]
     engine._drive(sim, engine._merged(
-        [_stream(units, g) for units, g in zip(unit_lists, got)]))
+        [_stream(units, g) for units, g in zip(unit_lists, got)],
+        sim.cfg.machine_cap))
     return got
 
 
 class TestScheduler:
-    def test_unit_kinds_must_agree(self):
+    def test_a_charge_waits_while_a_round_runs(self):
         sim = Simulator(cfg(16))
-        with pytest.raises(LogIntegrityError, match="diverged"):
-            _drive_merged(sim, [("charge", "relabel", 1)], [("round", [])])
+        order = []
+        got = _drive_merged(
+            sim,
+            [("charge", "relabel", 1), ("round", _labelled(order, "a1"))],
+            [("round", _labelled(order, "b1")),
+             ("round", _labelled(order, "b2")),
+             ("charge", "relabel", 1)])
+        # b's two rounds run while a waits at its charge; the charges then
+        # fall in the same step and are booked once
+        assert order == ["b1", "b2", "a1"]
+        assert got == [[None, ["a1"]], [["b1"], ["b2"], None]]
+        assert sim.rounds == 4
+        assert [p["label"] for p in sim.phases] == ["relabel"]
 
-    def test_charges_must_agree(self):
+    def test_distinct_charges_are_booked_one_after_the_other(self):
+        # the third stream's charge equals the first's and is booked with it
         for other in [("charge", "relabel", 2), ("charge", "preorder", 1)]:
             sim = Simulator(cfg(16))
-            with pytest.raises(LogIntegrityError, match="charges diverged"):
-                _drive_merged(sim, [("charge", "relabel", 1)], [other])
+            got = _drive_merged(sim, [("charge", "relabel", 1)], [other],
+                                [("charge", "relabel", 1)])
+            assert got == [[None], [None], [None]]
+            assert sim.rounds == 1 + other[2]
+            assert sim.phases == [{"label": "relabel", "rounds": 1},
+                                  {"label": other[1], "rounds": other[2]}]
+
+    def test_streams_over_the_cap_together_run_in_turn(self):
+        sim = Simulator(cfg(16))
+        cap = sim.cfg.machine_cap
+        order = []
+        a = ["a%d" % i for i in range(cap - 2)]
+        b = ["b%d" % i for i in range(3)]
+        c = ["c0"]
+        got = _drive_merged(sim, [("round", _labelled(order, *a))],
+                            [("round", _labelled(order, *b))],
+                            [("round", _labelled(order, *c))])
+        # a alone fits; b would push a's round past the cap, so b opens the
+        # next round, and c joins b there
+        assert sim.rounds == 2
+        assert order == a + b + c
+        assert got == [[a], [b], [c]]
+        assert not sim.violations
+
+    def test_one_stream_over_the_cap_still_faults(self):
+        sim = Simulator(cfg(16))
+        cap = sim.cfg.machine_cap
+        order = []
+        big = ["a%d" % i for i in range(cap + 1)]
+        with pytest.raises(SimFault, match="round 2: %d machines exceed cap "
+                                           "%d" % (cap + 1, cap)):
+            _drive_merged(sim, [("round", _labelled(order, "x"))],
+                          [("round", _labelled(order, *big))])
+        assert order == ["x"]
+        relaxed = Simulator(cfg(16, strict=False))
+        order = []
+        got = _drive_merged(relaxed, [("round", _labelled(order, *big))],
+                            [("round", _labelled(order, "y"))])
+        assert got == [[big], [["y"]]]
+        assert relaxed.rounds == 2
+        assert relaxed.violations == [
+            "round 1: %d machines exceed cap %d" % (cap + 1, cap)]
 
     def test_agreeing_charge_is_booked_once(self):
         sim = Simulator(cfg(16))
@@ -504,6 +558,51 @@ class TestScheduler:
             engine._drive(Simulator(cfg(16)), _stream([("fault", "x")], []))
         with pytest.raises(LogIntegrityError, match="inside a parallel step"):
             _drive_merged(Simulator(cfg(16)), [("fault", "x")])
+
+
+def _moved(tree, offset):
+    """tree with every vertex id moved up by offset."""
+    return Tree(tree.root + offset,
+                {v + offset: (None if p is None else p + offset)
+                 for v, p in tree.parent.items()},
+                child_order={v + offset: [c + offset for c in cs]
+                             for v, cs in tree.children.items()})
+
+
+class TestSideBySide:
+    def test_paired_runs_equal_each_run_alone(self, tmp_path):
+        # the second tree's tails run nested bounded streams inside the
+        # side-by-side step
+        trees = [random_tree(300, 5), _moved(two_tails([60, 200]), 1000),
+                 _moved(random_tree(120, 6), 2000)]
+        c = cfg(400, epsilon=1 / 3)
+        sim = run_simulator(HeightAlgebra(), c, 400)
+        paired, metrics = contract_side_by_side(
+            [(t, HeightAlgebra()) for t in trees], sim, "paired")
+        assert [p["label"] for p in metrics["phases"]] == ["paired"]
+        assert not metrics["violations"]
+        alone_rounds = 0
+        for i, (t, (answer, log)) in enumerate(zip(trees, paired)):
+            want, want_log, want_m = tree_contract(t, HeightAlgebra(), c)
+            alone_rounds += want_m["rounds"]
+            assert answer == want
+            got_path, want_path = (tmp_path / ("got%d" % i),
+                                   tmp_path / ("want%d" % i))
+            log.save(got_path)
+            want_log.save(want_path)
+            assert got_path.read_bytes() == want_path.read_bytes()
+        assert any(rec.label.startswith("phase 1 phase 1 ")
+                   for rec in paired[1][1].records)
+        assert metrics["rounds"] < alone_rounds
+
+    def test_runs_sharing_a_vertex_id_are_refused(self):
+        t = random_tree(30, 1)
+        other = _moved(random_tree(30, 2), 29)  # 30 is in both
+        sim = run_simulator(HeightAlgebra(), cfg(60), 60)
+        with pytest.raises(InputError, match="share a vertex id"):
+            contract_side_by_side([(t, HeightAlgebra()),
+                                   (other, HeightAlgebra())], sim, "paired")
+        assert sim.rounds == 0 and not sim.generation
 
 
 class Hoarder(Algebra):

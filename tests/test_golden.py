@@ -100,7 +100,7 @@ GOLDEN = {
 }
 
 ISO_GOLDEN = {
-    "rounds": 45, "peak_machine_words": 512, "total_words": 28409,
+    "rounds": 25, "peak_machine_words": 512, "total_words": 36675,
     "dht_reads": 5076, "dht_writes": 1968, "verdict": True,
     "modulus": 326637205720375, "q_left": 117040723017685,
     "q_right": 117040723017685,

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from treecontract.engine import run_simulator, tree_contract
 from treecontract.errors import InputError
 from treecontract.oracles import (all_shapes, broom, caterpillar, height_table,
                                   isomorphic_rooted, path, random_tree,
@@ -13,7 +14,7 @@ from treecontract.problems.iso import (HeightAlgebra, IsoAlgebra, NEG_INF,
                                        make_prime_table, subtree_heights,
                                        tree_isomorphism)
 from treecontract.sim import SimConfig
-from treecontract.trees import Tree
+from treecontract.trees import Tree, parse_tree, serialize_tree
 
 
 def height(tree, v=None):
@@ -188,3 +189,112 @@ class TestInvariance:
         metrics = detail["metrics"]
         assert not metrics["violations"]
         assert metrics["total_words"] <= 64 * 120
+
+
+# ---------------------------------------------------------------------------
+# the four passes one after another, as tree_isomorphism ran them before its
+# paired passes shared rounds: kept as the reference the paired passes must
+# reproduce, in every detail but rounds and total words
+
+def reference_tree_isomorphism(t1, t2, cfg, alpha=1, seed=0,
+                               prime_table=None):
+    detail = {"n_left": t1.n, "n_right": t2.n, "alpha": alpha, "seed": seed}
+    height = HeightAlgebra()
+    sim = run_simulator(height, cfg, t1.n)
+    if t1.n != t2.n:
+        detail["reason"] = "size"
+        detail["metrics"] = sim.snapshot_metrics()
+        return False, detail
+    h1, log1, _ = tree_contract(t1, height, cfg, sim)
+    h2, log2, _ = tree_contract(t2, height, cfg, sim)
+    detail["height_left"] = h1
+    detail["height_right"] = h2
+    if h1 != h2:
+        detail["reason"] = "height"
+        detail["metrics"] = sim.snapshot_metrics()
+        return False, detail
+    rng = random.Random(seed)
+    base = max(1, h1) * t1.n ** (alpha + 1)
+    if prime_table is not None:
+        usable = [p for p in prime_table if base <= p <= 2 * base]
+        if not usable:
+            raise InputError("prime table covers no prime in [%d, %d]"
+                             % (base, 2 * base))
+        m = usable[rng.randrange(len(usable))]
+    else:
+        m = rng.randint(base * base, 2 * base * base)
+    sim.charge_subroutine("modulus draw", 1)
+    xs = [rng.randint(1, m) for _ in range(h1)]
+    q1, _, _ = tree_contract(t1, IsoAlgebra(m, xs, subtree_heights(log1)),
+                             cfg, sim)
+    q2, _, _ = tree_contract(t2, IsoAlgebra(m, xs, subtree_heights(log2)),
+                             cfg, sim)
+    detail.update(reason="polynomial", modulus=m, q_left=q1, q_right=q2,
+                  metrics=sim.snapshot_metrics())
+    return q1 == q2, detail
+
+
+# indices into all_shapes(7) of non-isomorphic pairs of equal height
+EQUAL_HEIGHT_PAIRS = ((1, 2), (6, 29), (12, 15), (17, 24), (26, 33))
+SAME_DETAIL = ("n_left", "n_right", "alpha", "seed", "reason", "modulus",
+               "q_left", "q_right", "height_left", "height_right")
+SAME_METRICS = ("dht_reads", "dht_writes", "peak_machine_words",
+                "violations")
+
+
+def assert_matches_reference(t1, t2, cfg, seed):
+    verdict, detail = tree_isomorphism(t1, t2, cfg, seed=seed)
+    want_verdict, want = reference_tree_isomorphism(t1, t2, cfg, seed=seed)
+    assert verdict == want_verdict
+    assert ({k: detail.get(k) for k in SAME_DETAIL}
+            == {k: want.get(k) for k in SAME_DETAIL})
+    got_m, want_m = detail["metrics"], want["metrics"]
+    assert ({k: got_m[k] for k in SAME_METRICS}
+            == {k: want_m[k] for k in SAME_METRICS})
+    assert got_m["rounds"] <= want_m["rounds"]
+    return got_m, want_m
+
+
+class TestPairedPasses:
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_benchmark_pairs_match_the_reference(self, seed):
+        # the pair as the benchmark builds it: a random 2^12 tree against a
+        # relabeled copy, each serialized and parsed back
+        left = random_tree(1 << 12, seed)
+        right = relabeled_copy(left, seed)
+        t1, t2 = (parse_tree(serialize_tree(t)) for t in (left, right))
+        got, want = assert_matches_reference(
+            t1, t2, SimConfig(epsilon=0.5, n=t1.n, seed=seed), seed)
+        assert (got["rounds"], want["rounds"]) == (25, 45)
+
+    @pytest.mark.parametrize("family", ["path", "star", "caterpillar",
+                                        "broom", "random"])
+    def test_gate_families_match_the_reference(self, family):
+        make = {"path": path, "star": star, "caterpillar": caterpillar,
+                "broom": broom, "random": lambda n: random_tree(n, seed=n)}
+        for n in (1, 2, 5, 17, 40, 60):
+            base = make[family](n)
+            for seed in range(3):
+                twin = relabeled_copy(base, seed)
+                cfg = SimConfig(epsilon=0.5, n=max(4, n), C_w=16)
+                assert_matches_reference(base, twin, cfg, seed)
+                assert_matches_reference(twin, base, cfg, seed + 100)
+
+    def test_non_isomorphic_pairs_match_the_reference(self):
+        shapes = list(all_shapes(7))
+        # (0, 5) and (20, 47) differ in height, the others reach the
+        # polynomial pass
+        for i, j in ((0, 5), (20, 47)) + EQUAL_HEIGHT_PAIRS:
+            a, b = shapes[i], shapes[j]
+            assert not isomorphic_rooted(a, b)
+            for seed in range(4):
+                assert_matches_reference(a, b, cfg_for(7), seed)
+
+    def test_detection_counts_are_unchanged(self):
+        shapes = list(all_shapes(7))
+        for k, (i, j) in enumerate(EQUAL_HEIGHT_PAIRS):
+            a, b = shapes[i], shapes[j]
+            rng = random.Random(k)
+            want = sum(1 for _ in range(32) if not reference_tree_isomorphism(
+                a, b, cfg_for(7), seed=rng.randrange(2 ** 32))[0])
+            assert detection_count(a, b, cfg_for(7), 32, seed=k) == want

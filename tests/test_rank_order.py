@@ -55,9 +55,10 @@ CASES = {
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Swaps the check in; returns the tally of trees it saw."""
-    seen = {"work": 0, "slices": 0}
-    run = {}  # the current run's work tree and ranks
+    """Swaps the check in; returns the tally of trees it saw. Runs side by
+    side interleave their rounds, so each work tree keeps its own ranks."""
+    seen = {"work": 0, "slices": 0, "runs": 0}
+    ranks = {}  # id of a run's work tree -> (the tree, its ranks)
     fresh_run = engine._fresh_run
 
     def recorded_fresh_run(tree, plugin, cfg, sim):
@@ -66,16 +67,23 @@ def checked(monkeypatch):
         assert rank == preorder_number(tree)
         assert list(work.vertices()) == sorted(work.vertices(),
                                                key=rank.__getitem__)
-        run.update(work=work, rank=rank)
+        ranks[id(work)] = work, rank
+        seen["runs"] += 1
         return work, cfg, sim, books
 
     apply_results = engine._apply_results
 
     def checked_apply(tree, books, results):
         apply_results(tree, books, results)
-        ranks = [run["rank"][v] for v in tree.vertices()]
-        assert ranks == sorted(ranks)
-        seen["work" if tree is run["work"] else "slices"] += 1
+        if id(tree) in ranks:
+            rank = ranks[id(tree)][1]
+            seen["work"] += 1
+        else:
+            # a slice: ranked by the run whose work tree holds its root
+            rank = next(r for w, r in ranks.values() if tree.root in w.parent)
+            seen["slices"] += 1
+        got = [rank[v] for v in tree.vertices()]
+        assert got == sorted(got)
 
     monkeypatch.setattr(engine, "_fresh_run", recorded_fresh_run)
     monkeypatch.setattr(engine, "_apply_results", checked_apply)
@@ -101,6 +109,7 @@ def test_key_order_stays_rank_order_iso(checked):
         t1, t2, SimConfig(epsilon=0.5, n=N, seed=SEED), seed=SEED)
     assert verdict
     assert checked["work"] > 0
+    assert checked["runs"] == 4  # two height runs, two polynomial runs
 
 
 # ---------------------------------------------------------------------------
