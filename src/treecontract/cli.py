@@ -19,24 +19,17 @@ from .problems import REGISTRY
 from .sim import SimConfig
 from .trees import parse_tree, serialize_tree
 
-_FAMILIES = ("path", "star", "broom", "caterpillar", "random", "complete-kary",
-             "all-shapes")
-
-
-def _make_tree(family, n, seed, k):
-    if family == "path":
-        return path(n)
-    if family == "star":
-        return star(n)
-    if family == "broom":
-        return broom(n)
-    if family == "caterpillar":
-        return caterpillar(n)
-    if family == "random":
-        return random_tree(n, seed)
-    if family == "complete-kary":
-        return complete_kary(n, k)
-    raise InputError("family %r is not generable as a single tree" % family)
+# one tree of each family from (n, seed, k); "all-shapes" is a family of
+# many trees, which only gen writes
+_MAKE_TREE = {
+    "path": lambda n, seed, k: path(n),
+    "star": lambda n, seed, k: star(n),
+    "broom": lambda n, seed, k: broom(n),
+    "caterpillar": lambda n, seed, k: caterpillar(n),
+    "random": lambda n, seed, k: random_tree(n, seed),
+    "complete-kary": lambda n, seed, k: complete_kary(n, k),
+}
+_FAMILIES = tuple(_MAKE_TREE) + ("all-shapes",)
 
 
 def _read_text(path):
@@ -134,7 +127,7 @@ def _cmd_bench(args):
     for family in args.family:
         for n in args.n:
             for eps in args.epsilon or [0.5]:
-                tree = _make_tree(family, n, args.seed, args.k)
+                tree = _MAKE_TREE[family](n, args.seed, args.k)
                 ns = argparse.Namespace(**{**vars(args), "epsilon": eps})
                 cfg = _cfg_for(ns, [tree], None)
                 result = entry["solve"]([tree], None, cfg, args.seed)
@@ -169,7 +162,7 @@ def _cmd_gen(args):
             count += 1
         print("%d files in %s" % (count, args.out))
         return 0
-    tree = _weighted(_make_tree(args.family, args.n, args.seed, args.k), args)
+    tree = _weighted(_MAKE_TREE[args.family](args.n, args.seed, args.k), args)
     text = serialize_tree(tree)
     if parse_tree(text) != tree:
         raise LogIntegrityError("generated tree does not round-trip")
@@ -181,16 +174,22 @@ def _cmd_gen(args):
     return 0
 
 
-def _common(sub):
-    sub.add_argument("--epsilon", type=float, default=0.5)
+def _run_flags(sub):
+    """The flags of every command that solves: seed, budget mode and the
+    space constant."""
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--strict", dest="strict", action="store_true",
                      default=True)
     sub.add_argument("--relaxed", dest="strict", action="store_false")
-    sub.add_argument("--report", metavar="PATH")
-    sub.add_argument("--log", metavar="PATH")
     sub.add_argument("--space-constant", type=int, default=None,
                      help=argparse.SUPPRESS)
+
+
+def _common(sub):
+    sub.add_argument("--epsilon", type=float, default=0.5)
+    sub.add_argument("--report", metavar="PATH")
+    sub.add_argument("--log", metavar="PATH")
+    _run_flags(sub)
 
 
 def _build_parser():
@@ -215,17 +214,12 @@ def _build_parser():
     bench.add_argument("--problem", default="height",
                        choices=sorted(REGISTRY))
     bench.add_argument("--family", action="append", required=True,
-                       choices=[f for f in _FAMILIES if f != "all-shapes"])
+                       choices=list(_MAKE_TREE))
     bench.add_argument("--n", action="append", type=int, required=True)
     bench.add_argument("--epsilon", action="append", type=float)
-    bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--k", type=int, default=2)
-    bench.add_argument("--strict", dest="strict", action="store_true",
-                       default=True)
-    bench.add_argument("--relaxed", dest="strict", action="store_false")
     bench.add_argument("--out", metavar="PATH")
-    bench.add_argument("--space-constant", type=int, default=None,
-                       help=argparse.SUPPRESS)
+    _run_flags(bench)
 
     gen = subs.add_parser("gen", help="write generated tree files")
     gen.add_argument("--family", required=True, choices=_FAMILIES)

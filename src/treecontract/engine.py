@@ -793,6 +793,24 @@ def _ordered_comp(members, rank):
     return tuple(sorted(members, key=rank.__getitem__))
 
 
+def _rake(tree, plugin, cfg, books, stage, root_outs_known):
+    """One round under `stage` that contracts every parent with its leaf
+    children, the components packed into machines of S words."""
+    children = tree.children
+    specs, sizes = [], []
+    for p, kids in children.items():
+        leaf_kids = [u for u in kids if not children[u]]
+        if leaf_kids:
+            spec = _comp_spec(tree, (p,) + tuple(leaf_kids), books,
+                              root_outs_known)
+            specs.append(spec)
+            sizes.append(_estimate(books.words, spec))
+    machines = [_cc_machine(plugin, stage, bundle)
+                for bundle in _pack(specs, sizes, cfg.S)]
+    results = yield ("round", machines)
+    _apply_results(tree, books, results)
+
+
 def _bounded_units(tree, plugin, cfg, rank, books, prefix=""):
     """Unit stream of the bounded-degree contraction; books is kept current
     for every live vertex. Yields ("charge", label, rounds) and ("round",
@@ -828,17 +846,7 @@ def _bounded_units(tree, plugin, cfg, rank, books, prefix=""):
                     for _gi, specs in sorted(per_group.items())]
         results = yield ("round", machines)
         _apply_results(tree, books, results)
-        specs, sizes = [], []
-        for p, kids in children.items():
-            leaf_kids = [u for u in kids if not children[u]]
-            if leaf_kids:
-                spec = _comp_spec(tree, (p,) + tuple(leaf_kids), books)
-                specs.append(spec)
-                sizes.append(_estimate(books.words, spec))
-        machines = [_cc_machine(plugin, label + " rake", bundle)
-                    for bundle in _pack(specs, sizes, cfg.S)]
-        results = yield ("round", machines)
-        _apply_results(tree, books, results)
+        yield from _rake(tree, plugin, cfg, books, label + " rake", True)
         if tree.n > max(1, k):
             raise LogIntegrityError(
                 "%s left %d vertices, over the group count %d"
@@ -922,18 +930,7 @@ def _general_units(tree, plugin, cfg, rank, books):
                         for bundle in _pack(batches, sizes, cfg.S)]
             results = yield ("round", machines)
             _apply_results(tree, books, results)
-        specs, sizes = [], []
-        for p, kids in children.items():
-            leaf_kids = [u for u in kids if not children[u]]
-            if leaf_kids:
-                spec = _comp_spec(tree, (p,) + tuple(leaf_kids), books,
-                                  root_outs_known=False)
-                specs.append(spec)
-                sizes.append(_estimate(words, spec))
-        machines = [_cc_machine(plugin, label + " fold", bundle)
-                    for bundle in _pack(specs, sizes, cfg.S)]
-        results = yield ("round", machines)
-        _apply_results(tree, books, results)
+        yield from _rake(tree, plugin, cfg, books, label + " fold", False)
         if tree.n >= n_before:
             raise LogIntegrityError("%s made no progress (%d vertices)"
                                     % (label, tree.n))
@@ -999,9 +996,8 @@ def _merged(streams, cap):
 
 
 def _drive(sim, gen):
-    """Execute a unit stream of rounds and charges on sim; any other unit
-    is an InputError. A round with no machines runs no round and sends back
-    no results."""
+    """Execute a unit stream of rounds and charges on sim. A round with no
+    machines runs no round and sends back no results."""
     send = None
     while True:
         try:
@@ -1012,10 +1008,8 @@ def _drive(sim, gen):
         send = None
         if kind == "round":
             send = sim.run_round(arg) if arg else []
-        elif kind == "charge":
-            sim.charge_subroutine(arg, unit[2])
         else:
-            raise InputError("unknown unit %r" % (kind,))
+            sim.charge_subroutine(arg, unit[2])
 
 
 # ---------------------------------------------------------------------------
@@ -1028,17 +1022,15 @@ def run_simulator(plugin, cfg, n):
     return Simulator(cfg.replaced(C_w=plugin.C_w, n=max(cfg.n, n)))
 
 
-def _fresh_run(tree, plugin, cfg, sim):
-    """The initial payloads, read from tree's attrs, checked against the
-    budget and stored with their counts, and a work tree of tree's shape
-    only, keyed in preorder: the run drops vertices from it but reads no
-    attrs and adds no keys, so its key order stays the rank order. One
-    preorder walk builds both, and a payload over budget is reported as the
-    walk meets it. A given sim must have the plugin's C_w and room for
-    tree; its cfg is the run's."""
-    if sim is None:
-        sim = run_simulator(plugin, cfg, tree.n)
-    elif sim.cfg.C_w != plugin.C_w or sim.cfg.n < tree.n:
+def _fresh_run(tree, plugin, sim):
+    """Start a run on sim: the initial payloads, read from tree's attrs, are
+    checked against the budget and stored with their counts. Returns the
+    run's work tree, of tree's shape only and keyed in preorder, and its
+    books. The run drops vertices from the work tree but reads no attrs and
+    adds no keys, so its key order stays the rank order. One preorder walk
+    builds both, and a payload over budget is reported as the walk meets
+    it. sim must have the plugin's C_w and room for tree."""
+    if sim.cfg.C_w != plugin.C_w or sim.cfg.n < tree.n:
         raise InputError("simulator for C_w=%d, n=%d cannot run %s (C_w=%d) "
                          "on %d vertices" % (sim.cfg.C_w, sim.cfg.n,
                                              plugin.name, plugin.C_w, tree.n))
@@ -1062,20 +1054,17 @@ def _fresh_run(tree, plugin, cfg, sim):
             check_payload_budget(fault, words, 0, c_w, "vertex %r", v)
         entries.append((("P", v), (("k", v, edge, data, ()), words)))
     sim.store(entries)
-    work = Tree.__new__(Tree)
-    work.root, work.parent, work.children, work.attrs = (tree.root, parent,
-                                                         children, None)
     books = _Books(sim.words, fault, c_w, dict.fromkeys(parent, _NO_SLOTS),
-                   set(), ContractionLog(work.root, parent))
-    return work, sim.cfg, sim, books
+                   set(), ContractionLog(tree.root, parent))
+    return Tree.of_shape(tree.root, parent, children), books
 
 
-def _contract(runs, cfg, sim, units, label):
-    """Run the stream units(work, plugin, cfg, rank, books) of each
-    (tree, plugin) run in `runs` side by side on one simulator, in shared
-    rounds under one phase `label`: each on a fresh copy of its tree's
-    shape, each vertex ranked by its place in the copy's preorder key order.
-    The runs share the simulator's table, so their trees' vertex ids must be
+def _contract(runs, sim, units, label):
+    """Run the stream units(work, plugin, sim.cfg, rank, books) of each
+    (tree, plugin) run in `runs` side by side on sim, in shared rounds
+    under one phase `label`: each on a fresh copy of its tree's shape, each
+    vertex ranked by its place in the copy's preorder key order. The runs
+    share the simulator's table, so their trees' vertex ids must be
     disjoint. Returns one (answer, ContractionLog) per run, the answer read
     at its root, and the metrics.
 
@@ -1092,12 +1081,13 @@ def _contract(runs, cfg, sim, units, label):
             if not seen.isdisjoint(tree.parent):
                 raise InputError("runs side by side share a vertex id")
             seen.update(tree.parent)
+    cfg = sim.cfg
     was_on = gc.isenabled()
     gc.disable()
     try:
         started, streams = [], []
         for tree, plugin in runs:
-            work, cfg, sim, books = _fresh_run(tree, plugin, cfg, sim)
+            work, books = _fresh_run(tree, plugin, sim)
             started.append((work, plugin, books))
             if work.n > 1:
                 rank = dict(zip(work.parent, range(work.n)))
@@ -1132,15 +1122,16 @@ def contract_side_by_side(runs, sim, label):
     runs side by side in shared rounds under the phase `label`; their trees'
     vertex ids must be disjoint. Returns one (answer, ContractionLog) per
     run, and the metrics."""
-    return _contract(runs, sim.cfg, sim, _general_units, label)
+    return _contract(runs, sim, _general_units, label)
 
 
 def bounded_tree_contract(tree, plugin, cfg, sim=None):
     """Contract a tree whose degrees fit the decomposition budget; the answer
     is read at the root. Returns (answer, ContractionLog, metrics). With sim
     given, cfg is not read; else run_simulator sets one up."""
-    ((answer, log),), metrics = _contract([(tree, plugin)], cfg, sim,
-                                          _bounded_units, "contract")
+    ((answer, log),), metrics = _contract(
+        [(tree, plugin)], sim or run_simulator(plugin, cfg, tree.n),
+        _bounded_units, "contract")
     return answer, log, metrics
 
 
@@ -1150,8 +1141,9 @@ def tree_contract(tree, plugin, cfg, sim=None):
     bounded algorithm on a slice, side by side with their peers), then fold
     leaf siblings in batches and absorb the last leaf of every star. With
     sim given, cfg is not read; else run_simulator sets one up."""
-    ((answer, log),), metrics = _contract([(tree, plugin)], cfg, sim,
-                                          _general_units, "contract")
+    ((answer, log),), metrics = _contract(
+        [(tree, plugin)], sim or run_simulator(plugin, cfg, tree.n),
+        _general_units, "contract")
     return answer, log, metrics
 
 

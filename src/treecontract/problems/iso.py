@@ -12,7 +12,6 @@ import random
 
 from ..engine import (Algebra, contract_side_by_side, reconstruct,
                       run_simulator, tree_contract)
-from ..errors import InputError
 from ..trees import Tree
 
 NEG_INF = float("-inf")
@@ -118,74 +117,28 @@ class IsoAlgebra(Algebra):
         return (p, (1, 0))
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n):
-    # exact far beyond any modulus range this module draws from
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def make_prime_table(n, height, alpha=1, count=32, seed=0):
-    """Primes in [h*n^(alpha+1), 2*h*n^(alpha+1)]. Small ranges are scanned
-    outright; large ones are probed at random positions."""
-    base = max(1, height) * n ** (alpha + 1)
-    lo, hi = base, 2 * base
-    if hi <= 1 << 16:
-        return [p for p in range(max(2, lo), hi + 1) if is_prime(p)]
-    rng = random.Random(seed)
-    out = set()
-    for _ in range(400 * count):
-        c = rng.randint(lo, hi) | 1
-        if is_prime(c):
-            out.add(c)
-            if len(out) >= count:
-                break
-    return sorted(out)
-
-
 def _shifted(tree, offset):
     """Copy of tree's shape with every vertex id moved up by offset: attrs
     are left out (neither algebra here reads them) and the copy is not
     validated again."""
-    out = Tree.__new__(Tree)
-    out.root = tree.root + offset
-    out.parent = {v + offset: (None if p is None else p + offset)
-                  for v, p in tree.parent.items()}
-    out.children = {v + offset: [c + offset for c in kids]
-                    for v, kids in tree.children.items()}
-    out.attrs = None
-    return out
+    return Tree.of_shape(
+        tree.root + offset,
+        {v + offset: (None if p is None else p + offset)
+         for v, p in tree.parent.items()},
+        {v + offset: [c + offset for c in kids]
+         for v, kids in tree.children.items()})
 
 
-def tree_isomorphism(t1, t2, cfg, alpha=1, seed=0, prime_table=None):
+def tree_isomorphism(t1, t2, cfg, alpha=1, seed=0):
     """Verdict plus a JSON-safe detail dict. One-sided: isomorphic inputs are
     never rejected; a non-isomorphic pair can slip through with probability
     shrinking in n^alpha, so callers repeat with fresh seeds. Two steps run
     on one simulator sized by t1, each contracting both trees side by side
     in shared rounds: the height pass (phase "iso height"), then, after the
-    modulus draw, the polynomial pass (phase "iso polynomial"). t2 runs on
-    a copy whose ids lie past t1's, as the two runs share one table."""
+    modulus draw, the polynomial pass (phase "iso polynomial"). The modulus
+    is a random integer in [B^2, 2B^2], B = max(1, h) * n^(alpha+1) for the
+    common height h, drawn from seed. t2 runs on a copy whose ids lie past
+    t1's, as the two runs share one table."""
     detail = {"n_left": t1.n, "n_right": t2.n, "alpha": alpha, "seed": seed}
     height = HeightAlgebra()
     sim = run_simulator(height, cfg, t1.n)
@@ -206,14 +159,7 @@ def tree_isomorphism(t1, t2, cfg, alpha=1, seed=0, prime_table=None):
     del log1, log2
     rng = random.Random(seed)
     base = max(1, h1) * t1.n ** (alpha + 1)
-    if prime_table is not None:
-        usable = [p for p in prime_table if base <= p <= 2 * base]
-        if not usable:
-            raise InputError("prime table covers no prime in [%d, %d]"
-                             % (base, 2 * base))
-        m = usable[rng.randrange(len(usable))]
-    else:
-        m = rng.randint(base * base, 2 * base * base)
+    m = rng.randint(base * base, 2 * base * base)
     sim.charge_subroutine("modulus draw", 1)
     xs = [rng.randint(1, m) for _ in range(h1)]
     ((q1, _), (q2, _)), metrics = contract_side_by_side(
@@ -224,14 +170,13 @@ def tree_isomorphism(t1, t2, cfg, alpha=1, seed=0, prime_table=None):
     return q1 == q2, detail
 
 
-def detection_count(t1, t2, cfg, trials, seed=0, alpha=1, prime_table=None):
+def detection_count(t1, t2, cfg, trials, seed=0, alpha=1):
     """How many of `trials` independent runs call the pair non-isomorphic."""
     rng = random.Random(seed)
     hits = 0
     for _ in range(trials):
         verdict, _ = tree_isomorphism(t1, t2, cfg, alpha=alpha,
-                                      seed=rng.randrange(2 ** 32),
-                                      prime_table=prime_table)
+                                      seed=rng.randrange(2 ** 32))
         if not verdict:
             hits += 1
     return hits

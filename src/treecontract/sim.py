@@ -149,7 +149,7 @@ class Simulator:
         self.dht_writes = 0
         self.violations = []
         self.phases = []
-        self._phase_stack = []
+        self._phase = None
 
     @property
     def words(self):
@@ -188,8 +188,8 @@ class Simulator:
 
     def _advance(self, k):
         self.rounds += k
-        if self._phase_stack:
-            self._phase_stack[-1]["rounds"] += k
+        if self._phase is not None:
+            self._phase["rounds"] += k
 
     def run_round(self, machines):
         """Execute machine-programs one after another against the frozen
@@ -238,18 +238,19 @@ class Simulator:
         if rounds < 1:
             raise InputError("charged rounds must be >= 1")
         self._advance(rounds)
-        if not self._phase_stack:
+        if self._phase is None:
             self.phases.append({"label": name, "rounds": rounds})
 
     @contextmanager
     def phase(self, label):
-        entry = {"label": label, "rounds": 0}
+        """Book the rounds and charges advanced meanwhile to one phase entry
+        `label`; phases do not nest."""
+        self._phase = entry = {"label": label, "rounds": 0}
         self.phases.append(entry)
-        self._phase_stack.append(entry)
         try:
             yield entry
         finally:
-            self._phase_stack.pop()
+            self._phase = None
 
     # -- reporting ----------------------------------------------------------
 

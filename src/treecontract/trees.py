@@ -157,14 +157,18 @@ class Tree:
             t.attrs = {v: dict(a) for v, a in self.attrs.items()}
         return t
 
+    @classmethod
+    def of_shape(cls, root, parent, children):
+        """Tree of shape only over the given maps, kept as given and not
+        validated: the caller vouches that they form a tree."""
+        t = cls.__new__(cls)
+        t.root, t.parent, t.children, t.attrs = root, parent, children, None
+        return t
+
     def shape(self):
         """Copy of the parent and children maps, with no attrs."""
-        t = Tree.__new__(Tree)
-        t.root = self.root
-        t.parent = dict(self.parent)
-        t.children = {v: list(cs) for v, cs in self.children.items()}
-        t.attrs = None
-        return t
+        return Tree.of_shape(self.root, dict(self.parent),
+                             {v: list(cs) for v, cs in self.children.items()})
 
     def slice(self, members, root):
         """Standalone subtree of shape only over `members` rooted at `root`.
@@ -174,12 +178,9 @@ class Tree:
             for c in self.children[v]:
                 if c not in ms:
                     raise InputError("slice is not closed below %r" % (v,))
-        t = Tree.__new__(Tree)
-        t.root = root
-        t.parent = {v: (self.parent[v] if v != root else None) for v in members}
-        t.children = {v: list(self.children[v]) for v in members}
-        t.attrs = None
-        return t
+        return Tree.of_shape(
+            root, {v: (self.parent[v] if v != root else None) for v in members},
+            {v: list(self.children[v]) for v in members})
 
     def remove_leaf(self, v):
         if self.children[v]:
@@ -238,9 +239,6 @@ class Tree:
                 and self.parent == other.parent
                 and self.children == other.children
                 and self.attrs == other.attrs)
-
-    def __hash__(self):
-        return hash((self.root, self.n))
 
 
 # ---------------------------------------------------------------------------

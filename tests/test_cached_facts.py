@@ -82,10 +82,9 @@ def checked(monkeypatch):
 
     fresh_run = engine._fresh_run
 
-    def recorded_fresh_run(tree, plugin, cfg, sim_):
-        work, cfg, sim_, books = fresh_run(tree, plugin, cfg, sim_)
+    def recorded_fresh_run(tree, plugin, sim_):
         store["generation"] = sim_.generation
-        return work, cfg, sim_, books
+        return fresh_run(tree, plugin, sim_)
 
     comp_spec = engine._comp_spec
 

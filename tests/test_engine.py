@@ -384,15 +384,18 @@ class TestSolverSetup:
         assert (sim.cfg.C_w, sim.cfg.n) == (16, 100)
         assert (base.C_w, base.n) == (8, 64)
 
-    def test_given_simulator_is_kept(self):
-        t = oracles.with_vertex_weights(random_tree(50, 1), 1)
+    @pytest.mark.parametrize("contract", [tree_contract,
+                                          bounded_tree_contract])
+    def test_given_simulator_is_kept(self, contract):
+        # degree 2 fits the bounded algorithm's budget of 4 at n = 64
+        t = oracles.with_vertex_weights(complete_kary(50, 2), 1)
         sim = Simulator(cfg(64, C_w=16))
         # cfg is not read when a simulator is given
-        value, _log, metrics = tree_contract(t, MwisAlgebra(),
-                                             cfg(1, epsilon=0.25), sim)
+        value, _log, metrics = contract(t, MwisAlgebra(),
+                                        cfg(1, epsilon=0.25), sim)
         assert value == oracles.brute_mwis(t)[0]
         assert metrics["rounds"] == sim.rounds > 0
-        fresh = tree_contract(t, MwisAlgebra(), cfg(64))[2]
+        fresh = contract(t, MwisAlgebra(), cfg(64))[2]
         assert metrics == fresh
 
     @pytest.mark.parametrize("c_w, n", [(8, 64), (16, 49)])
@@ -553,9 +556,7 @@ class TestScheduler:
 
     def test_only_rounds_and_charges_are_units(self):
         # a violation goes to the simulator's fault hook, never down the
-        # stream; a leftover "fault" unit is an unknown unit
-        with pytest.raises(InputError, match="unknown unit"):
-            engine._drive(Simulator(cfg(16)), _stream([("fault", "x")], []))
+        # stream; a leftover "fault" unit is refused
         with pytest.raises(LogIntegrityError, match="inside a parallel step"):
             _drive_merged(Simulator(cfg(16)), [("fault", "x")])
 
@@ -689,8 +690,8 @@ class TestBudgets:
         t = valued(path(2))
         with pytest.raises(SimFault, match="non-conforming"):
             bounded_tree_contract(t, Fat(), cfg(2))
-        _work, _cfg, sim, _books = engine._fresh_run(
-            t, Fat(), cfg(2, strict=False), None)
+        sim = run_simulator(Fat(), cfg(2, strict=False), t.n)
+        engine._fresh_run(t, Fat(), sim)
         assert sim.violations == [
             "vertex %d: payload of 103 words exceeds 16 (non-conforming "
             "contractor)" % v for v in (1, 2)]

@@ -5,14 +5,12 @@ import random
 import pytest
 
 from treecontract.engine import run_simulator, tree_contract
-from treecontract.errors import InputError
 from treecontract.oracles import (all_shapes, broom, caterpillar, height_table,
                                   isomorphic_rooted, path, random_tree,
                                   relabeled_copy, star)
 from treecontract.problems.iso import (HeightAlgebra, IsoAlgebra, NEG_INF,
-                                       detection_count, height_run, is_prime,
-                                       make_prime_table, subtree_heights,
-                                       tree_isomorphism)
+                                       detection_count, height_run,
+                                       subtree_heights, tree_isomorphism)
 from treecontract.sim import SimConfig
 from treecontract.trees import Tree, parse_tree, serialize_tree
 
@@ -62,31 +60,6 @@ class TestHeights:
         assert alg.chain((1, NEG_INF), 0, None) == (1, 1)
 
 
-class TestModulus:
-    def test_is_prime_small(self):
-        known = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
-        for k in range(50):
-            assert is_prime(k) == (k in known), k
-
-    def test_is_prime_large(self):
-        assert is_prime(2 ** 61 - 1)
-        assert not is_prime((2 ** 31 - 1) * (2 ** 19 - 1))
-
-    def test_table_range_scan(self):
-        pt = make_prime_table(5, 2)
-        assert pt and all(50 <= p <= 100 and is_prime(p) for p in pt)
-
-    def test_table_range_probe(self):
-        pt = make_prime_table(200, 10, count=8)
-        assert pt and all(is_prime(p) for p in pt)
-        base = 10 * 200 ** 2
-        assert all(base <= p <= 2 * base for p in pt)
-
-    def test_table_mismatch_raises(self):
-        with pytest.raises(InputError):
-            tree_isomorphism(path(3), path(3), cfg_for(3), prime_table=[7])
-
-
 class TestVerdicts:
     def test_self_comparison(self):
         t = random_tree(50, 4)
@@ -126,13 +99,6 @@ class TestVerdicts:
         t2 = Tree(1, {1: None, 2: 1, 3: 1, 4: 2, 5: 3})
         assert not isomorphic_rooted(t1, t2)
         assert detection_count(t1, t2, cfg_for(5), 64, seed=2) >= 32
-
-    def test_prime_table_detection(self):
-        t1 = Tree(1, {1: None, 2: 1, 3: 1, 4: 3, 5: 3})
-        t2 = Tree(1, {1: None, 2: 1, 3: 1, 4: 2, 5: 3})
-        table = make_prime_table(5, 2)
-        assert detection_count(t1, t2, cfg_for(5), 32, seed=3,
-                               prime_table=table) >= 16
 
     def test_agrees_with_ahu_on_shapes(self):
         shapes = list(all_shapes(6))
@@ -196,8 +162,7 @@ class TestInvariance:
 # paired passes shared rounds: kept as the reference the paired passes must
 # reproduce, in every detail but rounds and total words
 
-def reference_tree_isomorphism(t1, t2, cfg, alpha=1, seed=0,
-                               prime_table=None):
+def reference_tree_isomorphism(t1, t2, cfg, alpha=1, seed=0):
     detail = {"n_left": t1.n, "n_right": t2.n, "alpha": alpha, "seed": seed}
     height = HeightAlgebra()
     sim = run_simulator(height, cfg, t1.n)
@@ -215,14 +180,7 @@ def reference_tree_isomorphism(t1, t2, cfg, alpha=1, seed=0,
         return False, detail
     rng = random.Random(seed)
     base = max(1, h1) * t1.n ** (alpha + 1)
-    if prime_table is not None:
-        usable = [p for p in prime_table if base <= p <= 2 * base]
-        if not usable:
-            raise InputError("prime table covers no prime in [%d, %d]"
-                             % (base, 2 * base))
-        m = usable[rng.randrange(len(usable))]
-    else:
-        m = rng.randint(base * base, 2 * base * base)
+    m = rng.randint(base * base, 2 * base * base)
     sim.charge_subroutine("modulus draw", 1)
     xs = [rng.randint(1, m) for _ in range(h1)]
     q1, _, _ = tree_contract(t1, IsoAlgebra(m, xs, subtree_heights(log1)),

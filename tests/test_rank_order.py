@@ -61,15 +61,15 @@ def checked(monkeypatch):
     ranks = {}  # id of a run's work tree -> (the tree, its ranks)
     fresh_run = engine._fresh_run
 
-    def recorded_fresh_run(tree, plugin, cfg, sim):
-        work, cfg, sim, books = fresh_run(tree, plugin, cfg, sim)
+    def recorded_fresh_run(tree, plugin, sim):
+        work, books = fresh_run(tree, plugin, sim)
         rank = preorder_number(work)
         assert rank == preorder_number(tree)
         assert list(work.vertices()) == sorted(work.vertices(),
                                                key=rank.__getitem__)
         ranks[id(work)] = work, rank
         seen["runs"] += 1
-        return work, cfg, sim, books
+        return work, books
 
     apply_results = engine._apply_results
 
@@ -143,12 +143,14 @@ def _unordered_tree():
 def test_payload_faults_are_reported_in_preorder():
     t = _unordered_tree()
     cfg = SimConfig(epsilon=0.5, n=t.n, C_w=16, strict=False)
-    _work, _cfg, sim, _books = engine._fresh_run(t, _Fat(), cfg, None)
+    sim = engine.run_simulator(_Fat(), cfg, t.n)
+    engine._fresh_run(t, _Fat(), sim)
     named = [int(msg.split(":")[0].split()[1]) for msg in sim.violations]
     assert named == list(preorder_number(t))
     assert named[:3] == [1, 3, 44]
     with pytest.raises(SimFault, match="^vertex 1: payload of 23 words"):
-        engine._fresh_run(t, _Fat(), cfg.replaced(strict=True), None)
+        engine._fresh_run(t, _Fat(), engine.run_simulator(
+            _Fat(), cfg.replaced(strict=True), t.n))
 
 
 def test_first_over_degree_vertex_in_preorder():

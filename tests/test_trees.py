@@ -256,6 +256,9 @@ def test_serialize_round_trip():
     t = parse_tree(SAMPLE)
     assert parse_tree(serialize_tree(t)) == t
     assert serialize_tree(parse_tree(serialize_tree(t))) == serialize_tree(t)
+    # a tree is mutable and compares by value, so it has no hash
+    with pytest.raises(TypeError):
+        hash(t)
 
 
 def test_parse_rejects_garbage():
