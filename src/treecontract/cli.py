@@ -2,7 +2,8 @@
 the oracles, and sweep families for round/memory tables.
 
 Exit codes: 0 success, 1 verification mismatch (or a not-isomorphic verdict),
-2 simulation fault or any unexpected error, 3 input error.
+2 simulation fault or any unexpected error, 3 input error (a malformed
+argument included).
 """
 
 import argparse
@@ -192,8 +193,17 @@ def _common(sub):
     _run_flags(sub)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors as input errors: exit 3, not argparse's 2,
+    which here means a simulation fault."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, "%s: error: %s\n" % (self.prog, message))
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treecontract",
         description="Tree contraction under a round-accurate AMPC simulator.")
     subs = parser.add_subparsers(dest="cmd", required=True)

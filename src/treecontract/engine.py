@@ -789,10 +789,6 @@ def sibling_batch(cfg):
     return max(2, math.ceil(cfg.n ** cfg.epsilon))
 
 
-def _ordered_comp(members, rank):
-    return tuple(sorted(members, key=rank.__getitem__))
-
-
 def _rake(tree, plugin, cfg, books, stage, root_outs_known):
     """One round under `stage` that contracts every parent with its leaf
     children, the components packed into machines of S words."""
@@ -811,12 +807,12 @@ def _rake(tree, plugin, cfg, books, stage, root_outs_known):
     _apply_results(tree, books, results)
 
 
-def _bounded_units(tree, plugin, cfg, rank, books, prefix=""):
+def _bounded_units(tree, plugin, cfg, books, prefix=""):
     """Unit stream of the bounded-degree contraction; books is kept current
     for every live vertex. Yields ("charge", label, rounds) and ("round",
-    machines), whose send-value is the per-machine results. Every phase
-    emits the same unit shapes, so nested streams side by side stay in
-    step; a phase over the cap is reported to books.fault."""
+    machines), whose send-value is the per-machine results; a phase over
+    the cap is reported to books.fault. Planning reads tree.vertices() as
+    the preorder to decompose, so tree must be keyed in preorder."""
     lam = degree_budget(cfg)
     children = tree.children
     for v, kids in children.items():
@@ -835,12 +831,12 @@ def _bounded_units(tree, plugin, cfg, rank, books, prefix=""):
             yield ("charge", "preorder", cfg.inv_eps)
         else:
             yield ("charge", "relabel", 1)
-        dec = decompose(tree, lam, rank)
+        dec = decompose(tree, lam, tree.vertices())
         k = dec.k
         per_group = {}
         for gi, comp in group_components(tree, dec):
             if len(comp) > 1:
-                spec = _comp_spec(tree, _ordered_comp(comp, rank), books)
+                spec = _comp_spec(tree, comp, books)
                 per_group.setdefault(gi, []).append(spec)
         machines = [_cc_machine(plugin, label + " compress", specs)
                     for _gi, specs in sorted(per_group.items())]
@@ -853,7 +849,7 @@ def _bounded_units(tree, plugin, cfg, rank, books, prefix=""):
                 % (label, tree.n, k))
 
 
-def _general_units(tree, plugin, cfg, rank, books):
+def _general_units(tree, plugin, cfg, books):
     lam = degree_budget(cfg)
     alpha = sibling_batch(cfg)
     words, virtual, children = books.words, books.virtual, tree.children
@@ -876,10 +872,9 @@ def _general_units(tree, plugin, cfg, rank, books):
         n_before = tree.n
         yield ("charge", "connectivity", cfg.inv_eps)
         direct, direct_sizes, nested = [], [], []
-        for comp, is_fringe in low_degree_components(tree, lam + 1):
-            if not is_fringe or len(comp) < 2:
+        for members, is_fringe in low_degree_components(tree, lam + 1):
+            if not is_fringe or len(members) < 2:
                 continue
-            members = _ordered_comp(comp, rank)
             spec = _comp_spec(tree, members, books)
             size = _estimate(words, spec)
             if size <= cfg.S:
@@ -896,7 +891,7 @@ def _general_units(tree, plugin, cfg, rank, books):
             for members in nested:
                 sub = tree.slice(members, members[0])
                 slices.append((members, sub))
-                subs.append(_bounded_units(sub, plugin, cfg, rank, books,
+                subs.append(_bounded_units(sub, plugin, cfg, books,
                                            prefix=label + " "))
             yield from _merged(subs, cfg.machine_cap)
             for members, sub in slices:
@@ -1027,9 +1022,10 @@ def _fresh_run(tree, plugin, sim):
     checked against the budget and stored with their counts. Returns the
     run's work tree, of tree's shape only and keyed in preorder, and its
     books. The run drops vertices from the work tree but reads no attrs and
-    adds no keys, so its key order stays the rank order. One preorder walk
-    builds both, and a payload over budget is reported as the walk meets
-    it. sim must have the plugin's C_w and room for tree."""
+    adds no keys, so its key order stays a preorder, the only vertex order
+    that planning reads. One preorder walk builds both, and a payload over
+    budget is reported as the walk meets it. sim must have the plugin's C_w
+    and room for tree."""
     if sim.cfg.C_w != plugin.C_w or sim.cfg.n < tree.n:
         raise InputError("simulator for C_w=%d, n=%d cannot run %s (C_w=%d) "
                          "on %d vertices" % (sim.cfg.C_w, sim.cfg.n,
@@ -1060,13 +1056,12 @@ def _fresh_run(tree, plugin, sim):
 
 
 def _contract(runs, sim, units, label):
-    """Run the stream units(work, plugin, sim.cfg, rank, books) of each
+    """Run the stream units(work, plugin, sim.cfg, books) of each
     (tree, plugin) run in `runs` side by side on sim, in shared rounds
-    under one phase `label`: each on a fresh copy of its tree's shape, each
-    vertex ranked by its place in the copy's preorder key order. The runs
-    share the simulator's table, so their trees' vertex ids must be
-    disjoint. Returns one (answer, ContractionLog) per run, the answer read
-    at its root, and the metrics.
+    under one phase `label`, each on a fresh copy of its tree's shape keyed
+    in preorder. The runs share the simulator's table, so their trees'
+    vertex ids must be disjoint. Returns one (answer, ContractionLog) per
+    run, the answer read at its root, and the metrics.
 
     The cyclic collector is paused meanwhile: the runs' working data are
     acyclic tuples that reference counting frees, so its passes would only
@@ -1090,8 +1085,7 @@ def _contract(runs, sim, units, label):
             work, books = _fresh_run(tree, plugin, sim)
             started.append((work, plugin, books))
             if work.n > 1:
-                rank = dict(zip(work.parent, range(work.n)))
-                streams.append(units(work, plugin, cfg, rank, books))
+                streams.append(units(work, plugin, cfg, books))
         if streams:
             with sim.phase(label):
                 _drive(sim, _merged(streams, cfg.machine_cap))
@@ -1192,9 +1186,6 @@ class LiftedAlgebra(Algebra):
             folded = self.r1(folded, value)
         return folded, None
 
-    def finalize(self, data):
-        return data
-
 
 def lift_unary(c1, r1, init=None, name="lifted"):
     return LiftedAlgebra(c1, r1, init, name)
@@ -1240,7 +1231,7 @@ def two_contraction_reference(tree, c1, r1, init=None):
             for v in members[1:]:
                 vals[top] = c1(vals[top], vals[v])
                 del vals[v]
-            work.contract(comp, top)
+            work.contract(set(comp), top)
     return vals[work.root]
 
 

@@ -258,7 +258,7 @@ def parse_tree(text):
         raise InputError("header must be 'n root_id'") from None
     if len(lines) - 1 != n:
         raise InputError("expected %d vertex lines, found %d" % (n, len(lines) - 1))
-    # attrs holds only the vertices with attributes; Tree fills in the rest.
+    # attrs holds only the vertices with attributes; Tree gives the rest {}.
     # A line out of id order is reported only once every line has parsed.
     parent, attrs = {}, {}
     last, in_order = NEG_INF, True
@@ -302,7 +302,9 @@ def parse_tree(text):
         raise InputError("vertex lines must be in id order")
     if root not in parent:
         raise InputError("root %d has no vertex line" % root)
-    return Tree(root, parent, attrs=attrs)
+    tree = Tree(root, parent)
+    tree.attrs.update(attrs)  # the parsed dicts are ours: no second copy
+    return tree
 
 
 def serialize_tree(tree):
@@ -330,8 +332,8 @@ def preorder_number(tree):
 class Decomposition:
     """Contiguous preorder groups with per-group degree sum <= lam.
 
-    boundaries[i] counts vertices in groups 1..i; order lists vertex ids by
-    rank, so group i is order[boundaries[i-1]:boundaries[i]].
+    boundaries[i] counts vertices in groups 1..i; order lists vertex ids in
+    preorder, so group i is order[boundaries[i-1]:boundaries[i]].
     """
 
     __slots__ = ("boundaries", "lam", "order")
@@ -350,14 +352,14 @@ class Decomposition:
         return [list(self.order[b[i - 1]:b[i]]) for i in range(1, len(b))]
 
 
-def decompose(tree, lam, rank=None):
-    """Greedy left-to-right packing over preorder ranks. A group is closed once
-    its degree sum reached lam, or when the next vertex would push it past lam."""
+def decompose(tree, lam, order=None):
+    """Greedy left-to-right packing over `order`, a preorder of tree's
+    vertices (tree.preorder() by default), taken as it is. A group is closed
+    once its degree sum reached lam, or when the next vertex would push it
+    past lam."""
     if lam < 1:
         raise InputError("lambda must be positive")
-    if rank is None:
-        rank = preorder_number(tree)
-    order = sorted(tree.vertices(), key=rank.__getitem__)
+    order = tuple(tree.preorder() if order is None else order)
     children = tree.children
     boundaries = [0]
     cur = 0
@@ -377,29 +379,22 @@ def decompose(tree, lam, rank=None):
 
 def group_components(tree, dec):
     """Connected components of each group's induced forest, as
-    (group_index, component vertex set) in (group, min-rank) order."""
+    (group_index, member tuple) in (group, top) order. dec.order must be a
+    preorder, so a vertex meets its parent first: it joins the parent's
+    component when the parent is in its group, and members come in
+    dec.order, the top first."""
+    parent = tree.parent
     out = []
     for gi, grp in enumerate(dec.groups(), start=1):
-        grp_set = set(grp)
-        assert grp, "empty group"
-        seen = set()
-        for v in grp:  # rank order; component root is met first
-            if v in seen:
-                continue
-            p = tree.parent[v]
-            if p is not None and p in grp_set:
-                continue  # not a component root within the group
-            comp = []
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                seen.add(u)
-                for c in tree.children[u]:
-                    if c in grp_set:
-                        stack.append(c)
-            out.append((gi, frozenset(comp)))
-    return out
+        comp_of = {}
+        for v in grp:
+            comp = comp_of.get(parent[v])
+            if comp is None:
+                comp = []
+                out.append((gi, comp))
+            comp.append(v)
+            comp_of[v] = comp
+    return [(gi, tuple(comp)) for gi, comp in out]
 
 
 class DependencyTree:
@@ -436,9 +431,7 @@ def dependency_tree(tree, dec):
         group[cid] = gi
         members_of[cid] = members
         dependent[cid] = False
-        top = next(v for v in members
-                   if tree.parent[v] is None or tree.parent[v] not in members)
-        p = tree.parent[top]
+        p = tree.parent[members[0]]  # the top comes first
         parent_of[cid] = comp_of[p] if p is not None else None
     for cid, pc in parent_of.items():
         if pc is not None:
@@ -451,34 +444,35 @@ def dependency_tree(tree, dec):
 # Big-Small classification
 
 def low_degree_components(tree, alpha):
-    """Maximal components over {v : deg(v) < alpha}, each tagged with whether
-    it is a leaf of the induced Big-Small tree (no big vertex below it)."""
+    """Maximal components over {v : deg(v) < alpha}, each as (member tuple,
+    whether it is a leaf of the induced Big-Small tree: no big vertex below
+    it). Components come in the order a preorder walk meets their tops;
+    members come in the tree's key order, so the top first when the keys
+    are in preorder."""
     if alpha < 2:
         raise InputError("alpha must be >= 2")
     parent, children = tree.parent, tree.children
-    small = {v for v, kids in children.items() if len(kids) < alpha}
-    comps = []
-    walk = [tree.root]  # preorder: a component is met at its top vertex
+    comp_of, leaf = {}, []
+    walk = [tree.root]  # preorder: a vertex is met after its parent
     while walk:
         v = walk.pop()
-        walk.extend(reversed(children[v]))
-        if v not in small:
-            continue
+        kids = children[v]
+        walk.extend(reversed(kids))
         p = parent[v]
-        if p is not None and p in small:
-            continue
-        comp, is_leaf = [], True
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for c in children[u]:
-                if c in small:
-                    stack.append(c)
-                else:
-                    is_leaf = False
-        comps.append((frozenset(comp), is_leaf))
-    return comps
+        if len(kids) < alpha:
+            i = comp_of.get(p)
+            if i is None:
+                i = len(leaf)
+                leaf.append(True)
+            comp_of[v] = i
+        elif p in comp_of:
+            leaf[comp_of[p]] = False
+    members = [[] for _ in leaf]
+    for v in children:
+        i = comp_of.get(v)
+        if i is not None:
+            members[i].append(v)
+    return [(tuple(comp), is_leaf) for comp, is_leaf in zip(members, leaf)]
 
 
 class BigSmallTree:
@@ -518,7 +512,7 @@ def build_big_small(tree, alpha):
         if tree.deg(v) >= alpha:
             nid = ("b", v)
             nodes.append(nid)
-            members[nid] = frozenset([v])
+            members[nid] = (v,)
             node_of[v] = nid
     parent_of, kind = {}, {}
     for nid in nodes:

@@ -247,6 +247,27 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err == "error: C_s must be positive\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--problem", "mwm", "--bogus"],
+         "unrecognized arguments: --bogus"),
+        (["solve", "--problem", "nope"], "invalid choice: 'nope'"),
+        (["solve", "--problem", "mwm", "--epsilon", "abc"],
+         "invalid float value: 'abc'"),
+        ([], "the following arguments are required: cmd"),
+    ])
+    def test_malformed_argument(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 3 and out.out == ""
+        assert out.err.startswith("usage: treecontract") and message in out.err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "--problem" in capsys.readouterr().out
+
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "solve", "--problem", "mwm",
                          "--input", "no-such-file.tree")

@@ -1,11 +1,14 @@
-"""The engine plans in the work tree's key order and never sorts by rank.
+"""The engine plans in the work tree's key order: it keeps no rank map.
 
 `_fresh_run` keys the work tree in preorder, and a run only deletes keys,
-so the key order must stay the rank order; a nested bounded run's slice is
-keyed by its rank-ordered members. Every problem runs here at n = 2^9 with
-`_apply_results` wrapped: after every round, the vertices of the tree the
-round was applied to (the work tree or a slice) must be in the preorder rank
-order of the run's fresh work tree, recomputed here with `preorder_number`.
+so the key order must stay the rank order. Every planning step reads that
+order as it is: `decompose` takes `tree.vertices()` as its preorder,
+`group_components` and `low_degree_components` hand out members in key
+order, and a nested bounded run's slice is keyed by those members. Every
+problem runs here at n = 2^9 with `_apply_results` wrapped: after every
+round, the vertices of the tree the round was applied to (the work tree or
+a slice) must be in the preorder rank order of the run's fresh work tree,
+recomputed here with `preorder_number`.
 """
 
 import pytest

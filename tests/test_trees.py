@@ -619,7 +619,7 @@ def test_group_components_path4():
 def test_group_components_star():
     t = star(4)
     comps = group_components(t, decompose(t, 3))
-    assert (1, frozenset({1})) == comps[0]
+    assert comps[0][0] == 1 and set(comps[0][1]) == {1}
     assert sorted(set(c) for _, c in comps[1:]) == [{2}, {3}, {4}]
     assert all(i == 2 for i, _ in comps[1:])
 
@@ -670,7 +670,7 @@ def test_low_degree_components_whole_tree():
     t = path(6)
     comps = low_degree_components(t, 2)
     assert len(comps) == 1
-    assert comps[0][0] == frozenset(t.vertices())
+    assert set(comps[0][0]) == set(t.vertices())
     assert comps[0][1] is True
 
 
@@ -742,8 +742,77 @@ def attached_trees(draw, max_n=60):
 @settings(max_examples=150, deadline=None)
 @given(attached_trees(), st.integers(2, 8))
 def test_low_degree_components_equal_the_reference(t, alpha):
-    assert low_degree_components(t, alpha) == \
+    assert as_sets(low_degree_components(t, alpha)) == \
         low_degree_components_reference(t, alpha)
+
+
+def as_sets(comps):
+    """Components as (frozenset, tag) pairs, in the order given."""
+    return [(frozenset(comp), tag) for comp, tag in comps]
+
+
+def group_components_reference(tree, dec):
+    """group_components as it was before it built components in one pass: a
+    walk down from each group's component tops, members as frozensets."""
+    out = []
+    for gi, grp in enumerate(dec.groups(), start=1):
+        grp_set = set(grp)
+        for v in grp:
+            if tree.parent[v] in grp_set:
+                continue
+            comp, stack = [], [v]
+            while stack:
+                u = stack.pop()
+                comp.append(u)
+                stack.extend(c for c in tree.children[u] if c in grp_set)
+            out.append((frozenset(comp), gi))
+    return out
+
+
+def preorder_keyed(tree):
+    """The same tree, its maps keyed in preorder, as a run's work tree is."""
+    return Tree(tree.root, {v: tree.parent[v] for v in tree.preorder()},
+                child_order=tree.children)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_strategy(40), st.integers(2, 8))
+def test_components_on_a_preorder_keyed_tree(args, alpha):
+    t = preorder_keyed(random_tree(*args))
+    pos = {v: i for i, v in enumerate(t.vertices())}
+    ldc = low_degree_components(t, alpha)
+    comps = [comp for comp, _ in ldc]
+    lam = max(t.deg(v) for v in t.vertices()) + alpha - 2
+    dec = decompose(t, lam, t.vertices())
+    plain = decompose(t, lam)
+    assert (dec.boundaries, dec.order) == (plain.boundaries, plain.order)
+    grouped = group_components(t, dec)
+    assert [(frozenset(c), gi) for gi, c in grouped] == \
+        group_components_reference(t, dec)
+    comps += [comp for _, comp in grouped]
+    for comp in comps:
+        assert isinstance(comp, tuple)
+        assert list(comp) == sorted(comp, key=pos.__getitem__)
+        assert all(t.parent[v] in comp for v in comp[1:])
+        assert t.parent[comp[0]] not in comp
+    assert as_sets(ldc) == low_degree_components_reference(t, alpha)
+
+
+def test_relabeled_keys_are_not_in_preorder():
+    t = relabeled_copy(random_tree(40, 1), 1)
+    assert list(t.vertices()) != list(t.preorder())
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_strategy(40), st.integers(2, 8), st.integers(0, 2**31))
+def test_components_on_a_relabeled_tree(args, alpha, seed):
+    t = relabeled_copy(random_tree(*args), seed)
+    assert as_sets(low_degree_components(t, alpha)) == \
+        low_degree_components_reference(t, alpha)
+    lam = max(t.deg(v) for v in t.vertices()) + alpha - 2
+    dec = decompose(t, lam)
+    assert [(frozenset(c), gi) for gi, c in group_components(t, dec)] == \
+        group_components_reference(t, dec)
 
 
 def test_big_small_star():
