@@ -18,6 +18,7 @@ the cyclic collector paused.
 
 import gc
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InputError, LogIntegrityError, SimFault
@@ -182,9 +183,10 @@ def _contract_payload(plugin, node, done, plain=(), outs=()):
 
 def contract_component(plugin, members, parents, outs, payloads):
     """Pure form of one connected contraction; returns the survivor payload.
-    Members are contracted children first (reverse component preorder), so
-    each hangs under its parent already contracted; the component root
-    survives and keeps its plain children off the payload."""
+    payloads are the members' payloads in member order. Members are
+    contracted children first (reverse component preorder), so each hangs
+    under its parent already contracted; the component root survives and
+    keeps its plain children off the payload."""
     plain = {}
     for m, pm in zip(members, parents):
         if pm is not None:
@@ -192,77 +194,67 @@ def contract_component(plugin, members, parents, outs, payloads):
     done = {}
     for i in range(len(members) - 1, 0, -1):
         m = members[i]
-        done[m] = _contract_payload(plugin, payloads[m], done,
+        done[m] = _contract_payload(plugin, payloads[i], done,
                                     plain.get(m, ()), outs[i])
-    root = members[0]
-    return _contract_payload(plugin, payloads[root], done,
-                             plain.get(root, ()))
+    return _contract_payload(plugin, payloads[0], done,
+                             plain.get(members[0], ()))
 
 
 # ---------------------------------------------------------------------------
 # contraction log
 
-class Record:
-    """One contraction. members is survivor-first in component preorder;
-    payloads are the members' payloads exactly as the machine read them;
-    parents give each member's attachment within the component; outs list
-    each member's still-live children outside it (for the component root
-    only when root_outs_known); virtual flags members that stood in for a
-    folded sibling batch rather than one original vertex. The fields are
-    kept as given: members, parents and outs (of tuples) are tuples, virtual
-    a frozenset and payloads a dict, as the machines build them and from_obj
-    normalizes them."""
+class Record(namedtuple("Record", (
+        "label", "kind", "survivor", "members", "payloads", "virtual",
+        "parent_out", "parents", "outs", "root_outs_known"),
+        defaults=((), (), True))):
+    """One contraction, in the form the log file stores it. members is
+    survivor-first in component preorder; payloads are the members' payloads
+    in member order, exactly as the machine read them; virtual is the sorted
+    tuple of members that stood in for a folded sibling batch rather than
+    one original vertex; parents give each member's attachment within the
+    component, and outs (a tuple per member) its still-live children outside
+    it (for the component root only when root_outs_known). A sibling record
+    has neither parents nor outs, and its parent_out is the batch's parent.
+    The machine that contracts a component builds its record once; the same
+    object is the table's LOG entry, the log's record and what save writes."""
 
-    __slots__ = ("label", "kind", "survivor", "members", "payloads",
-                 "virtual", "parent_out", "parents", "outs",
-                 "root_outs_known")
-
-    def __init__(self, label, kind, survivor, members, payloads, virtual,
-                 parent_out, parents=(), outs=(), root_outs_known=True):
-        self.label = label
-        self.kind = kind
-        self.survivor = survivor
-        self.members = members
-        self.payloads = payloads
-        self.virtual = virtual
-        self.parent_out = parent_out
-        self.parents = parents
-        self.outs = outs
-        self.root_outs_known = root_outs_known
-
-    def to_obj(self):
-        return (self.label, self.kind, self.survivor, self.members,
-                tuple(map(self.payloads.__getitem__, self.members)),
-                tuple(sorted(self.virtual)), self.parent_out, self.parents,
-                self.outs, self.root_outs_known)
+    __slots__ = ()
 
     def header_words(self):
-        """Words of to_obj() outside the payloads, from the fields' shape:
+        """Words of the record outside the payloads, from the fields' shape:
         label, kind, survivor, parent_out and root_outs_known are one word
         each, and so is every vertex id in members, virtual, parents and
         outs (a parent outside the component is None, also one word)."""
         return (5 + len(self.members) + len(self.parents) + len(self.virtual)
                 + sum(map(len, self.outs)))
 
-    @classmethod
-    def from_obj(cls, obj):
-        """Raises ValueError when a field's length disagrees with members:
-        one payload per member, and for a connected record one parent and
-        one outs entry per member (a sibling record has neither)."""
-        (label, kind, survivor, members, payloads, virtual, parent_out,
-         parents, outs, root_outs_known) = obj
-        members = tuple(members)
-        n = len(members)
-        per_member = 0 if kind == "sibling" else n
-        if (len(payloads), len(parents), len(outs)) != (n, per_member,
-                                                        per_member):
-            raise ValueError(
-                "record of %d members has %d payloads, %d parents and %d "
-                "outs" % (n, len(payloads), len(parents), len(outs)))
-        return cls(label, kind, survivor, members,
-                   dict(zip(members, payloads)), frozenset(virtual),
-                   parent_out, tuple(parents), tuple(tuple(o) for o in outs),
-                   bool(root_outs_known))
+
+def _loaded_record(obj):
+    """The decoded value obj as a Record. Raises ValueError when obj is not
+    a tuple of Record's fields, when members, payloads, virtual, parents,
+    outs or an outs entry is not a tuple or root_outs_known not a bool, or
+    when a field's length disagrees with members: one payload per member,
+    and for a connected record one parent and one outs entry per member (a
+    sibling record has neither)."""
+    if type(obj) is not tuple or len(obj) != len(Record._fields):
+        raise ValueError("record is not a tuple of %d fields"
+                         % len(Record._fields))
+    rec = Record._make(obj)
+    for name in ("members", "payloads", "virtual", "parents", "outs"):
+        if type(getattr(rec, name)) is not tuple:
+            raise ValueError("record's %s is not a tuple" % name)
+    if any(type(o) is not tuple for o in rec.outs):
+        raise ValueError("record's outs entry is not a tuple")
+    if type(rec.root_outs_known) is not bool:
+        raise ValueError("record's root_outs_known is not a bool")
+    n = len(rec.members)
+    per_member = 0 if rec.kind == "sibling" else n
+    if (len(rec.payloads), len(rec.parents), len(rec.outs)) != (
+            n, per_member, per_member):
+        raise ValueError(
+            "record of %d members has %d payloads, %d parents and %d outs"
+            % (n, len(rec.payloads), len(rec.parents), len(rec.outs)))
+    return rec
 
 
 LOG_MAGIC = b"TCLOG1\n"
@@ -434,20 +426,19 @@ def _enc_rnode(node, out, enc):
 
 
 def _enc_record(rec, out, enc):
-    """Append _enc_obj(rec.to_obj())'s bytes field by field, without
-    building to_obj(). members, parents, outs and each outs entry are the
-    tuples a Record is built with."""
+    """Append _enc_obj(rec)'s bytes field by field: the ids and labels
+    through enc, the payloads as residual-tree nodes."""
     out += _SMALL_TUPLE[10]
     _enc_item(rec.label, out, enc)
     _enc_item(rec.kind, out, enc)
     _enc_item(rec.survivor, out, enc)
-    members, payloads = rec.members, rec.payloads
-    _enc_items(members, out, enc)
-    n = len(members)
+    _enc_items(rec.members, out, enc)
+    payloads = rec.payloads
+    n = len(payloads)
     out += _SMALL_TUPLE[n] if n < 0x80 else _varint_head(7, n)
-    for m in members:
-        _enc_rnode(payloads[m], out, enc)
-    _enc_items(sorted(rec.virtual), out, enc)
+    for p in payloads:
+        _enc_rnode(p, out, enc)
+    _enc_items(rec.virtual, out, enc)
     _enc_item(rec.parent_out, out, enc)
     _enc_items(rec.parents, out, enc)
     outs = rec.outs
@@ -562,7 +553,7 @@ class ContractionLog:
         self.total_words = 0
 
     def append(self, rec, words):
-        """Add a record whose to_obj() is `words` words."""
+        """Add a record of `words` words."""
         self.records.append(rec)
         self.total_words += words
 
@@ -571,8 +562,8 @@ class ContractionLog:
 
     def save(self, path):
         """Write LOG_MAGIC, then _enc_obj of (root, vertices, final_payload,
-        record count), then _enc_obj of each record's to_obj(): the same
-        bytes, written by shape with the ids and labels encoded once."""
+        record count), then _enc_obj of each record: the same bytes, written
+        by shape with the ids and labels encoded once."""
         out = bytearray(LOG_MAGIC)
         # the ids in the records are the vertices: one pass over them costs
         # less than a cache miss apiece
@@ -602,7 +593,7 @@ class ContractionLog:
             log.final_payload = final_payload
             for _ in range(count):
                 obj, pos = _dec_obj(buf, pos)
-                log.append(Record.from_obj(obj), word_count(obj))
+                log.append(_loaded_record(obj), word_count(obj))
         except (TypeError, ValueError) as exc:
             raise InputError("malformed contraction log: %s" % exc) from None
         if pos != len(buf):
@@ -635,8 +626,9 @@ class _Books:
 
 def _comp_spec(tree, members, books, root_outs_known=True):
     """The spec a machine contracts one component from: members, parents,
-    outs, virtual members, root_outs_known, and last its own words, 4 per
-    member plus its outs, counted once here for _estimate and _cc_machine."""
+    outs, the sorted virtual members, root_outs_known, and last its own
+    words, 4 per member plus its outs, counted once here for _estimate and
+    _cc_machine."""
     mset = set(members)
     parent, children, slot_sets = tree.parent, tree.children, books.slots
     parents, outs = [], []
@@ -654,8 +646,8 @@ def _comp_spec(tree, members, books, root_outs_known=True):
         words += len(out)
     virtual = books.virtual
     return (tuple(members), tuple(parents), tuple(outs),
-            frozenset([m for m in members if m in virtual]), root_outs_known,
-            words)
+            tuple(sorted([m for m in members if m in virtual])),
+            root_outs_known, words)
 
 
 def _estimate(words, spec):
@@ -670,14 +662,14 @@ def _cc_machine(plugin, stage, comp_specs):
         for members, parents, outs, virt, root_outs_known, _w in comp_specs:
             survivor = members[0]
             read_before = ctx.read_words
-            payloads = {m: ctx.read(("P", m)) for m in members}
+            payloads = tuple([ctx.read(("P", m)) for m in members])
             read_words = ctx.read_words - read_before
             new_payload = contract_component(plugin, members, parents, outs,
                                              payloads)
             ctx.write(("P", survivor), new_payload)
             rec = Record(stage, "connected", survivor, members, payloads,
                          virt, None, parents, outs, root_outs_known)
-            ctx.write(("LOG", stage, survivor), rec.to_obj(),
+            ctx.write(("LOG", stage, survivor), rec,
                       read_words + rec.header_words())
             out.append((rec, payload_slot_ids(new_payload)))
         return out
@@ -692,23 +684,22 @@ def _sc_machine(plugin, stage, batch_specs):
         out = []
         for parent, leaves, virt in batch_specs:
             survivor = leaves[0]
-            payloads = {}
-            contributions = []
+            payloads, contributions = [], []
             read_before = ctx.read_words
             for leaf in leaves:
                 node = ctx.read(("P", leaf))
                 if node[4]:
                     raise SimFault("%s: sibling %r is not fully contracted"
                                    % (stage, leaf))
-                payloads[leaf] = node
+                payloads.append(node)
                 contributions.append(plugin.through_edge(
                     plugin.node_value(node[3]), node[2]))
             read_words = ctx.read_words - read_before
             data, edge = plugin.sibling_fold(contributions)
             ctx.write(("P", survivor), ("k", survivor, edge, data, ()))
-            rec = Record(stage, "sibling", survivor, leaves, payloads, virt,
-                         parent)
-            ctx.write(("LOG", stage, survivor), rec.to_obj(),
+            rec = Record(stage, "sibling", survivor, leaves, tuple(payloads),
+                         virt, parent)
+            ctx.write(("LOG", stage, survivor), rec,
                       read_words + rec.header_words())
             out.append((rec, _NO_SLOTS))
         return out
@@ -911,7 +902,8 @@ def _general_units(tree, plugin, cfg, books):
                     if len(chunk) > 1:
                         batches.append(
                             (p, tuple(chunk),
-                             frozenset([u for u in chunk if u in virtual])))
+                             tuple(sorted([u for u in chunk
+                                           if u in virtual]))))
             if not batches:
                 break
             level += 1
@@ -1292,10 +1284,9 @@ def reconstruct(log, plugin):
     edges = {}
     out = {log.root: values[log.root]}
     for rec in reversed(log.records):
-        members, payloads, virtual = rec.members, rec.payloads, rec.virtual
+        members, virtual = rec.members, set(rec.virtual)
         if rec.kind == "sibling":
-            for m in members:
-                snap = payloads[m]
+            for m, snap in zip(members, rec.payloads):
                 if snap[4]:
                     raise LogIntegrityError(
                         "folded sibling %r had pending children" % (m,))
@@ -1308,6 +1299,7 @@ def reconstruct(log, plugin):
                     out[m] = value
             continue
         survivor, outs = rec.survivor, rec.outs
+        payloads = dict(zip(members, rec.payloads))
         kids_of = {}
         for u, pu in zip(members, rec.parents):
             if pu is not None:

@@ -123,7 +123,7 @@ def test_kept_facts_match_recomputation(checked, name):
     cfg = SimConfig(epsilon=epsilon, n=n, seed=SEED)
     result = REGISTRY[problem]["solve"](trees, text, cfg, SEED)
     log = result["log"]
-    assert log.total_words == sum(word_count(rec.to_obj())
+    assert log.total_words == sum(word_count(rec)
                                   for rec in log.records)
     assert checked["given"] == len(log.records)
     assert checked["books"] > 0 and checked["specs"] > 0

@@ -47,7 +47,7 @@ from treecontract.problems.exprs import EvalAlgebra
 from treecontract.problems.indep import MisbAlgebra, MwisAlgebra
 from treecontract.problems.iso import HeightAlgebra
 from treecontract.problems.matching import MwmAlgebra, mwm_solve
-from treecontract.problems import REGISTRY, exprs, indep, iso, matching
+from treecontract.problems import REGISTRY, exprs, indep, iso, lifted, matching
 from treecontract.sim import Machine, SimConfig, Simulator
 from treecontract.trees import Tree, word_count
 
@@ -147,7 +147,7 @@ class TestComponentContraction:
         plugin = sum_plugin()
         t = valued(path(1), lambda v: 9)
         payload = initial_payload(plugin, t, 1)
-        out = contract_component(plugin, (1,), (None,), ((),), {1: payload})
+        out = contract_component(plugin, (1,), (None,), ((),), (payload,))
         assert out == payload
 
     def test_chain_residual_is_single_stub(self):
@@ -155,7 +155,7 @@ class TestComponentContraction:
         # sweep must merge everything into the top and leave one slot
         plugin = sum_plugin()
         t = valued(path(5), lambda v: v)
-        payloads = {v: initial_payload(plugin, t, v) for v in range(1, 6)}
+        payloads = tuple(initial_payload(plugin, t, v) for v in range(1, 6))
         parents = (None, 1, 2, 3, 4)
         outs = ((), (), (), (), (6,))
         out = contract_component(plugin, (1, 2, 3, 4, 5), parents, outs,
@@ -170,7 +170,7 @@ class TestComponentContraction:
         plugin = Keeper() if keep else sum_plugin()
         t = valued(path(n))
         members = tuple(range(1, n + 1))
-        payloads = {v: initial_payload(plugin, t, v) for v in members}
+        payloads = tuple(initial_payload(plugin, t, v) for v in members)
         parents = (None,) + members[:-1]
         outs = ((),) * (n - 1) + ((n + 1,),)
         out = contract_component(plugin, members, parents, outs, payloads)
@@ -740,8 +740,7 @@ class TestLogCodec:
         assert back.root == log.root
         assert back.vertices == log.vertices
         assert back.final_payload == log.final_payload
-        assert [r.to_obj() for r in back.records] == [
-            r.to_obj() for r in log.records]
+        assert back.records == log.records
         assert reconstruct(back, plugin) == reconstruct(log, plugin)
 
     def test_bad_magic(self, tmp_path):
@@ -791,6 +790,26 @@ class TestLogCodec:
         with pytest.raises(InputError, match="truncated"):
             ContractionLog.load(p)
 
+    @staticmethod
+    def load_record(tmp_path, field, value):
+        """Load a one-record log of members (1, 2) whose field `field` is
+        `value`."""
+        rec = ["x", "connected", 1, (1, 2),
+               (("k", 1, None, 0, ()), ("k", 2, None, 0, ())), (), None,
+               (None, 1), ((), ()), True]
+        rec[field] = value
+        out = bytearray(LOG_MAGIC)
+        _enc_obj((1, (1, 2), ("k", 1, None, 0, ()), 1), out)
+        _enc_obj(tuple(rec), out)
+        p = tmp_path / "run.tclog"
+        p.write_bytes(bytes(out))
+        return ContractionLog.load(p)
+
+    def test_a_well_formed_record_loads_as_a_record(self, tmp_path):
+        [rec] = self.load_record(tmp_path, 0, "x").records
+        assert type(rec) is Record
+        assert rec.members == (1, 2) and rec.root_outs_known is True
+
     @pytest.mark.parametrize("field,short", [
         (4, (("k", 1, None, 0, ()),)),
         (7, (None,)),
@@ -799,16 +818,35 @@ class TestLogCodec:
     def test_record_fields_must_match_its_members(self, tmp_path, field,
                                                   short):
         # members (1, 2) with one payload, one parent or one outs entry
-        rec = ["x", "connected", 1, (1, 2),
-               (("k", 1, None, 0, ()), ("k", 2, None, 0, ())), (), None,
-               (None, 1), ((), ()), True]
-        rec[field] = short
+        with pytest.raises(InputError, match="malformed.*2 members"):
+            self.load_record(tmp_path, field, short)
+
+    # strs of the right length, and ints that a bool() would have taken
+    @pytest.mark.parametrize("field,value,name", [
+        (3, "ab", "members"),
+        (4, "ab", "payloads"),
+        (5, "a", "virtual"),
+        (5, 2, "virtual"),
+        (7, "ab", "parents"),
+        (8, "ab", "outs"),
+        (8, ("ab", ()), "outs entry"),
+        (8, None, "outs"),
+        (9, 1, "root_outs_known"),
+        (9, None, "root_outs_known"),
+    ])
+    def test_record_fields_must_have_their_types(self, tmp_path, field,
+                                                 value, name):
+        with pytest.raises(InputError, match="malformed.*%s is not" % name):
+            self.load_record(tmp_path, field, value)
+
+    @pytest.mark.parametrize("obj", [7, (), ("x",) * 9, ("x",) * 11])
+    def test_a_record_must_be_a_tuple_of_ten_fields(self, tmp_path, obj):
         out = bytearray(LOG_MAGIC)
-        _enc_obj((1, (1, 2), ("k", 1, None, 0, ()), 1), out)
-        _enc_obj(tuple(rec), out)
+        _enc_obj((1, (1,), ("k", 1, None, 0, ()), 1), out)
+        _enc_obj(obj, out)
         p = tmp_path / "run.tclog"
         p.write_bytes(bytes(out))
-        with pytest.raises(InputError, match="malformed.*2 members"):
+        with pytest.raises(InputError, match="malformed.*10 fields"):
             ContractionLog.load(p)
 
     def test_sibling_record_without_parents_loads(self, tmp_path):
@@ -818,8 +856,7 @@ class TestLogCodec:
         p = tmp_path / "run.tclog"
         log.save(p)
         back = ContractionLog.load(p)
-        assert [r.to_obj() for r in back.records] == [
-            r.to_obj() for r in log.records]
+        assert back.records == log.records
 
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "run.tclog"
@@ -890,9 +927,8 @@ class TestEncoderDispatch:
 # records: header counts by shape, and the save that writes them by shape
 
 def header_of(rec):
-    """to_obj() without the payloads: what header_words() counts."""
-    obj = rec.to_obj()
-    return obj[:4] + obj[5:]
+    """The record without the payloads: what header_words() counts."""
+    return rec[:4] + rec[5:]
 
 
 def leaf(v, edge=None, data=1):
@@ -903,15 +939,13 @@ class TestHeaderWords:
     def test_hand_built_records(self):
         connected = Record(
             "phase 1 compress", "connected", 3, (3, 5, 8),
-            {3: ("k", 3, None, 2, (("s", 9, None),)), 5: leaf(5),
-             8: leaf(8)},
-            frozenset(), None, (None, 3, 5), ((), (), (10, 11)))
+            (("k", 3, None, 2, (("s", 9, None),)), leaf(5), leaf(8)), (),
+            None, (None, 3, 5), ((), (), (10, 11)))
         sibling = Record("phase 1 rake L1", "sibling", 4, (4, 6, 7),
-                         {4: leaf(4), 6: leaf(6), 7: leaf(7)},
-                         frozenset({6, 7}), 2)
+                         (leaf(4), leaf(6), leaf(7)), (6, 7), 2)
         fold = Record("phase 1 fold", "connected", 2, (2, 4),
-                      {2: leaf(2), 4: leaf(4)}, frozenset({4}), None,
-                      (None, 2), ((), ()), False)
+                      (leaf(2), leaf(4)), (4,), None, (None, 2), ((), ()),
+                      False)
         assert sibling.parents == () and sibling.outs == ()
         for rec, words in ((connected, 13), (sibling, 10), (fold, 10)):
             assert rec.header_words() == word_count(header_of(rec)) == words
@@ -968,8 +1002,9 @@ def records(draw):
     return Record(
         draw(st.text(max_size=12)),
         draw(st.sampled_from(["connected", "sibling"])), members[0], members,
-        {m: draw(payloads) for m in members},
-        frozenset(draw(st.lists(st.sampled_from(members), max_size=n))),
+        tuple(draw(payloads) for _ in members),
+        tuple(sorted(draw(st.lists(st.sampled_from(members), max_size=n,
+                                   unique=True)))),
         draw(st.one_of(st.none(), ids)),
         tuple(draw(st.lists(st.one_of(st.none(), ids), min_size=n,
                             max_size=n))),
@@ -1007,8 +1042,8 @@ class TestShapeSave:
         _enc_obj(header, out)
         chain = [LOG_MAGIC, chain_bytes(header)]
         for rec in log.records:
-            _enc_obj(rec.to_obj(), out)
-            chain.append(chain_bytes(rec.to_obj()))
+            _enc_obj(rec, out)
+            chain.append(chain_bytes(rec))
         data = saved_bytes(log)
         assert data == bytes(out) == b"".join(chain)
 
@@ -1019,17 +1054,15 @@ class TestShapeSave:
                (("s", False, 0), ("k", IntId(1), None, IntId(0), ()),
                 ("k", True, None, 1, ()), ("k", float("-inf"), None, 0, ()),
                 ("s", 1)))
-        # frozenset({8, 2}) iterates as 8, 2; the saved virtual is sorted
         rec = Record("rake", "connected", 1, (1, 2, 8),
-                     {1: wide, 2: odd, 8: ("k", 8, None, "8", ())},
-                     frozenset({8, 2}), True, (None, 1, True),
-                     ((True, 1), (), tuple(range(128))), 1)
+                     (wide, odd, ("k", 8, None, "8", ())), (2, 8), True,
+                     (None, 1, True), ((True, 1), (), tuple(range(128))), 1)
         log = ContractionLog(1, (True, 1, 2, 8))
         log.final_payload = odd
         log.append(rec, 0)
         out = bytearray(LOG_MAGIC)
         _enc_obj((log.root, log.vertices, odd, 1), out)
-        _enc_obj(rec.to_obj(), out)
+        _enc_obj(rec, out)
         assert saved_bytes(log) == bytes(out)
 
     @pytest.mark.parametrize("problem", sorted(
@@ -1105,7 +1138,7 @@ def _stitch(plugin, members, parents, outs, payloads):
     """Assemble one component: thaw all member payloads, hang each non-root
     member under its parent (through the parent's pending slot when one
     exists), and note still-live external children on each member root."""
-    nodes = {m: _thaw(payloads[m]) for m in members}
+    nodes = {m: _thaw(p) for m, p in zip(members, payloads)}
     slot_at = {}
     for m in members:
         stack = [nodes[m]]
@@ -1320,12 +1353,12 @@ def components(draw):
                      for _ in range(draw(st.integers(0, 1)))]
         outs.append(tuple(next(outside)
                           for _ in range(draw(st.integers(0, 2)))))
-    payloads = {}
+    payloads = []
     for m in members:
         kids = draw(st.permutations(slots[m]))
         edge = draw(edges) if m > 1 else None
-        payloads[m] = ("k", m, edge, draw(st.integers(0, 9)), tuple(kids))
-    return plugin, members, parents, tuple(outs), payloads
+        payloads.append(("k", m, edge, draw(st.integers(0, 9)), tuple(kids)))
+    return plugin, members, parents, tuple(outs), tuple(payloads)
 
 
 class TestAgainstReference:
@@ -1440,6 +1473,44 @@ class TestOneSimulatorPerSolve:
         assert run_cfg.n == max(n, contracted_size(name, trees, text,
                                                    config))
         assert (run_cfg.epsilon, run_cfg.seed) == (epsilon, SEED_REG)
+
+
+class TestOneRecordForm:
+    """A machine builds each record once: the log holds the very object the
+    simulator's table holds under the record's LOG key."""
+
+    @pytest.mark.parametrize("name", REGISTRY_NAMES)
+    def test_log_records_are_the_table_values(self, name):
+        trees, text = registry_inputs(name)
+        epsilon = REGISTRY_RUNS[name][1] if name in REGISTRY_RUNS else 0.5
+        n = max(4, len(text)) if text is not None else trees[0].n
+        config = cfg(n, epsilon=epsilon, seed=SEED_REG)
+        plugin = (lifted.sum_plugin() if name == "sum"
+                  else SOLVE_PLUGIN[name]())
+        if name == "iso":
+            t1, t2 = trees
+            t2 = iso._shifted(t2, max(t1.parent) + 1 - min(t2.parent))
+            sim = run_simulator(plugin, config, t1.n + t2.n)
+            runs, _m = contract_side_by_side([(t1, plugin), (t2, plugin)],
+                                             sim, "iso height")
+            logs = [log for _answer, log in runs]
+        else:
+            if name in ("mis", "matching"):
+                tree = indep.bypass_expand(trees[0], config)[0]
+                contract = bounded_tree_contract
+            elif name == "eval":
+                tree = exprs._simplify(text, config)[0]
+                contract = bounded_tree_contract
+            else:
+                tree, contract = trees[0], tree_contract
+            sim = run_simulator(plugin, config, tree.n)
+            _answer, log, _m = contract(tree, plugin, config, sim)
+            logs = [log]
+        for log in logs:
+            assert len(log) > 1
+            for rec in log.records:
+                assert type(rec) is Record
+                assert sim.generation[("LOG", rec.label, rec.survivor)] is rec
 
 
 class TestCollectorHandoff:
@@ -1569,9 +1640,10 @@ def reference_reconstruct(log, plugin):
         out[m] = value
 
     for rec in reversed(log.records):
+        snaps = dict(zip(rec.members, rec.payloads))
         if rec.kind == "sibling":
             for m in rec.members:
-                snap = rec.payloads[m]
+                snap = snaps[m]
                 if snap[4]:
                     raise LogIntegrityError(
                         "folded sibling %r had pending children" % (m,))
@@ -1580,7 +1652,7 @@ def reference_reconstruct(log, plugin):
                 if m not in rec.virtual:
                     resolve(m, values[m])
             continue
-        snap_slots = {m: payload_slot_ids(rec.payloads[m])
+        snap_slots = {m: payload_slot_ids(snaps[m])
                       for m in rec.members}
         kids_of = {m: [] for m in rec.members}
         for u, pu in zip(rec.members, rec.parents):
@@ -1589,18 +1661,18 @@ def reference_reconstruct(log, plugin):
         local = {}
 
         def slot_fn(u, acc):
-            edge = rec.payloads[u][2] if u in rec.payloads else edge_of(u)
+            edge = snaps[u][2] if u in snaps else edge_of(u)
             return plugin.through_edge(value_of(u, local),
                                        _compose(plugin, acc, edge))
 
         for i, m in reversed(list(enumerate(rec.members))):
             if m == rec.survivor and not rec.root_outs_known:
                 continue
-            extra = [plugin.through_edge(local[u], rec.payloads[u][2])
+            extra = [plugin.through_edge(local[u], snaps[u][2])
                      for u in kids_of[m]]
             extra.extend(plugin.through_edge(value_of(u, local), edge_of(u))
                          for u in rec.outs[i])
-            local[m] = reference_rnode_value(plugin, rec.payloads[m], slot_fn,
+            local[m] = reference_rnode_value(plugin, snaps[m], slot_fn,
                                              extra)
         if rec.root_outs_known:
             if values.get(rec.survivor) != local[rec.survivor]:
@@ -1609,7 +1681,7 @@ def reference_reconstruct(log, plugin):
                     % (rec.survivor, values.get(rec.survivor),
                        local[rec.survivor]))
         for m in rec.members:
-            edges[m] = rec.payloads[m][2]
+            edges[m] = snaps[m][2]
             if m == rec.survivor:
                 continue
             values[m] = local[m]
@@ -1719,22 +1791,25 @@ class TestReplay:
             final = log.final_payload
             log.final_payload = final[:3] + (final[3] + 1,) + final[4:]
         elif tamper == "sibling kids":
-            m = rec.members[-1]
-            rec.payloads[m] = rec.payloads[m][:4] + (("s", 999, None),)
+            last = rec.payloads[-1]
+            records[sibling] = rec._replace(
+                payloads=rec.payloads[:-1] + (last[:4] + (("s", 999, None),),))
         else:
             ghost = 10 ** 6
-            rec.members = rec.members + (ghost,)
-            rec.payloads[ghost] = ("k", ghost, None, 1, ())
+            records[sibling] = rec._replace(
+                members=rec.members + (ghost,),
+                payloads=rec.payloads + (("k", ghost, None, 1, ()),))
         got = _raised(reconstruct, log, plugin)
         assert check in got
         assert got == _raised(reference_reconstruct, log, plugin)
 
     def test_a_bare_slot_snapshot_is_rejected(self):
         log = _broom_log()
-        rec = next(rec for rec in reversed(log.records)
-                   if rec.kind == "connected")
-        m = rec.members[-1]
-        rec.payloads[m] = ("s", m, None)
+        i = next(i for i in range(len(log.records) - 1, -1, -1)
+                 if log.records[i].kind == "connected")
+        rec = log.records[i]
+        log.records[i] = rec._replace(
+            payloads=rec.payloads[:-1] + (("s", rec.members[-1], None),))
         got = _raised(reconstruct, log, sum_plugin())
         assert "bare slot" in got
         assert got == _raised(reference_reconstruct, log, sum_plugin())

@@ -264,8 +264,8 @@ class TestResidual:
         members = (1, 2, 3, 4, 5, 6)
         parents = (None, 1, 2, 3, 4, 5)
         outs = ((), (), (7,), (), (), (8,))
-        payloads = {v: ("k", v, None if v == 1 else FRESH(v), (0, 0), ())
-                    for v in members}
+        payloads = tuple(("k", v, None if v == 1 else FRESH(v), (0, 0), ())
+                         for v in members)
         out = contract_component(alg, members, parents, outs, payloads)
 
         def count(p, kind):
@@ -290,7 +290,7 @@ class TestResidual:
             t = with_edge_weights(random_tree(80, seed=seed), seed=seed + 50)
             _, _, _, log, _ = solve(t)
             for rec in log.records:
-                for p in rec.payloads.values():
+                for p in rec.payloads:
                     k, s = audit(p)
                     assert k <= 2 * s + 1
 
