@@ -18,10 +18,10 @@ the cyclic collector paused.
 
 import gc
 import math
-from collections import namedtuple
-from fractions import Fraction
 
 from .errors import InputError, LogIntegrityError, SimFault
+# reconstruct is imported for the callers that read it from the engine
+from .log import ContractionLog, Record, _compose, reconstruct  # noqa: F401
 from .sim import Machine, Simulator
 from .trees import (
     NEG_INF,
@@ -114,17 +114,6 @@ def check_payload_budget(fault, words, slots, c_w, who, *who_args):
               "contractor)" % (who % who_args, words, budget))
 
 
-def _compose(plugin, hi, lo):
-    if hi is None:
-        return lo
-    if lo is None:
-        return hi
-    out = plugin.compose(hi, lo)
-    if out is NotImplemented:
-        raise SimFault("algebra %s cannot compose edges" % plugin.name)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # machine-local contraction
 
@@ -198,407 +187,6 @@ def contract_component(plugin, members, parents, outs, payloads):
                                     plain.get(m, ()), outs[i])
     return _contract_payload(plugin, payloads[0], done,
                              plain.get(members[0], ()))
-
-
-# ---------------------------------------------------------------------------
-# contraction log
-
-class Record(namedtuple("Record", (
-        "label", "kind", "survivor", "members", "payloads", "virtual",
-        "parent_out", "parents", "outs", "root_outs_known"),
-        defaults=((), (), True))):
-    """One contraction, in the form the log file stores it. members is
-    survivor-first in component preorder; payloads are the members' payloads
-    in member order, exactly as the machine read them; virtual is the sorted
-    tuple of members that stood in for a folded sibling batch rather than
-    one original vertex; parents give each member's attachment within the
-    component, and outs (a tuple per member) its still-live children outside
-    it (for the component root only when root_outs_known). A sibling record
-    has neither parents nor outs, and its parent_out is the batch's parent.
-    The machine that contracts a component builds its record once; the same
-    object is the table's LOG entry, the log's record and what save writes."""
-
-    __slots__ = ()
-
-    def header_words(self):
-        """Words of the record outside the payloads, from the fields' shape:
-        label, kind, survivor, parent_out and root_outs_known are one word
-        each, and so is every vertex id in members, virtual, parents and
-        outs (a parent outside the component is None, also one word)."""
-        return (5 + len(self.members) + len(self.parents) + len(self.virtual)
-                + sum(map(len, self.outs)))
-
-
-def _loaded_record(obj):
-    """The decoded value obj as a Record. Raises ValueError when obj is not
-    a tuple of Record's fields, when members, payloads, virtual, parents,
-    outs or an outs entry is not a tuple or root_outs_known not a bool, or
-    when a field's length disagrees with members: one payload per member,
-    and for a connected record one parent and one outs entry per member (a
-    sibling record has neither)."""
-    if type(obj) is not tuple or len(obj) != len(Record._fields):
-        raise ValueError("record is not a tuple of %d fields"
-                         % len(Record._fields))
-    rec = Record._make(obj)
-    for name in ("members", "payloads", "virtual", "parents", "outs"):
-        if type(getattr(rec, name)) is not tuple:
-            raise ValueError("record's %s is not a tuple" % name)
-    if any(type(o) is not tuple for o in rec.outs):
-        raise ValueError("record's outs entry is not a tuple")
-    if type(rec.root_outs_known) is not bool:
-        raise ValueError("record's root_outs_known is not a bool")
-    n = len(rec.members)
-    per_member = 0 if rec.kind == "sibling" else n
-    if (len(rec.payloads), len(rec.parents), len(rec.outs)) != (
-            n, per_member, per_member):
-        raise ValueError(
-            "record of %d members has %d payloads, %d parents and %d outs"
-            % (n, len(rec.payloads), len(rec.parents), len(rec.outs)))
-    return rec
-
-
-LOG_MAGIC = b"TCLOG1\n"
-
-
-def _enc_uint(n, out):
-    while True:
-        b = n & 0x7F
-        n >>= 7
-        if n:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return
-
-
-# encodings by exact type, built once: the ints whose zigzag fits one varint
-# byte, the headers of tuples below 128 items, and the residual-tree tags
-_SMALL_INT = [bytes((3, z)) for z in range(0x80)]
-_SMALL_TUPLE = [bytes((7, n)) for n in range(0x80)]
-_TAGS = {"k": b"\x06\x01k", "s": b"\x06\x01s"}
-
-
-def _enc_obj(obj, out):
-    """Append obj's encoding to out: tuples with their int, None, -inf and
-    tag items, and ints, None, -inf and str, here by exact type; everything
-    else in _enc_other."""
-    cls = type(obj)
-    if cls is tuple:
-        n = len(obj)
-        if n < 0x80:
-            out += _SMALL_TUPLE[n]
-        else:
-            out.append(7)
-            _enc_uint(n, out)
-        for item in obj:
-            cls = type(item)
-            if cls is int:
-                z = item << 1 if item >= 0 else ((-item) << 1) | 1
-                if z < 0x80:
-                    out += _SMALL_INT[z]
-                else:
-                    out.append(3)
-                    _enc_uint(z, out)
-            elif item is None:
-                out.append(0)
-            elif cls is float and item == NEG_INF:
-                out.append(4)
-            elif cls is str and item in _TAGS:
-                out += _TAGS[item]
-            else:
-                _enc_obj(item, out)
-    elif cls is int:
-        out += _int_bytes(obj)
-    elif obj is None:
-        out.append(0)
-    elif cls is float and obj == NEG_INF:
-        out.append(4)
-    elif cls is str:
-        raw = obj.encode("utf-8")
-        out.append(6)
-        _enc_uint(len(raw), out)
-        out.extend(raw)
-    else:
-        _enc_other(obj, out)
-
-
-def _varint_head(tag, n):
-    """The tag byte, then n as a varint."""
-    raw = bytearray((tag,))
-    _enc_uint(n, raw)
-    return bytes(raw)
-
-
-def _int_bytes(v):
-    """Encoding of the int v. The ids of trees below 8192 vertices take the
-    two-byte varint, made here in one step."""
-    z = v << 1 if v >= 0 else ((-v) << 1) | 1
-    if z < 0x80:
-        return _SMALL_INT[z]
-    if z < 0x4000:
-        return bytes((3, z & 0x7F | 0x80, z >> 7))
-    return _varint_head(3, z)
-
-
-class _ScalarBytes(dict):
-    """Encodings of exact ints and strs, each made on first use. Index it
-    only with an exact int or str (True == 1 would find 1's bytes). One
-    lives for one save, so it holds no more than that log's ids and labels."""
-
-    __slots__ = ()
-
-    def __missing__(self, key):
-        if type(key) is int:
-            raw = _int_bytes(key)
-        else:
-            raw = bytearray()
-            _enc_obj(key, raw)
-            raw = bytes(raw)
-        self[key] = raw
-        return raw
-
-
-def _enc_item(x, out, enc):
-    """Append x's encoding, through enc when x is an exact int or str."""
-    cls = type(x)
-    if cls is int or cls is str:
-        out += enc[x]
-    elif x is None:
-        out.append(0)
-    else:
-        _enc_obj(x, out)
-
-
-def _enc_items(seq, out, enc):
-    """Append the encoding of tuple(seq), int items through enc."""
-    n = len(seq)
-    out += _SMALL_TUPLE[n] if n < 0x80 else _varint_head(7, n)
-    for x in seq:
-        if type(x) is int:
-            out += enc[x]
-        elif x is None:
-            out.append(0)
-        else:
-            _enc_obj(x, out)
-
-
-_K_HEAD = _SMALL_TUPLE[5] + _TAGS["k"]
-_S_HEAD = _SMALL_TUPLE[3] + _TAGS["s"]
-
-
-def _enc_rnode(node, out, enc):
-    """Append _enc_obj(node)'s bytes, reading node as a residual-tree node:
-    a fixed head, the vertex id through enc, then edge and data (or acc)
-    through _enc_obj, then the kids. A node of any other shape or item type
-    goes to _enc_obj whole."""
-    if type(node) is tuple:
-        n = len(node)
-        if n == 5:
-            tag, vid, edge, data, kids = node
-            if (type(vid) is int and type(kids) is tuple
-                    and type(tag) is str and tag == "k"):
-                out += _K_HEAD
-                out += enc[vid]
-                if edge is None:
-                    out.append(0)
-                else:
-                    _enc_obj(edge, out)
-                if type(data) is int:
-                    out += enc[data]
-                else:
-                    _enc_obj(data, out)
-                n = len(kids)
-                out += _SMALL_TUPLE[n] if n < 0x80 else _varint_head(7, n)
-                for kid in kids:
-                    _enc_rnode(kid, out, enc)
-                return
-        elif n == 3:
-            tag, vid, acc = node
-            if type(vid) is int and type(tag) is str and tag == "s":
-                out += _S_HEAD
-                out += enc[vid]
-                if acc is None:
-                    out.append(0)
-                else:
-                    _enc_obj(acc, out)
-                return
-    _enc_obj(node, out)
-
-
-def _enc_record(rec, out, enc):
-    """Append _enc_obj(rec)'s bytes field by field: the ids and labels
-    through enc, the payloads as residual-tree nodes."""
-    out += _SMALL_TUPLE[10]
-    _enc_item(rec.label, out, enc)
-    _enc_item(rec.kind, out, enc)
-    _enc_item(rec.survivor, out, enc)
-    _enc_items(rec.members, out, enc)
-    payloads = rec.payloads
-    n = len(payloads)
-    out += _SMALL_TUPLE[n] if n < 0x80 else _varint_head(7, n)
-    for p in payloads:
-        _enc_rnode(p, out, enc)
-    _enc_items(rec.virtual, out, enc)
-    _enc_item(rec.parent_out, out, enc)
-    _enc_items(rec.parents, out, enc)
-    outs = rec.outs
-    n = len(outs)
-    out += _SMALL_TUPLE[n] if n < 0x80 else _varint_head(7, n)
-    for o in outs:
-        if o == ():
-            out += _SMALL_TUPLE[0]
-        else:
-            _enc_items(o, out, enc)
-    _enc_item(rec.root_outs_known, out, enc)
-
-
-def _enc_other(obj, out):
-    """Every type outside _enc_obj's dispatch, subclasses included."""
-    if obj is True:
-        out.append(1)
-    elif obj is False:
-        out.append(2)
-    elif isinstance(obj, int):
-        out.append(3)
-        _enc_uint(obj << 1 if obj >= 0 else ((-obj) << 1) | 1, out)
-    elif isinstance(obj, float):
-        if obj != NEG_INF:
-            raise InputError("only -inf floats are encodable")
-        out.append(4)
-    elif isinstance(obj, Fraction):
-        out.append(5)
-        n = obj.numerator
-        _enc_uint(n << 1 if n >= 0 else ((-n) << 1) | 1, out)
-        _enc_uint(obj.denominator, out)
-    elif isinstance(obj, str):
-        raw = obj.encode("utf-8")
-        out.append(6)
-        _enc_uint(len(raw), out)
-        out.extend(raw)
-    elif isinstance(obj, tuple):
-        out.append(7)
-        _enc_uint(len(obj), out)
-        for item in obj:
-            _enc_obj(item, out)
-    else:
-        raise InputError("unencodable object %r" % (obj,))
-
-
-def _truncated(pos):
-    return InputError("contraction log truncated at offset %d" % pos)
-
-
-def _dec_uint(buf, pos):
-    n = shift = 0
-    while True:
-        if pos >= len(buf):
-            raise _truncated(pos)
-        b = buf[pos]
-        pos += 1
-        n |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return n, pos
-        shift += 7
-
-
-def _dec_obj(buf, pos):
-    if pos >= len(buf):
-        raise _truncated(pos)
-    tag = buf[pos]
-    pos += 1
-    if tag == 0:
-        return None, pos
-    if tag == 1:
-        return True, pos
-    if tag == 2:
-        return False, pos
-    if tag == 3:
-        z, pos = _dec_uint(buf, pos)
-        return (-(z >> 1) if z & 1 else z >> 1), pos
-    if tag == 4:
-        return float("-inf"), pos
-    if tag == 5:
-        z, pos = _dec_uint(buf, pos)
-        d, pos = _dec_uint(buf, pos)
-        if not d:
-            raise InputError("zero denominator at offset %d" % (pos - 1))
-        return Fraction(-(z >> 1) if z & 1 else z >> 1, d), pos
-    if tag == 6:
-        k, pos = _dec_uint(buf, pos)
-        if pos + k > len(buf):
-            raise _truncated(len(buf))
-        try:
-            return buf[pos:pos + k].decode("utf-8"), pos + k
-        except UnicodeDecodeError:
-            raise InputError("bad string at offset %d" % pos) from None
-    if tag == 7:
-        k, pos = _dec_uint(buf, pos)
-        items = []
-        for _ in range(k):
-            item, pos = _dec_obj(buf, pos)
-            items.append(item)
-        return tuple(items), pos
-    raise InputError("bad tag %d at offset %d" % (tag, pos - 1))
-
-
-class ContractionLog:
-    """Append-only record list plus what reconstruction needs up front: the
-    root, its final payload, and the original vertex set."""
-
-    def __init__(self, root=None, vertices=()):
-        self.root = root
-        self.vertices = tuple(sorted(vertices))
-        self.final_payload = None
-        self.records = []
-        self.total_words = 0
-
-    def append(self, rec, words):
-        """Add a record of `words` words."""
-        self.records.append(rec)
-        self.total_words += words
-
-    def __len__(self):
-        return len(self.records)
-
-    def save(self, path):
-        """Write LOG_MAGIC, then _enc_obj of (root, vertices, final_payload,
-        record count), then _enc_obj of each record: the same bytes, written
-        by shape with the ids and labels encoded once."""
-        out = bytearray(LOG_MAGIC)
-        # the ids in the records are the vertices: one pass over them costs
-        # less than a cache miss apiece
-        enc = _ScalarBytes({v: _int_bytes(v) for v in self.vertices
-                            if type(v) is int})
-        out += _SMALL_TUPLE[4]
-        _enc_item(self.root, out, enc)
-        _enc_items(self.vertices, out, enc)
-        _enc_rnode(self.final_payload, out, enc)
-        _enc_item(len(self.records), out, enc)
-        for rec in self.records:
-            _enc_record(rec, out, enc)
-        with open(path, "wb") as fh:
-            fh.write(out)
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "rb") as fh:
-            buf = fh.read()
-        if not buf.startswith(LOG_MAGIC):
-            raise InputError("not a contraction log: bad header")
-        pos = len(LOG_MAGIC)
-        header, pos = _dec_obj(buf, pos)
-        try:
-            root, vertices, final_payload, count = header
-            log = cls(root, vertices)
-            log.final_payload = final_payload
-            for _ in range(count):
-                obj, pos = _dec_obj(buf, pos)
-                log.append(_loaded_record(obj), word_count(obj))
-        except (TypeError, ValueError) as exc:
-            raise InputError("malformed contraction log: %s" % exc) from None
-        if pos != len(buf):
-            raise InputError("trailing bytes in log file")
-        return log
 
 
 # ---------------------------------------------------------------------------
@@ -1225,138 +813,3 @@ def two_contraction_reference(tree, c1, r1, init=None):
                 del vals[v]
             work.contract(set(comp), top)
     return vals[work.root]
-
-
-# ---------------------------------------------------------------------------
-# reconstruction
-
-def _replay_data(plugin, node, payloads, local, values, edges, met):
-    """Data of the residual node `node` with every kid absorbed in order: a
-    known kid's value through its own edge, a slot child's through the slot's
-    acc composed with the child's edge. A slot child's edge is its snapshot's
-    in `payloads` or else in `edges`; its value is in `local` or else in
-    `values`. Each slot id met, at any depth, is added to `met`."""
-    data = node[3]
-    for kid in node[4]:
-        if kid[0] == "s":
-            u = kid[1]
-            met.add(u)
-            if u in payloads:
-                edge = payloads[u][2]
-            elif u in edges:
-                edge = edges[u]
-            else:
-                raise LogIntegrityError("missing edge for vertex %r" % (u,))
-            if kid[2] is not None:
-                edge = _compose(plugin, kid[2], edge)
-            if u in local:
-                value = local[u]
-            elif u in values:
-                value = values[u]
-            else:
-                raise LogIntegrityError("missing value for vertex %r" % (u,))
-        else:
-            value = plugin.node_value(_replay_data(
-                plugin, kid, payloads, local, values, edges, met))
-            edge = kid[2]
-        data = plugin.absorb(data, plugin.through_edge(value, edge))
-    return data
-
-
-def reconstruct(log, plugin):
-    """Per-vertex subtree values, by undoing the log newest-first.
-
-    Maintains, per vertex id, the value and upward edge current for the
-    moment the replay has reached; each record rewrites its members' entries
-    from the stored snapshots, so earlier records always see the state their
-    machines saw. Fold survivors carry the batch aggregate until their own
-    fold record restores the single-vertex value.
-
-    A connected record's members are valued children first, each from one
-    walk of its snapshot: the snapshot's kids, then the member's children in
-    the component that no slot of the snapshot took (in member order), then
-    its outs."""
-    if log.final_payload is None:
-        raise LogIntegrityError("log has no final payload")
-    node_value, through_edge, absorb = (plugin.node_value,
-                                        plugin.through_edge, plugin.absorb)
-    values = {log.root: node_value(log.final_payload[3])}
-    edges = {}
-    out = {log.root: values[log.root]}
-    for rec in reversed(log.records):
-        members, virtual = rec.members, set(rec.virtual)
-        if rec.kind == "sibling":
-            for m, snap in zip(members, rec.payloads):
-                if snap[4]:
-                    raise LogIntegrityError(
-                        "folded sibling %r had pending children" % (m,))
-                values[m] = value = node_value(snap[3])
-                edges[m] = snap[2]
-                if m not in virtual:
-                    if m in out:
-                        raise LogIntegrityError("vertex %r resolved twice"
-                                                % (m,))
-                    out[m] = value
-            continue
-        survivor, outs = rec.survivor, rec.outs
-        payloads = dict(zip(members, rec.payloads))
-        kids_of = {}
-        for u, pu in zip(members, rec.parents):
-            if pu is not None:
-                if pu in kids_of:
-                    kids_of[pu].append(u)
-                else:
-                    kids_of[pu] = [u]
-        local = {}
-        for i in range(len(members) - 1, -1, -1):
-            m = members[i]
-            if m == survivor and not rec.root_outs_known:
-                continue
-            snap = payloads[m]
-            if snap[0] == "s":
-                raise LogIntegrityError("value of a bare slot %r" % (snap[1],))
-            if snap[4]:
-                met = set()
-                data = _replay_data(plugin, snap, payloads, local, values,
-                                    edges, met)
-            else:
-                met, data = _NO_SLOTS, snap[3]
-            for u in kids_of.get(m, ()):
-                if u not in met:
-                    data = absorb(data, through_edge(local[u], payloads[u][2]))
-            for u in outs[i]:
-                if u in local:
-                    value = local[u]
-                elif u in values:
-                    value = values[u]
-                else:
-                    raise LogIntegrityError("missing value for vertex %r"
-                                            % (u,))
-                if u not in edges:
-                    raise LogIntegrityError("missing edge for vertex %r"
-                                            % (u,))
-                data = absorb(data, through_edge(value, edges[u]))
-            local[m] = node_value(data)
-        if rec.root_outs_known:
-            if values.get(survivor) != local[survivor]:
-                raise LogIntegrityError(
-                    "undo mismatch at %r: stored %r, derived %r"
-                    % (survivor, values.get(survivor), local[survivor]))
-        for m in members:
-            edges[m] = payloads[m][2]
-            if m == survivor:
-                continue
-            values[m] = value = local[m]
-            if m not in virtual:
-                if m in out:
-                    raise LogIntegrityError("vertex %r resolved twice" % (m,))
-                out[m] = value
-    missing = set(log.vertices) - set(out)
-    if missing:
-        raise LogIntegrityError("unresolved vertices: %r"
-                                % (sorted(missing)[:5],))
-    phantom = set(out) - set(log.vertices)
-    if phantom:
-        raise LogIntegrityError("phantom vertices resolved: %r"
-                                % (sorted(phantom)[:5],))
-    return out

@@ -14,9 +14,9 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 
-from ..engine import (Algebra, bounded_tree_contract, reconstruct,
-                      run_simulator)
+from ..engine import Algebra, bounded_tree_contract, run_simulator
 from ..errors import ExprArithmeticError, InputError, LogIntegrityError
+from ..log import reconstruct
 from ..trees import Tree
 
 _CODE = {"+": 1, "-": 2, "*": 3, "/": 4, "**": 5}

@@ -14,7 +14,8 @@ scoring the fused path between the two endpoint states.
 """
 
 from ..engine import (Algebra, bounded_tree_contract, degree_budget,
-                      reconstruct, run_simulator, tree_contract)
+                      run_simulator, tree_contract)
+from ..log import reconstruct
 from ..trees import Tree
 from .matching import NEG_INF, mat_mul, segmentation_levels
 

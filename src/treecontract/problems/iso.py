@@ -10,8 +10,9 @@ t -> (a*t + b) mod m, so removing chain vertices stays one multiplication.
 
 import random
 
-from ..engine import (Algebra, contract_side_by_side, reconstruct,
-                      run_simulator, tree_contract)
+from ..engine import (Algebra, contract_side_by_side, run_simulator,
+                      tree_contract)
+from ..log import reconstruct
 from ..trees import Tree
 
 NEG_INF = float("-inf")

@@ -11,8 +11,9 @@ A fresh edge of weight w is (w, -inf, -inf, 0).
 
 import math
 
-from ..engine import Algebra, reconstruct, run_simulator, tree_contract
+from ..engine import Algebra, run_simulator, tree_contract
 from ..errors import LogIntegrityError
+from ..log import reconstruct
 
 NEG_INF = float("-inf")
 

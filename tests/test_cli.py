@@ -5,7 +5,7 @@ import json
 import pytest
 
 from treecontract.cli import main
-from treecontract.engine import ContractionLog
+from treecontract.log import ContractionLog
 from treecontract.errors import SimFault
 from treecontract.problems import REGISTRY
 from treecontract.trees import parse_tree

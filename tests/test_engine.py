@@ -10,26 +10,28 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treecontract import engine
+from treecontract import engine, log as logmod
 from treecontract.engine import (
-    LOG_MAGIC,
     Algebra,
-    ContractionLog,
-    Record,
-    _compose,
-    _dec_obj,
-    _enc_obj,
     bounded_tree_contract,
     contract_component,
     contract_side_by_side,
     degree_budget,
     lift_unary,
     payload_slot_ids,
-    reconstruct,
     sibling_batch,
     run_simulator,
     tree_contract,
     two_contraction_reference,
+)
+from treecontract.log import (
+    LOG_MAGIC,
+    ContractionLog,
+    Record,
+    _compose,
+    _dec_obj,
+    _enc_obj,
+    reconstruct,
 )
 from treecontract import oracles
 from treecontract.errors import InputError, LogIntegrityError, SimFault
@@ -876,12 +878,12 @@ def chain_enc(obj, out):
     if obj is None:
         out.append(0)
     else:
-        engine._enc_other(obj, out)
+        logmod._enc_other(obj, out)
 
 
 def chain_bytes(obj):
     out = bytearray()
-    with mock.patch.object(engine, "_enc_obj", chain_enc):
+    with mock.patch.object(logmod, "_enc_obj", chain_enc):
         chain_enc(obj, out)
     return bytes(out)
 
@@ -1743,7 +1745,7 @@ class TestReplay:
     @pytest.mark.parametrize("name", sorted(REPLAY_RUNS))
     def test_equals_the_reference(self, name, monkeypatch):
         calls = []
-        replay = engine.reconstruct
+        replay = logmod.reconstruct
 
         def recorded(log, plugin):
             out = replay(log, plugin)
