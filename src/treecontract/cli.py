@@ -66,14 +66,9 @@ def _load_inputs(args, arity):
 
 
 def _cfg_for(args, trees, text):
-    if not 0 < args.epsilon < 1:
-        raise InputError("epsilon must be in (0, 1)")
     n = max(4, len(text)) if text is not None else max(t.n for t in trees)
-    kw = {"epsilon": args.epsilon, "n": n, "seed": args.seed,
-          "strict": args.strict}
-    if args.space_constant is not None:
-        kw["C_s"] = args.space_constant
-    return SimConfig(**kw)
+    return SimConfig(epsilon=args.epsilon, n=n, seed=args.seed,
+                     strict=args.strict)
 
 
 def _digest(blob):
@@ -129,8 +124,8 @@ def _cmd_bench(args):
         for n in args.n:
             for eps in args.epsilon or [0.5]:
                 tree = _MAKE_TREE[family](n, args.seed, args.k)
-                ns = argparse.Namespace(**{**vars(args), "epsilon": eps})
-                cfg = _cfg_for(ns, [tree], None)
+                cfg = SimConfig(epsilon=eps, n=tree.n, seed=args.seed,
+                                strict=args.strict)
                 result = entry["solve"]([tree], None, cfg, args.seed)
                 m = result["metrics"]
                 rows.append((family, n, eps, m["rounds"],
@@ -176,14 +171,11 @@ def _cmd_gen(args):
 
 
 def _run_flags(sub):
-    """The flags of every command that solves: seed, budget mode and the
-    space constant."""
+    """The flags of every command that solves: seed and budget mode."""
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--strict", dest="strict", action="store_true",
                      default=True)
     sub.add_argument("--relaxed", dest="strict", action="store_false")
-    sub.add_argument("--space-constant", type=int, default=None,
-                     help=argparse.SUPPRESS)
 
 
 def _common(sub):

@@ -14,10 +14,14 @@ instance; the engine contracts each component in one pass over its members'
 payload tuples, children first, and keeps the books. Nothing it builds
 refers back to its parent, so a run leaves no reference cycles and runs with
 the cyclic collector paused.
+
+A machine builds one log.Record per contraction; the same object is its
+("LOG", stage, survivor) table value and the host's log record.
 """
 
 import gc
 import math
+from collections import namedtuple
 
 from .errors import InputError, LogIntegrityError, SimFault
 # reconstruct is imported for the callers that read it from the engine
@@ -192,7 +196,7 @@ def contract_component(plugin, members, parents, outs, payloads):
 # ---------------------------------------------------------------------------
 # machine builders
 
-class _Books:
+class _Books(namedtuple("_Books", "words fault c_w slots virtual log")):
     """What the host plans from besides the tree: the simulator's read-only
     word ledger (words), where ("P", v) holds the count of v's payload; the
     simulator's fault hook (fault), which raises or records a budget or cap
@@ -201,15 +205,7 @@ class _Books:
     that stand in for a folded sibling batch (virtual); and the contraction
     log. Payloads themselves live only in the simulator's store."""
 
-    __slots__ = ("words", "fault", "c_w", "slots", "virtual", "log")
-
-    def __init__(self, words, fault, c_w, slots, virtual, log):
-        self.words = words
-        self.fault = fault
-        self.c_w = c_w
-        self.slots = slots
-        self.virtual = virtual
-        self.log = log
+    __slots__ = ()
 
 
 def _comp_spec(tree, members, books, root_outs_known=True):

@@ -1,13 +1,7 @@
-"""The contraction log: its records, its file format and its replay.
-
-A run appends one Record per contracted component or folded sibling batch.
-ContractionLog.save writes LOG_MAGIC and then the log as one value stream of
-a small tagged encoding (None, bools, zigzag varint ints, -inf, Fractions,
-UTF-8 strs and tuples); load reads it back. reconstruct undoes the records
-newest-first and returns every vertex's subtree value, as Miller and Reif
-unravel a tree contraction. Nothing here depends on the scheduler: a log is
-read with the problem's Algebra alone.
-"""
+"""The contraction log: its records, its file format (LOG_MAGIC, then tagged
+values: None, bools, zigzag varint ints, -inf, Fractions, strs and tuples)
+and its replay. reconstruct undoes the records newest-first, as Miller and
+Reif unravel a contraction, with nothing but the log and the Algebra."""
 
 from collections import namedtuple
 from fractions import Fraction
@@ -34,16 +28,13 @@ class Record(namedtuple("Record", (
         "label", "kind", "survivor", "members", "payloads", "virtual",
         "parent_out", "parents", "outs", "root_outs_known"),
         defaults=((), (), True))):
-    """One contraction, in the form the log file stores it. members is
-    survivor-first in component preorder; payloads are the members' payloads
-    in member order, exactly as the machine read them; virtual is the sorted
-    tuple of members that stood in for a folded sibling batch rather than
-    one original vertex; parents give each member's attachment within the
-    component, and outs (a tuple per member) its still-live children outside
-    it (for the component root only when root_outs_known). A sibling record
-    has neither parents nor outs, and its parent_out is the batch's parent.
-    The machine that contracts a component builds its record once; the same
-    object is the table's LOG entry, the log's record and what save writes."""
+    """One contraction, as the machine builds it and the file stores it.
+    members is survivor-first in component preorder; payloads are theirs in
+    member order, as the machine read them; virtual is the sorted tuple of
+    members that stood in for a folded sibling batch; parents give each
+    member's attachment within the component, and outs (a tuple per member)
+    its live children outside it (for the root only when root_outs_known).
+    A sibling record has neither, and parent_out is the batch's parent."""
 
     __slots__ = ()
 
@@ -57,23 +48,17 @@ class Record(namedtuple("Record", (
 
 
 def _loaded_record(obj):
-    """The decoded value obj as a Record. Raises ValueError when obj is not
-    a tuple of Record's fields, when members, payloads, virtual, parents,
-    outs or an outs entry is not a tuple or root_outs_known not a bool, or
-    when a field's length disagrees with members: one payload per member,
-    and for a connected record one parent and one outs entry per member (a
-    sibling record has neither)."""
-    if type(obj) is not tuple or len(obj) != len(Record._fields):
-        raise ValueError("record is not a tuple of %d fields"
-                         % len(Record._fields))
+    """The decoded value obj as a Record. Raises ValueError when a field has
+    the wrong type (members, payloads, virtual, parents, outs and each outs
+    entry are tuples, root_outs_known a bool) or its length disagrees with
+    members: one payload per member, and for a connected record one parent
+    and one outs entry per member (a sibling record has neither)."""
     rec = Record._make(obj)
-    for name in ("members", "payloads", "virtual", "parents", "outs"):
-        if type(getattr(rec, name)) is not tuple:
-            raise ValueError("record's %s is not a tuple" % name)
-    if any(type(o) is not tuple for o in rec.outs):
-        raise ValueError("record's outs entry is not a tuple")
-    if type(rec.root_outs_known) is not bool:
-        raise ValueError("record's root_outs_known is not a bool")
+    tuples = (rec.members, rec.payloads, rec.virtual, rec.parents, rec.outs)
+    if (any(type(f) is not tuple for f in tuples)
+            or any(type(o) is not tuple for o in rec.outs)
+            or type(rec.root_outs_known) is not bool):
+        raise ValueError("record field of the wrong type")
     n = len(rec.members)
     per_member = 0 if rec.kind == "sibling" else n
     if (len(rec.payloads), len(rec.parents), len(rec.outs)) != (
@@ -107,8 +92,8 @@ _TAGS = {"k": b"\x06\x01k", "s": b"\x06\x01s"}
 
 def _enc_obj(obj, out):
     """Append obj's encoding to out: tuples with their int, None, -inf and
-    tag items, and ints, None, -inf and str, here by exact type; everything
-    else in _enc_other."""
+    tag items, and ints, None and -inf, here by exact type; everything else
+    in _enc_other."""
     cls = type(obj)
     if cls is tuple:
         n = len(obj)
@@ -140,11 +125,6 @@ def _enc_obj(obj, out):
         out.append(0)
     elif cls is float and obj == NEG_INF:
         out.append(4)
-    elif cls is str:
-        raw = obj.encode("utf-8")
-        out.append(6)
-        _enc_uint(len(raw), out)
-        out.extend(raw)
     else:
         _enc_other(obj, out)
 
@@ -383,9 +363,6 @@ class ContractionLog:
         """Add a record of `words` words."""
         self.records.append(rec)
         self.total_words += words
-
-    def __len__(self):
-        return len(self.records)
 
     def save(self, path):
         """Write LOG_MAGIC, then _enc_obj of (root, vertices, final_payload,

@@ -1,12 +1,13 @@
 """Problem plugins and the name -> adapter registry the CLI dispatches on.
 
 Each adapter normalizes a solver into: solve(trees, text, cfg, seed) -> dict
-with `value` (JSON-safe answer), `lines` (stdout lines), optional `log`,
-`metrics`, and `exit` (verdict-style exit code). check(trees, text, result)
-returns (oracle_repr, engine_repr, equal) against the independent oracles.
+with `value` (JSON-safe answer), `lines` (stdout lines), optional
+`structure` (the answer in the form check compares), `log`, `metrics`, and
+`exit` (verdict-style exit code). check(trees, text, result) returns
+(oracle_repr, engine_repr, equal) against the independent oracles.
 """
 
-from fractions import Fraction
+import sys
 
 from .. import oracles
 from ..engine import tree_contract
@@ -70,16 +71,31 @@ def _check_mwis(trees, text, result):
     return want, got, ok
 
 
+def _exact_str(value):
+    """str(value) of an exact answer of any size. Python's limit on the
+    digits of an int-to-str conversion is lifted for this call only, so the
+    ints that inputs are parsed into keep the default guard."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _solve_eval(trees, text, cfg, seed):
     value, _, log, metrics = exprs.evaluate_expression(text, cfg)
-    return {"value": str(value), "lines": [str(value)],
+    exact = _exact_str(value)
+    return {"value": exact, "lines": [exact], "structure": value,
             "log": log, "metrics": metrics}
 
 
 def _check_eval(trees, text, result):
     want = oracles.eval_reference(text)
-    got = Fraction(result["value"])
-    return str(want), str(got), got == want
+    got = result["structure"]
+    return _exact_str(want), _exact_str(got), got == want
 
 
 def _solve_iso(trees, text, cfg, seed):

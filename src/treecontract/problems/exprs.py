@@ -37,7 +37,12 @@ def tokenize(s):
             j = i
             while j < len(s) and s[j].isdigit():
                 j += 1
-            toks.append(("num", int(s[i:j]), i))
+            try:
+                num = int(s[i:j])
+            except ValueError:  # a digit int() refuses, or too many digits
+                raise InputError("unreadable number at position %d" % i
+                                 ) from None
+            toks.append(("num", num, i))
             i = j
         elif s.startswith("**", i):
             toks.append(("op", "**", i))

@@ -1,6 +1,10 @@
 """CLI: generation round-trips, solve/verify/bench flows, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -239,14 +243,6 @@ class TestExitCodes:
                            "--input", str(src), "--epsilon", "2")
         assert code == 3 and "epsilon" in err
 
-    @pytest.mark.parametrize("space", ["0", "-2"])
-    def test_non_positive_space_constant(self, capsys, space):
-        code, out, err = run(capsys, "bench", "--problem", "height",
-                             "--family", "path", "--n", "64",
-                             "--space-constant", space)
-        assert code == 3 and out == ""
-        assert err == "error: C_s must be positive\n"
-
     @pytest.mark.parametrize("argv, message", [
         (["solve", "--problem", "mwm", "--bogus"],
          "unrecognized arguments: --bogus"),
@@ -311,6 +307,19 @@ class TestExitCodes:
                            "--input", text)
         assert code == 3 and err.strip() == "error: " + message
 
+    @pytest.mark.parametrize("text, message", [
+        ("2+\u00b2", "unreadable number at position 2"),
+        ("1+" + "9" * 5000, "unreadable number at position 2"),
+    ], ids=["superscript two", "5000 digits"])
+    def test_unreadable_number_names_input_position(self, capsys, text,
+                                                    message):
+        # a superscript two is a digit to str.isdigit but not to int(), and
+        # 5000 digits are over Python's default limit for parsing an int
+        code, out, err = run(capsys, "solve", "--problem", "eval",
+                             "--input", text)
+        assert code == 3 and out == ""
+        assert err.strip() == "error: " + message
+
     def test_division_by_zero(self, capsys):
         code, _, err = run(capsys, "solve", "--problem", "eval",
                            "--input", "1/0")
@@ -369,3 +378,53 @@ class TestExitCodes:
                            "--input", str(src))
         assert code == 2
         assert err == "internal error: RuntimeError: forced\n"
+
+
+def _decimal(value):
+    """str(value), past Python's default limit on int-to-str digits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestHugeAnswers:
+    """An eval answer over Python's default limit of 4300 digits for an
+    int-to-str conversion prints in full, and the limit is lifted only
+    while the answer is formatted. The subprocesses run with the default
+    limit, as any command-line run does."""
+
+    EXPR = "((2**64)**64)**4"  # 2**16384, of 4933 digits
+    SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+    def cli(self, *argv):
+        env = dict(os.environ, PYTHONPATH=self.SRC)
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        return subprocess.run(
+            [sys.executable, "-m", "treecontract.cli", *argv], env=env,
+            capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("mode", [[], ["--relaxed"]])
+    def test_solve_prints_the_exact_answer(self, mode):
+        done = self.cli("solve", "--problem", "eval", "--input", self.EXPR,
+                        *mode)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == _decimal(2 ** 16384)
+        assert json.loads(lines[-1])["value"] == lines[0]
+
+    def test_verify_agrees(self):
+        done = self.cli("verify", "--problem", "eval", "--input", self.EXPR)
+        assert done.returncode == 0, done.stderr
+        line = json.loads(done.stdout)
+        assert line["equal"] and line["engine"] == line["oracle"]
+        assert line["engine"] == _decimal(2 ** 16384)
+
+    def test_the_limit_is_restored(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, "solve", "--problem", "eval",
+                           "--input", self.EXPR)
+        assert code == 0 and len(out.splitlines()[0]) == 4933
+        assert sys.get_int_max_str_digits() == limit
