@@ -173,8 +173,6 @@ def _cmd_gen(args):
 def _run_flags(sub):
     """The flags of every command that solves: seed and budget mode."""
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--strict", dest="strict", action="store_true",
-                     default=True)
     sub.add_argument("--relaxed", dest="strict", action="store_false")
 
 

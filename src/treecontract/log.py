@@ -50,15 +50,22 @@ class Record(namedtuple("Record", (
 def _loaded_record(obj):
     """The decoded value obj as a Record. Raises ValueError when a field has
     the wrong type (members, payloads, virtual, parents, outs and each outs
-    entry are tuples, root_outs_known a bool) or its length disagrees with
-    members: one payload per member, and for a connected record one parent
-    and one outs entry per member (a sibling record has neither)."""
+    entry are tuples, root_outs_known a bool), the kind is neither
+    "connected" nor "sibling", the survivor is not the first member, or a
+    length disagrees with members: one payload per member, and for a
+    connected record one parent and one outs entry per member (a sibling
+    record has neither)."""
     rec = Record._make(obj)
     tuples = (rec.members, rec.payloads, rec.virtual, rec.parents, rec.outs)
     if (any(type(f) is not tuple for f in tuples)
             or any(type(o) is not tuple for o in rec.outs)
             or type(rec.root_outs_known) is not bool):
         raise ValueError("record field of the wrong type")
+    if rec.kind not in ("connected", "sibling"):
+        raise ValueError("record of unknown kind %r" % (rec.kind,))
+    if not rec.members or rec.survivor != rec.members[0]:
+        raise ValueError("survivor %r is not the first member"
+                         % (rec.survivor,))
     n = len(rec.members)
     per_member = 0 if rec.kind == "sibling" else n
     if (len(rec.payloads), len(rec.parents), len(rec.outs)) != (
@@ -84,16 +91,15 @@ def _enc_uint(n, out):
 
 
 # encodings by exact type, built once: the ints whose zigzag fits one varint
-# byte, the headers of tuples below 128 items, and the residual-tree tags
+# byte, and the headers of tuples below 128 items
 _SMALL_INT = [bytes((3, z)) for z in range(0x80)]
 _SMALL_TUPLE = [bytes((7, n)) for n in range(0x80)]
-_TAGS = {"k": b"\x06\x01k", "s": b"\x06\x01s"}
 
 
 def _enc_obj(obj, out):
-    """Append obj's encoding to out: tuples with their int, None, -inf and
-    tag items, and ints, None and -inf, here by exact type; everything else
-    in _enc_other."""
+    """Append obj's encoding to out: tuples with their int, None and -inf
+    items, and ints, None and -inf, here by exact type; everything else in
+    _enc_other."""
     cls = type(obj)
     if cls is tuple:
         n = len(obj)
@@ -115,8 +121,6 @@ def _enc_obj(obj, out):
                 out.append(0)
             elif cls is float and item == NEG_INF:
                 out.append(4)
-            elif cls is str and item in _TAGS:
-                out += _TAGS[item]
             else:
                 _enc_obj(item, out)
     elif cls is int:
@@ -189,8 +193,9 @@ def _enc_items(seq, out, enc):
             _enc_obj(x, out)
 
 
-_K_HEAD = _SMALL_TUPLE[5] + _TAGS["k"]
-_S_HEAD = _SMALL_TUPLE[3] + _TAGS["s"]
+# a residual-tree node's tuple header and its one-char tag, "k" or "s"
+_K_HEAD = _SMALL_TUPLE[5] + b"\x06\x01k"
+_S_HEAD = _SMALL_TUPLE[3] + b"\x06\x01s"
 
 
 def _enc_rnode(node, out, enc):

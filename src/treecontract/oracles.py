@@ -98,7 +98,6 @@ def shape_count(n):
 
 def shape_to_tree(shape):
     parent = {1: None}
-    order = {1: []}
     counter = [1]
 
     def build(sh, pid):
@@ -106,12 +105,10 @@ def shape_to_tree(shape):
             counter[0] += 1
             v = counter[0]
             parent[v] = pid
-            order.setdefault(pid, []).append(v)
-            order[v] = []
             build(child_sh, v)
 
     build(shape, 1)
-    return Tree(1, parent, child_order=order)
+    return Tree(1, parent)
 
 
 def all_shapes(n):
@@ -127,14 +124,14 @@ def relabeled_copy(tree, seed):
     perm = ids[:]
     rng.shuffle(perm)
     m = dict(zip(ids, perm))
-    parent = {m[v]: (m[p] if p is not None else None) for v, p in tree.parent.items()}
-    order = {}
+    parent = {m[tree.root]: None}
     for v, cs in tree.children.items():
         cs2 = [m[c] for c in cs]
         rng.shuffle(cs2)
-        order[m[v]] = cs2
-    attrs = {m[v]: dict(a) for v, a in tree.attrs.items()}
-    return Tree(m[tree.root], parent, child_order=order, attrs=attrs)
+        for c in cs2:
+            parent[c] = m[v]
+    attrs = {m[v]: a for v, a in tree.attrs.items()}
+    return Tree(m[tree.root], parent, attrs=attrs)
 
 
 def with_edge_weights(tree, seed, lo=1, hi=5):

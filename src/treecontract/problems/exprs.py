@@ -21,6 +21,8 @@ from ..trees import Tree
 
 _CODE = {"+": 1, "-": 2, "*": 3, "/": 4, "**": 5}
 _POW_CAP = 64
+# vertices an unfolded expression may have: ((2**64)**64)**64 is 2^19 - 1
+_UNFOLD_CAP = 1 << 20
 
 
 def tokenize(s):
@@ -291,8 +293,31 @@ def _pow_product(base, pos, k):
             _pow_product(base, pos, h))
 
 
+def _unfolded_size(shape):
+    """Vertices _to_tree makes of shape, or _UNFOLD_CAP + 1 if more. Counts
+    each shared sub-shape once, so nested literal powers cost their input
+    length, not their unfolded size."""
+    size = {}
+    stack = [shape]
+    while stack:
+        nd = stack.pop()
+        if nd[0] == "num":
+            size[id(nd)] = 1
+            continue
+        left, right = size.get(id(nd[2])), size.get(id(nd[3]))
+        if left is None or right is None:
+            stack += [nd, nd[2], nd[3]]
+        else:
+            size[id(nd)] = min(1 + left + right, _UNFOLD_CAP + 1)
+    return size[id(shape)]
+
+
 def _to_tree(shape):
-    """Vertex ids 1.. in preorder, left operand before right."""
+    """Vertex ids 1.. in preorder, left operand before right. Raises
+    InputError before building a tree of more than _UNFOLD_CAP vertices."""
+    if _unfolded_size(shape) > _UNFOLD_CAP:
+        raise InputError("expression unfolds to more than %d vertices"
+                         % _UNFOLD_CAP)
     parent = {}
     attrs = {}
     stack = [(shape, None)]

@@ -80,13 +80,10 @@ def bypass_expand(tree, cfg):
     fan = scaffold_fan(cfg)
     if all(tree.deg(v) <= fan for v in tree.vertices()):
         return tree, False
-    parent = {}
-    order = {}
-    attrs = {}
+    parent = {tree.root: None}
+    attrs = dict(tree.attrs)
     fresh = max(tree.vertices()) + 1
     for v in sorted(tree.vertices()):
-        parent.setdefault(v, tree.parent[v])
-        attrs[v] = dict(tree.attrs[v])
         level = list(tree.children[v])
         while len(level) > fan:
             nxt = []
@@ -94,17 +91,13 @@ def bypass_expand(tree, cfg):
                 b = fresh
                 fresh += 1
                 attrs[b] = {"bypass": 1}
-                order[b] = level[i:i + fan]
-                for u in order[b]:
+                for u in level[i:i + fan]:
                     parent[u] = b
                 nxt.append(b)
-            for b in nxt:
-                parent.setdefault(b, None)
             level = nxt
-        order[v] = level
         for u in level:
             parent[u] = v
-    out = Tree(tree.root, parent, child_order=order, attrs=attrs)
+    out = Tree(tree.root, parent, attrs=attrs)
     if out.n > 2 * tree.n:
         raise AssertionError("scaffold grew past 2n")
     return out, True

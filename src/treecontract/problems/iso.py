@@ -13,9 +13,7 @@ import random
 from ..engine import (Algebra, contract_side_by_side, run_simulator,
                       tree_contract)
 from ..log import reconstruct
-from ..trees import Tree
-
-NEG_INF = float("-inf")
+from ..trees import NEG_INF, Tree
 
 
 class HeightAlgebra(Algebra):

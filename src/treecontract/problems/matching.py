@@ -14,8 +14,7 @@ import math
 from ..engine import Algebra, run_simulator, tree_contract
 from ..errors import LogIntegrityError
 from ..log import reconstruct
-
-NEG_INF = float("-inf")
+from ..trees import NEG_INF
 
 
 def mat_mul(hi, lo):

@@ -58,32 +58,25 @@ class Tree:
 
     __slots__ = ("root", "parent", "children", "attrs")
 
-    def __init__(self, root, parent, child_order=None, attrs=None):
-        """Copies parent and attrs (each attrs dict too) once. Without
-        child_order, children come from the parent map in its order; a
-        given child_order must list each vertex's children exactly once."""
+    def __init__(self, root, parent, attrs=None):
+        """Copies parent and attrs (each attrs dict too) once. Children come
+        from the parent map in its order: to give a vertex a child order,
+        insert its children into the map in that order."""
         self.root = root
         self.parent = parent = dict(parent)
         self.children = children = {v: [] for v in parent}
-        if child_order is None:
-            for v, p in parent.items():
-                if p is not None:
-                    kids = children.get(p)
-                    if kids is None:
-                        raise InputError("unknown parent %r of vertex %r"
-                                         % (p, v))
-                    kids.append(v)
-        else:
-            for v, cs in child_order.items():
-                if v not in children:
-                    raise InputError("unknown vertex %r in child order" % (v,))
-                children[v] = list(cs)
+        for v, p in parent.items():
+            if p is not None:
+                kids = children.get(p)
+                if kids is None:
+                    raise InputError("unknown parent %r of vertex %r" % (p, v))
+                kids.append(v)
         if attrs:
             get = attrs.get
             self.attrs = {v: dict(get(v, ())) for v in parent}
         else:
             self.attrs = {v: {} for v in parent}
-        self.validate(derived=child_order is None)
+        self.validate()
 
     @property
     def n(self):
@@ -98,45 +91,24 @@ class Tree:
     def vertices(self):
         return self.parent.keys()
 
-    def validate(self, derived=False):
-        """One root, every vertex reached once from it, and children that
-        agree with the parent map; derived=True vouches for the last, the
-        children having been read off the parent map. The walk only counts,
-        and stops once it passes n, so a cyclic child order ends it too."""
+    def validate(self):
+        """One root, and every vertex reached once from it. The children
+        are read off the parent map, so the walk meets only known vertices
+        and cannot loop; it only counts."""
         parent, children, root = self.parent, self.children, self.root
         if root not in parent or parent[root] is not None:
             raise InputError("root %r missing or has a parent" % (root,))
         if countOf(parent.values(), None) != 1:
             roots = [v for v, p in parent.items() if p is None]
             raise InputError("expected exactly one root, found %r" % (roots,))
-        n = len(parent)
         seen = 0
         stack = [root]
         pop, extend = stack.pop, stack.extend
-        try:
-            while stack and seen <= n:
-                seen += 1
-                extend(children[pop()])
-        except KeyError as exc:
-            raise InputError("unknown vertex %r in child order"
-                             % exc.args) from None
-        if seen != n:
+        while stack:
+            seen += 1
+            extend(children[pop()])
+        if seen != len(parent):
             raise InputError("tree is disconnected or cyclic")
-        if derived:
-            return
-        listed = set()
-        for v, cs in children.items():
-            for c in cs:
-                if parent.get(c) != v:
-                    raise InputError("parent/children maps disagree at %r"
-                                     % (c,))
-            listed.update(cs)
-        if len(listed) != n - 1:
-            # each listed child is under its own parent, yet one is missing:
-            # another is listed twice
-            v = next(v for v, cs in children.items() if len(set(cs)) < len(cs))
-            raise InputError("child order of %r is not a permutation of its "
-                             "children" % (v,))
 
     def preorder(self):
         """Iterative preorder walk in child order."""

@@ -2,8 +2,10 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -428,3 +430,29 @@ class TestHugeAnswers:
                            "--input", self.EXPR)
         assert code == 0 and len(out.splitlines()[0]) == 4933
         assert sys.get_int_max_str_digits() == limit
+
+
+def _address_space_limit():
+    """Caps the calling process's address space at 1.5 GB."""
+    _soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 1536 << 20
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+
+def test_eval_unfolding_cap_under_a_memory_limit():
+    # 23 bytes whose literal powers unfold to 2^25 - 1 vertices: an input
+    # error before anything is built, not a MemoryError in a 1.5 GB process
+    env = dict(os.environ, PYTHONPATH=TestHugeAnswers.SRC)
+    start = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "treecontract.cli", "solve", "--problem",
+         "eval", "--input", "(((2**64)**64)**64)**64"], env=env,
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=_address_space_limit)
+    assert time.monotonic() - start < 20
+    assert done.returncode == 3
+    assert done.stderr == \
+        "error: expression unfolds to more than 1048576 vertices\n"
+    assert "Traceback" not in done.stderr and done.stdout == ""

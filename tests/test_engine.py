@@ -565,11 +565,10 @@ class TestScheduler:
 
 def _moved(tree, offset):
     """tree with every vertex id moved up by offset."""
+    parent = tree.parent
     return Tree(tree.root + offset,
-                {v + offset: (None if p is None else p + offset)
-                 for v, p in tree.parent.items()},
-                child_order={v + offset: [c + offset for c in cs]
-                             for v, cs in tree.children.items()})
+                {v + offset: (None if parent[v] is None else parent[v] + offset)
+                 for v in tree.preorder()})
 
 
 class TestSideBySide:
@@ -793,13 +792,14 @@ class TestLogCodec:
             ContractionLog.load(p)
 
     @staticmethod
-    def load_record(tmp_path, field, value):
-        """Load a one-record log of members (1, 2) whose field `field` is
-        `value`."""
+    def load_record(tmp_path, edits):
+        """Load a one-record log of members (1, 2) with each field i of
+        `edits` set to edits[i]."""
         rec = ["x", "connected", 1, (1, 2),
                (("k", 1, None, 0, ()), ("k", 2, None, 0, ())), (), None,
                (None, 1), ((), ()), True]
-        rec[field] = value
+        for field, value in edits.items():
+            rec[field] = value
         out = bytearray(LOG_MAGIC)
         _enc_obj((1, (1, 2), ("k", 1, None, 0, ()), 1), out)
         _enc_obj(tuple(rec), out)
@@ -808,7 +808,7 @@ class TestLogCodec:
         return ContractionLog.load(p)
 
     def test_a_well_formed_record_loads_as_a_record(self, tmp_path):
-        [rec] = self.load_record(tmp_path, 0, "x").records
+        [rec] = self.load_record(tmp_path, {0: "x"}).records
         assert type(rec) is Record
         assert rec.members == (1, 2) and rec.root_outs_known is True
 
@@ -821,7 +821,7 @@ class TestLogCodec:
                                                   short):
         # members (1, 2) with one payload, one parent or one outs entry
         with pytest.raises(InputError, match="malformed.*2 members"):
-            self.load_record(tmp_path, field, short)
+            self.load_record(tmp_path, {field: short})
 
     # a str of the right length would pass the length check alone
     @pytest.mark.parametrize("field,value", [
@@ -833,7 +833,22 @@ class TestLogCodec:
     def test_record_fields_must_have_their_types(self, tmp_path, field,
                                                  value):
         with pytest.raises(InputError, match="malformed.*wrong type"):
-            self.load_record(tmp_path, field, value)
+            self.load_record(tmp_path, {field: value})
+
+    # a record the replay would refuse is refused at load, as malformed
+    @pytest.mark.parametrize("edits,message", [
+        ({1: "bogus", 2: 2}, "record of unknown kind 'bogus'"),
+        ({1: "bogus"}, "record of unknown kind 'bogus'"),
+        ({1: 1}, "record of unknown kind 1"),
+        ({2: 2}, "survivor 2 is not the first member"),
+        ({2: None}, "survivor None is not the first member"),
+        ({3: (), 4: ()}, "survivor 1 is not the first member"),
+    ], ids=["bogus kind and survivor", "bogus kind", "int kind",
+            "survivor not first", "no survivor", "no members"])
+    def test_kind_and_survivor_are_checked(self, tmp_path, edits, message):
+        with pytest.raises(InputError, match="^malformed contraction log: "
+                           + re.escape(message) + "$"):
+            self.load_record(tmp_path, edits)
 
     @pytest.mark.parametrize("obj", [7, (), ("x",) * 9, ("x",) * 11,
                                      "ten chars!"])

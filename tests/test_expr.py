@@ -8,6 +8,7 @@ import pytest
 from treecontract.errors import ExprArithmeticError, InputError
 from treecontract.oracles import (eval_reference, match_parens_reference,
                                   random_balanced_parens, random_expression)
+from treecontract.problems import exprs
 from treecontract.problems.exprs import (EvalAlgebra, _charge_pipeline,
                                          _insert, _match_levels, _render,
                                          _simplify, evaluate_expression,
@@ -39,6 +40,13 @@ def simplify_expression(s, cfg, sim=None):
     if sim is not None:
         _charge_pipeline(sim, levels)
     return tree
+
+
+def unfolded_shape(s, monkeypatch):
+    """The unfolded shape of s that the pipeline hands to _to_tree."""
+    with monkeypatch.context() as patch:
+        patch.setattr(exprs, "_to_tree", lambda shape: shape)
+        return _simplify(s, cfg_for(s))[0]
 
 
 def cfg_for(s, epsilon=0.5):
@@ -160,6 +168,31 @@ class TestTreeBuild:
         assert spine == list(range(1, terms + 1))
         assert t.attrs[spine[-1]]["pos"] == 0
         assert t.attrs[1]["pos"] == len(s) - 2
+
+    def test_unfolding_past_the_cap_is_an_input_error(self):
+        # 23 bytes that unfold to 2^25 - 1 vertices, refused before any
+        # vertex is built
+        s = "(((2**64)**64)**64)**64"
+        with pytest.raises(InputError, match="^expression unfolds to more "
+                           "than 1048576 vertices$"):
+            simplify_expression(s, cfg_for(s))
+
+    @pytest.mark.parametrize("s", ["7", "2**0", "2**1", "(1+2)**3*4",
+                                   "2**(1+1)", "((1-2)**2)**3+5**7",
+                                   "(2**3)**2**2"])
+    def test_unfolded_size_is_the_built_size(self, s, monkeypatch):
+        shape = unfolded_shape(s, monkeypatch)
+        assert exprs._unfolded_size(shape) == exprs._to_tree(shape).n
+
+    def test_the_largest_nested_power_is_under_the_cap(self, monkeypatch):
+        shape = unfolded_shape("((2**64)**64)**64", monkeypatch)
+        assert exprs._unfolded_size(shape) == 2 ** 19 - 1
+
+    def test_the_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(exprs, "_UNFOLD_CAP", 9)
+        assert simplify_expression("2**5", cfg_for("2**5")).n == 9
+        with pytest.raises(InputError, match="more than 9 vertices"):
+            simplify_expression("2**6", cfg_for("2**6"))
 
 
 class TestEvaluate:

@@ -130,17 +130,13 @@ class _Fat(engine.Algebra):
 
 def _unordered_tree():
     """Root 1 with children 3 then 2, each with `legs` leaves: the parent
-    map lists 2 before 3, preorder meets 3 first."""
+    map lists 2's leaves before 3's, preorder meets 3's first."""
     legs = 40
-    parent = {1: None, 2: 1, 3: 1}
-    order = {1: [3, 2], 2: [], 3: []}
+    parent = {1: None, 3: 1, 2: 1}
     for hub in (2, 3):
         for i in range(legs):
-            v = 4 + (hub - 2) * legs + i
-            parent[v] = hub
-            order[hub].append(v)
-            order[v] = []
-    return Tree(1, parent, child_order=order)
+            parent[4 + (hub - 2) * legs + i] = hub
+    return Tree(1, parent)
 
 
 def test_payload_faults_are_reported_in_preorder():

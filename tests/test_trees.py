@@ -273,27 +273,21 @@ def test_parse_rejects_garbage():
 # ---------------------------------------------------------------------------
 # construction and parsing against the references
 
-def reference_tree(root, parent, child_order=None, attrs=None):
+def reference_tree(root, parent, attrs=None):
     """Tree(...) as it was before construction took one pass: copy the
     parent map, rebuild the children lists, copy every attrs dict, then
     validate through the preorder generator with a roots list and a check of
-    every child against the parent map. A cyclic child order never ends."""
+    every child against the parent map."""
     t = Tree.__new__(Tree)
     t.root = root
     t.parent = dict(parent)
     t.children = {v: [] for v in t.parent}
-    if child_order is not None:
-        for v, cs in child_order.items():
-            if v not in t.children:
-                raise InputError("unknown vertex %r in child order" % (v,))
-            t.children[v] = list(cs)
-    else:
-        for v in t.parent:
-            p = t.parent[v]
-            if p is not None:
-                if p not in t.children:
-                    raise InputError("unknown parent %r of vertex %r" % (p, v))
-                t.children[p].append(v)
+    for v in t.parent:
+        p = t.parent[v]
+        if p is not None:
+            if p not in t.children:
+                raise InputError("unknown parent %r of vertex %r" % (p, v))
+            t.children[p].append(v)
     t.attrs = {v: dict(attrs.get(v, {})) for v in t.parent} if attrs else {
         v: {} for v in t.parent}
     if t.root not in t.parent or t.parent[t.root] is not None:
@@ -442,30 +436,12 @@ def test_tree_error_messages():
         ((3, {1: None, 2: 1}), "root 3 missing or has a parent"),
         ((1, {1: None, 2: None}), "expected exactly one root, found [1, 2]"),
         ((1, {1: None, 2: 3, 3: 2}), "tree is disconnected or cyclic"),
-        ((1, {1: None, 2: 1}, {5: []}), "unknown vertex 5 in child order"),
-        ((1, {1: None, 2: 1}, {1: []}), "tree is disconnected or cyclic"),
-        ((1, {1: None, 2: 1, 3: 2}, {1: [3], 3: [2]}),
-         "parent/children maps disagree at 3"),
     ]
     for args, message in cases:
         for build in (Tree, reference_tree):
             with pytest.raises(InputError) as err:
                 build(*args)
             assert str(err.value) == message
-
-
-def test_cyclic_child_order_is_rejected():
-    with pytest.raises(InputError, match="^tree is disconnected or cyclic$"):
-        Tree(1, {1: None, 2: 1}, child_order={1: [2], 2: [1]})
-
-
-def test_child_order_must_list_each_child_once():
-    with pytest.raises(InputError, match="not a permutation"):
-        Tree(1, {1: None, 2: 1, 3: 1}, child_order={1: [2, 2]})
-    with pytest.raises(InputError, match="^unknown vertex 9 in child order$"):
-        Tree(1, {1: None, 2: 1}, child_order={1: [2, 9]})
-    t = Tree(1, {1: None, 2: 1, 3: 1}, child_order={1: [3, 2]})
-    assert t.children == {1: [3, 2], 2: [], 3: []}
 
 
 FAMILIES = {
@@ -549,23 +525,6 @@ def test_tree_equals_the_reference_on_parent_maps(parent, root, with_attrs):
     attrs = {v: {"ew": v} for v in parent if v % 2} if with_attrs else None
     assert outcome(Tree, root, parent, attrs=attrs) == \
         outcome(reference_tree, root, parent, attrs=attrs)
-
-
-@settings(max_examples=60, deadline=None)
-@given(tree_strategy(), st.integers(0, 2**31))
-def test_tree_equals_the_reference_on_child_orders(args, seed):
-    n, tree_seed = args
-    t = relabeled_copy(random_tree(n, tree_seed), seed)
-    order = dict(t.children)
-    assert outcome(Tree, t.root, t.parent, child_order=order) == \
-        outcome(reference_tree, t.root, t.parent, child_order=order)
-    # an order that leaves a vertex out leaves its subtree unreached
-    v = next(v for v, cs in order.items() if cs)
-    partial = {u: cs for u, cs in order.items() if u != v}
-    got = outcome(Tree, t.root, t.parent, child_order=partial)
-    assert got == ("error", "tree is disconnected or cyclic")
-    assert got == outcome(reference_tree, t.root, t.parent,
-                          child_order=partial)
 
 
 # ---------------------------------------------------------------------------
@@ -771,8 +730,7 @@ def group_components_reference(tree, dec):
 
 def preorder_keyed(tree):
     """The same tree, its maps keyed in preorder, as a run's work tree is."""
-    return Tree(tree.root, {v: tree.parent[v] for v in tree.preorder()},
-                child_order=tree.children)
+    return Tree(tree.root, {v: tree.parent[v] for v in tree.preorder()})
 
 
 @settings(max_examples=60, deadline=None)
