@@ -414,7 +414,7 @@ def _bounded_units(tree, plugin, cfg, books, prefix=""):
                 spec = _comp_spec(tree, comp, books)
                 per_group.setdefault(gi, []).append(spec)
         machines = [_cc_machine(plugin, label + " compress", specs)
-                    for _gi, specs in sorted(per_group.items())]
+                    for specs in per_group.values()]
         results = yield ("round", machines)
         _apply_results(tree, books, results)
         yield from _rake(tree, plugin, cfg, books, label + " rake", True)

@@ -51,10 +51,11 @@ def _loaded_record(obj):
     """The decoded value obj as a Record. Raises ValueError when a field has
     the wrong type (members, payloads, virtual, parents, outs and each outs
     entry are tuples, root_outs_known a bool), the kind is neither
-    "connected" nor "sibling", the survivor is not the first member, or a
-    length disagrees with members: one payload per member, and for a
-    connected record one parent and one outs entry per member (a sibling
-    record has neither)."""
+    "connected" nor "sibling", the survivor is not the first member, a
+    length disagrees with members (one payload per member, and for a
+    connected record one parent and one outs entry per member; a sibling
+    record has neither), a member repeats, or an outs entry names one of the
+    record's own members: the replay keeps one value and one edge per id."""
     rec = Record._make(obj)
     tuples = (rec.members, rec.payloads, rec.virtual, rec.parents, rec.outs)
     if (any(type(f) is not tuple for f in tuples)
@@ -73,6 +74,12 @@ def _loaded_record(obj):
         raise ValueError(
             "record of %d members has %d payloads, %d parents and %d outs"
             % (n, len(rec.payloads), len(rec.parents), len(rec.outs)))
+    own = set(rec.members)
+    if len(own) != n:
+        raise ValueError("record repeats a member")
+    clash = [u for o in rec.outs for u in o if u in own]
+    if clash:
+        raise ValueError("outs name the record's own member %r" % (clash[0],))
     return rec
 
 
@@ -413,52 +420,48 @@ class ContractionLog:
 # ---------------------------------------------------------------------------
 # reconstruction
 
-def _replay_data(plugin, node, payloads, local, values, edges, met):
+def _replay_data(plugin, node, values, edges, met):
     """Data of the residual node `node` with every kid absorbed in order: a
     known kid's value through its own edge, a slot child's through the slot's
-    acc composed with the child's edge. A slot child's edge is its snapshot's
-    in `payloads` or else in `edges`; its value is in `local` or else in
-    `values`. Each slot id met, at any depth, is added to `met`."""
+    acc composed with the child's edge. Each slot id met is added to `met`."""
     data = node[3]
     for kid in node[4]:
         if kid[0] == "s":
             u = kid[1]
             met.add(u)
-            if u in payloads:
-                edge = payloads[u][2]
-            elif u in edges:
-                edge = edges[u]
-            else:
+            if u not in edges:
                 raise LogIntegrityError("missing edge for vertex %r" % (u,))
+            edge = edges[u]
             if kid[2] is not None:
                 edge = _compose(plugin, kid[2], edge)
-            if u in local:
-                value = local[u]
-            elif u in values:
-                value = values[u]
-            else:
+            if u not in values:
                 raise LogIntegrityError("missing value for vertex %r" % (u,))
+            value = values[u]
         else:
-            value = plugin.node_value(_replay_data(
-                plugin, kid, payloads, local, values, edges, met))
+            value = plugin.node_value(
+                _replay_data(plugin, kid, values, edges, met))
             edge = kid[2]
         data = plugin.absorb(data, plugin.through_edge(value, edge))
     return data
 
 
+def _resolve(out, m, value):
+    if m in out:
+        raise LogIntegrityError("vertex %r resolved twice" % (m,))
+    out[m] = value
+
+
 def reconstruct(log, plugin):
     """Per-vertex subtree values, by undoing the log newest-first.
 
-    Maintains, per vertex id, the value and upward edge current for the
-    moment the replay has reached; each record rewrites its members' entries
-    from the stored snapshots, so earlier records always see the state their
-    machines saw. Fold survivors carry the batch aggregate until their own
-    fold record restores the single-vertex value.
-
-    A connected record's members are valued children first, each from one
-    walk of its snapshot: the snapshot's kids, then the member's children in
-    the component that no slot of the snapshot took (in member order), then
-    its outs."""
+    One table of values and one of upward edges hold each vertex's entries
+    as of the record the replay has reached, so a record sees what its
+    machine saw. A connected record writes its members' edges from their
+    snapshots, then values them children first from one walk of each
+    snapshot: its kids, the member's children in the component that no slot
+    took, then its outs. The survivor's value is only checked against the
+    stored one; a fold survivor carries its batch aggregate until its own
+    fold record restores its single value."""
     if log.final_payload is None:
         raise LogIntegrityError("log has no final payload")
     node_value, through_edge, absorb = (plugin.node_value,
@@ -473,73 +476,51 @@ def reconstruct(log, plugin):
                 if snap[4]:
                     raise LogIntegrityError(
                         "folded sibling %r had pending children" % (m,))
-                values[m] = value = node_value(snap[3])
+                values[m] = node_value(snap[3])
                 edges[m] = snap[2]
                 if m not in virtual:
-                    if m in out:
-                        raise LogIntegrityError("vertex %r resolved twice"
-                                                % (m,))
-                    out[m] = value
+                    _resolve(out, m, values[m])
             continue
         survivor, outs = rec.survivor, rec.outs
-        payloads = dict(zip(members, rec.payloads))
         kids_of = {}
-        for u, pu in zip(members, rec.parents):
+        for u, pu, snap in zip(members, rec.parents, rec.payloads):
+            edges[u] = snap[2]
             if pu is not None:
-                if pu in kids_of:
-                    kids_of[pu].append(u)
-                else:
-                    kids_of[pu] = [u]
-        local = {}
-        for i in range(len(members) - 1, -1, -1):
-            m = members[i]
-            if m == survivor and not rec.root_outs_known:
-                continue
-            snap = payloads[m]
+                kids_of.setdefault(pu, []).append(u)
+        # members[0] is the survivor, valued only when its outs are known
+        for i in range(len(members) - 1, -1 if rec.root_outs_known else 0, -1):
+            m, snap = members[i], rec.payloads[i]
             if snap[0] == "s":
                 raise LogIntegrityError("value of a bare slot %r" % (snap[1],))
             if snap[4]:
                 met = set()
-                data = _replay_data(plugin, snap, payloads, local, values,
-                                    edges, met)
+                data = _replay_data(plugin, snap, values, edges, met)
             else:
                 met, data = (), snap[3]
             for u in kids_of.get(m, ()):
                 if u not in met:
-                    data = absorb(data, through_edge(local[u], payloads[u][2]))
+                    data = absorb(data, through_edge(values[u], edges[u]))
             for u in outs[i]:
-                if u in local:
-                    value = local[u]
-                elif u in values:
-                    value = values[u]
-                else:
+                if u not in values:
                     raise LogIntegrityError("missing value for vertex %r"
                                             % (u,))
                 if u not in edges:
                     raise LogIntegrityError("missing edge for vertex %r"
                                             % (u,))
-                data = absorb(data, through_edge(value, edges[u]))
-            local[m] = node_value(data)
-        if rec.root_outs_known:
-            if values.get(survivor) != local[survivor]:
+                data = absorb(data, through_edge(values[u], edges[u]))
+            value = node_value(data)
+            if m != survivor:
+                values[m] = value
+            elif values.get(m) != value:
                 raise LogIntegrityError(
                     "undo mismatch at %r: stored %r, derived %r"
-                    % (survivor, values.get(survivor), local[survivor]))
+                    % (m, values.get(m), value))
         for m in members:
-            edges[m] = payloads[m][2]
-            if m == survivor:
-                continue
-            values[m] = value = local[m]
-            if m not in virtual:
-                if m in out:
-                    raise LogIntegrityError("vertex %r resolved twice" % (m,))
-                out[m] = value
-    missing = set(log.vertices) - set(out)
-    if missing:
-        raise LogIntegrityError("unresolved vertices: %r"
-                                % (sorted(missing)[:5],))
-    phantom = set(out) - set(log.vertices)
-    if phantom:
-        raise LogIntegrityError("phantom vertices resolved: %r"
-                                % (sorted(phantom)[:5],))
+            if m != survivor and m not in virtual:
+                _resolve(out, m, values[m])
+    vertices = set(log.vertices)
+    for what, ids in (("unresolved vertices", vertices - out.keys()),
+                      ("phantom vertices resolved", out.keys() - vertices)):
+        if ids:
+            raise LogIntegrityError("%s: %r" % (what, sorted(ids)[:5]))
     return out

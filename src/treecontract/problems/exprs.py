@@ -481,10 +481,14 @@ def subexpression_values(log):
 
 
 def evaluate_expression(s, cfg):
-    """Returns (exact Fraction value, operator tree, log, metrics)."""
+    """Returns (exact Fraction value, operator tree, log, metrics). The log
+    is replayed before the value is returned: the replay performs each
+    operator on its exact operands, so a division by zero that a composed
+    Mobius edge cancelled still raises ExprArithmeticError."""
     plugin = EvalAlgebra()
     tree, levels = _simplify(s, cfg)
     sim = run_simulator(plugin, cfg, tree.n)
     _charge_pipeline(sim, levels)
     value, log, _ = bounded_tree_contract(tree, plugin, cfg, sim)
+    reconstruct(log, plugin)
     return value, tree, log, sim.snapshot_metrics()

@@ -16,8 +16,8 @@ scoring the fused path between the two endpoint states.
 from ..engine import (Algebra, bounded_tree_contract, degree_budget,
                       run_simulator, tree_contract)
 from ..log import reconstruct
-from ..trees import Tree
-from .matching import NEG_INF, mat_mul, segmentation_levels
+from ..trees import NEG_INF, Tree
+from .matching import mat_mul, segmentation_levels
 
 FRESH_PAIR = 2  # (w1, w2) = (1, 0)
 

@@ -327,6 +327,14 @@ class TestExitCodes:
                            "--input", "1/0")
         assert code == 3 and "division by zero" in err
 
+    def test_a_pole_a_chain_cancels_is_an_error(self, capsys):
+        # the composed edge over 1/(1/0) is the identity; the replay of the
+        # log divides by the 0
+        code, out, err = run(capsys, "solve", "--problem", "eval",
+                             "--input", "(2/(1/((1-1)+(1-1))))/2")
+        assert code == 3 and out == ""
+        assert err == "error: division by zero near position 5\n"
+
     def test_non_integer_parent_id(self, tmp_path, capsys):
         src = tmp_path / "t.tree"
         src.write_text("2 1\n1 -\n2 x\n")

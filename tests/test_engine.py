@@ -843,8 +843,12 @@ class TestLogCodec:
         ({2: 2}, "survivor 2 is not the first member"),
         ({2: None}, "survivor None is not the first member"),
         ({3: (), 4: ()}, "survivor 1 is not the first member"),
+        ({3: (1, 1)}, "record repeats a member"),
+        ({8: ((2,), ())}, "outs name the record's own member 2"),
+        ({8: ((), (1,))}, "outs name the record's own member 1"),
     ], ids=["bogus kind and survivor", "bogus kind", "int kind",
-            "survivor not first", "no survivor", "no members"])
+            "survivor not first", "no survivor", "no members",
+            "repeated member", "outs name a member", "outs name the survivor"])
     def test_kind_and_survivor_are_checked(self, tmp_path, edits, message):
         with pytest.raises(InputError, match="^malformed contraction log: "
                            + re.escape(message) + "$"):
@@ -1716,23 +1720,32 @@ N_REPLAY, SEED_REPLAY = 1 << 12, 7
 def iso_pair(tree, seed):
     return [tree, oracles.relabeled_copy(tree, seed)]
 
-# problem -> (epsilon, inputs); with eval's `**` among the operators
+# run -> (problem, epsilon, inputs); with eval's `**` among the operators
 REPLAY_RUNS = {
-    "mwm": (0.5, lambda: ([with_edge_weights(
+    "mwm": ("mwm", 0.5, lambda: ([with_edge_weights(
         random_tree(N_REPLAY, SEED_REPLAY), SEED_REPLAY)], None)),
-    "mwis": (0.5, lambda: ([oracles.with_vertex_weights(
+    "mwm/broom": ("mwm", 0.5, lambda: ([with_edge_weights(
+        broom(N_REPLAY), SEED_REPLAY)], None)),
+    "mwis": ("mwis", 0.5, lambda: ([oracles.with_vertex_weights(
         caterpillar(N_REPLAY), SEED_REPLAY)], None)),
-    "mis": (0.5, lambda: ([broom(N_REPLAY)], None)),
-    "matching": (0.5, lambda: ([broom(N_REPLAY)], None)),
-    "height": (0.25, lambda: ([random_tree(N_REPLAY, SEED_REPLAY)], None)),
-    "sum": (0.25, lambda: ([path(N_REPLAY)], None)),
-    "eval": (0.5, lambda: ([], registry_expression(SEED_REPLAY, N_REPLAY))),
-    "iso": (0.5, lambda: (iso_pair(random_tree(N_REPLAY, SEED_REPLAY),
-                                   SEED_REPLAY), None)),
+    "mwis/star": ("mwis", 0.5, lambda: ([oracles.with_vertex_weights(
+        star(N_REPLAY), SEED_REPLAY)], None)),
+    "mis": ("mis", 0.5, lambda: ([broom(N_REPLAY)], None)),
+    "matching": ("matching", 0.5, lambda: ([broom(N_REPLAY)], None)),
+    "height": ("height", 0.25, lambda: (
+        [random_tree(N_REPLAY, SEED_REPLAY)], None)),
+    "sum": ("sum", 0.25, lambda: ([path(N_REPLAY)], None)),
+    "eval": ("eval", 0.5, lambda: (
+        [], registry_expression(SEED_REPLAY, N_REPLAY))),
+    "iso": ("iso", 0.5, lambda: (iso_pair(
+        random_tree(N_REPLAY, SEED_REPLAY), SEED_REPLAY), None)),
 }
+# the max-plus runs whose logs hold every record kind: sibling, connected,
+# a virtual member standing in for a folded batch, and a fold
+EVERY_KIND = ("mwm/broom", "mwis/star")
 # the solvers whose answers need no replay: theirs is run on their log
-REPLAY_PLUGINS = {"height": HeightAlgebra, "sum": sum_plugin,
-                  "eval": EvalAlgebra}
+# (eval replays its own log, to check its exact arithmetic)
+REPLAY_PLUGINS = {"height": HeightAlgebra, "sum": sum_plugin}
 
 
 def _raised(fn, *args):
@@ -1764,19 +1777,24 @@ class TestReplay:
 
         for module in (exprs, indep, iso, matching):
             monkeypatch.setattr(module, "reconstruct", recorded)
-        epsilon, make = REPLAY_RUNS[name]
+        problem, epsilon, make = REPLAY_RUNS[name]
         trees, text = make()
         n = max(4, len(text)) if text is not None else trees[0].n
-        result = REGISTRY[name]["solve"](
+        result = REGISTRY[problem]["solve"](
             trees, text, cfg(n, epsilon=epsilon, seed=SEED_REPLAY),
             SEED_REPLAY)
-        assert REGISTRY[name]["check"](trees, text, result)[2]
-        if name in REPLAY_PLUGINS:
-            plugin = REPLAY_PLUGINS[name]()
+        assert REGISTRY[problem]["check"](trees, text, result)[2]
+        if problem in REPLAY_PLUGINS:
+            plugin = REPLAY_PLUGINS[problem]()
             calls.append((result["log"], plugin,
                           replay(result["log"], plugin)))
-        assert name != "eval" or "**" in text
+        assert problem != "eval" or "**" in text
         assert calls
+        if name in EVERY_KIND:
+            records = [rec for log, _p, _o in calls for rec in log.records]
+            assert {rec.kind for rec in records} == {"sibling", "connected"}
+            assert any(rec.virtual for rec in records)
+            assert any(rec.label.endswith(" fold") for rec in records)
         for log, plugin, out in calls:
             want = reference_reconstruct(log, plugin)
             assert list(out.items()) == list(want.items())
@@ -1787,6 +1805,10 @@ class TestReplay:
         ("survivor value", "undo mismatch"),
         ("sibling kids", "had pending children"),
         ("phantom", "phantom vertices"),
+        # a ghost lacks both: for an out the value is looked up first, for
+        # a slot the edge
+        ("ghost out", "missing value for vertex 1000000"),
+        ("ghost slot", "missing edge for vertex 1000000"),
     ])
     def test_a_tampered_log_fails_the_reference_check(self, tamper, check):
         log = _broom_log()
@@ -1795,7 +1817,22 @@ class TestReplay:
         sibling = next(i for i, rec in enumerate(records)
                        if rec.kind == "sibling")
         rec = records[sibling]
-        if tamper == "drop":
+        ghost = 10 ** 6
+        if tamper.startswith("ghost"):
+            # the last member of a connected record whose members all get
+            # valued
+            i = next(i for i in range(len(records) - 1, -1, -1)
+                     if records[i].kind == "connected"
+                     and records[i].root_outs_known)
+            rec = records[i]
+            if tamper == "ghost out":
+                records[i] = rec._replace(
+                    outs=rec.outs[:-1] + (rec.outs[-1] + (ghost,),))
+            else:
+                last = rec.payloads[-1]
+                records[i] = rec._replace(payloads=rec.payloads[:-1] + (
+                    last[:4] + (last[4] + (("s", ghost, None),),),))
+        elif tamper == "drop":
             del records[sibling]
         elif tamper == "duplicate":
             records.insert(sibling, rec)
@@ -1807,7 +1844,6 @@ class TestReplay:
             records[sibling] = rec._replace(
                 payloads=rec.payloads[:-1] + (last[:4] + (("s", 999, None),),))
         else:
-            ghost = 10 ** 6
             records[sibling] = rec._replace(
                 members=rec.members + (ghost,),
                 payloads=rec.payloads + (("k", ghost, None, 1, ()),))
