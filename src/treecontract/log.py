@@ -1,7 +1,9 @@
-"""The contraction log: its records, its file format (LOG_MAGIC, then tagged
-values: None, bools, zigzag varint ints, -inf, Fractions, strs and tuples)
-and its replay. reconstruct undoes the records newest-first, as Miller and
-Reif unravel a contraction, with nothing but the log and the Algebra."""
+"""The contraction log: its records, its file format and its replay. A file
+is LOG_MAGIC, then tagged values (None, bools, zigzag varint ints, -inf,
+Fractions, strs and tuples), all written by the one encoder _enc_obj: the
+header tuple, then each Record. reconstruct undoes the records
+newest-first, as Miller and Reif unravel a contraction, with nothing but
+the log and the Algebra."""
 
 from collections import namedtuple
 from fractions import Fraction
@@ -54,8 +56,10 @@ def _loaded_record(obj):
     "connected" nor "sibling", the survivor is not the first member, a
     length disagrees with members (one payload per member, and for a
     connected record one parent and one outs entry per member; a sibling
-    record has neither), a member repeats, or an outs entry names one of the
-    record's own members: the replay keeps one value and one edge per id."""
+    record has neither), a member repeats, a connected record's parents are
+    not None for the survivor and an earlier member for every other member,
+    or an outs entry names one of the record's own members: the replay keeps
+    one value and one edge per id, and values a component children first."""
     rec = Record._make(obj)
     tuples = (rec.members, rec.payloads, rec.virtual, rec.parents, rec.outs)
     if (any(type(f) is not tuple for f in tuples)
@@ -74,10 +78,17 @@ def _loaded_record(obj):
         raise ValueError(
             "record of %d members has %d payloads, %d parents and %d outs"
             % (n, len(rec.payloads), len(rec.parents), len(rec.outs)))
-    own = set(rec.members)
-    if len(own) != n:
+    index = {m: i for i, m in enumerate(rec.members)}
+    if len(index) != n:
         raise ValueError("record repeats a member")
-    clash = [u for o in rec.outs for u in o if u in own]
+    for i, p in enumerate(rec.parents):
+        if i == 0 and p is not None:
+            raise ValueError("survivor %r has the parent %r"
+                             % (rec.survivor, p))
+        if i and index.get(p, i) >= i:
+            raise ValueError("member %r has the parent %r, not an earlier "
+                             "member" % (rec.members[i], p))
+    clash = [u for o in rec.outs for u in o if u in index]
     if clash:
         raise ValueError("outs name the record's own member %r" % (clash[0],))
     return rec
@@ -97,210 +108,93 @@ def _enc_uint(n, out):
             return
 
 
-# encodings by exact type, built once: the ints whose zigzag fits one varint
-# byte, and the headers of tuples below 128 items
-_SMALL_INT = [bytes((3, z)) for z in range(0x80)]
+def _zigzag(n):
+    return n << 1 if n >= 0 else ((-n) << 1) | 1
+
+
 _SMALL_TUPLE = [bytes((7, n)) for n in range(0x80)]
+
+# The encodings of the ints 0..0x1FFF, the ids of trees below 8192 vertices,
+# and their count. Each save fills the table and empties it after, so it
+# costs nothing at import and holds no memory between saves. One read gives
+# an _enc_obj call the table and its length together, so concurrent saves
+# are safe; the bytes never depend on it.
+_UINTS = ((), 0)
+
+# Encodings of exact strs, made on first use: "k", "s", the kinds and the
+# record labels fit, and a run with more labels than this encodes the rest
+# each time.
+_STRS = {}
+_STRS_MAX = 256
+
+
+def _uint_table():
+    """The encodings of 0..0x1FFF: the zigzag 2v takes one varint byte below
+    64 and two from there, the second byte being v >> 6."""
+    heads = [bytes((3, z)) for z in range(0x80, 0x100, 2)]
+    return ([bytes((3, z)) for z in range(0, 0x80, 2)]
+            + [head + bytes((hi,)) for hi in range(1, 0x80) for head in heads])
 
 
 def _enc_obj(obj, out):
-    """Append obj's encoding to out: tuples with their int, None and -inf
-    items, and ints, None and -inf, here by exact type; everything else in
-    _enc_other."""
+    """Append obj's encoding to out: a tag byte, then None (0), True (1),
+    False (2), an int as a zigzag varint (3), -inf (4), a Fraction as the
+    zigzag varint numerator and the varint denominator (5), a str as its
+    UTF-8 length and bytes (6), a tuple as its length and items (7). The
+    items of a tuple or Record are dispatched here by exact type; every
+    other value, subclasses included, goes down one isinstance chain."""
     cls = type(obj)
-    if cls is tuple:
+    if cls is tuple or cls is Record:
         n = len(obj)
         if n < 0x80:
             out += _SMALL_TUPLE[n]
         else:
             out.append(7)
             _enc_uint(n, out)
-        for item in obj:
-            cls = type(item)
-            if cls is int:
-                z = item << 1 if item >= 0 else ((-item) << 1) | 1
-                if z < 0x80:
-                    out += _SMALL_INT[z]
-                else:
-                    out.append(3)
-                    _enc_uint(z, out)
-            elif item is None:
-                out.append(0)
-            elif cls is float and item == NEG_INF:
-                out.append(4)
-            else:
+        items = obj
+    else:
+        items = (obj,)
+    uints, top = _UINTS
+    for item in items:
+        cls = type(item)
+        if cls is int and 0 <= item < top:
+            out += uints[item]
+        elif cls is tuple:
+            if item:
                 _enc_obj(item, out)
-    elif cls is int:
-        out += _int_bytes(obj)
-    elif obj is None:
-        out.append(0)
-    elif cls is float and obj == NEG_INF:
-        out.append(4)
-    else:
-        _enc_other(obj, out)
-
-
-def _varint_head(tag, n):
-    """The tag byte, then n as a varint."""
-    raw = bytearray((tag,))
-    _enc_uint(n, raw)
-    return bytes(raw)
-
-
-def _int_bytes(v):
-    """Encoding of the int v. The ids of trees below 8192 vertices take the
-    two-byte varint, made here in one step."""
-    z = v << 1 if v >= 0 else ((-v) << 1) | 1
-    if z < 0x80:
-        return _SMALL_INT[z]
-    if z < 0x4000:
-        return bytes((3, z & 0x7F | 0x80, z >> 7))
-    return _varint_head(3, z)
-
-
-class _ScalarBytes(dict):
-    """Encodings of exact ints and strs, each made on first use. Index it
-    only with an exact int or str (True == 1 would find 1's bytes). One
-    lives for one save, so it holds no more than that log's ids and labels."""
-
-    __slots__ = ()
-
-    def __missing__(self, key):
-        if type(key) is int:
-            raw = _int_bytes(key)
-        else:
-            raw = bytearray()
-            _enc_obj(key, raw)
-            raw = bytes(raw)
-        self[key] = raw
-        return raw
-
-
-def _enc_item(x, out, enc):
-    """Append x's encoding, through enc when x is an exact int or str."""
-    cls = type(x)
-    if cls is int or cls is str:
-        out += enc[x]
-    elif x is None:
-        out.append(0)
-    else:
-        _enc_obj(x, out)
-
-
-def _enc_items(seq, out, enc):
-    """Append the encoding of tuple(seq), int items through enc."""
-    n = len(seq)
-    out += _SMALL_TUPLE[n] if n < 0x80 else _varint_head(7, n)
-    for x in seq:
-        if type(x) is int:
-            out += enc[x]
-        elif x is None:
+            else:
+                out += b"\x07\x00"
+        elif cls is str and item in _STRS:
+            out += _STRS[item]
+        elif item is None:
             out.append(0)
+        elif isinstance(item, float):
+            if item != NEG_INF:
+                raise InputError("only -inf floats are encodable")
+            out.append(4)
+        elif item is True:
+            out.append(1)
+        elif item is False:
+            out.append(2)
+        elif isinstance(item, int):
+            out.append(3)
+            _enc_uint(_zigzag(item), out)
+        elif isinstance(item, Fraction):
+            out.append(5)
+            _enc_uint(_zigzag(item.numerator), out)
+            _enc_uint(item.denominator, out)
+        elif isinstance(item, str):
+            raw = item.encode("utf-8")
+            enc = bytearray((6,))
+            _enc_uint(len(raw), enc)
+            enc += raw
+            out += enc
+            if cls is str and len(_STRS) < _STRS_MAX:
+                _STRS[item] = bytes(enc)
+        elif isinstance(item, tuple):
+            _enc_obj(tuple(item), out)
         else:
-            _enc_obj(x, out)
-
-
-# a residual-tree node's tuple header and its one-char tag, "k" or "s"
-_K_HEAD = _SMALL_TUPLE[5] + b"\x06\x01k"
-_S_HEAD = _SMALL_TUPLE[3] + b"\x06\x01s"
-
-
-def _enc_rnode(node, out, enc):
-    """Append _enc_obj(node)'s bytes, reading node as a residual-tree node:
-    a fixed head, the vertex id through enc, then edge and data (or acc)
-    through _enc_obj, then the kids. A node of any other shape or item type
-    goes to _enc_obj whole."""
-    if type(node) is tuple:
-        n = len(node)
-        if n == 5:
-            tag, vid, edge, data, kids = node
-            if (type(vid) is int and type(kids) is tuple
-                    and type(tag) is str and tag == "k"):
-                out += _K_HEAD
-                out += enc[vid]
-                if edge is None:
-                    out.append(0)
-                else:
-                    _enc_obj(edge, out)
-                if type(data) is int:
-                    out += enc[data]
-                else:
-                    _enc_obj(data, out)
-                n = len(kids)
-                out += _SMALL_TUPLE[n] if n < 0x80 else _varint_head(7, n)
-                for kid in kids:
-                    _enc_rnode(kid, out, enc)
-                return
-        elif n == 3:
-            tag, vid, acc = node
-            if type(vid) is int and type(tag) is str and tag == "s":
-                out += _S_HEAD
-                out += enc[vid]
-                if acc is None:
-                    out.append(0)
-                else:
-                    _enc_obj(acc, out)
-                return
-    _enc_obj(node, out)
-
-
-def _enc_record(rec, out, enc):
-    """Append _enc_obj(rec)'s bytes field by field: the ids and labels
-    through enc, the payloads as residual-tree nodes."""
-    out += _SMALL_TUPLE[10]
-    _enc_item(rec.label, out, enc)
-    _enc_item(rec.kind, out, enc)
-    _enc_item(rec.survivor, out, enc)
-    _enc_items(rec.members, out, enc)
-    payloads = rec.payloads
-    n = len(payloads)
-    out += _SMALL_TUPLE[n] if n < 0x80 else _varint_head(7, n)
-    for p in payloads:
-        _enc_rnode(p, out, enc)
-    _enc_items(rec.virtual, out, enc)
-    _enc_item(rec.parent_out, out, enc)
-    _enc_items(rec.parents, out, enc)
-    outs = rec.outs
-    n = len(outs)
-    out += _SMALL_TUPLE[n] if n < 0x80 else _varint_head(7, n)
-    for o in outs:
-        if o == ():
-            out += _SMALL_TUPLE[0]
-        else:
-            _enc_items(o, out, enc)
-    _enc_item(rec.root_outs_known, out, enc)
-
-
-def _enc_other(obj, out):
-    """Every type outside _enc_obj's dispatch, subclasses included."""
-    if obj is True:
-        out.append(1)
-    elif obj is False:
-        out.append(2)
-    elif isinstance(obj, int):
-        out.append(3)
-        _enc_uint(obj << 1 if obj >= 0 else ((-obj) << 1) | 1, out)
-    elif isinstance(obj, float):
-        if obj != NEG_INF:
-            raise InputError("only -inf floats are encodable")
-        out.append(4)
-    elif isinstance(obj, Fraction):
-        out.append(5)
-        n = obj.numerator
-        _enc_uint(n << 1 if n >= 0 else ((-n) << 1) | 1, out)
-        _enc_uint(obj.denominator, out)
-    elif isinstance(obj, str):
-        raw = obj.encode("utf-8")
-        out.append(6)
-        _enc_uint(len(raw), out)
-        out.extend(raw)
-    elif isinstance(obj, tuple):
-        out.append(7)
-        _enc_uint(len(obj), out)
-        for item in obj:
-            _enc_obj(item, out)
-    else:
-        raise InputError("unencodable object %r" % (obj,))
+            raise InputError("unencodable object %r" % (item,))
 
 
 def _truncated(pos):
@@ -378,20 +272,18 @@ class ContractionLog:
 
     def save(self, path):
         """Write LOG_MAGIC, then _enc_obj of (root, vertices, final_payload,
-        record count), then _enc_obj of each record: the same bytes, written
-        by shape with the ids and labels encoded once."""
+        record count), then _enc_obj of each record."""
+        global _UINTS
         out = bytearray(LOG_MAGIC)
-        # the ids in the records are the vertices: one pass over them costs
-        # less than a cache miss apiece
-        enc = _ScalarBytes({v: _int_bytes(v) for v in self.vertices
-                            if type(v) is int})
-        out += _SMALL_TUPLE[4]
-        _enc_item(self.root, out, enc)
-        _enc_items(self.vertices, out, enc)
-        _enc_rnode(self.final_payload, out, enc)
-        _enc_item(len(self.records), out, enc)
-        for rec in self.records:
-            _enc_record(rec, out, enc)
+        table = _uint_table()
+        _UINTS = (table, len(table))
+        try:
+            _enc_obj((self.root, self.vertices, self.final_payload,
+                      len(self.records)), out)
+            for rec in self.records:
+                _enc_obj(rec, out)
+        finally:
+            _UINTS = ((), 0)
         with open(path, "wb") as fh:
             fh.write(out)
 

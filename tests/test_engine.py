@@ -846,9 +846,15 @@ class TestLogCodec:
         ({3: (1, 1)}, "record repeats a member"),
         ({8: ((2,), ())}, "outs name the record's own member 2"),
         ({8: ((), (1,))}, "outs name the record's own member 1"),
+        ({7: (None, 99)}, "member 2 has the parent 99, not an earlier member"),
+        ({7: (2, 1)}, "survivor 1 has the parent 2"),
+        ({7: (None, None)},
+         "member 2 has the parent None, not an earlier member"),
     ], ids=["bogus kind and survivor", "bogus kind", "int kind",
             "survivor not first", "no survivor", "no members",
-            "repeated member", "outs name a member", "outs name the survivor"])
+            "repeated member", "outs name a member", "outs name the survivor",
+            "parent not a member", "survivor with a parent",
+            "member without a parent"])
     def test_kind_and_survivor_are_checked(self, tmp_path, edits, message):
         with pytest.raises(InputError, match="^malformed contraction log: "
                            + re.escape(message) + "$"):
@@ -884,21 +890,52 @@ class TestLogCodec:
 
 
 # ---------------------------------------------------------------------------
-# the type-dispatch encoder against the isinstance chain it falls back to
+# the encoder against a reference that spells the format out, one isinstance
+# test per tag
 
-def chain_enc(obj, out):
-    """Reference encoder: None, then _enc_other's isinstance chain all the
-    way down (its tuple items come back through the patched _enc_obj)."""
+def ref_uint(n, out):
+    """n as a varint: seven bits a byte, low bits first, the high bit set on
+    every byte but the last."""
+    while n >= 0x80:
+        out.append(n & 0x7F | 0x80)
+        n >>= 7
+    out.append(n)
+
+
+def ref_enc(obj, out):
     if obj is None:
         out.append(0)
+    elif isinstance(obj, bool):
+        out.append(1 if obj else 2)
+    elif isinstance(obj, int):
+        # zigzag: 2v for v >= 0, 2|v|+1 for v < 0
+        out.append(3)
+        ref_uint(2 * obj if obj >= 0 else 2 * -obj + 1, out)
+    elif isinstance(obj, float):
+        assert obj == float("-inf")
+        out.append(4)
+    elif isinstance(obj, Fraction):
+        num = obj.numerator
+        out.append(5)
+        ref_uint(2 * num if num >= 0 else 2 * -num + 1, out)
+        ref_uint(obj.denominator, out)
+    elif isinstance(obj, str):
+        raw = obj.encode("utf-8")
+        out.append(6)
+        ref_uint(len(raw), out)
+        out += raw
+    elif isinstance(obj, tuple):
+        out.append(7)
+        ref_uint(len(obj), out)
+        for item in obj:
+            ref_enc(item, out)
     else:
-        logmod._enc_other(obj, out)
+        raise TypeError(obj)
 
 
-def chain_bytes(obj):
+def ref_bytes(obj):
     out = bytearray()
-    with mock.patch.object(logmod, "_enc_obj", chain_enc):
-        chain_enc(obj, out)
+    ref_enc(obj, out)
     return bytes(out)
 
 
@@ -918,10 +955,10 @@ log_values = st.recursive(
 class TestEncoderDispatch:
     @settings(max_examples=300, deadline=None)
     @given(log_values)
-    def test_bytes_match_the_chain(self, obj):
+    def test_bytes_match_the_reference(self, obj):
         out = bytearray()
         _enc_obj(obj, out)
-        assert bytes(out) == chain_bytes(obj)
+        assert bytes(out) == ref_bytes(obj)
 
     @settings(max_examples=100, deadline=None)
     @given(log_values)
@@ -935,12 +972,12 @@ class TestEncoderDispatch:
                 data = fh.read()
             back = ContractionLog.load(p)
         header = (1, (1,), obj, 0)
-        assert data == LOG_MAGIC + chain_bytes(header)
+        assert data == LOG_MAGIC + ref_bytes(header)
         assert repr(back.final_payload) == repr(obj)
 
 
 # ---------------------------------------------------------------------------
-# records: header counts by shape, and the save that writes them by shape
+# records: header counts by shape, and the save that writes them
 
 def header_of(rec):
     """The record without the payloads: what header_words() counts."""
@@ -1048,6 +1085,56 @@ def saved_bytes(log):
             return fh.read()
 
 
+def enc(obj):
+    out = bytearray()
+    _enc_obj(obj, out)
+    return bytes(out)
+
+
+class TestIntTable:
+    """A save fills the table of small int encodings and empties it after;
+    _enc_obj gives the same bytes with it and without it."""
+
+    def test_the_table_holds_each_ints_encoding(self):
+        table = logmod._uint_table()
+        assert table == [ref_bytes(v) for v in range(0x2000)]
+
+    def test_a_save_fills_the_table_and_empties_it(self, tmp_path):
+        real, tops = logmod._enc_obj, []
+
+        def spy(obj, out):
+            tops.append(logmod._UINTS[1])
+            return real(obj, out)
+
+        log = ContractionLog(1, (1,))
+        log.final_payload = ("k", 1, None, 0, ())
+        with mock.patch.object(logmod, "_enc_obj", spy):
+            log.save(tmp_path / "run.tclog")
+        assert tops and set(tops) == {0x2000}
+        assert logmod._UINTS == ((), 0)
+        log.final_payload = [1]
+        with pytest.raises(InputError, match="unencodable"):
+            log.save(tmp_path / "bad.tclog")
+        assert logmod._UINTS == ((), 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(log_values, records()))
+    def test_same_bytes_inside_and_outside_a_save(self, obj):
+        outside = enc(obj)
+        with mock.patch.object(logmod, "_UINTS",
+                               (logmod._uint_table(), 0x2000)):
+            inside = enc(obj)
+        assert inside == outside == ref_bytes(obj)
+
+    def test_more_strs_than_the_memo_holds(self):
+        words = tuple("w%d" % i for i in range(logmod._STRS_MAX + 40))
+        with mock.patch.dict(logmod._STRS, clear=True):
+            first = enc(words)
+            assert len(logmod._STRS) == logmod._STRS_MAX
+            again = enc(words)
+        assert first == again == ref_bytes(words)
+
+
 class TestShapeSave:
     @settings(max_examples=60, deadline=None)
     @given(logs())
@@ -1056,12 +1143,12 @@ class TestShapeSave:
                   len(log.records))
         out = bytearray(LOG_MAGIC)
         _enc_obj(header, out)
-        chain = [LOG_MAGIC, chain_bytes(header)]
+        ref = [LOG_MAGIC, ref_bytes(header)]
         for rec in log.records:
             _enc_obj(rec, out)
-            chain.append(chain_bytes(rec))
+            ref.append(ref_bytes(rec))
         data = saved_bytes(log)
-        assert data == bytes(out) == b"".join(chain)
+        assert data == bytes(out) == b"".join(ref)
 
     def test_lookalike_items(self):
         # True == 1 and IntId(1) == 1 hash alike; each keeps its own bytes
@@ -1312,12 +1399,6 @@ def run_registry(name, trees, text):
     result = REGISTRY[problem]["solve"](
         trees, text, cfg(n, epsilon=epsilon, seed=SEED_REG), SEED_REG)
     return result["log"]
-
-
-def enc(obj):
-    out = bytearray()
-    _enc_obj(obj, out)
-    return bytes(out)
 
 
 class EdgeMerger(Keeper):
