@@ -170,6 +170,17 @@ def _cmd_gen(args):
     return 0
 
 
+def _positive_int(text):
+    """--n's type; argparse reports a bad value as a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("not a positive integer: %r" % text)
+    return value
+
+
 def _run_flags(sub):
     """The flags of every command that solves: seed and budget mode."""
     sub.add_argument("--seed", type=int, default=0)
@@ -215,7 +226,8 @@ def _build_parser():
                        choices=sorted(REGISTRY))
     bench.add_argument("--family", action="append", required=True,
                        choices=list(_MAKE_TREE))
-    bench.add_argument("--n", action="append", type=int, required=True)
+    bench.add_argument("--n", action="append", type=_positive_int,
+                       required=True)
     bench.add_argument("--epsilon", action="append", type=float)
     bench.add_argument("--k", type=int, default=2)
     bench.add_argument("--out", metavar="PATH")
@@ -223,7 +235,7 @@ def _build_parser():
 
     gen = subs.add_parser("gen", help="write generated tree files")
     gen.add_argument("--family", required=True, choices=_FAMILIES)
-    gen.add_argument("--n", type=int, required=True)
+    gen.add_argument("--n", type=_positive_int, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--k", type=int, default=2)
     gen.add_argument("--edge-weights", action="store_true")

@@ -665,7 +665,6 @@ def _contract(runs, sim, units, label):
         if streams:
             with sim.phase(label):
                 _drive(sim, _merged(streams, cfg.machine_cap))
-        budget = cfg.total_budget_factor * cfg.n
         out = []
         for work, plugin, books in started:
             payload = sim.generation[("P", work.root)]
@@ -674,9 +673,9 @@ def _contract(runs, sim, units, label):
                     "root payload still has pending children")
             log = books.log
             log.final_payload = payload
-            if log.total_words > budget:
+            if log.total_words > cfg.log_cap:
                 sim.fault("contraction log of %d words exceeds %d"
-                          % (log.total_words, budget))
+                          % (log.total_words, cfg.log_cap))
             out.append((plugin.finalize(payload[3]), log))
         return out, sim.snapshot_metrics()
     finally:

@@ -250,8 +250,8 @@ def _build(cells, cmatch, dead):
 def _pow_unfold(shape):
     """x ** d with a literal d becomes a balanced product of d copies of x
     (d = 0 becomes x*0 + 1 so errors inside x still surface). Only `**` with
-    a computed exponent stays a vertex. Operands unfold before their
-    operator, left before right."""
+    a computed exponent or one outside 0.._POW_CAP stays a vertex. Operands
+    unfold before their operator, left before right."""
     done = []
     stack = [(shape, False)]
     while stack:
@@ -268,14 +268,13 @@ def _pow_unfold(shape):
 
 
 def _unfold_one(sym, pos, left, right):
-    """One operator of _pow_unfold, its operands already unfolded."""
-    if sym != "**" or right[0] != "num":
+    """One operator of _pow_unfold, its operands already unfolded. A literal
+    exponent outside 0.._POW_CAP stays a vertex, so that evaluation reports
+    it in the order eval_reference meets its errors."""
+    if (sym != "**" or right[0] != "num" or right[1].denominator != 1
+            or not 0 <= right[1] <= _POW_CAP):
         return (sym, pos, left, right)
-    d = right[1]
-    if d.denominator != 1 or d < 0 or d > _POW_CAP:
-        raise ExprArithmeticError(
-            "exponent near position %d must be an integer in 0..64" % pos)
-    d = int(d)
+    d = int(right[1])
     if d == 0:
         return ("+", pos, ("*", pos, left, ("num", Fraction(0), pos)),
                 ("num", Fraction(1), pos))
@@ -480,15 +479,40 @@ def subexpression_values(log):
     return reconstruct(log, EvalAlgebra())
 
 
+def _evaluate_stepwise(tree, plugin):
+    """Evaluate the operator tree operands first, the left before the right,
+    as eval_reference does, so the first ExprArithmeticError raised is the
+    one the reference names."""
+    value = {}
+    stack = [(tree.root, False)]
+    while stack:
+        v, ready = stack.pop()
+        kids = tree.children[v]
+        if not ready:
+            stack.append((v, True))
+            stack.extend((c, False) for c in reversed(kids))
+            continue
+        data = plugin.init_data(tree, v)
+        for at, c in enumerate(kids):
+            data = plugin.absorb(data, (at, value.pop(c)))
+        value[v] = plugin.node_value(data)
+
+
 def evaluate_expression(s, cfg):
     """Returns (exact Fraction value, operator tree, log, metrics). The log
     is replayed before the value is returned: the replay performs each
     operator on its exact operands, so a division by zero that a composed
-    Mobius edge cancelled still raises ExprArithmeticError."""
+    Mobius edge cancelled still raises ExprArithmeticError. An error the
+    contraction or the replay meets is raised as the stepwise evaluation
+    meets it first, naming the position eval_reference names."""
     plugin = EvalAlgebra()
     tree, levels = _simplify(s, cfg)
     sim = run_simulator(plugin, cfg, tree.n)
     _charge_pipeline(sim, levels)
-    value, log, _ = bounded_tree_contract(tree, plugin, cfg, sim)
-    reconstruct(log, plugin)
+    try:
+        value, log, _ = bounded_tree_contract(tree, plugin, cfg, sim)
+        reconstruct(log, plugin)
+    except ExprArithmeticError:
+        _evaluate_stepwise(tree, plugin)
+        raise
     return value, tree, log, sim.snapshot_metrics()

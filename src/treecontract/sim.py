@@ -11,8 +11,12 @@ count passes it to the write: the engine counts a contraction record from
 the words its payload reads were charged plus the record's header. The
 store is the only holder of payloads and their counts; the host plans from
 the read-only ledger view `Simulator.words` and keeps no copy of either.
-Costs of cited external subroutines (preorder numbering, connectivity,
-relabeling) are charged as opaque round blocks rather than re-implemented.
+Costs of cited external subroutines are charged as opaque round blocks
+rather than re-implemented: the engine's preorder numbering, connectivity
+and relabeling; the bypass expansion, greedy edges and set extraction of
+the independent-set problems; matching's match pointers and segmentation;
+eval's five text stages (insertions, paren scan, paren merge, paren
+deletions, operator scan); and iso's modulus draw.
 """
 
 import math
@@ -23,56 +27,44 @@ from .errors import InputError, SimFault
 from .trees import word_count
 
 
+# The constants the model's asymptotic bounds hide.
+C_S = 16  # local space: S = max(4, ceil(C_S * n^epsilon)) words per machine
+C_Q = 4  # reads and writes per machine-round: C_Q * S words each
+C_P = 4  # outer phase loop: ceil(C_P / epsilon) phases
+TOTAL_BUDGET_FACTOR = 64  # machines per round and log words: this times n
+
+
 class SimConfig:
-    """Run parameters plus the constants the asymptotic bounds hide.
+    """The five values a caller sets, and the bounds a run is held to,
+    derived once from them and the constants above. A payload is held to
+    C_w*(deg+1) words. seed is carried for callers that key their own draws
+    by it; nothing in this package reads it."""
 
-    S = max(4, ceil(C_s * n^epsilon)) local words per machine; reads and
-    writes per machine-round are capped at C_q*S words; payloads at
-    C_w*(deg+1) words; the outer phase loop at ceil(C_p/epsilon).
-    """
+    __slots__ = ("epsilon", "n", "C_w", "seed", "strict", "S", "io_cap",
+                 "inv_eps", "phase_cap", "machine_cap", "log_cap")
 
-    __slots__ = ("epsilon", "n", "C_s", "C_q", "C_w", "C_p",
-                 "total_budget_factor", "seed", "strict")
-
-    def __init__(self, epsilon, n, C_s=16, C_q=4, C_w=8, C_p=4,
-                 total_budget_factor=64, seed=0, strict=True):
+    def __init__(self, epsilon, n, C_w=8, seed=0, strict=True):
         if not 0 < epsilon < 1:
             raise InputError("epsilon must lie in (0,1)")
         if n < 1:
             raise InputError("n must be positive")
-        if C_w > 16:
-            raise InputError("C_w above 16 breaks the machine-count bound")
+        if not 0 < C_w <= 16:
+            raise InputError("C_w must lie in (0,16]")
         self.epsilon = epsilon
         self.n = n
-        self.C_s = C_s
-        self.C_q = C_q
         self.C_w = C_w
-        self.C_p = C_p
-        self.total_budget_factor = total_budget_factor
         self.seed = seed
         self.strict = strict
-        for name in ("C_s", "C_q", "C_w", "C_p", "total_budget_factor"):
-            if getattr(self, name) <= 0:
-                raise InputError("%s must be positive" % name)
-
-    @property
-    def S(self):
-        return max(4, math.ceil(self.C_s * self.n ** self.epsilon))
-
-    @property
-    def inv_eps(self):
-        return math.ceil(1 / self.epsilon)
-
-    @property
-    def phase_cap(self):
-        return math.ceil(self.C_p / self.epsilon)
-
-    @property
-    def machine_cap(self):
-        return math.ceil(self.total_budget_factor * self.n / self.S)
+        self.S = max(4, math.ceil(C_S * n ** epsilon))
+        self.io_cap = C_Q * self.S
+        self.inv_eps = math.ceil(1 / epsilon)
+        self.phase_cap = math.ceil(C_P / epsilon)
+        self.machine_cap = math.ceil(TOTAL_BUDGET_FACTOR * n / self.S)
+        self.log_cap = TOTAL_BUDGET_FACTOR * n
 
     def replaced(self, **kw):
-        args = {k: getattr(self, k) for k in self.__slots__}
+        args = {"epsilon": self.epsilon, "n": self.n, "C_w": self.C_w,
+                "seed": self.seed, "strict": self.strict}
         args.update(kw)
         return SimConfig(**args)
 
@@ -203,13 +195,12 @@ class Simulator:
         results = [m.run(ctx) for m, ctx in zip(machines, ctxs)]
 
         merged = {}
-        cap = self.cfg.C_q * self.cfg.S
+        cap, space = self.cfg.io_cap, self.cfg.S
         for i, (m, ctx) in enumerate(zip(machines, ctxs)):
             ctx._closed = True
-            if m.input_words > self.cfg.S:
+            if m.input_words > space:
                 self.fault("%s: input %d words exceeds local space %d"
-                           % (self._machine_name(i, m), m.input_words,
-                              self.cfg.S))
+                           % (self._machine_name(i, m), m.input_words, space))
             if ctx.read_words > cap:
                 self.fault("%s: read %d words exceeds budget %d"
                            % (self._machine_name(i, m), ctx.read_words, cap))

@@ -51,6 +51,19 @@ class TestGen:
             assert code == 0
             assert parse_tree(dest.read_text()).n == 17
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    @pytest.mark.parametrize("family", ["path", "star", "broom",
+                                        "caterpillar", "random",
+                                        "complete-kary", "all-shapes"])
+    def test_n_below_one_is_a_usage_error(self, tmp_path, capsys, family, n):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            main(["gen", "--family", family, "--n", n, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert exit_.value.code == 3
+        assert "argument --n: not a positive integer: '%s'" % n in err
+        assert not out.exists()
+
     def test_all_shapes_count(self, tmp_path, capsys):
         out = tmp_path / "shapes"
         code, text, _ = run(capsys, "gen", "--family", "all-shapes", "--n", "5",
@@ -230,6 +243,17 @@ class TestBench:
             fam, n, eps, rounds, peak = row.split(",")
             assert fam in ("path", "star")
             assert int(rounds) >= 1 and int(peak) >= 1
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    @pytest.mark.parametrize("family", ["path", "star", "broom",
+                                        "caterpillar", "random",
+                                        "complete-kary"])
+    def test_n_below_one_is_a_usage_error(self, capsys, family, n):
+        with pytest.raises(SystemExit) as exit_:
+            main(["bench", "--family", family, "--n", "8", "--n", n])
+        out, err = capsys.readouterr()
+        assert exit_.value.code == 3 and out == ""
+        assert "argument --n: not a positive integer: '%s'" % n in err
 
     def test_pair_problem_rejected(self, capsys):
         code, _, err = run(capsys, "bench", "--problem", "iso",
@@ -438,6 +462,17 @@ class TestHugeAnswers:
                            "--input", self.EXPR)
         assert code == 0 and len(out.splitlines()[0]) == 4933
         assert sys.get_int_max_str_digits() == limit
+
+
+def test_eval_names_a_hidden_division_as_the_reference_does():
+    # a composed Mobius edge hides which division divides by 0
+    done = subprocess.run(
+        [sys.executable, "-m", "treecontract.cli", "solve", "--problem",
+         "eval", "--input", "((9*2)-(6/(5/((1-1)+(1-1)))))"],
+        env=dict(os.environ, PYTHONPATH=TestHugeAnswers.SRC),
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == "error: division by zero near position 12\n"
 
 
 def _address_space_limit():

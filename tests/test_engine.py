@@ -1,5 +1,6 @@
 """Contraction engine: both algorithms, lifting, the log, reconstruction."""
 
+import functools
 import gc
 import os
 import re
@@ -10,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treecontract import engine, log as logmod
+from treecontract import engine, log as logmod, sim as simmod
 from treecontract.engine import (
     Algebra,
     bounded_tree_contract,
@@ -220,10 +221,12 @@ class TestBounded:
         with pytest.raises(InputError, match="general"):
             bounded_tree_contract(t, sum_plugin(), cfg(64))
 
-    def test_phase_cap_faults(self):
+    def test_phase_cap_faults(self, monkeypatch):
         # lambda bottoms out at 2, so a long path cannot finish in 2 phases
         t = valued(path(256))
-        c = cfg(256, C_s=1, C_p=1)
+        monkeypatch.setattr(simmod, "C_S", 1)
+        monkeypatch.setattr(simmod, "C_P", 1)
+        c = cfg(256)
         with pytest.raises(SimFault, match="cap"):
             bounded_tree_contract(t, sum_plugin(), c)
 
@@ -651,12 +654,13 @@ class TestBudgets:
         assert reconstruct(log, Hoarder()) == {
             v: 4 * s for v, s in subtree_sums(valued(t)).items()}
 
-    def test_nested_streams_report_their_own_cap_faults(self):
+    def test_nested_streams_report_their_own_cap_faults(self, monkeypatch):
         # the two tails run as nested bounded streams side by side, the
         # longer one for a phase more; with a cap of 1 each stream reports
         # every phase past it, in stream order within a step
         t = two_tails([60, 200])
-        c = cfg(t.n, epsilon=1 / 3, C_p=0.25, strict=False)
+        monkeypatch.setattr(simmod, "C_P", 0.25)
+        c = cfg(t.n, epsilon=1 / 3, strict=False)
         assert c.phase_cap == 1
         answer, log, metrics = tree_contract(t, sum_plugin(), c)
         assert answer == t.n
@@ -703,10 +707,11 @@ class TestBudgets:
         assert log.total_words <= 64 * 400
         assert metrics["total_words"] <= 64 * 400
 
-    def test_log_over_global_budget_is_a_violation(self):
+    def test_log_over_global_budget_is_a_violation(self, monkeypatch):
         t = valued(caterpillar(64))
+        monkeypatch.setattr(simmod, "TOTAL_BUDGET_FACTOR", 1)
         _a, log, metrics = tree_contract(
-            t, sum_plugin(), cfg(64, total_budget_factor=1, strict=False))
+            t, sum_plugin(), cfg(64, strict=False))
         assert log.total_words > 64
         assert metrics["violations"][-1] == (
             "contraction log of %d words exceeds 64" % log.total_words)
@@ -782,6 +787,22 @@ class TestLogCodec:
             p.write_bytes(data[:cut])
             with pytest.raises(InputError):
                 ContractionLog.load(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["mwm", "height"]), st.data())
+    def test_a_corrupted_byte_loads_or_is_an_input_error(self, problem,
+                                                          data):
+        bad = bytearray(solved_log_bytes(problem))
+        at = data.draw(st.integers(0, len(bad) - 1), label="at")
+        bad[at] ^= data.draw(st.integers(1, 255), label="flip")
+        with tempfile.TemporaryDirectory() as where:
+            p = os.path.join(where, "run.tclog")
+            with open(p, "wb") as fh:
+                fh.write(bad)
+            try:
+                ContractionLog.load(p)
+            except InputError:
+                pass
 
     def test_varint_runs_off_the_end(self, tmp_path):
         with pytest.raises(InputError, match="truncated"):
@@ -1083,6 +1104,19 @@ def saved_bytes(log):
         log.save(p)
         with open(p, "rb") as fh:
             return fh.read()
+
+
+@functools.cache
+def solved_log_bytes(problem):
+    """Saved log of `mwm` on a small weighted broom or of `height` on a
+    random tree."""
+    if problem == "mwm":
+        tree = with_edge_weights(broom(40), 5)
+    else:
+        tree = random_tree(60, seed=5)
+    result = REGISTRY[problem]["solve"](
+        [tree], None, SimConfig(epsilon=0.5, n=tree.n), 0)
+    return saved_bytes(result["log"])
 
 
 def enc(obj):
@@ -1513,7 +1547,7 @@ class TestNoCycles:
                 gc.enable()
 
     @pytest.mark.parametrize("on", [False, True])
-    def test_collector_state_is_restored(self, on):
+    def test_collector_state_is_restored(self, on, monkeypatch):
         t = valued(path(64))
         was_on = gc.isenabled()
         try:
@@ -1521,9 +1555,9 @@ class TestNoCycles:
             answer, _log, _m = tree_contract(t, sum_plugin(), cfg(64))
             assert answer == 64
             assert gc.isenabled() is on
+            monkeypatch.setattr(simmod, "TOTAL_BUDGET_FACTOR", 1)
             with pytest.raises(SimFault):
-                tree_contract(t, sum_plugin(),
-                              cfg(64, total_budget_factor=1))
+                tree_contract(t, sum_plugin(), cfg(64))
             assert gc.isenabled() is on
         finally:
             (gc.enable if was_on else gc.disable)()

@@ -1,6 +1,7 @@
 """Expression pipeline: insertions, chunked matching, tree build, evaluation."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,27 @@ def cfg_for(s, epsilon=0.5):
 
 def value_of(s, epsilon=0.5):
     return evaluate_expression(s, cfg_for(s, epsilon))[0]
+
+
+_FUZZ_LEAVES = ["0", "1", "2", "3", "(1-1)", "(2-2)", "2**0", "(1-1)**2"]
+
+
+def _fuzz_term(rng, depth):
+    """A random expression of at most `depth` operator levels whose leaves
+    make zero divisors and zero powers common."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(_FUZZ_LEAVES)
+    return "(%s%s%s)" % (_fuzz_term(rng, depth - 1),
+                         rng.choice(["+", "-", "*", "/", "**"]),
+                         _fuzz_term(rng, depth - 1))
+
+
+def _outcome(evaluate):
+    """("value", v) or ("error", message) of an evaluation."""
+    try:
+        return ("value", evaluate())
+    except ExprArithmeticError as exc:
+        return ("error", str(exc))
 
 
 class TestInsertions:
@@ -232,6 +254,32 @@ class TestEvaluate:
                 eval_reference("1/0")
             except ExprArithmeticError as want:
                 assert str(got) == str(want)
+
+    @pytest.mark.parametrize("epsilon", [0.5, 0.25])
+    def test_a_hidden_division_is_named_as_the_reference_names_it(
+            self, epsilon):
+        # a composed Mobius edge hides where 5/((1-1)+(1-1)) divides by 0
+        s = "((9*2)-(6/(5/((1-1)+(1-1)))))"
+        with pytest.raises(ExprArithmeticError,
+                           match="^division by zero near position 12$"):
+            value_of(s, epsilon)
+
+    @pytest.mark.parametrize("s", ["(1/0)**65", "(1/0)+2**65",
+                                   "2**65+(1/0)", "(2**65)**0"])
+    def test_a_bad_literal_exponent_is_met_in_the_reference_order(self, s):
+        assert (_outcome(lambda: value_of(s))
+                == _outcome(lambda: eval_reference(s)))
+
+    def test_outcomes_match_the_reference_on_a_fuzz(self):
+        # relaxed budgets: this compares values and error messages only
+        for seed in range(300):
+            s = _fuzz_term(random.Random(seed), 4)
+            want = _outcome(lambda: eval_reference(s))
+            for epsilon in (0.5, 0.25):
+                cfg = SimConfig(epsilon=epsilon, n=max(4, len(s)),
+                                strict=False)
+                got = _outcome(lambda: evaluate_expression(s, cfg)[0])
+                assert got == want, (s, epsilon)
 
     def test_exponent_errors(self):
         for s in ["2**65", "2**(0-1)", "4**(1/2)"]:

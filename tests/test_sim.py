@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import treecontract.sim as simmod
 from treecontract.errors import InputError, SimFault
 from treecontract.sim import Machine, SimConfig, Simulator
 from treecontract.trees import word_count
@@ -14,6 +15,13 @@ def cfg(**kw):
     kw.setdefault("epsilon", 0.5)
     kw.setdefault("n", 16)
     return SimConfig(**kw)
+
+
+@pytest.fixture
+def tiny_space(monkeypatch):
+    """The local-space constant set to 1, so S floors at 4 words and the
+    read and write cap is C_Q * S = 16 words."""
+    monkeypatch.setattr(simmod, "C_S", 1)
 
 
 def seeded(config, values):
@@ -37,38 +45,55 @@ class TestConfig:
         with pytest.raises(InputError):
             SimConfig(epsilon=0.5, n=0)
 
-    def test_local_space(self):
-        # S = ceil(C_s * n^eps), floored at 4 words.
+    def test_local_space(self, monkeypatch):
+        # S = ceil(C_S * n^eps), floored at 4 words.
         assert cfg(n=16).S == 64
-        assert cfg(n=16, C_s=1).S == 4
-        assert cfg(n=1, C_s=1).S == 4
+        monkeypatch.setattr(simmod, "C_S", 1)
+        assert cfg(n=16).S == 4
+        assert cfg(n=1).S == 4
 
     def test_derived_counts(self):
         assert cfg(epsilon=0.5).inv_eps == 2
         assert cfg(epsilon=0.25).inv_eps == 4
         assert cfg(epsilon=1 / 3).inv_eps == 3
-        assert cfg(epsilon=0.5, C_p=4).phase_cap == 8
+        assert cfg(epsilon=0.5).phase_cap == 8
         c = cfg(n=16)
         assert c.machine_cap == (64 * 16 + c.S - 1) // c.S
+        assert c.io_cap == 4 * c.S
+        assert c.log_cap == 64 * 16
 
     def test_word_budget_cap(self):
         with pytest.raises(InputError):
             cfg(C_w=17)
+        assert cfg(C_w=16).C_w == 16
 
+    # each name is a keyword that once set one of the model's hidden
+    # constants; only C_w is still set by callers
     @pytest.mark.parametrize("name", ["C_s", "C_q", "C_w", "C_p",
                                       "total_budget_factor"])
     def test_constants_must_be_positive(self, name):
-        for bad in (0, -1):
-            with pytest.raises(InputError, match="^%s must be positive$"
-                               % name):
-                cfg(**{name: bad})
-        # positive fractions stay valid
-        assert getattr(cfg(**{name: 0.25}), name) == 0.25
+        if name == "C_w":
+            for bad in (0, -1):
+                with pytest.raises(InputError, match="^C_w must lie in"):
+                    cfg(C_w=bad)
+            # positive fractions stay valid
+            assert cfg(C_w=0.25).C_w == 0.25
+        else:
+            assert getattr(simmod, name.upper()) > 0
+            with pytest.raises(TypeError):
+                cfg(**{name: 1})
+
+    def test_hidden_constants(self):
+        assert (simmod.C_S, simmod.C_Q, simmod.C_P,
+                simmod.TOTAL_BUDGET_FACTOR) == (16, 4, 4, 64)
+        assert not [k for k, v in vars(SimConfig).items()
+                    if isinstance(v, property)]
 
     def test_replaced(self):
-        c = cfg(seed=9)
-        d = c.replaced(C_w=16)
+        c = cfg(seed=9, strict=False)
+        d = c.replaced(C_w=16, n=64)
         assert d.C_w == 16 and d.seed == 9 and c.C_w == 8
+        assert d.strict is False and d.S == 128 and c.S == 64
 
 
 class TestRounds:
@@ -223,13 +248,15 @@ class TestWriteConflicts:
 
 
 class TestBudgets:
+    @pytest.mark.usefixtures("tiny_space")
     def test_input_exceeds_local_space(self):
-        c = cfg(n=1, C_s=1)  # S = 4
+        c = cfg(n=1)  # S = 4
         with pytest.raises(SimFault, match="local space"):
             Simulator(c).run_round([Machine(5, noop)])
 
+    @pytest.mark.usefixtures("tiny_space")
     def test_read_budget(self):
-        c = cfg(n=1, C_s=1)  # S=4, read cap C_q*S = 16 words
+        c = cfg(n=1)  # S=4, read cap C_Q*S = 16 words
         init = {i: 0 for i in range(17)}
 
         def hog(ctx):
@@ -239,8 +266,9 @@ class TestBudgets:
         with pytest.raises(SimFault, match="read"):
             seeded(c, init).run_round([Machine(0, hog)])
 
+    @pytest.mark.usefixtures("tiny_space")
     def test_write_budget(self):
-        c = cfg(n=1, C_s=1)  # write cap 16 words; an int entry costs 2
+        c = cfg(n=1)  # write cap 16 words; an int entry costs 2
 
         def hog(ctx):
             for i in range(9):
@@ -249,16 +277,18 @@ class TestBudgets:
         with pytest.raises(SimFault, match="write"):
             Simulator(c).run_round([Machine(0, hog)])
 
+    @pytest.mark.usefixtures("tiny_space")
     def test_relaxed_mode_records_and_proceeds(self):
-        c = cfg(n=1, C_s=1, strict=False)
+        c = cfg(n=1, strict=False)
         sim = Simulator(c)
         sim.run_round([Machine(5, noop)])
         v = sim.snapshot_metrics()["violations"]
         assert len(v) == 1 and "machine 0" in v[0] and "round 1" in v[0]
         assert sim.rounds == 1
 
+    @pytest.mark.usefixtures("tiny_space")
     def test_fault_messages_name_round_machine_and_label(self):
-        c = cfg(n=1, C_s=1, strict=False)  # S = 4, read and write cap 16
+        c = cfg(n=1, strict=False)  # S = 4, read and write cap 16
         sim = seeded(c, {i: 0 for i in range(17)})
         sim.run_round([Machine(0, noop)])
 
