@@ -16,7 +16,9 @@ refers back to its parent, so a run leaves no reference cycles and runs with
 the cyclic collector paused.
 
 A machine builds one log.Record per contraction; the same object is its
-("LOG", stage, survivor) table value and the host's log record.
+("LOG", stage, survivor) table value and the host's log record. The record
+holds the members' payloads, so the machine retires the ("P", m) key of
+every member but the survivor: each payload is held once in the table.
 """
 
 import gc
@@ -198,7 +200,8 @@ def contract_component(plugin, members, parents, outs, payloads):
 
 class _Books(namedtuple("_Books", "words fault c_w slots virtual log")):
     """What the host plans from besides the tree: the simulator's read-only
-    word ledger (words), where ("P", v) holds the count of v's payload; the
+    word ledger (words), where ("P", v) holds the count of v's payload while
+    v is live (the machine that contracts v away retires the key); the
     simulator's fault hook (fault), which raises or records a budget or cap
     violation, and the plugin's C_w (c_w); per vertex, its pending-slot ids
     (slots) as the machine that wrote the payload found them; the vertices
@@ -245,12 +248,14 @@ def _cc_machine(plugin, stage, comp_specs):
         out = []
         for members, parents, outs, virt, root_outs_known, _w in comp_specs:
             survivor = members[0]
+            keys = [("P", m) for m in members]
             read_before = ctx.read_words
-            payloads = tuple([ctx.read(("P", m)) for m in members])
+            payloads = tuple([ctx.read(key) for key in keys])
             read_words = ctx.read_words - read_before
             new_payload = contract_component(plugin, members, parents, outs,
                                              payloads)
-            ctx.write(("P", survivor), new_payload)
+            ctx.write(keys[0], new_payload)
+            ctx.retire(keys[1:])
             rec = Record(stage, "connected", survivor, members, payloads,
                          virt, None, parents, outs, root_outs_known)
             ctx.write(("LOG", stage, survivor), rec,
@@ -268,10 +273,11 @@ def _sc_machine(plugin, stage, batch_specs):
         out = []
         for parent, leaves, virt in batch_specs:
             survivor = leaves[0]
+            keys = [("P", leaf) for leaf in leaves]
             payloads, contributions = [], []
             read_before = ctx.read_words
-            for leaf in leaves:
-                node = ctx.read(("P", leaf))
+            for leaf, key in zip(leaves, keys):
+                node = ctx.read(key)
                 if node[4]:
                     raise SimFault("%s: sibling %r is not fully contracted"
                                    % (stage, leaf))
@@ -280,7 +286,8 @@ def _sc_machine(plugin, stage, batch_specs):
                     plugin.node_value(node[3]), node[2]))
             read_words = ctx.read_words - read_before
             data, edge = plugin.sibling_fold(contributions)
-            ctx.write(("P", survivor), ("k", survivor, edge, data, ()))
+            ctx.write(keys[0], ("k", survivor, edge, data, ()))
+            ctx.retire(keys[1:])
             rec = Record(stage, "sibling", survivor, leaves, tuple(payloads),
                          virt, parent)
             ctx.write(("LOG", stage, survivor), rec,
@@ -643,9 +650,11 @@ def _contract(runs, sim, units, label):
     acyclic tuples that reference counting frees, so its passes would only
     rescan the growing logs. It is turned back on only if it was on. On exit
     every tracked object, the finished logs included, is handed to the
-    oldest generation (freeze then unfreeze, a list splice), so the young
-    collections that follow do not traverse the logs again; a caller that
-    froze objects of its own keeps its generations as they are."""
+    oldest generation, so the young collections that follow do not traverse
+    the logs again: by freeze then unfreeze, a list splice, when nothing is
+    frozen, else by one collection of the young generations, which leaves
+    frozen objects (a caller's, or those some interpreter builds freeze at
+    startup) frozen."""
     if len(runs) > 1:
         seen = set()
         for tree, _plugin in runs:
@@ -679,7 +688,9 @@ def _contract(runs, sim, units, label):
             out.append((plugin.finalize(payload[3]), log))
         return out, sim.snapshot_metrics()
     finally:
-        if not gc.get_freeze_count():
+        if gc.get_freeze_count():
+            gc.collect(1)
+        else:
             gc.freeze()
             gc.unfreeze()
         if was_on:

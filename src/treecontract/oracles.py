@@ -2,8 +2,8 @@
 
 Everything here is independent of the simulator and the contraction engine:
 only the Tree container is shared. Solvers favour clarity over speed; the
-exhaustive modes are capped (matchings n <= 16, subsets n <= 20) to keep test
-runtime sane.
+exhaustive matching enumeration is capped at n <= 16 to keep test runtime
+sane.
 """
 
 import random
@@ -13,7 +13,6 @@ from .errors import ExprArithmeticError, InputError
 from .trees import Tree
 
 MATCHING_ENUM_CAP = 16
-SUBSET_ENUM_CAP = 20
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +301,6 @@ def greedy_mis(tree):
     return frozenset(S)
 
 
-def brute_mis(tree):
-    """Greedy maximal independent set plus its brute certificate."""
-    S = greedy_mis(tree)
-    cert = {"independent": set_is_independent(tree, S),
-            "maximal": set_is_maximal_independent(tree, S)}
-    return S, cert
-
-
 def misb_bits(tree):
     """Membership bits honoring bypass flags: a bypass vertex carries 1 iff
     some child carries 1; a standard vertex carries 1 iff no child does."""
@@ -335,29 +326,6 @@ def mwis_table(tree):
         o = sum(max(table[u]) for u in tree.children[v])
         table[v] = (i, o)
     return table
-
-
-def enumerate_mwis(tree):
-    if tree.n > SUBSET_ENUM_CAP:
-        raise InputError("enumeration capped at n=%d" % SUBSET_ENUM_CAP)
-    verts = sorted(tree.vertices())
-    best = [0, frozenset()]
-
-    def rec(i, chosen, weight):
-        if i == len(verts):
-            if weight > best[0]:
-                best[0], best[1] = weight, frozenset(chosen)
-            return
-        v = verts[i]
-        rec(i + 1, chosen, weight)
-        p = tree.parent[v]
-        if p not in chosen and not any(c in chosen for c in tree.children[v]):
-            chosen.add(v)
-            rec(i + 1, chosen, weight + vertex_weight(tree, v))
-            chosen.remove(v)
-
-    rec(0, set(), 0)
-    return best[0], best[1]
 
 
 def brute_mwis(tree):
@@ -523,42 +491,6 @@ def random_expression(seed, max_depth=6, allow_pow=True):
         except (ExprArithmeticError, ZeroDivisionError):
             continue
     raise RuntimeError("could not build a clean expression")
-
-
-def random_balanced_parens(seed, n):
-    """Balanced paren string of length 2*ceil(n/2)."""
-    rng = random.Random(seed)
-    half = max(1, n // 2)
-    opens = closes = half
-    depth = 0
-    out = []
-    while opens or closes:
-        if opens and (depth == 0 or rng.random() < 0.55):
-            out.append("(")
-            opens -= 1
-            depth += 1
-        else:
-            out.append(")")
-            closes -= 1
-            depth -= 1
-    return "".join(out)
-
-
-def match_parens_reference(s):
-    """Stack matcher; non-paren characters are skipped."""
-    stack, out = [], {}
-    for i, ch in enumerate(s):
-        if ch == "(":
-            stack.append(i)
-        elif ch == ")":
-            if not stack:
-                raise InputError("unbalanced ')' at position %d" % i)
-            j = stack.pop()
-            out[i] = j
-            out[j] = i
-    if stack:
-        raise InputError("unbalanced '(' at position %d" % stack[-1])
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Round-accurate simulator of the adaptive MPC machine model.
 
 Machines run one round at a time against a frozen previous hash-table
-generation; their writes materialize the next generation at round end.
-All budgets are counted in machine words (word_count in trees.py). A value's
-words are counted once, when it is written: the simulator keeps a per-key
-word ledger next to the generation, charges a read the ledger's count, and
-lets the round-end merge reuse the writer's count for the new value and the
-ledger's count for the value it replaces. A writer that already holds the
-count passes it to the write: the engine counts a contraction record from
-the words its payload reads were charged plus the record's header. The
-store is the only holder of payloads and their counts; the host plans from
-the read-only ledger view `Simulator.words` and keeps no copy of either.
+generation; their writes materialize the next generation at round end, and a
+machine may retire keys whose values it has consumed, which the next
+generation then drops. So the table (and its peak, total_words) holds only
+what a later round can still read. All budgets are counted in machine words
+(word_count in trees.py). A value's words are counted once, when it is
+written: the simulator keeps a per-key word ledger next to the generation,
+charges a read the ledger's count, and lets the round-end merge reuse the
+writer's count for the new value and the ledger's count for the value it
+replaces. A writer that already holds the count passes it to the write: the
+engine counts a contraction record from the words its payload reads were
+charged plus the record's header. The store is the only holder of payloads
+and their counts; the host plans from the read-only ledger view
+`Simulator.words` and keeps no copy of either.
 Costs of cited external subroutines are charged as opaque round blocks
 rather than re-implemented: the engine's preorder numbering, connectivity
 and relabeling; the bypass expansion, greedy edges and set extraction of
@@ -83,12 +86,14 @@ class Machine:
 
 class _Ctx:
     """Per-machine round context: adaptive reads from the frozen previous
-    generation, writes buffered for the round-end merge. A read is charged
-    the words the ledger holds for its key; a write counts its value once and
-    keeps the count next to it for the merge."""
+    generation, writes and retires buffered for the round-end merge. A read
+    is charged the words the ledger holds for its key; a write counts its
+    value once and keeps the count next to it for the merge; a retired key
+    stays readable until the round ends and is gone from the next
+    generation."""
 
     __slots__ = ("_table", "_words", "read_ops", "read_words", "writes",
-                 "write_words", "_closed")
+                 "write_words", "retired", "_closed")
 
     def __init__(self, table, words):
         self._table = table
@@ -97,6 +102,7 @@ class _Ctx:
         self.read_words = 0
         self.writes = {}  # key -> (value, its word count)
         self.write_words = 0
+        self.retired = []
         self._closed = False
 
     def read(self, key):
@@ -121,6 +127,14 @@ class _Ctx:
         self.writes[key] = (value, words)
         self.write_words += 1 + words
         return words
+
+    def retire(self, keys):
+        """Drop keys, whose values this machine has consumed, from the next
+        generation. A retire is not a write: it costs no write budget and
+        counts as no DHT write."""
+        if self._closed:
+            raise SimFault("retire after round end (generation frozen)")
+        self.retired += keys
 
 
 class Simulator:
@@ -158,14 +172,19 @@ class Simulator:
 
     # -- generation ----------------------------------------------------------
 
-    def store(self, entries):
-        """Put (key, (value, words)) entries into the current generation,
-        where words is the value's word count, and keep the ledger, the
-        generation's size and its peak (total_words) current. An entry costs
-        one word for its key plus its value's words. The host seeds payloads
-        through here; run_round merges each round's writes through here."""
+    def store(self, entries, retired=()):
+        """Drop the retired keys, which must be present, from the current
+        generation, then put (key, (value, words)) entries into it, where
+        words is the value's word count; keep the ledger, the generation's
+        size and its peak (total_words) current, the peak taken once both
+        are applied. An entry costs one word for its key plus its value's
+        words. The host seeds payloads through here; run_round merges each
+        round's retires and writes through here."""
         table, ledger = self.generation, self._words
         size = self._gen_words
+        for key in retired:
+            del table[key]
+            size -= 1 + ledger.pop(key)
         for key, (value, words) in entries:
             old = ledger.get(key)
             if old is not None:
@@ -185,8 +204,10 @@ class Simulator:
 
     def run_round(self, machines):
         """Execute machine-programs one after another against the frozen
-        current generation; merge their writes into it once every machine has
-        run. Returns their results in machine order."""
+        current generation; merge their retires and writes into it once every
+        machine has run. A retire of a key that is missing, already retired
+        this round or written this round is a fault, and is not applied.
+        Returns the machines' results in machine order."""
         self._advance(1)
         if len(machines) > self.cfg.machine_cap:
             self.fault("round %d: %d machines exceed cap %d"
@@ -194,7 +215,8 @@ class Simulator:
         ctxs = [_Ctx(self.generation, self._words) for _ in machines]
         results = [m.run(ctx) for m, ctx in zip(machines, ctxs)]
 
-        merged = {}
+        merged, retired = {}, {}  # retired: key -> index of its machine
+        ledger = self._words
         cap, space = self.cfg.io_cap, self.cfg.S
         for i, (m, ctx) in enumerate(zip(machines, ctxs)):
             ctx._closed = True
@@ -216,7 +238,20 @@ class Simulator:
                     self.fault("%s: conflicting write to key %r"
                                % (self._machine_name(i, m), key))
                 merged[key] = entry
-        self.store(merged.items())
+            for key in ctx.retired:
+                if key in retired:
+                    self.fault("%s: key %r retired twice"
+                               % (self._machine_name(i, m), key))
+                elif key not in ledger:
+                    self.fault("%s: retire of missing key %r"
+                               % (self._machine_name(i, m), key))
+                else:
+                    retired[key] = i
+        for key in [key for key in retired if key in merged]:
+            i = retired.pop(key)
+            self.fault("%s: retire of key %r written this round"
+                       % (self._machine_name(i, machines[i]), key))
+        self.store(merged.items(), retired)
         return results
 
     def _machine_name(self, i, m):

@@ -1644,6 +1644,48 @@ class TestOneRecordForm:
                 assert sim.generation[("LOG", rec.label, rec.survivor)] is rec
 
 
+class TestRetiredPayloads:
+    """A machine retires the payload keys of the members it contracts: each
+    consumed payload lives on only inside the record written with it, and a
+    finished solve's table holds its LOG records and its roots' payloads."""
+
+    @pytest.mark.parametrize("name", REGISTRY_NAMES)
+    def test_the_table_after_a_solve(self, monkeypatch, name):
+        sims, contracted, unheld = [], set(), []
+        init, store = Simulator.__init__, Simulator.store
+
+        def recorded_init(sim, config):
+            sims.append(sim)
+            init(sim, config)
+
+        def recorded_store(sim, entries, retired=()):
+            entries = list(entries)
+            records = [value for key, (value, _w) in entries
+                       if key[0] == "LOG"]
+            for rec in records:
+                contracted.update(rec.members[1:])
+            for key in retired:
+                payload = sim.generation[key]
+                if not any(p is payload for rec in records
+                           for p in rec.payloads):
+                    unheld.append(key)
+            store(sim, entries, retired)
+
+        monkeypatch.setattr(Simulator, "__init__", recorded_init)
+        monkeypatch.setattr(Simulator, "store", recorded_store)
+        run_registry(name, *registry_inputs(name))
+        [sim] = sims
+        assert contracted and unheld == []
+        table, words = sim.generation, sim.words
+        logged = [key for key in table if key[0] == "LOG"]
+        live = [key for key in table if key[0] == "P"]
+        assert len(logged) + len(live) == len(table) == len(words)
+        assert len(live) == (2 if name == "iso" else 1)
+        assert contracted.isdisjoint([key[1] for key in live])
+        assert sim._gen_words == sum(1 + words[key]
+                                     for key in logged + live)
+
+
 class TestCollectorHandoff:
     """A run leaves its objects, the log included, in the oldest
     generation, so the young collections after it do not traverse them."""
@@ -1674,6 +1716,26 @@ class TestCollectorHandoff:
             assert frozen
             _a, log, _m = tree_contract(t, sum_plugin(), cfg(300))
             assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+            (gc.enable if was_on else gc.disable)()
+
+    def test_records_are_handed_over_past_a_freeze(self):
+        # some interpreter builds start with objects frozen; the handoff
+        # must not wait for a freeze count of 0
+        t = valued(broom(300))
+        was_on = gc.isenabled()
+        gc.enable()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert frozen
+            _a, log, _m = tree_contract(t, sum_plugin(), cfg(300))
+            young = gc.get_objects(generation=0) + gc.get_objects(
+                generation=1)
+            assert not any(type(obj) is Record for obj in young)
+            assert gc.get_freeze_count() == frozen
+            assert log.records
         finally:
             gc.unfreeze()
             (gc.enable if was_on else gc.disable)()

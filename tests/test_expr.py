@@ -7,14 +7,15 @@ from fractions import Fraction
 import pytest
 
 from treecontract.errors import ExprArithmeticError, InputError
-from treecontract.oracles import (eval_reference, match_parens_reference,
-                                  random_balanced_parens, random_expression)
+from treecontract.oracles import eval_reference, random_expression
 from treecontract.problems import exprs
 from treecontract.problems.exprs import (EvalAlgebra, _charge_pipeline,
                                          _insert, _match_levels, _render,
                                          _simplify, evaluate_expression,
                                          subexpression_values, tokenize)
 from treecontract.sim import SimConfig, Simulator
+
+from reference import match_parens_reference, random_balanced_parens
 
 
 # pipeline stages on their own, as only these tests call them

@@ -12,12 +12,10 @@ from treecontract.oracles import (
     ahu_code,
     all_shapes,
     broom,
-    brute_mis,
     brute_mwis,
     brute_mwm,
     caterpillar,
     complete_kary,
-    enumerate_mwis,
     enumerate_mwm,
     eval_reference,
     free_bits,
@@ -25,7 +23,6 @@ from treecontract.oracles import (
     greedy_mis,
     height_table,
     isomorphic_rooted,
-    match_parens_reference,
     matching_is_maximal,
     matching_is_valid,
     matching_weight,
@@ -33,7 +30,6 @@ from treecontract.oracles import (
     mwis_table,
     mwm_table,
     path,
-    random_balanced_parens,
     random_expression,
     random_tree,
     relabeled_copy,
@@ -43,6 +39,12 @@ from treecontract.oracles import (
     star,
     with_edge_weights,
     with_vertex_weights,
+)
+from reference import (
+    brute_mis,
+    enumerate_mwis,
+    match_parens_reference,
+    random_balanced_parens,
 )
 
 

@@ -388,6 +388,79 @@ class TestBudgets:
         assert sim.snapshot_metrics()["total_words"] == (1 + 3) + (1 + 1)
 
 
+class TestRetire:
+    def test_retired_key_is_readable_only_in_its_own_round(self):
+        sim = seeded(cfg(), {"a": 1, "b": 2})
+
+        def consume(ctx):
+            ctx.retire(["a"])
+            return ctx.read("a")
+
+        def reader(ctx):
+            return ctx.read("a")
+
+        assert sim.run_round([Machine(0, consume), Machine(0, reader)]) == [
+            1, 1]
+        assert "a" not in sim.generation and "a" not in sim.words
+        with pytest.raises(SimFault, match="read of missing key 'a'"):
+            sim.run_round([Machine(0, reader)])
+
+    @pytest.mark.parametrize("bodies, message", [
+        ([lambda ctx: ctx.retire(["x"])],
+         "round 1 machine 0: retire of missing key 'x'"),
+        ([lambda ctx: ctx.retire(["a", "a"])],
+         "round 1 machine 0: key 'a' retired twice"),
+        ([lambda ctx: ctx.retire(["a"]), lambda ctx: ctx.retire(["a"])],
+         "round 1 machine 1: key 'a' retired twice"),
+        ([lambda ctx: ctx.retire(["a"]), lambda ctx: ctx.write("a", 5)],
+         "round 1 machine 0: retire of key 'a' written this round"),
+    ])
+    def test_bad_retires_go_to_the_fault_hook(self, bodies, message):
+        with pytest.raises(SimFault, match="^%s$" % message):
+            seeded(cfg(), {"a": 1}).run_round([Machine(0, b) for b in bodies])
+        sim = seeded(cfg(strict=False), {"a": 1})
+        sim.run_round([Machine(0, b) for b in bodies])
+        assert sim.violations == [message]
+        # a faulted retire is not applied; the one good retire is
+        assert sim.generation == ({} if "twice" in message
+                                  else {"a": 5} if "written" in message
+                                  else {"a": 1})
+
+    def test_retire_after_round_end_raises(self):
+        sim = seeded(cfg(), {"a": 1})
+        leak = []
+        sim.run_round([Machine(0, leak.append)])
+        with pytest.raises(SimFault, match="retire after round end"):
+            leak[0].retire(["a"])
+        assert sim.generation == {"a": 1}
+
+    def test_a_retire_is_not_a_write(self):
+        sim = seeded(cfg(), {i: i for i in range(5)})
+
+        def consume(ctx):
+            ctx.write("sum", sum(ctx.read(i) for i in range(5)))
+            ctx.retire(list(range(5)))
+            return ctx.write_words
+
+        assert sim.run_round([Machine(0, consume)]) == [2]
+        m = sim.snapshot_metrics()
+        assert m["dht_writes"] == 1 and m["dht_reads"] == 5
+        assert sim.generation == {"sum": 10}
+        assert dict(sim.words) == {"sum": 1}
+
+    def test_peak_counts_retires_before_writes(self):
+        sim = seeded(cfg(), {"a": (1, 2, 3, 4, 5, 6, 7, 8)})  # 9 words
+        assert sim.total_words == 9
+
+        def replace(ctx):
+            ctx.write("b", tuple(ctx.read("a")[:7]))  # 8 words
+            ctx.retire(["a"])
+
+        sim.run_round([Machine(0, replace)])
+        assert sim.total_words == 9
+        assert sim._gen_words == 8
+
+
 class TestDeterminism:
     @staticmethod
     def _workload():
