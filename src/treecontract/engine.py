@@ -15,15 +15,19 @@ payload tuples, children first, and keeps the books. Nothing it builds
 refers back to its parent, so a run leaves no reference cycles and runs with
 the cyclic collector paused.
 
-A machine builds one log.Record per contraction; the same object is its
-("LOG", stage, survivor) table value and the host's log record. The record
-holds the members' payloads, so the machine retires the ("P", m) key of
-every member but the survivor: each payload is held once in the table.
+The host plans each contraction as a log.Record without its payloads, and
+one machine builder carries out every plan: it reads the members' payloads,
+which the table keys by vertex id, writes the survivor's new payload and
+fills the payloads into the plan. That record is its ("LOG", stage,
+survivor) table value and the host's log record. It holds the members'
+payloads, so the machine retires the key of every member but the survivor:
+each payload is held once in the table.
 """
 
 import gc
 import math
 from collections import namedtuple
+from types import MappingProxyType
 
 from .errors import InputError, LogIntegrityError, SimFault
 # reconstruct is imported for the callers that read it from the engine
@@ -198,28 +202,26 @@ def contract_component(plugin, members, parents, outs, payloads):
 # ---------------------------------------------------------------------------
 # machine builders
 
-class _Books(namedtuple("_Books", "words fault c_w slots virtual log")):
-    """What the host plans from besides the tree: the simulator's read-only
-    word ledger (words), where ("P", v) holds the count of v's payload while
-    v is live (the machine that contracts v away retires the key); the
-    simulator's fault hook (fault), which raises or records a budget or cap
-    violation, and the plugin's C_w (c_w); per vertex, its pending-slot ids
-    (slots) as the machine that wrote the payload found them; the vertices
-    that stand in for a folded sibling batch (virtual); and the contraction
-    log. Payloads themselves live only in the simulator's store."""
+class _Books(namedtuple("_Books", "table fault c_w slots virtual log")):
+    """What the host plans from besides the tree: a read-only view of the
+    simulator's table (table), of which the host reads only the counts, so
+    table[v][1] is the word count of v's payload while v is live (the
+    machine that contracts v away retires the key); the simulator's fault
+    hook (fault), which raises or records a budget or cap violation, and the
+    plugin's C_w (c_w); per vertex, its pending-slot ids (slots) as the
+    machine that wrote the payload found them; the vertices that stand in
+    for a folded sibling batch (virtual); and the contraction log. Payloads
+    themselves live only in the simulator's store."""
 
     __slots__ = ()
 
 
-def _comp_spec(tree, members, books, root_outs_known=True):
-    """The spec a machine contracts one component from: members, parents,
-    outs, the sorted virtual members, root_outs_known, and last its own
-    words, 4 per member plus its outs, counted once here for _estimate and
-    _cc_machine."""
+def _comp_spec(tree, members, books, stage, root_outs_known=True):
+    """The plan of one connected contraction under `stage`: its Record, with
+    no payloads yet."""
     mset = set(members)
     parent, children, slot_sets = tree.parent, tree.children, books.slots
     parents, outs = [], []
-    words = 4 * len(members)
     for i, m in enumerate(members):
         p = parent[m]
         parents.append(p if p in mset else None)
@@ -228,74 +230,63 @@ def _comp_spec(tree, members, books, root_outs_known=True):
             outs.append(())
             continue
         slots = slot_sets[m]
-        out = tuple([u for u in kids if u not in mset and u not in slots])
-        outs.append(out)
-        words += len(out)
+        outs.append(tuple([u for u in kids
+                           if u not in mset and u not in slots]))
     virtual = books.virtual
-    return (tuple(members), tuple(parents), tuple(outs),
-            tuple(sorted([m for m in members if m in virtual])),
-            root_outs_known, words)
+    return Record(stage, "connected", members[0], tuple(members), None,
+                  tuple(sorted([m for m in members if m in virtual])), None,
+                  tuple(parents), tuple(outs), root_outs_known)
 
 
-def _estimate(words, spec):
-    return spec[5] + sum([words[("P", m)] for m in spec[0]])
+def _plan_words(plan):
+    """Words a machine holds for a plan besides the payloads it reads: 4 per
+    member plus the outs for a component, the members plus 3 for a sibling
+    batch."""
+    if plan.kind == "sibling":
+        return len(plan.members) + 3
+    return 4 * len(plan.members) + sum(map(len, plan.outs))
 
 
-def _cc_machine(plugin, stage, comp_specs):
-    input_words = sum([spec[5] for spec in comp_specs])
-
-    def run(ctx):
-        out = []
-        for members, parents, outs, virt, root_outs_known, _w in comp_specs:
-            survivor = members[0]
-            keys = [("P", m) for m in members]
-            read_before = ctx.read_words
-            payloads = tuple([ctx.read(key) for key in keys])
-            read_words = ctx.read_words - read_before
-            new_payload = contract_component(plugin, members, parents, outs,
-                                             payloads)
-            ctx.write(keys[0], new_payload)
-            ctx.retire(keys[1:])
-            rec = Record(stage, "connected", survivor, members, payloads,
-                         virt, None, parents, outs, root_outs_known)
-            ctx.write(("LOG", stage, survivor), rec,
-                      read_words + rec.header_words())
-            out.append((rec, payload_slot_ids(new_payload)))
-        return out
-
-    return Machine(input_words, run, stage)
+def _estimate(table, plan):
+    return _plan_words(plan) + sum([table[m][1] for m in plan.members])
 
 
-def _sc_machine(plugin, stage, batch_specs):
-    input_words = sum(len(leaves) + 3 for _p, leaves, _v in batch_specs)
+def _machine(plugin, plans):
+    """The machine that carries out `plans`, of one stage: for each, it reads
+    the members' payloads, contracts the component or folds the sibling
+    batch, writes the survivor's payload, retires the other members and
+    writes the plan with its payloads filled in under its LOG key, counted
+    from its reads plus the record's header. Its result is one (record, the
+    survivor's slot ids) per plan."""
 
     def run(ctx):
         out = []
-        for parent, leaves, virt in batch_specs:
-            survivor = leaves[0]
-            keys = [("P", leaf) for leaf in leaves]
-            payloads, contributions = [], []
+        for plan in plans:
+            members, survivor = plan.members, plan.survivor
             read_before = ctx.read_words
-            for leaf, key in zip(leaves, keys):
-                node = ctx.read(key)
-                if node[4]:
-                    raise SimFault("%s: sibling %r is not fully contracted"
-                                   % (stage, leaf))
-                payloads.append(node)
-                contributions.append(plugin.through_edge(
-                    plugin.node_value(node[3]), node[2]))
+            payloads = tuple([ctx.read(m) for m in members])
             read_words = ctx.read_words - read_before
-            data, edge = plugin.sibling_fold(contributions)
-            ctx.write(keys[0], ("k", survivor, edge, data, ()))
-            ctx.retire(keys[1:])
-            rec = Record(stage, "sibling", survivor, leaves, tuple(payloads),
-                         virt, parent)
-            ctx.write(("LOG", stage, survivor), rec,
+            if plan.kind == "connected":
+                payload = contract_component(plugin, members, plan.parents,
+                                             plan.outs, payloads)
+                slots = payload_slot_ids(payload)
+            else:
+                for leaf, node in zip(members, payloads):
+                    if node[4]:
+                        raise SimFault("%s: sibling %r is not fully "
+                                       "contracted" % (plan.label, leaf))
+                data, edge = plugin.sibling_fold([plugin.through_edge(
+                    plugin.node_value(node[3]), node[2]) for node in payloads])
+                payload, slots = ("k", survivor, edge, data, ()), _NO_SLOTS
+            ctx.write(survivor, payload)
+            ctx.retire(members[1:])
+            rec = plan._replace(payloads=payloads)
+            ctx.write(("LOG", plan.label, survivor), rec,
                       read_words + rec.header_words())
-            out.append((rec, _NO_SLOTS))
+            out.append((rec, slots))
         return out
 
-    return Machine(input_words, run, stage)
+    return Machine(sum(map(_plan_words, plans)), run, plans[0].label)
 
 
 def _pack(items, sizes, cap):
@@ -333,11 +324,11 @@ def _pack(items, sizes, cap):
 
 def _apply_results(tree, books, results):
     """Apply one round's records to the host tree: the survivor keeps the
-    slot ids its machine found, its payload's count in the ledger is checked
+    slot ids its machine found, its payload's count in the table is checked
     against the budget for that many slots, and the record joins the log
-    with the count the ledger holds for its LOG entry. Folded leaves go once
+    with the count the table holds for its LOG entry. Folded leaves go once
     the round's records are in, one pass per parent."""
-    words, fault, c_w = books.words, books.fault, books.c_w
+    table, fault, c_w = books.table, books.fault, books.c_w
     slot_sets, virtual, log = books.slots, books.virtual, books.log
     folded = {}
     for machine_out in results:
@@ -349,11 +340,11 @@ def _apply_results(tree, books, results):
                 folded.setdefault(rec.parent_out, []).extend(rec.members[1:])
                 virtual.add(survivor)
             slot_sets[survivor] = slots
-            pwords = words[("P", survivor)]
+            pwords = table[survivor][1]
             if pwords > c_w * (len(slots) + 1):
                 check_payload_budget(fault, pwords, len(slots), c_w,
                                      "%s survivor %r", rec.label, survivor)
-            log.append(rec, words[("LOG", rec.label, survivor)])
+            log.append(rec, table[("LOG", rec.label, survivor)][1])
     for p, leaves in folded.items():
         tree.remove_leaves(p, leaves)
 
@@ -375,16 +366,16 @@ def _rake(tree, plugin, cfg, books, stage, root_outs_known):
     """One round under `stage` that contracts every parent with its leaf
     children, the components packed into machines of S words."""
     children = tree.children
-    specs, sizes = [], []
+    plans, sizes = [], []
     for p, kids in children.items():
         leaf_kids = [u for u in kids if not children[u]]
         if leaf_kids:
-            spec = _comp_spec(tree, (p,) + tuple(leaf_kids), books,
+            plan = _comp_spec(tree, (p,) + tuple(leaf_kids), books, stage,
                               root_outs_known)
-            specs.append(spec)
-            sizes.append(_estimate(books.words, spec))
-    machines = [_cc_machine(plugin, stage, bundle)
-                for bundle in _pack(specs, sizes, cfg.S)]
+            plans.append(plan)
+            sizes.append(_estimate(books.table, plan))
+    machines = [_machine(plugin, bundle)
+                for bundle in _pack(plans, sizes, cfg.S)]
     results = yield ("round", machines)
     _apply_results(tree, books, results)
 
@@ -418,10 +409,9 @@ def _bounded_units(tree, plugin, cfg, books, prefix=""):
         per_group = {}
         for gi, comp in group_components(tree, dec):
             if len(comp) > 1:
-                spec = _comp_spec(tree, comp, books)
-                per_group.setdefault(gi, []).append(spec)
-        machines = [_cc_machine(plugin, label + " compress", specs)
-                    for specs in per_group.values()]
+                per_group.setdefault(gi, []).append(
+                    _comp_spec(tree, comp, books, label + " compress"))
+        machines = [_machine(plugin, plans) for plans in per_group.values()]
         results = yield ("round", machines)
         _apply_results(tree, books, results)
         yield from _rake(tree, plugin, cfg, books, label + " rake", True)
@@ -434,16 +424,16 @@ def _bounded_units(tree, plugin, cfg, books, prefix=""):
 def _general_units(tree, plugin, cfg, books):
     lam = degree_budget(cfg)
     alpha = sibling_batch(cfg)
-    words, virtual, children = books.words, books.virtual, tree.children
+    table, virtual, children = books.table, books.virtual, tree.children
     phase = 0
     while tree.n > 1:
-        # the all-vertex spec has no outs, so its _estimate is 4 words per
+        # the all-vertex plan has no outs, so its _estimate is 4 words per
         # vertex plus the payloads; test that before building it
         fixed = 4 * tree.n
         if fixed <= cfg.S and fixed + sum(
-                words[("P", v)] for v in tree.vertices()) <= cfg.S:
-            spec = _comp_spec(tree, tuple(tree.vertices()), books)
-            results = yield ("round", [_cc_machine(plugin, "final", [spec])])
+                table[v][1] for v in tree.vertices()) <= cfg.S:
+            plan = _comp_spec(tree, tuple(tree.vertices()), books, "final")
+            results = yield ("round", [_machine(plugin, [plan])])
             _apply_results(tree, books, results)
             break
         phase += 1
@@ -457,14 +447,14 @@ def _general_units(tree, plugin, cfg, books):
         for members, is_fringe in low_degree_components(tree, lam + 1):
             if not is_fringe or len(members) < 2:
                 continue
-            spec = _comp_spec(tree, members, books)
-            size = _estimate(words, spec)
+            plan = _comp_spec(tree, members, books, label + " compress")
+            size = _estimate(table, plan)
             if size <= cfg.S:
-                direct.append(spec)
+                direct.append(plan)
                 direct_sizes.append(size)
             else:
                 nested.append(members)
-        machines = [_cc_machine(plugin, label + " compress", bundle)
+        machines = [_machine(plugin, bundle)
                     for bundle in _pack(direct, direct_sizes, cfg.S)]
         results = yield ("round", machines)
         _apply_results(tree, books, results)
@@ -483,28 +473,28 @@ def _general_units(tree, plugin, cfg, books):
                 tree.contract(set(members), members[0])
         level = 0
         while True:
+            stage = "%s rake L%d" % (label, level + 1)
             batches = []
             for p, kids in children.items():
                 slots = books.slots[p]
                 leaf_kids = [u for u in kids
                              if not children[u] and u not in slots]
                 for i in range(0, len(leaf_kids), alpha):
-                    chunk = leaf_kids[i:i + alpha]
+                    chunk = tuple(leaf_kids[i:i + alpha])
                     if len(chunk) > 1:
-                        batches.append(
-                            (p, tuple(chunk),
-                             tuple(sorted([u for u in chunk
-                                           if u in virtual]))))
+                        batches.append(Record(
+                            stage, "sibling", chunk[0], chunk, None,
+                            tuple(sorted([u for u in chunk if u in virtual])),
+                            p))
             if not batches:
                 break
             level += 1
             if level > cfg.inv_eps:
                 books.fault("%s sibling level %d exceeds %d"
                             % (label, level, cfg.inv_eps))
-            sizes = [sum(words[("P", u)] + 2 for u in chunk)
-                     for _p, chunk, _v in batches]
-            machines = [_sc_machine(plugin, "%s rake L%d" % (label, level),
-                                    bundle)
+            sizes = [sum(table[u][1] + 2 for u in plan.members)
+                     for plan in batches]
+            machines = [_machine(plugin, bundle)
                         for bundle in _pack(batches, sizes, cfg.S)]
             results = yield ("round", machines)
             _apply_results(tree, books, results)
@@ -631,9 +621,9 @@ def _fresh_run(tree, plugin, sim):
         words = 2 + word_count(edge) + word_count(data)
         if words > c_w:
             check_payload_budget(fault, words, 0, c_w, "vertex %r", v)
-        entries.append((("P", v), (("k", v, edge, data, ()), words)))
+        entries.append((v, (("k", v, edge, data, ()), words)))
     sim.store(entries)
-    books = _Books(sim.words, fault, c_w, dict.fromkeys(parent, _NO_SLOTS),
+    books = _Books(MappingProxyType(sim.generation), fault, c_w, dict.fromkeys(parent, _NO_SLOTS),
                    set(), ContractionLog(tree.root, parent))
     return Tree.of_shape(tree.root, parent, children), books
 
@@ -676,7 +666,7 @@ def _contract(runs, sim, units, label):
                 _drive(sim, _merged(streams, cfg.machine_cap))
         out = []
         for work, plugin, books in started:
-            payload = sim.generation[("P", work.root)]
+            payload = sim.generation[work.root][0]
             if payload[4]:
                 raise LogIntegrityError(
                     "root payload still has pending children")

@@ -6,14 +6,14 @@ machine may retire keys whose values it has consumed, which the next
 generation then drops. So the table (and its peak, total_words) holds only
 what a later round can still read. All budgets are counted in machine words
 (word_count in trees.py). A value's words are counted once, when it is
-written: the simulator keeps a per-key word ledger next to the generation,
-charges a read the ledger's count, and lets the round-end merge reuse the
-writer's count for the new value and the ledger's count for the value it
-replaces. A writer that already holds the count passes it to the write: the
-engine counts a contraction record from the words its payload reads were
-charged plus the record's header. The store is the only holder of payloads
-and their counts; the host plans from the read-only ledger view
-`Simulator.words` and keeps no copy of either.
+written, and kept beside it: the generation maps each key to the pair
+(value, words), a read is charged the pair's count, and the round-end merge
+reuses the writer's count for the new value and the stored count for the
+value it replaces. A writer that already holds the count passes it to the
+write: the engine counts a contraction record from the words its payload
+reads were charged plus the record's header. The store is the only holder of
+payloads and their counts; the host plans from a read-only view of the
+generation, reads only the counts there, and keeps no copy of either.
 Costs of cited external subroutines are charged as opaque round blocks
 rather than re-implemented: the engine's preorder numbering, connectivity
 and relabeling; the bypass expansion, greedy edges and set extraction of
@@ -24,7 +24,6 @@ deletions, operator scan); and iso's modulus draw.
 
 import math
 from contextlib import contextmanager
-from types import MappingProxyType
 
 from .errors import InputError, SimFault
 from .trees import word_count
@@ -87,17 +86,16 @@ class Machine:
 class _Ctx:
     """Per-machine round context: adaptive reads from the frozen previous
     generation, writes and retires buffered for the round-end merge. A read
-    is charged the words the ledger holds for its key; a write counts its
-    value once and keeps the count next to it for the merge; a retired key
-    stays readable until the round ends and is gone from the next
+    is charged the count stored with its key's value; a write counts its
+    value once and keeps the (value, words) pair for the merge; a retired
+    key stays readable until the round ends and is gone from the next
     generation."""
 
-    __slots__ = ("_table", "_words", "read_ops", "read_words", "writes",
-                 "write_words", "retired", "_closed")
+    __slots__ = ("_table", "read_ops", "read_words", "writes", "write_words",
+                 "retired", "_closed")
 
-    def __init__(self, table, words):
+    def __init__(self, table):
         self._table = table
-        self._words = words
         self.read_ops = 0
         self.read_words = 0
         self.writes = {}  # key -> (value, its word count)
@@ -109,11 +107,11 @@ class _Ctx:
         if self._closed:
             raise SimFault("read after round end (generation frozen)")
         self.read_ops += 1
-        words = self._words.get(key)
-        if words is None:
+        entry = self._table.get(key)
+        if entry is None:
             raise SimFault("read of missing key %r" % (key,))
-        self.read_words += words
-        return self._table[key]
+        self.read_words += entry[1]
+        return entry[0]
 
     def write(self, key, value, words=None):
         """Buffer a write; returns the value's word count. A writer that
@@ -139,15 +137,15 @@ class _Ctx:
 
 class Simulator:
     """Owns the generation sequence, the round/phase ledger, and the budget
-    checks. strict=True turns any violation into a SimFault naming the
-    machine and round; otherwise violations are recorded and the run
-    proceeds."""
+    checks. generation maps each key to (value, words), words being the
+    value's word count. strict=True turns any violation into a SimFault
+    naming the machine and round; otherwise violations are recorded and the
+    run proceeds."""
 
     def __init__(self, cfg):
         self.cfg = cfg
         self.rounds = 0
         self.generation = {}
-        self._words = {}  # key -> word count of its value in the generation
         self._gen_words = 0
         self.peak_machine_words = 0
         self.total_words = 0
@@ -156,12 +154,6 @@ class Simulator:
         self.violations = []
         self.phases = []
         self._phase = None
-
-    @property
-    def words(self):
-        """Read-only view of the ledger: key -> word count of its value in
-        the current generation."""
-        return MappingProxyType(self._words)
 
     # -- faults ------------------------------------------------------------
 
@@ -174,24 +166,22 @@ class Simulator:
 
     def store(self, entries, retired=()):
         """Drop the retired keys, which must be present, from the current
-        generation, then put (key, (value, words)) entries into it, where
-        words is the value's word count; keep the ledger, the generation's
+        generation, then put (key, (value, words)) entries into it as they
+        are, where words is the value's word count; keep the generation's
         size and its peak (total_words) current, the peak taken once both
         are applied. An entry costs one word for its key plus its value's
         words. The host seeds payloads through here; run_round merges each
         round's retires and writes through here."""
-        table, ledger = self.generation, self._words
+        table = self.generation
         size = self._gen_words
         for key in retired:
-            del table[key]
-            size -= 1 + ledger.pop(key)
-        for key, (value, words) in entries:
-            old = ledger.get(key)
+            size -= 1 + table.pop(key)[1]
+        for key, entry in entries:
+            old = table.get(key)
             if old is not None:
-                size -= 1 + old
-            table[key] = value
-            ledger[key] = words
-            size += 1 + words
+                size -= 1 + old[1]
+            table[key] = entry
+            size += 1 + entry[1]
         self._gen_words = size
         self.total_words = max(self.total_words, size)
 
@@ -212,11 +202,11 @@ class Simulator:
         if len(machines) > self.cfg.machine_cap:
             self.fault("round %d: %d machines exceed cap %d"
                        % (self.rounds, len(machines), self.cfg.machine_cap))
-        ctxs = [_Ctx(self.generation, self._words) for _ in machines]
+        table = self.generation
+        ctxs = [_Ctx(table) for _ in machines]
         results = [m.run(ctx) for m, ctx in zip(machines, ctxs)]
 
         merged, retired = {}, {}  # retired: key -> index of its machine
-        ledger = self._words
         cap, space = self.cfg.io_cap, self.cfg.S
         for i, (m, ctx) in enumerate(zip(machines, ctxs)):
             ctx._closed = True
@@ -242,7 +232,7 @@ class Simulator:
                 if key in retired:
                     self.fault("%s: key %r retired twice"
                                % (self._machine_name(i, m), key))
-                elif key not in ledger:
+                elif key not in table:
                     self.fault("%s: retire of missing key %r"
                                % (self._machine_name(i, m), key))
                 else:

@@ -1,13 +1,15 @@
 """Facts the engine keeps instead of recomputing must equal recomputation.
 
-Machines hand the host each new payload's slot ids, the simulator's ledger
-holds each payload's word count, and a contraction record is counted from
-the words its payload reads were charged plus the record's header. Every
-problem runs here at n = 2^9 with checks swapped in: each count a writer
-passes to `_Ctx.write` must equal `word_count` of the value, each kept slot
-set `_comp_spec` reads must equal the slot ids of the member's payload in
-the store, and after every round the host's books must equal what the live
-payloads in the store give when walked again.
+Machines hand the host each new payload's slot ids, the simulator's table
+holds each value beside its word count, and a contraction record is counted
+from the words its payload reads were charged plus the record's header.
+Every problem runs here at n = 2^9 with checks swapped in: each count a
+writer passes to `_Ctx.write` must equal `word_count` of the value, each
+kept slot set `_comp_spec` reads must equal the slot ids of the member's
+payload in the store, after every round each table entry must be a
+(value, words) pair whose words equal `word_count` of the value, and the
+host's books must equal what the live payloads in the store give when
+walked again.
 """
 
 import pytest
@@ -70,7 +72,7 @@ CASES = {
 @pytest.fixture
 def checked(monkeypatch):
     """Swaps the checks in; returns the tally of what they saw."""
-    seen = {"given": 0, "books": 0, "specs": 0}
+    seen = {"given": 0, "books": 0, "specs": 0, "rounds": 0}
     store = {}  # "generation": the current run's simulator store
     write = sim._Ctx.write
 
@@ -86,29 +88,41 @@ def checked(monkeypatch):
         store["generation"] = sim_.generation
         return fresh_run(tree, plugin, sim_)
 
+    run_round = sim.Simulator.run_round
+
+    def checked_run_round(sim_, machines):
+        results = run_round(sim_, machines)
+        for key, entry in sim_.generation.items():
+            assert type(entry) is tuple and len(entry) == 2, key
+            assert entry[1] == word_count(entry[0]), key
+        seen["rounds"] += 1
+        return results
+
     comp_spec = engine._comp_spec
 
-    def checked_comp_spec(tree, members, books, root_outs_known=True):
+    def checked_comp_spec(tree, members, books, stage, root_outs_known=True):
         generation = store["generation"]
         for m in members:
-            assert books.slots[m] == payload_slot_ids(
-                generation[("P", m)]), m
+            assert books.slots[m] == payload_slot_ids(generation[m][0]), m
         seen["specs"] += 1
-        return comp_spec(tree, members, books, root_outs_known)
+        return comp_spec(tree, members, books, stage, root_outs_known)
 
     apply_results = engine._apply_results
 
     def checked_apply(tree, books, results):
         apply_results(tree, books, results)
         generation = store["generation"]
+        with pytest.raises(TypeError):
+            books.table[tree.root] = None
         for v in tree.vertices():
-            payload = generation[("P", v)]
-            assert books.words[("P", v)] == word_count(payload), v
+            payload = generation[v][0]
+            assert books.table[v] is generation[v], v
             assert books.slots[v] == payload_slot_ids(payload), v
             assert len(books.slots[v]) == _slot_nodes(payload), v
         seen["books"] += 1
 
     monkeypatch.setattr(sim._Ctx, "write", checked_write)
+    monkeypatch.setattr(sim.Simulator, "run_round", checked_run_round)
     monkeypatch.setattr(engine, "_fresh_run", recorded_fresh_run)
     monkeypatch.setattr(engine, "_comp_spec", checked_comp_spec)
     monkeypatch.setattr(engine, "_apply_results", checked_apply)
@@ -127,6 +141,7 @@ def test_kept_facts_match_recomputation(checked, name):
                                   for rec in log.records)
     assert checked["given"] == len(log.records)
     assert checked["books"] > 0 and checked["specs"] > 0
+    assert checked["rounds"] > 0
     # the run went through the path this case is here for
     for label in labels:
         assert any(rec.label.endswith(label) for rec in log.records), label
@@ -141,3 +156,4 @@ def test_kept_facts_match_recomputation_iso(checked):
     verdict, _detail = iso.tree_isomorphism(t1, t2, cfg, seed=SEED)
     assert verdict
     assert checked["given"] > 0 and checked["books"] > 0
+    assert checked["rounds"] > 0

@@ -1641,7 +1641,43 @@ class TestOneRecordForm:
             assert len(log.records) > 1
             for rec in log.records:
                 assert type(rec) is Record
-                assert sim.generation[("LOG", rec.label, rec.survivor)] is rec
+                entry = sim.generation[("LOG", rec.label, rec.survivor)]
+                assert entry[0] is rec
+
+    @pytest.mark.parametrize("name", REGISTRY_NAMES)
+    def test_records_are_their_plans_with_the_payloads(self, monkeypatch,
+                                                       name):
+        """Each machine writes, under each plan's LOG key, the plan with the
+        payloads its members held in the frozen generation filled in, and
+        leaves the plan itself without payloads."""
+        seen = {"connected": 0, "sibling": 0}
+        machine = engine._machine
+
+        def checked_machine(plugin, plans):
+            built = machine(plugin, plans)
+            run = built.run
+
+            def checked_run(ctx):
+                want = [plan._replace(payloads=tuple(
+                    [ctx._table[m][0] for m in plan.members]))
+                    for plan in plans]
+                out = run(ctx)
+                assert [rec for rec, _slots in out] == want
+                for plan, (rec, _slots) in zip(plans, out):
+                    assert type(plan) is Record and plan.payloads is None
+                    key = ("LOG", plan.label, plan.survivor)
+                    assert ctx.writes[key][0] is rec
+                    seen[plan.kind] += 1
+                return out
+
+            built.run = checked_run
+            return built
+
+        monkeypatch.setattr(engine, "_machine", checked_machine)
+        log = run_registry(name, *registry_inputs(name))
+        assert seen["connected"] > 0
+        if log is not None:
+            assert sum(seen.values()) == len(log.records)
 
 
 class TestRetiredPayloads:
@@ -1661,11 +1697,11 @@ class TestRetiredPayloads:
         def recorded_store(sim, entries, retired=()):
             entries = list(entries)
             records = [value for key, (value, _w) in entries
-                       if key[0] == "LOG"]
+                       if type(key) is tuple]
             for rec in records:
                 contracted.update(rec.members[1:])
             for key in retired:
-                payload = sim.generation[key]
+                payload = sim.generation[key][0]
                 if not any(p is payload for rec in records
                            for p in rec.payloads):
                     unheld.append(key)
@@ -1676,14 +1712,15 @@ class TestRetiredPayloads:
         run_registry(name, *registry_inputs(name))
         [sim] = sims
         assert contracted and unheld == []
-        table, words = sim.generation, sim.words
-        logged = [key for key in table if key[0] == "LOG"]
-        live = [key for key in table if key[0] == "P"]
-        assert len(logged) + len(live) == len(table) == len(words)
+        table = sim.generation
+        # a LOG key is a tuple, a payload's key its vertex id
+        logged = [key for key in table if type(key) is tuple]
+        live = [key for key in table if type(key) is not tuple]
+        assert all(key[0] == "LOG" for key in logged)
         assert len(live) == (2 if name == "iso" else 1)
-        assert contracted.isdisjoint([key[1] for key in live])
-        assert sim._gen_words == sum(1 + words[key]
-                                     for key in logged + live)
+        assert contracted.isdisjoint(live)
+        assert sim._gen_words == sum(1 + words for _value, words
+                                     in table.values())
 
 
 class TestCollectorHandoff:

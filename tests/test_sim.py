@@ -117,9 +117,9 @@ class TestRounds:
         assert m["dht_reads"] == 10
         assert m["dht_writes"] == 10
         assert m["peak_machine_words"] == 10 + 10
-        assert sim.generation[("c", 7)] == 49
+        assert sim.generation[("c", 7)] == (49, 1)
         # previous-generation entries carry forward unless overwritten
-        assert sim.generation[("k", 7)] == 49
+        assert sim.generation[("k", 7)] == (49, 1)
 
     def test_pointer_chase_is_one_round(self):
         # adaptive chain: each key read depends on the previous value
@@ -137,7 +137,7 @@ class TestRounds:
         assert sim.rounds == 1
         assert m["dht_reads"] == 5
         assert m["violations"] == []
-        assert sim.generation["end"] == 99
+        assert sim.generation["end"] == (99, 1)
 
     def test_results_in_machine_order(self):
         sim = Simulator(cfg())
@@ -210,7 +210,7 @@ class TestFreeze:
 
         out = sim.run_round([Machine(0, writer), Machine(1, reader)])
         assert out[1] == 1
-        assert sim.generation["x"] == 2
+        assert sim.generation["x"] == (2, 1)
 
 
 class TestWriteConflicts:
@@ -233,7 +233,7 @@ class TestWriteConflicts:
             ctx.write("k", 7)
 
         sim.run_round([Machine(0, w), Machine(0, w)])
-        assert sim.generation["k"] == 7
+        assert sim.generation["k"] == (7, 1)
         assert sim.snapshot_metrics()["violations"] == []
 
     def test_conflict_within_one_machine(self):
@@ -353,22 +353,22 @@ class TestBudgets:
         assert m["total_words"] == 7
         assert m["peak_machine_words"] == 1 + 4
 
-    def test_words_is_a_read_only_view_of_the_ledger(self):
+    def test_generation_holds_each_value_with_its_count(self):
         sim = seeded(cfg(), {"a": (1, 2, 3)})
-        words = sim.words
-        assert dict(words) == {"a": 3}
+        assert sim.generation == {"a": ((1, 2, 3), 3)}
+        ctxs = []
 
         def write(ctx):
+            ctxs.append(ctx)
             ctx.write("a", 7)
             ctx.write("b", (1, Fraction(1, 3)))
 
         sim.run_round([Machine(0, write)])
-        assert dict(words) == {"a": 1, "b": 3}
-        with pytest.raises(TypeError):
-            words["a"] = 5
-        with pytest.raises(AttributeError):
-            sim.words = {}
-        assert dict(sim.words) == {"a": 1, "b": 3}
+        assert sim.generation == {"a": (7, 1), "b": ((1, Fraction(1, 3)), 3)}
+        # the merge stores the very pairs the write built
+        for key, entry in ctxs[0].writes.items():
+            assert sim.generation[key] is entry
+        assert not hasattr(sim, "words") and not hasattr(sim, "_words")
 
     def test_write_takes_a_count_the_writer_holds(self):
         sim = Simulator(cfg())
@@ -401,7 +401,7 @@ class TestRetire:
 
         assert sim.run_round([Machine(0, consume), Machine(0, reader)]) == [
             1, 1]
-        assert "a" not in sim.generation and "a" not in sim.words
+        assert "a" not in sim.generation
         with pytest.raises(SimFault, match="read of missing key 'a'"):
             sim.run_round([Machine(0, reader)])
 
@@ -423,8 +423,8 @@ class TestRetire:
         assert sim.violations == [message]
         # a faulted retire is not applied; the one good retire is
         assert sim.generation == ({} if "twice" in message
-                                  else {"a": 5} if "written" in message
-                                  else {"a": 1})
+                                  else {"a": (5, 1)} if "written" in message
+                                  else {"a": (1, 1)})
 
     def test_retire_after_round_end_raises(self):
         sim = seeded(cfg(), {"a": 1})
@@ -432,7 +432,7 @@ class TestRetire:
         sim.run_round([Machine(0, leak.append)])
         with pytest.raises(SimFault, match="retire after round end"):
             leak[0].retire(["a"])
-        assert sim.generation == {"a": 1}
+        assert sim.generation == {"a": (1, 1)}
 
     def test_a_retire_is_not_a_write(self):
         sim = seeded(cfg(), {i: i for i in range(5)})
@@ -445,8 +445,7 @@ class TestRetire:
         assert sim.run_round([Machine(0, consume)]) == [2]
         m = sim.snapshot_metrics()
         assert m["dht_writes"] == 1 and m["dht_reads"] == 5
-        assert sim.generation == {"sum": 10}
-        assert dict(sim.words) == {"sum": 1}
+        assert sim.generation == {"sum": (10, 1)}
 
     def test_peak_counts_retires_before_writes(self):
         sim = seeded(cfg(), {"a": (1, 2, 3, 4, 5, 6, 7, 8)})  # 9 words
