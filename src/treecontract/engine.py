@@ -293,7 +293,8 @@ def _pack(items, sizes, cap):
     """First-fit decreasing bin packing; returns lists of items. A max tree
     over the bins' free room (-inf for a bin not yet open) leads each item
     to the leftmost bin with room for it, in O(log n); an item that fits no
-    open bin, one over cap included, opens the next bin."""
+    open bin, one over cap included, opens the next bin, so a bin of more
+    than one item holds at most cap."""
     order = sorted(range(len(items)), key=lambda i: -sizes[i])
     leaves = 1
     while leaves < len(items):
@@ -362,22 +363,29 @@ def sibling_batch(cfg):
     return max(2, math.ceil(cfg.n ** cfg.epsilon))
 
 
+def _round(tree, plugin, books, plans, cap):
+    """One round that carries out `plans`, all of one stage, and applies its
+    results: the plans, sized by _estimate, are packed into machines of
+    `cap` words; with cap None, `plans` are bundles already, one machine
+    each."""
+    bundles = plans if cap is None else _pack(
+        plans, [_estimate(books.table, plan) for plan in plans], cap)
+    results = yield ("round", [_machine(plugin, bundle)
+                               for bundle in bundles])
+    _apply_results(tree, books, results)
+
+
 def _rake(tree, plugin, cfg, books, stage, root_outs_known):
     """One round under `stage` that contracts every parent with its leaf
-    children, the components packed into machines of S words."""
+    children, one plan per parent, which _round sizes and packs."""
     children = tree.children
-    plans, sizes = [], []
+    plans = []
     for p, kids in children.items():
         leaf_kids = [u for u in kids if not children[u]]
         if leaf_kids:
-            plan = _comp_spec(tree, (p,) + tuple(leaf_kids), books, stage,
-                              root_outs_known)
-            plans.append(plan)
-            sizes.append(_estimate(books.table, plan))
-    machines = [_machine(plugin, bundle)
-                for bundle in _pack(plans, sizes, cfg.S)]
-    results = yield ("round", machines)
-    _apply_results(tree, books, results)
+            plans.append(_comp_spec(tree, (p,) + tuple(leaf_kids), books,
+                                    stage, root_outs_known))
+    yield from _round(tree, plugin, books, plans, cfg.S)
 
 
 def _bounded_units(tree, plugin, cfg, books, prefix=""):
@@ -411,9 +419,7 @@ def _bounded_units(tree, plugin, cfg, books, prefix=""):
             if len(comp) > 1:
                 per_group.setdefault(gi, []).append(
                     _comp_spec(tree, comp, books, label + " compress"))
-        machines = [_machine(plugin, plans) for plans in per_group.values()]
-        results = yield ("round", machines)
-        _apply_results(tree, books, results)
+        yield from _round(tree, plugin, books, per_group.values(), None)
         yield from _rake(tree, plugin, cfg, books, label + " rake", True)
         if tree.n > max(1, k):
             raise LogIntegrityError(
@@ -427,15 +433,13 @@ def _general_units(tree, plugin, cfg, books):
     table, virtual, children = books.table, books.virtual, tree.children
     phase = 0
     while tree.n > 1:
-        # the all-vertex plan has no outs, so its _estimate is 4 words per
-        # vertex plus the payloads; test that before building it
-        fixed = 4 * tree.n
-        if fixed <= cfg.S and fixed + sum(
-                table[v][1] for v in tree.vertices()) <= cfg.S:
+        # the all-vertex plan holds 4 words per vertex besides its payloads,
+        # so it cannot fit while 4n > S; test that before building it
+        if 4 * tree.n <= cfg.S:
             plan = _comp_spec(tree, tuple(tree.vertices()), books, "final")
-            results = yield ("round", [_machine(plugin, [plan])])
-            _apply_results(tree, books, results)
-            break
+            if _estimate(table, plan) <= cfg.S:
+                yield from _round(tree, plugin, books, [plan], cfg.S)
+                break
         phase += 1
         if phase > cfg.phase_cap:
             books.fault("phase %d exceeds the cap of %d"
@@ -443,21 +447,16 @@ def _general_units(tree, plugin, cfg, books):
         label = "phase %d" % phase
         n_before = tree.n
         yield ("charge", "connectivity", cfg.inv_eps)
-        direct, direct_sizes, nested = [], [], []
+        direct, nested = [], []
         for members, is_fringe in low_degree_components(tree, lam + 1):
             if not is_fringe or len(members) < 2:
                 continue
             plan = _comp_spec(tree, members, books, label + " compress")
-            size = _estimate(table, plan)
-            if size <= cfg.S:
+            if _estimate(table, plan) <= cfg.S:
                 direct.append(plan)
-                direct_sizes.append(size)
             else:
                 nested.append(members)
-        machines = [_machine(plugin, bundle)
-                    for bundle in _pack(direct, direct_sizes, cfg.S)]
-        results = yield ("round", machines)
-        _apply_results(tree, books, results)
+        yield from _round(tree, plugin, books, direct, cfg.S)
         if nested:
             slices, subs = [], []
             for members in nested:
@@ -492,12 +491,7 @@ def _general_units(tree, plugin, cfg, books):
             if level > cfg.inv_eps:
                 books.fault("%s sibling level %d exceeds %d"
                             % (label, level, cfg.inv_eps))
-            sizes = [sum(table[u][1] + 2 for u in plan.members)
-                     for plan in batches]
-            machines = [_machine(plugin, bundle)
-                        for bundle in _pack(batches, sizes, cfg.S)]
-            results = yield ("round", machines)
-            _apply_results(tree, books, results)
+            yield from _round(tree, plugin, books, batches, cfg.S)
         yield from _rake(tree, plugin, cfg, books, label + " fold", False)
         if tree.n >= n_before:
             raise LogIntegrityError("%s made no progress (%d vertices)"

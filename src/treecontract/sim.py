@@ -114,8 +114,8 @@ class _Ctx:
         return entry[0]
 
     def write(self, key, value, words=None):
-        """Buffer a write; returns the value's word count. A writer that
-        already holds that count passes it as words."""
+        """Buffer a write with the value's word count. A writer that already
+        holds that count passes it as words."""
         if self._closed:
             raise SimFault("write after round end (generation frozen)")
         if key in self.writes and self.writes[key][0] != value:
@@ -124,7 +124,6 @@ class _Ctx:
             words = word_count(value)
         self.writes[key] = (value, words)
         self.write_words += 1 + words
-        return words
 
     def retire(self, keys):
         """Drop keys, whose values this machine has consumed, from the next

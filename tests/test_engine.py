@@ -1815,6 +1815,66 @@ class TestPack:
             ["c"], ["a"], ["d", "b"]]
 
 
+class TestPackedMachinesFit:
+    """A machine that carries more than one plan was packed, so its declared
+    words plus the words it reads stay within the run's S."""
+
+    def assert_packed_machines_fit(self, monkeypatch, problem, tree,
+                                   epsilon):
+        machine, run_round = engine._machine, Simulator.run_round
+        pending, packed = [], []
+
+        def checked_machine(plugin, plans):
+            built = machine(plugin, plans)
+            run = built.run
+
+            def recorded_run(ctx):
+                out = run(ctx)
+                pending.append((len(plans), built, ctx))
+                return out
+
+            built.run = recorded_run
+            return built
+
+        def checked_round(sim, machines):
+            del pending[:]
+            results = run_round(sim, machines)
+            for count, built, ctx in pending:
+                if count > 1:
+                    packed.append(built.label)
+                    words = built.input_words + ctx.read_words
+                    assert words <= sim.cfg.S, (
+                        "%s: %d plans hold %d words, over S = %d"
+                        % (built.label, count, words, sim.cfg.S))
+            return results
+
+        monkeypatch.setattr(engine, "_machine", checked_machine)
+        monkeypatch.setattr(Simulator, "run_round", checked_round)
+        if problem == "mwm":
+            tree = with_edge_weights(tree, 7)
+        elif problem == "mwis":
+            tree = oracles.with_vertex_weights(tree, 7)
+        result = REGISTRY[problem]["solve"](
+            [tree], None, cfg(tree.n, epsilon=epsilon, seed=7), 7)
+        assert REGISTRY[problem]["check"]([tree], None, result)[2]
+        return packed
+
+    @pytest.mark.parametrize("epsilon", [0.5, 0.25])
+    @pytest.mark.parametrize("family", ["random", "star"])
+    @pytest.mark.parametrize("problem", ["height", "sum", "mwm", "mwis",
+                                         "mis", "matching"])
+    def test_families_at_n_2_10(self, monkeypatch, problem, family, epsilon):
+        tree = random_tree(1 << 10, 7) if family == "random" else star(1 << 10)
+        self.assert_packed_machines_fit(monkeypatch, problem, tree, epsilon)
+
+    def test_sum_on_a_random_tree_at_n_2_13(self, monkeypatch):
+        # sizing a sibling batch of two leaves one word under what its
+        # machine holds puts sibling machines over S here
+        packed = self.assert_packed_machines_fit(
+            monkeypatch, "sum", random_tree(1 << 13, 7), 0.25)
+        assert any(" rake L" in label for label in packed)
+
+
 # ---------------------------------------------------------------------------
 # reconstruction: the replay that walks each snapshot twice (slot ids, then
 # the value) and builds its helpers per record, kept as the reference the

@@ -58,7 +58,7 @@ GOLDEN = {
         "answer_sha256":
             "e638fca512667951489f2214927307b319e402239327a760f6445a108a393c64"},
     "height": {
-        "rounds": 47, "peak_machine_words": 93, "total_words": 14287,
+        "rounds": 47, "peak_machine_words": 90, "total_words": 14287,
         "dht_reads": 1590, "dht_writes": 1134, "log_words": 13715,
         "log_sha256":
             "dba642bf4e826d8e5017577501eb0a5baee10ccf4a8a1518e4e6a6eabe4e7369",

@@ -337,10 +337,12 @@ class TestBudgets:
         counts = []
 
         def shrink(ctx):
-            counts.append(ctx.write("a", 7))
+            ctx.write("a", 7)
+            counts.append(ctx.writes["a"][1])
 
         def grow(ctx):
-            counts.append(ctx.write("b", (1, 2, Fraction(1, 3))))
+            ctx.write("b", (1, 2, Fraction(1, 3)))
+            counts.append(ctx.writes["b"][1])
 
         def read_b(ctx):
             return ctx.read("b")
@@ -375,8 +377,9 @@ class TestBudgets:
         counts = []
 
         def write(ctx):
-            counts.append(ctx.write("a", (1, 2, 3), 3))
-            counts.append(ctx.write("b", 5))
+            ctx.write("a", (1, 2, 3), 3)
+            ctx.write("b", 5)
+            counts.extend([ctx.writes[key][1] for key in ("a", "b")])
 
         def read(ctx):
             ctx.read("a")
