@@ -102,18 +102,6 @@ class Algebra:
 _NO_SLOTS = frozenset()
 
 
-def payload_slot_ids(rnode):
-    out = set()
-    stack = [rnode]
-    while stack:
-        nd = stack.pop()
-        if nd[0] == "s":
-            out.add(nd[1])
-        else:
-            stack.extend(nd[4])
-    return out
-
-
 def check_payload_budget(fault, words, slots, c_w, who, *who_args):
     """A payload of `words` words with `slots` pending child slots must fit
     C_w per slot plus C_w; else it is reported to `fault`, naming the payload
@@ -208,10 +196,10 @@ class _Books(namedtuple("_Books", "table fault c_w slots virtual log")):
     table[v][1] is the word count of v's payload while v is live (the
     machine that contracts v away retires the key); the simulator's fault
     hook (fault), which raises or records a budget or cap violation, and the
-    plugin's C_w (c_w); per vertex, its pending-slot ids (slots) as the
-    machine that wrote the payload found them; the vertices that stand in
-    for a folded sibling batch (virtual); and the contraction log. Payloads
-    themselves live only in the simulator's store."""
+    plugin's C_w (c_w); per vertex, the ids of its payload's pending slots
+    (slots), which the host derives from each round's plans; the vertices
+    that stand in for a folded sibling batch (virtual); and the contraction
+    log. Payloads themselves live only in the simulator's store."""
 
     __slots__ = ()
 
@@ -256,11 +244,10 @@ def _machine(plugin, plans):
     the members' payloads, contracts the component or folds the sibling
     batch, writes the survivor's payload, retires the other members and
     writes the plan with its payloads filled in under its LOG key, counted
-    from its reads plus the record's header. Its result is one (record, the
-    survivor's slot ids) per plan."""
+    from its reads plus the record's header. Like every machine, it speaks
+    only through the table: its body returns nothing."""
 
     def run(ctx):
-        out = []
         for plan in plans:
             members, survivor = plan.members, plan.survivor
             read_before = ctx.read_words
@@ -269,7 +256,6 @@ def _machine(plugin, plans):
             if plan.kind == "connected":
                 payload = contract_component(plugin, members, plan.parents,
                                              plan.outs, payloads)
-                slots = payload_slot_ids(payload)
             else:
                 for leaf, node in zip(members, payloads):
                     if node[4]:
@@ -277,14 +263,12 @@ def _machine(plugin, plans):
                                        "contracted" % (plan.label, leaf))
                 data, edge = plugin.sibling_fold([plugin.through_edge(
                     plugin.node_value(node[3]), node[2]) for node in payloads])
-                payload, slots = ("k", survivor, edge, data, ()), _NO_SLOTS
+                payload = ("k", survivor, edge, data, ())
             ctx.write(survivor, payload)
             ctx.retire(members[1:])
             rec = plan._replace(payloads=payloads)
             ctx.write(("LOG", plan.label, survivor), rec,
                       read_words + rec.header_words())
-            out.append((rec, slots))
-        return out
 
     return Machine(sum(map(_plan_words, plans)), run, plans[0].label)
 
@@ -323,29 +307,36 @@ def _pack(items, sizes, cap):
     return bins
 
 
-def _apply_results(tree, books, results):
-    """Apply one round's records to the host tree: the survivor keeps the
-    slot ids its machine found, its payload's count in the table is checked
-    against the budget for that many slots, and the record joins the log
-    with the count the table holds for its LOG entry. Folded leaves go once
-    the round's records are in, one pass per parent."""
+def _apply_results(tree, books, plans):
+    """Apply one round to the host tree, from its plans in machine order and
+    what their machines wrote to the table. The host derives a survivor's
+    slot ids: for a component, the slots its members held plus the outs of
+    every member but the survivor, less the members; a folded leaf has none.
+    The survivor's payload count in the table is checked against the budget
+    for that many slots, and the record and its count, read under the
+    plan's LOG key, join the log. Folded leaves go once the round's records
+    are in, one pass per parent."""
     table, fault, c_w = books.table, books.fault, books.c_w
     slot_sets, virtual, log = books.slots, books.virtual, books.log
     folded = {}
-    for machine_out in results:
-        for rec, slots in machine_out:
-            survivor = rec.survivor
-            if rec.kind == "connected":
-                tree.contract(set(rec.members), survivor)
-            else:
-                folded.setdefault(rec.parent_out, []).extend(rec.members[1:])
-                virtual.add(survivor)
-            slot_sets[survivor] = slots
-            pwords = table[survivor][1]
-            if pwords > c_w * (len(slots) + 1):
-                check_payload_budget(fault, pwords, len(slots), c_w,
-                                     "%s survivor %r", rec.label, survivor)
-            log.append(rec, table[("LOG", rec.label, survivor)][1])
+    for plan in plans:
+        members, survivor = plan.members, plan.survivor
+        if plan.kind == "connected":
+            mset = set(members)
+            slots = set().union(*[slot_sets[m] for m in members],
+                                *plan.outs[1:])
+            slots -= mset
+            tree.contract(mset, survivor)
+        else:
+            folded.setdefault(plan.parent_out, []).extend(members[1:])
+            virtual.add(survivor)
+            slots = _NO_SLOTS
+        slot_sets[survivor] = slots
+        pwords = table[survivor][1]
+        if pwords > c_w * (len(slots) + 1):
+            check_payload_budget(fault, pwords, len(slots), c_w,
+                                 "%s survivor %r", plan.label, survivor)
+        log.append(*table[("LOG", plan.label, survivor)])
     for p, leaves in folded.items():
         tree.remove_leaves(p, leaves)
 
@@ -364,15 +355,15 @@ def sibling_batch(cfg):
 
 
 def _round(tree, plugin, books, plans, cap):
-    """One round that carries out `plans`, all of one stage, and applies its
-    results: the plans, sized by _estimate, are packed into machines of
-    `cap` words; with cap None, `plans` are bundles already, one machine
-    each."""
+    """One round that carries out `plans`, all of one stage: the plans,
+    sized by _estimate, are packed into machines of `cap` words (with cap
+    None, `plans` are bundles already, one machine each). Once the round
+    has run, the stream resumes and applies the plans from the table."""
     bundles = plans if cap is None else _pack(
         plans, [_estimate(books.table, plan) for plan in plans], cap)
-    results = yield ("round", [_machine(plugin, bundle)
-                               for bundle in bundles])
-    _apply_results(tree, books, results)
+    yield ("round", [_machine(plugin, bundle) for bundle in bundles])
+    _apply_results(tree, books, [plan for bundle in bundles
+                                 for plan in bundle])
 
 
 def _rake(tree, plugin, cfg, books, stage, root_outs_known):
@@ -391,9 +382,9 @@ def _rake(tree, plugin, cfg, books, stage, root_outs_known):
 def _bounded_units(tree, plugin, cfg, books, prefix=""):
     """Unit stream of the bounded-degree contraction; books is kept current
     for every live vertex. Yields ("charge", label, rounds) and ("round",
-    machines), whose send-value is the per-machine results; a phase over
-    the cap is reported to books.fault. Planning reads tree.vertices() as
-    the preorder to decompose, so tree must be keyed in preorder."""
+    machines); a phase over the cap is reported to books.fault. Planning
+    reads tree.vertices() as the preorder to decompose, so tree must be
+    keyed in preorder."""
     lam = degree_budget(cfg)
     children = tree.children
     for v, kids in children.items():
@@ -499,34 +490,32 @@ def _general_units(tree, plugin, cfg, books):
 
 
 # ---------------------------------------------------------------------------
-# scheduling: a unit stream is a generator of two unit kinds,
-# ("charge", label, rounds) and ("round", machines); a round's send-value is
-# its machines' results, a charge's is None. _merged turns several streams
-# into one, so that independent runs (the nested bounded runs of a general
-# phase, or whole runs side by side) share their rounds; _drive executes one
-# stream and is the only engine code that advances the simulator. Budget and
-# cap violations do not travel as units: the streams report them to the
-# simulator's fault hook themselves.
+# scheduling: a unit stream is a one-way iterator of two unit kinds,
+# ("charge", label, rounds) and ("round", machines). A stream resumes only
+# once its round has run, and reads what the round's machines wrote from the
+# table, their only output. _merged turns several streams into one, so that
+# independent runs (the nested bounded runs of a general phase, or whole runs
+# side by side) share their rounds; _drive executes one stream and is the
+# only engine code that advances the simulator. Budget and cap violations do
+# not travel as units: the streams report them to the simulator's fault hook
+# themselves.
 
 def _merged(streams, cap):
     """One stream running `streams` side by side. While any stream is at a
     round, every stream at a round runs it: whole streams are packed in
     stream order into rounds of at most `cap` machines (a stream over the
-    cap by itself gets a round of its own), and each stream is sent its own
-    slice of its round's results. Streams at a charge wait meanwhile; once
-    every stream is at a charge, each distinct charge is booked once, in
-    stream order. A stream that finishes just drops out; a unit that is
-    neither a round nor a charge is a LogIntegrityError."""
-    live = [[gen, None, None] for gen in streams]  # stream, unit, send-value
+    cap by itself gets a round of its own). Streams at a charge wait
+    meanwhile; once every stream is at a charge, each distinct charge is
+    booked once, in stream order. A stream that finishes just drops out; a
+    unit that is neither a round nor a charge is a LogIntegrityError."""
+    live = [[stream, None] for stream in streams]  # stream, its next unit
     while True:
         for entry in live:
             if entry[1] is None:
-                try:
-                    entry[1] = unit = entry[0].send(entry[2])
-                except StopIteration:
+                entry[1] = unit = next(entry[0], None)
+                if unit is None:
                     entry[0] = None
-                    continue
-                if unit[0] != "round" and unit[0] != "charge":
+                elif unit[0] != "round" and unit[0] != "charge":
                     raise LogIntegrityError("unit %r inside a parallel step"
                                             % (unit[0],))
         live = [entry for entry in live if entry[0] is not None]
@@ -537,7 +526,7 @@ def _merged(streams, cap):
             for charge in dict.fromkeys([entry[1] for entry in live]):
                 yield charge
             for entry in live:
-                entry[1] = entry[2] = None
+                entry[1] = None
             continue
         bins, count = [], 0
         for entry in at_round:
@@ -548,30 +537,19 @@ def _merged(streams, cap):
             bins[-1].append(entry)
             count += k
         for group in bins:
-            results = yield ("round",
-                             [m for entry in group for m in entry[1][1]])
-            pos = 0
-            for entry in group:
-                k = len(entry[1][1])
-                entry[1], entry[2] = None, results[pos:pos + k]
-                pos += k
+            yield ("round", [m for entry in group for m in entry[1][1]])
+        for entry in at_round:
+            entry[1] = None
 
 
-def _drive(sim, gen):
+def _drive(sim, units):
     """Execute a unit stream of rounds and charges on sim. A round with no
-    machines runs no round and sends back no results."""
-    send = None
-    while True:
-        try:
-            unit = gen.send(send)
-        except StopIteration:
-            return
-        kind, arg = unit[0], unit[1]
-        send = None
-        if kind == "round":
-            send = sim.run_round(arg) if arg else []
-        else:
-            sim.charge_subroutine(arg, unit[2])
+    machines runs no round."""
+    for unit in units:
+        if unit[0] == "charge":
+            sim.charge_subroutine(unit[1], unit[2])
+        elif unit[1]:
+            sim.run_round(unit[1])
 
 
 # ---------------------------------------------------------------------------

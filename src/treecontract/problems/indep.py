@@ -76,7 +76,10 @@ def scaffold_fan(cfg):
 def bypass_expand(tree, cfg):
     """Replace every vertex of degree > fan with an almost complete fan-ary
     scaffold of bypass vertices, children packed left to right, built level
-    by level until one level fits. Returns (expanded tree, expanded flag)."""
+    by level until one level fits. A level's trailing group of one is carried
+    up unwrapped, so every bypass vertex has at least two children and the
+    scaffold adds fewer vertices than the tree has edges. Returns (expanded
+    tree, expanded flag)."""
     fan = scaffold_fan(cfg)
     if all(tree.deg(v) <= fan for v in tree.vertices()):
         return tree, False
@@ -88,6 +91,9 @@ def bypass_expand(tree, cfg):
         while len(level) > fan:
             nxt = []
             for i in range(0, len(level), fan):
+                if i == len(level) - 1:
+                    nxt.append(level[i])
+                    continue
                 b = fresh
                 fresh += 1
                 attrs[b] = {"bypass": 1}

@@ -128,17 +128,22 @@ def _shifted(tree, offset):
          for v, kids in tree.children.items()})
 
 
-def tree_isomorphism(t1, t2, cfg, alpha=1, seed=0):
+# a non-isomorphic pair slips through one run with probability shrinking in
+# n^ALPHA
+ALPHA = 1
+
+
+def tree_isomorphism(t1, t2, cfg, seed=0):
     """Verdict plus a JSON-safe detail dict. One-sided: isomorphic inputs are
     never rejected; a non-isomorphic pair can slip through with probability
-    shrinking in n^alpha, so callers repeat with fresh seeds. Two steps run
+    shrinking in n^ALPHA, so callers repeat with fresh seeds. Two steps run
     on one simulator sized by t1, each contracting both trees side by side
     in shared rounds: the height pass (phase "iso height"), then, after the
     modulus draw, the polynomial pass (phase "iso polynomial"). The modulus
-    is a random integer in [B^2, 2B^2], B = max(1, h) * n^(alpha+1) for the
+    is a random integer in [B^2, 2B^2], B = max(1, h) * n^(ALPHA+1) for the
     common height h, drawn from seed. t2 runs on a copy whose ids lie past
     t1's, as the two runs share one table."""
-    detail = {"n_left": t1.n, "n_right": t2.n, "alpha": alpha, "seed": seed}
+    detail = {"n_left": t1.n, "n_right": t2.n, "alpha": ALPHA, "seed": seed}
     height = HeightAlgebra()
     sim = run_simulator(height, cfg, t1.n)
     if t1.n != t2.n:
@@ -157,7 +162,7 @@ def tree_isomorphism(t1, t2, cfg, alpha=1, seed=0):
     heights1, heights2 = subtree_heights(log1), subtree_heights(log2)
     del log1, log2
     rng = random.Random(seed)
-    base = max(1, h1) * t1.n ** (alpha + 1)
+    base = max(1, h1) * t1.n ** (ALPHA + 1)
     m = rng.randint(base * base, 2 * base * base)
     sim.charge_subroutine("modulus draw", 1)
     xs = [rng.randint(1, m) for _ in range(h1)]
@@ -169,13 +174,12 @@ def tree_isomorphism(t1, t2, cfg, alpha=1, seed=0):
     return q1 == q2, detail
 
 
-def detection_count(t1, t2, cfg, trials, seed=0, alpha=1):
+def detection_count(t1, t2, cfg, trials, seed=0):
     """How many of `trials` independent runs call the pair non-isomorphic."""
     rng = random.Random(seed)
     hits = 0
     for _ in range(trials):
-        verdict, _ = tree_isomorphism(t1, t2, cfg, alpha=alpha,
-                                      seed=rng.randrange(2 ** 32))
+        verdict, _ = tree_isomorphism(t1, t2, cfg, seed=rng.randrange(2 ** 32))
         if not verdict:
             hits += 1
     return hits

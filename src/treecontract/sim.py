@@ -11,9 +11,9 @@ written, and kept beside it: the generation maps each key to the pair
 reuses the writer's count for the new value and the stored count for the
 value it replaces. A writer that already holds the count passes it to the
 write: the engine counts a contraction record from the words its payload
-reads were charged plus the record's header. The store is the only holder of
-payloads and their counts; the host plans from a read-only view of the
-generation, reads only the counts there, and keeps no copy of either.
+reads were charged plus the record's header. The table is the machines'
+only output. It is the only holder of payloads and their counts; the host
+reads counts and records from a read-only view of it and copies neither.
 Costs of cited external subroutines are charged as opaque round blocks
 rather than re-implemented: the engine's preorder numbering, connectivity
 and relabeling; the bypass expansion, greedy edges and set extraction of
@@ -196,14 +196,15 @@ class Simulator:
         current generation; merge their retires and writes into it once every
         machine has run. A retire of a key that is missing, already retired
         this round or written this round is a fault, and is not applied.
-        Returns the machines' results in machine order."""
+        A body's return value is dropped: its writes are its only output."""
         self._advance(1)
         if len(machines) > self.cfg.machine_cap:
             self.fault("round %d: %d machines exceed cap %d"
                        % (self.rounds, len(machines), self.cfg.machine_cap))
         table = self.generation
         ctxs = [_Ctx(table) for _ in machines]
-        results = [m.run(ctx) for m, ctx in zip(machines, ctxs)]
+        for m, ctx in zip(machines, ctxs):
+            m.run(ctx)
 
         merged, retired = {}, {}  # retired: key -> index of its machine
         cap, space = self.cfg.io_cap, self.cfg.S
@@ -241,7 +242,6 @@ class Simulator:
             self.fault("%s: retire of key %r written this round"
                        % (self._machine_name(i, machines[i]), key))
         self.store(merged.items(), retired)
-        return results
 
     def _machine_name(self, i, m):
         """How a fault names machine i of the current round."""

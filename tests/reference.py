@@ -1,7 +1,8 @@
 """Reference helpers that only the tests call: a certified greedy MIS,
-subset enumeration for MWIS, and balanced-paren strings with their stack
-matcher. They sit beside the tests, out of the package, as neither the
-package nor the acceptance gate uses them."""
+subset enumeration for MWIS, balanced-paren strings with their stack
+matcher, and the slot ids of a payload found by walking it. They sit beside
+the tests, out of the package, as neither the package nor the acceptance
+gate uses them."""
 
 import random
 
@@ -80,4 +81,18 @@ def match_parens_reference(s):
             out[j] = i
     if stack:
         raise InputError("unbalanced '(' at position %d" % stack[-1])
+    return out
+
+
+def payload_slot_ids(rnode):
+    """Ids of the pending child slots in a residual tree, found by walking
+    every node of it."""
+    out = set()
+    stack = [rnode]
+    while stack:
+        nd = stack.pop()
+        if nd[0] == "s":
+            out.add(nd[1])
+        else:
+            stack.extend(nd[4])
     return out

@@ -1,8 +1,9 @@
 """Facts the engine keeps instead of recomputing must equal recomputation.
 
-Machines hand the host each new payload's slot ids, the simulator's table
-holds each value beside its word count, and a contraction record is counted
-from the words its payload reads were charged plus the record's header.
+The host derives each survivor's slot ids from the round's plans, the
+simulator's table holds each value beside its word count, and a contraction
+record is counted from the words its payload reads were charged plus the
+record's header.
 Every problem runs here at n = 2^9 with checks swapped in: each count a
 writer passes to `_Ctx.write` must equal `word_count` of the value, each
 kept slot set `_comp_spec` reads must equal the slot ids of the member's
@@ -15,10 +16,10 @@ walked again.
 import pytest
 
 from treecontract import engine, oracles, sim
-from treecontract.engine import payload_slot_ids
 from treecontract.problems import REGISTRY, iso
 from treecontract.sim import SimConfig
 from treecontract.trees import word_count
+from reference import payload_slot_ids
 
 N = 1 << 9
 SEED = 5
@@ -91,12 +92,11 @@ def checked(monkeypatch):
     run_round = sim.Simulator.run_round
 
     def checked_run_round(sim_, machines):
-        results = run_round(sim_, machines)
+        assert run_round(sim_, machines) is None
         for key, entry in sim_.generation.items():
             assert type(entry) is tuple and len(entry) == 2, key
             assert entry[1] == word_count(entry[0]), key
         seen["rounds"] += 1
-        return results
 
     comp_spec = engine._comp_spec
 
@@ -109,8 +109,8 @@ def checked(monkeypatch):
 
     apply_results = engine._apply_results
 
-    def checked_apply(tree, books, results):
-        apply_results(tree, books, results)
+    def checked_apply(tree, books, plans):
+        apply_results(tree, books, plans)
         generation = store["generation"]
         with pytest.raises(TypeError):
             books.table[tree.root] = None

@@ -19,7 +19,6 @@ from treecontract.engine import (
     contract_side_by_side,
     degree_budget,
     lift_unary,
-    payload_slot_ids,
     sibling_batch,
     run_simulator,
     tree_contract,
@@ -53,6 +52,7 @@ from treecontract.problems.matching import MwmAlgebra, mwm_solve
 from treecontract.problems import REGISTRY, exprs, indep, iso, lifted, matching
 from treecontract.sim import Machine, SimConfig, Simulator
 from treecontract.trees import Tree, word_count
+from reference import payload_slot_ids
 
 
 def add(a, b):
@@ -430,28 +430,27 @@ class TestSolverSetup:
         assert metrics["violations"] == []
 
 
-def _stream(units, got):
-    """Unit stream yielding `units` in order; records each send-value."""
+def _stream(units, got, order):
+    """Unit stream yielding `units` in order; when it resumes after a unit,
+    it notes how many machines have run so far."""
     for unit in units:
-        got.append((yield unit))
+        yield unit
+        got.append(len(order))
 
 
 def _labelled(order, *labels):
-    """One machine per label; each notes its label in `order` when it runs
-    and returns it."""
+    """One machine per label; each notes its label in `order` when it
+    runs."""
     def body(label):
-        def run(ctx):
-            order.append(label)
-            return label
-        return run
+        return lambda ctx: order.append(label)
 
     return [Machine(1, body(lb), lb) for lb in labels]
 
 
-def _drive_merged(sim, *unit_lists):
+def _drive_merged(sim, order, *unit_lists):
     got = [[] for _ in unit_lists]
     engine._drive(sim, engine._merged(
-        [_stream(units, g) for units, g in zip(unit_lists, got)],
+        [_stream(units, g, order) for units, g in zip(unit_lists, got)],
         sim.cfg.machine_cap))
     return got
 
@@ -461,7 +460,7 @@ class TestScheduler:
         sim = Simulator(cfg(16))
         order = []
         got = _drive_merged(
-            sim,
+            sim, order,
             [("charge", "relabel", 1), ("round", _labelled(order, "a1"))],
             [("round", _labelled(order, "b1")),
              ("round", _labelled(order, "b2")),
@@ -469,7 +468,8 @@ class TestScheduler:
         # b's two rounds run while a waits at its charge; the charges then
         # fall in the same step and are booked once
         assert order == ["b1", "b2", "a1"]
-        assert got == [[None, ["a1"]], [["b1"], ["b2"], None]]
+        # each stream resumes only once its round has run
+        assert got == [[2, 3], [1, 2, 2]]
         assert sim.rounds == 4
         assert [p["label"] for p in sim.phases] == ["relabel"]
 
@@ -477,9 +477,9 @@ class TestScheduler:
         # the third stream's charge equals the first's and is booked with it
         for other in [("charge", "relabel", 2), ("charge", "preorder", 1)]:
             sim = Simulator(cfg(16))
-            got = _drive_merged(sim, [("charge", "relabel", 1)], [other],
+            got = _drive_merged(sim, [], [("charge", "relabel", 1)], [other],
                                 [("charge", "relabel", 1)])
-            assert got == [[None], [None], [None]]
+            assert got == [[0], [0], [0]]
             assert sim.rounds == 1 + other[2]
             assert sim.phases == [{"label": "relabel", "rounds": 1},
                                   {"label": other[1], "rounds": other[2]}]
@@ -491,14 +491,14 @@ class TestScheduler:
         a = ["a%d" % i for i in range(cap - 2)]
         b = ["b%d" % i for i in range(3)]
         c = ["c0"]
-        got = _drive_merged(sim, [("round", _labelled(order, *a))],
+        got = _drive_merged(sim, order, [("round", _labelled(order, *a))],
                             [("round", _labelled(order, *b))],
                             [("round", _labelled(order, *c))])
         # a alone fits; b would push a's round past the cap, so b opens the
         # next round, and c joins b there
         assert sim.rounds == 2
         assert order == a + b + c
-        assert got == [[a], [b], [c]]
+        assert got == [[cap + 2]] * 3
         assert not sim.violations
 
     def test_one_stream_over_the_cap_still_faults(self):
@@ -508,62 +508,65 @@ class TestScheduler:
         big = ["a%d" % i for i in range(cap + 1)]
         with pytest.raises(SimFault, match="round 2: %d machines exceed cap "
                                            "%d" % (cap + 1, cap)):
-            _drive_merged(sim, [("round", _labelled(order, "x"))],
+            _drive_merged(sim, order, [("round", _labelled(order, "x"))],
                           [("round", _labelled(order, *big))])
         assert order == ["x"]
         relaxed = Simulator(cfg(16, strict=False))
         order = []
-        got = _drive_merged(relaxed, [("round", _labelled(order, *big))],
+        got = _drive_merged(relaxed, order,
+                            [("round", _labelled(order, *big))],
                             [("round", _labelled(order, "y"))])
-        assert got == [[big], [["y"]]]
+        assert order == big + ["y"]
+        assert got == [[cap + 2], [cap + 2]]
         assert relaxed.rounds == 2
         assert relaxed.violations == [
             "round 1: %d machines exceed cap %d" % (cap + 1, cap)]
 
     def test_agreeing_charge_is_booked_once(self):
         sim = Simulator(cfg(16))
-        got = _drive_merged(sim, [("charge", "relabel", 1)],
+        got = _drive_merged(sim, [], [("charge", "relabel", 1)],
                             [("charge", "relabel", 1)])
         assert sim.rounds == 1
-        assert got == [[None], [None]]
+        assert got == [[0], [0]]
 
     def test_finished_stream_drops_out(self):
         sim = Simulator(cfg(16))
         order = []
         got = _drive_merged(
-            sim,
+            sim, order,
             [("round", _labelled(order, "a1"))],
             [("round", _labelled(order, "b1")),
              ("charge", "relabel", 1),
              ("round", _labelled(order, "b2"))])
-        assert got == [[["a1"]], [["b1"], None, ["b2"]]]
+        assert got == [[2], [2, 2, 3]]
         assert order == ["a1", "b1", "b2"]
         assert sim.rounds == 3
 
     def test_round_results_split_in_stream_order(self):
+        # the streams' machines share one round, in stream order
         sim = Simulator(cfg(16))
         order = []
-        got = _drive_merged(sim,
+        got = _drive_merged(sim, order,
                             [("round", _labelled(order, "a1", "a2"))],
                             [("round", [])],
                             [("round", _labelled(order, "c1"))])
         assert sim.rounds == 1
         assert order == ["a1", "a2", "c1"]
-        assert got == [[["a1", "a2"]], [[]], [["c1"]]]
+        assert got == [[3], [3], [3]]
 
     def test_step_without_machines_runs_no_round(self):
         sim = Simulator(cfg(16))
-        got = _drive_merged(sim, [("round", [])], [("round", [])])
+        got = _drive_merged(sim, [], [("round", [])], [("round", [])])
         assert sim.rounds == 0
-        assert got == [[[]], [[]]]
-        got = _drive_merged(sim, [("round", [])])
-        assert sim.rounds == 0 and got == [[[]]]
+        assert got == [[0], [0]]
+        got = _drive_merged(sim, [], [("round", [])])
+        assert sim.rounds == 0 and got == [[0]]
 
     def test_only_rounds_and_charges_are_units(self):
         # a violation goes to the simulator's fault hook, never down the
         # stream; a leftover "fault" unit is refused
         with pytest.raises(LogIntegrityError, match="inside a parallel step"):
-            _drive_merged(Simulator(cfg(16)), [("fault", "x")])
+            _drive_merged(Simulator(cfg(16)), [], [("fault", "x")])
 
 
 def _moved(tree, offset):
@@ -1661,14 +1664,12 @@ class TestOneRecordForm:
                 want = [plan._replace(payloads=tuple(
                     [ctx._table[m][0] for m in plan.members]))
                     for plan in plans]
-                out = run(ctx)
-                assert [rec for rec, _slots in out] == want
-                for plan, (rec, _slots) in zip(plans, out):
+                run(ctx)
+                for plan, rec in zip(plans, want):
                     assert type(plan) is Record and plan.payloads is None
                     key = ("LOG", plan.label, plan.survivor)
-                    assert ctx.writes[key][0] is rec
+                    assert ctx.writes[key][0] == rec
                     seen[plan.kind] += 1
-                return out
 
             built.run = checked_run
             return built
@@ -1678,6 +1679,27 @@ class TestOneRecordForm:
         assert seen["connected"] > 0
         if log is not None:
             assert sum(seen.values()) == len(log.records)
+
+    @pytest.mark.parametrize("name", REGISTRY_NAMES)
+    def test_machine_bodies_return_nothing(self, monkeypatch, name):
+        """A machine's only output is what it writes to the table: every
+        body the engine builds returns None."""
+        bodies = []
+        machine = engine._machine
+
+        def checked_machine(plugin, plans):
+            built = machine(plugin, plans)
+            run = built.run
+
+            def checked_run(ctx):
+                bodies.append(run(ctx))
+
+            built.run = checked_run
+            return built
+
+        monkeypatch.setattr(engine, "_machine", checked_machine)
+        run_registry(name, *registry_inputs(name))
+        assert bodies and set(bodies) == {None}
 
 
 class TestRetiredPayloads:
@@ -1829,16 +1851,15 @@ class TestPackedMachinesFit:
             run = built.run
 
             def recorded_run(ctx):
-                out = run(ctx)
+                run(ctx)
                 pending.append((len(plans), built, ctx))
-                return out
 
             built.run = recorded_run
             return built
 
         def checked_round(sim, machines):
             del pending[:]
-            results = run_round(sim, machines)
+            run_round(sim, machines)
             for count, built, ctx in pending:
                 if count > 1:
                     packed.append(built.label)
@@ -1846,7 +1867,6 @@ class TestPackedMachinesFit:
                     assert words <= sim.cfg.S, (
                         "%s: %d plans hold %d words, over S = %d"
                         % (built.label, count, words, sim.cfg.S))
-            return results
 
         monkeypatch.setattr(engine, "_machine", checked_machine)
         monkeypatch.setattr(Simulator, "run_round", checked_round)

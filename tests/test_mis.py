@@ -110,6 +110,28 @@ class TestScaffold:
             fan = scaffold_fan(cfg_for(t))
             assert all(out.deg(v) <= fan for v in out.vertices())
 
+    @pytest.mark.parametrize("n, epsilon", [
+        (100, 0.1), (200, 0.1), (300, 0.1), (100, 0.15), (200, 0.15),
+        (300, 0.15), (100, 0.2), (200, 0.2), (5000, 0.1), (20000, 0.1)])
+    def test_fan_2_star(self, n, epsilon):
+        # at fan 2 every level has a trailing group of one when its size is
+        # odd; a bypass vertex of one child would take the scaffold past 2n
+        t = star(n)
+        cfg = cfg_for(t, epsilon)
+        assert scaffold_fan(cfg) == 2
+        out, expanded = bypass_expand(t, cfg)
+        assert expanded and out.n < 2 * t.n
+        for v in out.vertices():
+            assert out.deg(v) <= 2
+            if out.attrs[v].get("bypass"):
+                assert out.deg(v) >= 2
+        chosen, _, _, _, metrics = mis_solve(t, cfg)
+        assert set(chosen) == greedy_mis(t)
+        assert metrics["violations"] == []
+        edges, _, _, _, metrics = maximal_matching_solve(t, cfg)
+        assert frozenset(edges) == greedy_maximal_matching(t)
+        assert metrics["violations"] == []
+
     def test_canonical(self):
         a, _ = bypass_expand(star(50), cfg_for(star(50)))
         b, _ = bypass_expand(star(50), cfg_for(star(50)))

@@ -76,8 +76,8 @@ def checked(monkeypatch):
 
     apply_results = engine._apply_results
 
-    def checked_apply(tree, books, results):
-        apply_results(tree, books, results)
+    def checked_apply(tree, books, plans):
+        apply_results(tree, books, plans)
         if id(tree) in ranks:
             rank = ranks[id(tree)][1]
             seen["work"] += 1

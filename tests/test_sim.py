@@ -99,8 +99,7 @@ class TestConfig:
 class TestRounds:
     def test_empty_round_advances(self):
         sim = Simulator(cfg())
-        out = sim.run_round([])
-        assert out == []
+        assert sim.run_round([]) is None
         assert sim.rounds == 1
         assert sim.generation == {}
 
@@ -140,9 +139,13 @@ class TestRounds:
         assert sim.generation["end"] == (99, 1)
 
     def test_results_in_machine_order(self):
+        # bodies run in machine order; what they return is dropped
         sim = Simulator(cfg())
-        ms = [Machine(0, lambda ctx, i=i: i) for i in range(5)]
-        assert sim.run_round(ms) == [0, 1, 2, 3, 4]
+        seen = []
+        ms = [Machine(0, lambda ctx, i=i: seen.append(i) or i)
+              for i in range(5)]
+        assert sim.run_round(ms) is None
+        assert seen == [0, 1, 2, 3, 4]
 
     def test_missing_key(self):
         sim = Simulator(cfg())
@@ -202,14 +205,16 @@ class TestFreeze:
         # a write this round must not be visible to reads this round
         sim = seeded(cfg(), {"x": 1})
 
+        seen = []
+
         def writer(ctx):
             ctx.write("x", 2)
 
         def reader(ctx):
-            return ctx.read("x")
+            seen.append(ctx.read("x"))
 
-        out = sim.run_round([Machine(0, writer), Machine(1, reader)])
-        assert out[1] == 1
+        sim.run_round([Machine(0, writer), Machine(1, reader)])
+        assert seen == [1]
         assert sim.generation["x"] == (2, 1)
 
 
@@ -383,27 +388,29 @@ class TestBudgets:
 
         def read(ctx):
             ctx.read("a")
-            return ctx.read_words
+            counts.append(ctx.read_words)
 
         sim.run_round([Machine(0, write)])
         assert counts == [3, 1]
-        assert sim.run_round([Machine(0, read)]) == [3]
+        sim.run_round([Machine(0, read)])
+        assert counts == [3, 1, 3]
         assert sim.snapshot_metrics()["total_words"] == (1 + 3) + (1 + 1)
 
 
 class TestRetire:
     def test_retired_key_is_readable_only_in_its_own_round(self):
         sim = seeded(cfg(), {"a": 1, "b": 2})
+        seen = []
 
         def consume(ctx):
             ctx.retire(["a"])
-            return ctx.read("a")
+            seen.append(ctx.read("a"))
 
         def reader(ctx):
-            return ctx.read("a")
+            seen.append(ctx.read("a"))
 
-        assert sim.run_round([Machine(0, consume), Machine(0, reader)]) == [
-            1, 1]
+        sim.run_round([Machine(0, consume), Machine(0, reader)])
+        assert seen == [1, 1]
         assert "a" not in sim.generation
         with pytest.raises(SimFault, match="read of missing key 'a'"):
             sim.run_round([Machine(0, reader)])
@@ -439,13 +446,15 @@ class TestRetire:
 
     def test_a_retire_is_not_a_write(self):
         sim = seeded(cfg(), {i: i for i in range(5)})
+        seen = []
 
         def consume(ctx):
             ctx.write("sum", sum(ctx.read(i) for i in range(5)))
             ctx.retire(list(range(5)))
-            return ctx.write_words
+            seen.append(ctx.write_words)
 
-        assert sim.run_round([Machine(0, consume)]) == [2]
+        sim.run_round([Machine(0, consume)])
+        assert seen == [2]
         m = sim.snapshot_metrics()
         assert m["dht_writes"] == 1 and m["dht_reads"] == 5
         assert sim.generation == {"sum": (10, 1)}
