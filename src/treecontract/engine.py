@@ -102,14 +102,11 @@ class Algebra:
 _NO_SLOTS = frozenset()
 
 
-def check_payload_budget(fault, words, slots, c_w, who, *who_args):
-    """A payload of `words` words with `slots` pending child slots must fit
-    C_w per slot plus C_w; else it is reported to `fault`, naming the payload
-    `who % who_args`."""
-    budget = c_w * (slots + 1)
-    if words > budget:
-        fault("%s: payload of %d words exceeds %d (non-conforming "
-              "contractor)" % (who % who_args, words, budget))
+def payload_fault(fault, who, words, budget):
+    """Report to `fault` that the payload `who`, of `words` words, exceeds
+    its budget of C_w per pending child slot plus C_w."""
+    fault("%s: payload of %d words exceeds %d (non-conforming contractor)"
+          % (who, words, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +329,10 @@ def _apply_results(tree, books, plans):
             virtual.add(survivor)
             slots = _NO_SLOTS
         slot_sets[survivor] = slots
-        pwords = table[survivor][1]
-        if pwords > c_w * (len(slots) + 1):
-            check_payload_budget(fault, pwords, len(slots), c_w,
-                                 "%s survivor %r", plan.label, survivor)
+        pwords, budget = table[survivor][1], c_w * (len(slots) + 1)
+        if pwords > budget:
+            payload_fault(fault, "%s survivor %r" % (plan.label, survivor),
+                          pwords, budget)
         log.append(*table[("LOG", plan.label, survivor)])
     for p, leaves in folded.items():
         tree.remove_leaves(p, leaves)
@@ -592,7 +589,7 @@ def _fresh_run(tree, plugin, sim):
         # would take the scalars off word_count's fast path
         words = 2 + word_count(edge) + word_count(data)
         if words > c_w:
-            check_payload_budget(fault, words, 0, c_w, "vertex %r", v)
+            payload_fault(fault, "vertex %r" % (v,), words, c_w)
         entries.append((v, (("k", v, edge, data, ()), words)))
     sim.store(entries)
     books = _Books(MappingProxyType(sim.generation), fault, c_w, dict.fromkeys(parent, _NO_SLOTS),

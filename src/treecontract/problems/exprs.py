@@ -480,9 +480,10 @@ def subexpression_values(log):
 
 
 def _evaluate_stepwise(tree, plugin):
-    """Evaluate the operator tree operands first, the left before the right,
-    as eval_reference does, so the first ExprArithmeticError raised is the
-    one the reference names."""
+    """The root's exact value, evaluated operands first, the left before the
+    right, as eval_reference does: the first ExprArithmeticError raised, a
+    pole that a composed Mobius edge would cancel included, is the one the
+    reference names."""
     value = {}
     stack = [(tree.root, False)]
     while stack:
@@ -496,23 +497,20 @@ def _evaluate_stepwise(tree, plugin):
         for at, c in enumerate(kids):
             data = plugin.absorb(data, (at, value.pop(c)))
         value[v] = plugin.node_value(data)
+    return value[tree.root]
 
 
 def evaluate_expression(s, cfg):
-    """Returns (exact Fraction value, operator tree, log, metrics). The log
-    is replayed before the value is returned: the replay performs each
-    operator on its exact operands, so a division by zero that a composed
-    Mobius edge cancelled still raises ExprArithmeticError. An error the
-    contraction or the replay meets is raised as the stepwise evaluation
-    meets it first, naming the position eval_reference names."""
+    """Returns (exact Fraction value, operator tree, log, metrics). The tree
+    is evaluated stepwise before any round runs, so an arithmetic error is
+    raised in strict and relaxed mode alike; the contraction's value must
+    equal the stepwise one, else LogIntegrityError is raised."""
     plugin = EvalAlgebra()
     tree, levels = _simplify(s, cfg)
+    want = _evaluate_stepwise(tree, plugin)
     sim = run_simulator(plugin, cfg, tree.n)
     _charge_pipeline(sim, levels)
-    try:
-        value, log, _ = bounded_tree_contract(tree, plugin, cfg, sim)
-        reconstruct(log, plugin)
-    except ExprArithmeticError:
-        _evaluate_stepwise(tree, plugin)
-        raise
+    value, log, _ = bounded_tree_contract(tree, plugin, cfg, sim)
+    if value != want:
+        raise LogIntegrityError("answer disagrees with the stepwise value")
     return value, tree, log, sim.snapshot_metrics()

@@ -89,7 +89,8 @@ class _Ctx:
     is charged the count stored with its key's value; a write counts its
     value once and keeps the (value, words) pair for the merge; a retired
     key stays readable until the round ends and is gone from the next
-    generation."""
+    generation. The context closes as its machine's body returns: a later
+    read, write or retire through it is a fault."""
 
     __slots__ = ("_table", "read_ops", "read_words", "writes", "write_words",
                  "retired", "_closed")
@@ -193,7 +194,8 @@ class Simulator:
 
     def run_round(self, machines):
         """Execute machine-programs one after another against the frozen
-        current generation; merge their retires and writes into it once every
+        current generation, refereeing each as its body returns and its
+        context closes; merge their retires and writes into it once every
         machine has run. A retire of a key that is missing, already retired
         this round or written this round is a fault, and is not applied.
         A body's return value is dropped: its writes are its only output."""
@@ -202,13 +204,11 @@ class Simulator:
             self.fault("round %d: %d machines exceed cap %d"
                        % (self.rounds, len(machines), self.cfg.machine_cap))
         table = self.generation
-        ctxs = [_Ctx(table) for _ in machines]
-        for m, ctx in zip(machines, ctxs):
-            m.run(ctx)
-
         merged, retired = {}, {}  # retired: key -> index of its machine
         cap, space = self.cfg.io_cap, self.cfg.S
-        for i, (m, ctx) in enumerate(zip(machines, ctxs)):
+        for i, m in enumerate(machines):
+            ctx = _Ctx(table)
+            m.run(ctx)
             ctx._closed = True
             if m.input_words > space:
                 self.fault("%s: input %d words exceeds local space %d"

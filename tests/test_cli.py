@@ -352,12 +352,22 @@ class TestExitCodes:
         assert code == 3 and "division by zero" in err
 
     def test_a_pole_a_chain_cancels_is_an_error(self, capsys):
-        # the composed edge over 1/(1/0) is the identity; the replay of the
-        # log divides by the 0
+        # the composed edge over 1/(1/0) is the identity; the stepwise
+        # evaluation divides by the 0
         code, out, err = run(capsys, "solve", "--problem", "eval",
                              "--input", "(2/(1/((1-1)+(1-1))))/2")
         assert code == 3 and out == ""
         assert err == "error: division by zero near position 5\n"
+
+    @pytest.mark.parametrize("mode", [[], ["--relaxed"]])
+    def test_a_pole_is_met_before_a_payload_fault(self, capsys, mode):
+        # the 400 terms overflow the payload budget at epsilon 1/2 in
+        # strict mode; the pole is met first, before any round runs
+        text = "+".join(["(1+2)"] * 400) + "+((2/(1/((1-1)+(1-1))))/2)"
+        code, out, err = run(capsys, "solve", "--problem", "eval",
+                             "--input", text, *mode)
+        assert code == 3 and out == ""
+        assert err == "error: division by zero near position 2406\n"
 
     def test_non_integer_parent_id(self, tmp_path, capsys):
         src = tmp_path / "t.tree"

@@ -2038,8 +2038,8 @@ REPLAY_RUNS = {
 # a virtual member standing in for a folded batch, and a fold
 EVERY_KIND = ("mwm/broom", "mwis/star")
 # the solvers whose answers need no replay: theirs is run on their log
-# (eval replays its own log, to check its exact arithmetic)
-REPLAY_PLUGINS = {"height": HeightAlgebra, "sum": sum_plugin}
+REPLAY_PLUGINS = {"eval": EvalAlgebra, "height": HeightAlgebra,
+                  "sum": sum_plugin}
 
 
 def _raised(fn, *args):

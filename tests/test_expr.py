@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from treecontract.errors import ExprArithmeticError, InputError
+from treecontract.errors import (ExprArithmeticError, InputError,
+                                 LogIntegrityError)
 from treecontract.oracles import eval_reference, random_expression
 from treecontract.problems import exprs
 from treecontract.problems.exprs import (EvalAlgebra, _charge_pipeline,
@@ -264,6 +265,18 @@ class TestEvaluate:
         with pytest.raises(ExprArithmeticError,
                            match="^division by zero near position 12$"):
             value_of(s, epsilon)
+
+    def test_a_contracted_value_that_differs_is_a_log_integrity_error(
+            self, monkeypatch):
+        contract = exprs.bounded_tree_contract
+
+        def off_by_one(tree, plugin, cfg, sim):
+            value, log, metrics = contract(tree, plugin, cfg, sim)
+            return value + 1, log, metrics
+
+        monkeypatch.setattr(exprs, "bounded_tree_contract", off_by_one)
+        with pytest.raises(LogIntegrityError, match="stepwise"):
+            value_of("(1+2)*(3+4)")
 
     @pytest.mark.parametrize("s", ["(1/0)**65", "(1/0)+2**65",
                                    "2**65+(1/0)", "(2**65)**0"])

@@ -301,7 +301,7 @@ def test_chain_keeps_the_child_contribution(name, seed):
         return  # the vertex stays in the residual tree
     if want[0] == "error":
         # a zero denominator on the way up, which the chained edge may
-        # cancel; the solver's replay raises it (see
+        # cancel; the solver's stepwise evaluation raises it (see
         # test_a_pole_inside_a_chain_is_an_error)
         return
     assert got == want
@@ -336,7 +336,7 @@ def test_lifted_c1_r1_compatibility(seed):
 
 # 1/(1/0) inside a chain: the composed edge is the identity, so the hole's 0
 # passes through it where the exact arithmetic divides by 0; the solver's
-# replay of its log divides by it. The first input is made by hand, the
+# stepwise evaluation divides by it. The first input is made by hand, the
 # others are the first that a fuzz over a/(b/Z), Z a sum of (1-1) terms,
 # found printing a value
 @pytest.mark.parametrize("epsilon", [0.5, 0.25])

@@ -201,6 +201,18 @@ class TestFreeze:
         with pytest.raises(SimFault):
             leak[0].write("b", 2)
 
+    def test_a_context_closes_as_its_body_returns(self):
+        sim = Simulator(cfg())
+        leak = []
+
+        def writes_through_the_first(ctx):
+            leak[0].write("b", 2)
+
+        with pytest.raises(SimFault, match="^write after round end"):
+            sim.run_round([Machine(0, leak.append),
+                           Machine(0, writes_through_the_first)])
+        assert "b" not in sim.generation
+
     def test_round_reads_frozen_previous_generation(self):
         # a write this round must not be visible to reads this round
         sim = seeded(cfg(), {"x": 1})
