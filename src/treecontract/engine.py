@@ -439,6 +439,10 @@ def _general_units(tree, plugin, cfg, books):
         for members, is_fringe in low_degree_components(tree, lam + 1):
             if not is_fringe or len(members) < 2:
                 continue
+            # as for the final round: 4 words a member put the plan over S
+            if 4 * len(members) > cfg.S:
+                nested.append(members)
+                continue
             plan = _comp_spec(tree, members, books, label + " compress")
             if _estimate(table, plan) <= cfg.S:
                 direct.append(plan)

@@ -139,10 +139,14 @@ def tree_isomorphism(t1, t2, cfg, seed=0):
     shrinking in n^ALPHA, so callers repeat with fresh seeds. Two steps run
     on one simulator sized by t1, each contracting both trees side by side
     in shared rounds: the height pass (phase "iso height"), then, after the
-    modulus draw, the polynomial pass (phase "iso polynomial"). The modulus
-    is a random integer in [B^2, 2B^2], B = max(1, h) * n^(ALPHA+1) for the
-    common height h, drawn from seed. t2 runs on a copy whose ids lie past
-    t1's, as the two runs share one table."""
+    modulus draw, the polynomial pass (phase "iso polynomial"). Once the
+    host has replayed the height logs to subtree heights, it retires every
+    key the height pass left (its LOG records and both root payloads), so
+    the polynomial pass starts on an empty table and the run's total words
+    are the larger pass's peak, not their sum. The modulus is a random
+    integer in [B^2, 2B^2], B = max(1, h) * n^(ALPHA+1) for the common
+    height h, drawn from seed. t2 runs on a copy whose ids lie past t1's,
+    as the two runs share one table."""
     detail = {"n_left": t1.n, "n_right": t2.n, "alpha": ALPHA, "seed": seed}
     height = HeightAlgebra()
     sim = run_simulator(height, cfg, t1.n)
@@ -161,6 +165,9 @@ def tree_isomorphism(t1, t2, cfg, seed=0):
         return False, detail
     heights1, heights2 = subtree_heights(log1), subtree_heights(log2)
     del log1, log2
+    # the heights are read: nothing reads the height pass's records and root
+    # payloads again, so the polynomial pass starts on an empty table
+    sim.store((), list(sim.generation))
     rng = random.Random(seed)
     base = max(1, h1) * t1.n ** (ALPHA + 1)
     m = rng.randint(base * base, 2 * base * base)

@@ -285,6 +285,28 @@ class TestGeneral:
         assert metrics["violations"] == []
         assert reconstruct(log, sum_plugin()) == subtree_sums(t)
 
+    def test_compress_plans_are_built_only_where_they_can_fit(self,
+                                                             monkeypatch):
+        # a plan holds 4 words a member, so a component of over S/4 members
+        # goes to a nested run without one being built for it
+        t = two_tails([60, 5, 5])
+        c = cfg(t.n, epsilon=1 / 3)
+        sizes = []
+        comp_spec = engine._comp_spec
+
+        def spied(tree, members, books, stage, root_outs_known=True):
+            if re.fullmatch(r"phase \d+ compress", stage):
+                sizes.append(len(members))
+            return comp_spec(tree, members, books, stage, root_outs_known)
+
+        monkeypatch.setattr(engine, "_comp_spec", spied)
+        answer, log, metrics = tree_contract(t, sum_plugin(), c)
+        assert answer == t.n and metrics["violations"] == []
+        assert sizes and all(4 * k <= c.S for k in sizes)
+        assert 4 * 60 > c.S
+        assert any(rec.label.startswith("phase 1 phase")
+                   for rec in log.records)
+
     def test_all_small_shapes_agree(self):
         plugin = sum_plugin()
         for n in range(1, 9):
@@ -1705,19 +1727,39 @@ class TestOneRecordForm:
 class TestRetiredPayloads:
     """A machine retires the payload keys of the members it contracts: each
     consumed payload lives on only inside the record written with it, and a
-    finished solve's table holds its LOG records and its roots' payloads."""
+    finished solve's table holds its LOG records and its roots' payloads.
+    The host retires keys only in iso, once, between its two passes: once
+    it has read the heights, every key the height pass left goes, so the
+    polynomial pass starts on an empty table."""
 
     @pytest.mark.parametrize("name", REGISTRY_NAMES)
     def test_the_table_after_a_solve(self, monkeypatch, name):
-        sims, contracted, unheld = [], set(), []
+        sims, contracted, unheld, host_retires = [], set(), [], []
         init, store = Simulator.__init__, Simulator.store
+        run_round = Simulator.run_round
+        in_round = []
 
         def recorded_init(sim, config):
             sims.append(sim)
             init(sim, config)
 
+        def recorded_run_round(sim, machines):
+            in_round.append(True)
+            try:
+                run_round(sim, machines)
+            finally:
+                in_round.pop()
+
         def recorded_store(sim, entries, retired=()):
-            entries = list(entries)
+            entries, retired = list(entries), list(retired)
+            if retired and not in_round:
+                keys = set(sim.generation)
+                store(sim, entries, retired)
+                host_retires.append((
+                    [p["label"] for p in sim.phases], entries,
+                    len(retired) == len(keys) and set(retired) == keys,
+                    dict(sim.generation), sim._gen_words))
+                return
             records = [value for key, (value, _w) in entries
                        if type(key) is tuple]
             for rec in records:
@@ -1730,10 +1772,19 @@ class TestRetiredPayloads:
             store(sim, entries, retired)
 
         monkeypatch.setattr(Simulator, "__init__", recorded_init)
+        monkeypatch.setattr(Simulator, "run_round", recorded_run_round)
         monkeypatch.setattr(Simulator, "store", recorded_store)
         run_registry(name, *registry_inputs(name))
         [sim] = sims
         assert contracted and unheld == []
+        if name == "iso":
+            # after the height pass, before the modulus draw: all of the
+            # table's keys, each once, and nothing stored in their place
+            assert host_retires == [(["iso height"], [], True, {}, 0)]
+            assert [p["label"] for p in sim.phases] == [
+                "iso height", "modulus draw", "iso polynomial"]
+        else:
+            assert host_retires == []
         table = sim.generation
         # a LOG key is a tuple, a payload's key its vertex id
         logged = [key for key in table if type(key) is tuple]

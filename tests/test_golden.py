@@ -102,7 +102,7 @@ GOLDEN = {
 }
 
 ISO_GOLDEN = {
-    "rounds": 25, "peak_machine_words": 512, "total_words": 35275,
+    "rounds": 25, "peak_machine_words": 512, "total_words": 22999,
     "dht_reads": 5076, "dht_writes": 1968, "verdict": True,
     "modulus": 326637205720375, "q_left": 117040723017685,
     "q_right": 117040723017685,

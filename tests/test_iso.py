@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from treecontract.engine import run_simulator, tree_contract
+from treecontract.engine import (contract_side_by_side, run_simulator,
+                                 tree_contract)
 from treecontract.oracles import (all_shapes, broom, caterpillar, height_table,
                                   isomorphic_rooted, path, random_tree,
                                   relabeled_copy, star)
+from treecontract.problems import iso
 from treecontract.problems.iso import (HeightAlgebra, IsoAlgebra, NEG_INF,
                                        detection_count, height_run,
                                        subtree_heights, tree_isomorphism)
@@ -256,3 +258,67 @@ class TestPairedPasses:
             want = sum(1 for _ in range(32) if not reference_tree_isomorphism(
                 a, b, cfg_for(7), seed=rng.randrange(2 ** 32))[0])
             assert detection_count(a, b, cfg_for(7), 32, seed=k) == want
+
+
+# ---------------------------------------------------------------------------
+# the table between the passes: once the heights are read, the height pass's
+# records and root payloads are retired, so the run peaks at one pass's size
+
+def leaf_moved_to_root(tree):
+    """tree with one of its shallower-than-height leaves moved under the
+    root: the same size and height."""
+    depth = {tree.root: 0}
+    for v in tree.preorder():
+        for c in tree.children[v]:
+            depth[c] = depth[v] + 1
+    top = max(depth.values())
+    leaf = next(v for v in tree.preorder() if not tree.children[v]
+                and 1 < depth[v] < top)
+    parent = dict(tree.parent)
+    parent[leaf] = tree.root
+    return Tree(tree.root, parent)
+
+
+def iso_pair(kind):
+    t = random_tree(300, 5)
+    if kind == "isomorphic":
+        other = relabeled_copy(t, 6)
+    else:
+        other = leaf_moved_to_root(t)
+        assert not isomorphic_rooted(t, other)
+    return t, other
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """label -> (the table as the pass starts, its words, total_words as
+    the pass ends), for each pass tree_isomorphism runs."""
+    seen = {}
+
+    def spied(runs, sim, label):
+        start = (dict(sim.generation), sim._gen_words)
+        out = contract_side_by_side(runs, sim, label)
+        seen[label] = start + (sim.total_words,)
+        return out
+
+    monkeypatch.setattr(iso, "contract_side_by_side", spied)
+    return seen
+
+
+class TestTableBetweenPasses:
+    @pytest.mark.parametrize("kind", ["isomorphic", "equal-height"])
+    def test_polynomial_pass_starts_on_an_empty_table(self, passes, kind):
+        t1, t2 = iso_pair(kind)
+        _verdict, detail = tree_isomorphism(t1, t2, cfg_for(t1.n), seed=3)
+        assert detail["reason"] == "polynomial"
+        table, words, _peak = passes["iso polynomial"]
+        assert table == {} and words == 0
+
+    @pytest.mark.parametrize("kind", ["isomorphic", "equal-height"])
+    def test_total_words_is_the_height_pass_peak(self, passes, kind):
+        t1, t2 = iso_pair(kind)
+        _verdict, detail = tree_isomorphism(t1, t2, cfg_for(t1.n), seed=3)
+        assert detail["reason"] == "polynomial"
+        height_peak = passes["iso height"][2]
+        assert height_peak > 0
+        assert detail["metrics"]["total_words"] == height_peak
