@@ -18,10 +18,11 @@ the cyclic collector paused.
 The host plans each contraction as a log.Record without its payloads, and
 one machine builder carries out every plan: it reads the members' payloads,
 which the table keys by vertex id, writes the survivor's new payload and
-fills the payloads into the plan. That record is its ("LOG", stage,
-survivor) table value and the host's log record. It holds the members'
-payloads, so the machine retires the key of every member but the survivor:
-each payload is held once in the table.
+fills the payloads into the plan. That record is the host's log record.
+A machine writes all of its records at once, as one LOG entry under
+("LOG", stage, its first plan's survivor): k plans cost k + 1 writes. A
+record holds the members' payloads, so the machine retires the key of
+every member but the survivor: each payload is held once in the table.
 """
 
 import gc
@@ -239,17 +240,20 @@ def _estimate(table, plan):
 def _machine(plugin, plans):
     """The machine that carries out `plans`, of one stage: for each, it reads
     the members' payloads, contracts the component or folds the sibling
-    batch, writes the survivor's payload, retires the other members and
-    writes the plan with its payloads filled in under its LOG key, counted
-    from its reads plus the record's header. Like every machine, it speaks
-    only through the table: its body returns nothing."""
+    batch, writes the survivor's payload and retires the other members. It
+    then writes its records, the plans with their payloads filled in, as one
+    LOG entry under ("LOG", stage, first plan's survivor): their tuple, in
+    plan order, counted as the sum of each record's read charges and header.
+    Like every machine, it speaks only through the table: its body returns
+    nothing."""
 
     def run(ctx):
+        records, words = [], 0
         for plan in plans:
             members, survivor = plan.members, plan.survivor
             read_before = ctx.read_words
             payloads = tuple([ctx.read(m) for m in members])
-            read_words = ctx.read_words - read_before
+            words += ctx.read_words - read_before
             if plan.kind == "connected":
                 payload = contract_component(plugin, members, plan.parents,
                                              plan.outs, payloads)
@@ -264,8 +268,10 @@ def _machine(plugin, plans):
             ctx.write(survivor, payload)
             ctx.retire(members[1:])
             rec = plan._replace(payloads=payloads)
-            ctx.write(("LOG", plan.label, survivor), rec,
-                      read_words + rec.header_words())
+            records.append(rec)
+            words += rec.header_words()
+        ctx.write(("LOG", plans[0].label, plans[0].survivor), tuple(records),
+                  words)
 
     return Machine(sum(map(_plan_words, plans)), run, plans[0].label)
 
@@ -304,36 +310,38 @@ def _pack(items, sizes, cap):
     return bins
 
 
-def _apply_results(tree, books, plans):
-    """Apply one round to the host tree, from its plans in machine order and
-    what their machines wrote to the table. The host derives a survivor's
-    slot ids: for a component, the slots its members held plus the outs of
-    every member but the survivor, less the members; a folded leaf has none.
-    The survivor's payload count in the table is checked against the budget
-    for that many slots, and the record and its count, read under the
-    plan's LOG key, join the log. Folded leaves go once the round's records
-    are in, one pass per parent."""
+def _apply_results(tree, books, bundles):
+    """Apply one round to the host tree, from its bundles of plans, one per
+    machine in machine order, and what their machines wrote to the table.
+    The host derives a survivor's slot ids: for a component, the slots its
+    members held plus the outs of every member but the survivor, less the
+    members; a folded leaf has none. The survivor's payload count in the
+    table is checked against the budget for that many slots. Each machine's
+    LOG entry, read once under its first plan's key, adds its records and
+    their count to the log. Folded leaves go once the round's records are
+    in, one pass per parent."""
     table, fault, c_w = books.table, books.fault, books.c_w
     slot_sets, virtual, log = books.slots, books.virtual, books.log
     folded = {}
-    for plan in plans:
-        members, survivor = plan.members, plan.survivor
-        if plan.kind == "connected":
-            mset = set(members)
-            slots = set().union(*[slot_sets[m] for m in members],
-                                *plan.outs[1:])
-            slots -= mset
-            tree.contract(mset, survivor)
-        else:
-            folded.setdefault(plan.parent_out, []).extend(members[1:])
-            virtual.add(survivor)
-            slots = _NO_SLOTS
-        slot_sets[survivor] = slots
-        pwords, budget = table[survivor][1], c_w * (len(slots) + 1)
-        if pwords > budget:
-            payload_fault(fault, "%s survivor %r" % (plan.label, survivor),
-                          pwords, budget)
-        log.append(*table[("LOG", plan.label, survivor)])
+    for plans in bundles:
+        for plan in plans:
+            members, survivor = plan.members, plan.survivor
+            if plan.kind == "connected":
+                mset = set(members)
+                slots = set().union(*[slot_sets[m] for m in members],
+                                    *plan.outs[1:])
+                slots -= mset
+                tree.contract(mset, survivor)
+            else:
+                folded.setdefault(plan.parent_out, []).extend(members[1:])
+                virtual.add(survivor)
+                slots = _NO_SLOTS
+            slot_sets[survivor] = slots
+            pwords, budget = table[survivor][1], c_w * (len(slots) + 1)
+            if pwords > budget:
+                payload_fault(fault, "%s survivor %r" % (plan.label, survivor),
+                              pwords, budget)
+        log.extend(*table[("LOG", plans[0].label, plans[0].survivor)])
     for p, leaves in folded.items():
         tree.remove_leaves(p, leaves)
 
@@ -353,14 +361,14 @@ def sibling_batch(cfg):
 
 def _round(tree, plugin, books, plans, cap):
     """One round that carries out `plans`, all of one stage: the plans,
-    sized by _estimate, are packed into machines of `cap` words (with cap
-    None, `plans` are bundles already, one machine each). Once the round
-    has run, the stream resumes and applies the plans from the table."""
+    sized by _estimate, are packed into bundles of `cap` words (with cap
+    None, `plans` are bundles already), one machine each, which writes one
+    LOG entry. Once the round has run, the stream resumes and applies the
+    bundles from the table."""
     bundles = plans if cap is None else _pack(
         plans, [_estimate(books.table, plan) for plan in plans], cap)
     yield ("round", [_machine(plugin, bundle) for bundle in bundles])
-    _apply_results(tree, books, [plan for bundle in bundles
-                                 for plan in bundle])
+    _apply_results(tree, books, bundles)
 
 
 def _rake(tree, plugin, cfg, books, stage, root_outs_known):
@@ -439,8 +447,9 @@ def _general_units(tree, plugin, cfg, books):
         for members, is_fringe in low_degree_components(tree, lam + 1):
             if not is_fringe or len(members) < 2:
                 continue
-            # as for the final round: 4 words a member put the plan over S
-            if 4 * len(members) > cfg.S:
+            # 4 words a member and the members' payloads, a lower bound on
+            # _estimate that the outs only add to, put the plan over S
+            if 4 * len(members) + sum([table[m][1] for m in members]) > cfg.S:
                 nested.append(members)
                 continue
             plan = _comp_spec(tree, members, books, label + " compress")

@@ -265,9 +265,9 @@ class ContractionLog:
         self.records = []
         self.total_words = 0
 
-    def append(self, rec, words):
-        """Add a record of `words` words."""
-        self.records.append(rec)
+    def extend(self, records, words):
+        """Add `records`, of `words` words together."""
+        self.records += records
         self.total_words += words
 
     def save(self, path):
@@ -301,7 +301,7 @@ class ContractionLog:
             log.final_payload = final_payload
             for _ in range(count):
                 obj, pos = _dec_obj(buf, pos)
-                log.append(_loaded_record(obj), word_count(obj))
+                log.extend((_loaded_record(obj),), word_count(obj))
         except (TypeError, ValueError) as exc:
             raise InputError("malformed contraction log: %s" % exc) from None
         if pos != len(buf):

@@ -12,9 +12,10 @@ value's words are counted once, when it is written, and kept beside it: the
 generation maps each key to the pair (value, words), a read is charged the
 pair's count, and the round-end merge reuses the writer's count for the new
 value and the stored count for the value it replaces. A writer that already
-holds the count passes it to the write: the engine counts a contraction
-record from the words its payload reads were charged plus the record's
-header. The table is the machines' only output. It is the only holder of
+holds the count passes it to the write: the engine counts a machine's LOG
+entry, the tuple of its contraction records, as the sum over its records of
+the words their payload reads were charged plus each record's header. The
+table is the machines' only output. It is the only holder of
 payloads and their counts; the host reads counts and records from a
 read-only view of it and copies neither.
 Costs of cited external subroutines are charged as opaque round blocks

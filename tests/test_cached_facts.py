@@ -1,9 +1,9 @@
 """Facts the engine keeps instead of recomputing must equal recomputation.
 
 The host derives each survivor's slot ids from the round's plans, the
-simulator's table holds each value beside its word count, and a contraction
-record is counted from the words its payload reads were charged plus the
-record's header.
+simulator's table holds each value beside its word count, and a machine's
+LOG entry is counted from the words its records' payload reads were charged
+plus each record's header.
 Every problem runs here at n = 2^9 with checks swapped in: each count a
 writer passes to `_Ctx.write` must equal `word_count` of the value, each
 kept slot set `_comp_spec` reads must equal the slot ids of the member's
@@ -80,7 +80,9 @@ def checked(monkeypatch):
     def checked_write(ctx, key, value, words=None):
         if words is not None:
             assert words == word_count(value), key
-            seen["given"] += 1
+            # the one write given its count is a machine's LOG entry, the
+            # tuple of its records
+            seen["given"] += len(value)
         return write(ctx, key, value, words)
 
     fresh_run = engine._fresh_run

@@ -307,6 +307,31 @@ class TestGeneral:
         assert any(rec.label.startswith("phase 1 phase")
                    for rec in log.records)
 
+    @pytest.mark.parametrize("n, epsilon, seed", [
+        (256, 1 / 4, 1), (512, 1 / 3, 5)])
+    def test_compress_plans_are_built_only_where_estimate_fits(
+            self, monkeypatch, n, epsilon, seed):
+        # components of at most S/4 members whose payloads put them over S
+        # go to a nested run without a plan being built for them
+        t = random_tree(n, seed)
+        c = cfg(t.n, epsilon=epsilon)
+        estimates = []
+        estimate = engine._estimate
+
+        def spied(table, plan):
+            words = estimate(table, plan)
+            if re.fullmatch(r"phase \d+ compress", plan.label):
+                estimates.append(words)
+            return words
+
+        monkeypatch.setattr(engine, "_estimate", spied)
+        _answer, log, metrics = tree_contract(t, HeightAlgebra(), c)
+        assert metrics["violations"] == []
+        assert reconstruct(log, HeightAlgebra()) == oracles.height_table(t)
+        assert estimates and max(estimates) <= c.S
+        assert any(rec.label.startswith("phase 1 phase")
+                   for rec in log.records)
+
     def test_all_small_shapes_agree(self):
         plugin = sum_plugin()
         for n in range(1, 9):
@@ -1119,7 +1144,7 @@ def logs(draw):
     log = ContractionLog(draw(ids), draw(st.lists(ids, max_size=20)))
     log.final_payload = draw(st.one_of(st.none(), payloads))
     for rec in draw(st.lists(records(), max_size=3)):
-        log.append(rec, 0)
+        log.extend((rec,), 0)
     return log
 
 
@@ -1221,7 +1246,7 @@ class TestShapeSave:
                      (None, 1, True), ((True, 1), (), tuple(range(128))), 1)
         log = ContractionLog(1, (True, 1, 2, 8))
         log.final_payload = odd
-        log.append(rec, 0)
+        log.extend((rec,), 0)
         out = bytearray(LOG_MAGIC)
         _enc_obj((log.root, log.vertices, odd, 1), out)
         _enc_obj(rec, out)
@@ -1633,7 +1658,7 @@ class TestOneSimulatorPerSolve:
 
 class TestOneRecordForm:
     """A machine builds each record once: the log holds the very object the
-    simulator's table holds under the record's LOG key."""
+    simulator's table holds inside its machine's LOG entry, in plan order."""
 
     @pytest.mark.parametrize("name", REGISTRY_NAMES)
     def test_log_records_are_the_table_values(self, name):
@@ -1664,17 +1689,23 @@ class TestOneRecordForm:
             logs = [log]
         for log in logs:
             assert len(log.records) > 1
-            for rec in log.records:
-                assert type(rec) is Record
-                entry = sim.generation[("LOG", rec.label, rec.survivor)]
-                assert entry[0] is rec
+            i = 0
+            while i < len(log.records):
+                rec = log.records[i]
+                entry = sim.generation[("LOG", rec.label, rec.survivor)][0]
+                assert type(entry) is tuple and entry
+                for j, held in enumerate(entry):
+                    assert type(held) is Record
+                    assert held is log.records[i + j]
+                i += len(entry)
 
     @pytest.mark.parametrize("name", REGISTRY_NAMES)
     def test_records_are_their_plans_with_the_payloads(self, monkeypatch,
                                                        name):
-        """Each machine writes, under each plan's LOG key, the plan with the
-        payloads its members held in the frozen generation filled in, and
-        leaves the plan itself without payloads."""
+        """Each machine writes one LOG entry, under its first plan's key: in
+        plan order, each plan with the payloads its members held in the
+        frozen generation filled in. It leaves the plans themselves without
+        payloads."""
         seen = {"connected": 0, "sibling": 0}
         machine = engine._machine
 
@@ -1687,10 +1718,12 @@ class TestOneRecordForm:
                     [ctx._table[m][0] for m in plan.members]))
                     for plan in plans]
                 run(ctx)
-                for plan, rec in zip(plans, want):
+                entry = ctx.writes[("LOG", plans[0].label,
+                                    plans[0].survivor)][0]
+                assert type(entry) is tuple and len(entry) == len(plans)
+                for plan, rec, held in zip(plans, want, entry):
                     assert type(plan) is Record and plan.payloads is None
-                    key = ("LOG", plan.label, plan.survivor)
-                    assert ctx.writes[key][0] == rec
+                    assert type(held) is Record and held == rec
                     seen[plan.kind] += 1
 
             built.run = checked_run
@@ -1727,7 +1760,8 @@ class TestOneRecordForm:
 class TestRetiredPayloads:
     """A machine retires the payload keys of the members it contracts: each
     consumed payload lives on only inside the record written with it, and a
-    finished solve's table holds its LOG records and its roots' payloads.
+    finished solve's table holds one LOG entry per machine and its roots'
+    payloads.
     The host retires keys only in iso, once, between its two passes: once
     it has read the heights, every key the height pass left goes, so the
     polynomial pass starts on an empty table."""
@@ -1737,13 +1771,14 @@ class TestRetiredPayloads:
         sims, contracted, unheld, host_retires = [], set(), [], []
         init, store = Simulator.__init__, Simulator.store
         run_round = Simulator.run_round
-        in_round = []
+        in_round, machines_run = [], [0]
 
         def recorded_init(sim, config):
             sims.append(sim)
             init(sim, config)
 
         def recorded_run_round(sim, machines):
+            machines_run[0] += len(machines)
             in_round.append(True)
             try:
                 run_round(sim, machines)
@@ -1755,13 +1790,14 @@ class TestRetiredPayloads:
             if retired and not in_round:
                 keys = set(sim.generation)
                 store(sim, entries, retired)
+                machines_run[0] = 0
                 host_retires.append((
                     [p["label"] for p in sim.phases], entries,
                     len(retired) == len(keys) and set(retired) == keys,
                     dict(sim.generation), sim._gen_words))
                 return
-            records = [value for key, (value, _w) in entries
-                       if type(key) is tuple]
+            records = [rec for key, (value, _w) in entries
+                       if type(key) is tuple for rec in value]
             for rec in records:
                 contracted.update(rec.members[1:])
             for key in retired:
@@ -1790,10 +1826,65 @@ class TestRetiredPayloads:
         logged = [key for key in table if type(key) is tuple]
         live = [key for key in table if type(key) is not tuple]
         assert all(key[0] == "LOG" for key in logged)
+        assert len(logged) == machines_run[0]
         assert len(live) == (2 if name == "iso" else 1)
         assert contracted.isdisjoint(live)
         assert sim._gen_words == sum(1 + words for _value, words
                                      in table.values())
+
+
+class TestWritesPerRound:
+    """A machine writes each plan's survivor payload and one LOG entry, the
+    tuple of its records counted as their sum; the entries, in round and
+    machine order, are the log."""
+
+    @pytest.mark.parametrize("name", REGISTRY_NAMES)
+    def test_one_log_entry_per_machine(self, monkeypatch, name):
+        calls = []  # per _contract call: its rounds, then its logs
+        plans_of = {}  # id of a built machine -> its plans
+        machine, contract = engine._machine, engine._contract
+        run_round = Simulator.run_round
+
+        def recorded_machine(plugin, plans):
+            built = machine(plugin, plans)
+            plans_of[id(built)] = plans
+            return built
+
+        def recorded_run_round(sim, machines):
+            plans = [plans_of[id(m)] for m in machines]
+            writes = sim.dht_writes
+            run_round(sim, machines)
+            assert sim.dht_writes - writes == (
+                sum(map(len, plans)) + len(machines))
+            entries = []
+            for bundle in plans:
+                value, words = sim.generation[
+                    ("LOG", bundle[0].label, bundle[0].survivor)]
+                assert type(value) is tuple and len(value) == len(bundle)
+                assert words == sum(word_count(rec) for rec in value)
+                entries.append(value)
+            calls[-1][0].append(entries)
+
+        def recorded_contract(runs, sim, units, label):
+            calls.append(([], None))
+            out, metrics = contract(runs, sim, units, label)
+            calls[-1] = (calls[-1][0], [log for _answer, log in out])
+            return out, metrics
+
+        monkeypatch.setattr(engine, "_machine", recorded_machine)
+        monkeypatch.setattr(engine, "_contract", recorded_contract)
+        monkeypatch.setattr(Simulator, "run_round", recorded_run_round)
+        run_registry(name, *registry_inputs(name))
+        assert calls
+        for rounds, logs in calls:
+            assert sum(len(log.records) for log in logs) == sum(
+                len(value) for entries in rounds for value in entries)
+            for log in logs:
+                ids = set(log.vertices)
+                records = [rec for entries in rounds for value in entries
+                           if value[0].survivor in ids for rec in value]
+                assert len(records) == len(log.records) > 0
+                assert all(a is b for a, b in zip(records, log.records))
 
 
 class TestCollectorHandoff:
