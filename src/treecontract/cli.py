@@ -77,8 +77,12 @@ def _digest(blob):
 
 def _cmd_solve(args):
     entry = REGISTRY[args.problem]
+    instances = _load_inputs(args, entry["arity"])
+    if args.log and len(instances) > 1:
+        raise InputError("--log saves the log of one input instance, not %d"
+                         % len(instances))
     worst = 0
-    for trees, text, _ in _load_inputs(args, entry["arity"]):
+    for trees, text, _ in instances:
         cfg = _cfg_for(args, trees, text)
         result = entry["solve"](trees, text, cfg, args.seed)
         for line in result["lines"]:
@@ -190,7 +194,6 @@ def _run_flags(sub):
 def _common(sub):
     sub.add_argument("--epsilon", type=float, default=0.5)
     sub.add_argument("--report", metavar="PATH")
-    sub.add_argument("--log", metavar="PATH")
     _run_flags(sub)
 
 
@@ -214,6 +217,7 @@ def _build_parser():
     solve.add_argument("--input", action="append",
                        help="tree file; twice for pair problems; an "
                             "expression file or literal for eval")
+    solve.add_argument("--log", metavar="PATH")
     _common(solve)
 
     verify = subs.add_parser("verify", help="solve and compare with oracles")

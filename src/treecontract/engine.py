@@ -9,11 +9,12 @@ problem's edge object toward the current parent (None at the tree root, and
 everywhere in unary algebras). Plain pending children are not represented:
 only the payload's root node may have them, and the host ships their ids
 alongside each component, so a payload stays O(C_w) words no matter how many
-children a vertex has. Problem semantics live entirely in an Algebra
-instance; the engine contracts each component in one pass over its members'
-payload tuples, children first, and keeps the books. Nothing it builds
-refers back to its parent, so a run leaves no reference cycles and runs with
-the cyclic collector paused.
+children a vertex has. A live child u of v is a slot of v's payload iff
+u's parent in the input tree is not v. Problem semantics live entirely in
+an Algebra instance; the engine contracts each component in one pass over
+its members' payload tuples, children first, and keeps the books. Nothing
+it builds refers back to its parent, so a run leaves no reference cycles
+and runs with the cyclic collector paused.
 
 The host plans each contraction as a log.Record without its payloads, and
 one machine builder carries out every plan: it reads the members' payloads,
@@ -98,9 +99,6 @@ class Algebra:
 
     def finalize(self, data):
         return self.node_value(data)
-
-
-_NO_SLOTS = frozenset()
 
 
 def payload_fault(fault, who, words, budget):
@@ -188,16 +186,17 @@ def contract_component(plugin, members, parents, outs, payloads):
 # ---------------------------------------------------------------------------
 # machine builders
 
-class _Books(namedtuple("_Books", "table fault c_w slots virtual log")):
+class _Books(namedtuple("_Books", "table fault c_w origin virtual log")):
     """What the host plans from besides the tree: a read-only view of the
     simulator's table (table), of which the host reads only the counts, so
     table[v][1] is the word count of v's payload while v is live (the
     machine that contracts v away retires the key); the simulator's fault
     hook (fault), which raises or records a budget or cap violation, and the
-    plugin's C_w (c_w); per vertex, the ids of its payload's pending slots
-    (slots), which the host derives from each round's plans; the vertices
-    that stand in for a folded sibling batch (virtual); and the contraction
-    log. Payloads themselves live only in the simulator's store."""
+    plugin's C_w (c_w); the parent map of the input tree (origin), read and
+    never written, by which a live child u of v is a pending slot of v's
+    payload iff origin[u] != v; the vertices that stand in for a folded
+    sibling batch (virtual); and the contraction log. Payloads themselves
+    live only in the simulator's store."""
 
     __slots__ = ()
 
@@ -206,7 +205,7 @@ def _comp_spec(tree, members, books, stage, root_outs_known=True):
     """The plan of one connected contraction under `stage`: its Record, with
     no payloads yet."""
     mset = set(members)
-    parent, children, slot_sets = tree.parent, tree.children, books.slots
+    parent, children, origin = tree.parent, tree.children, books.origin
     parents, outs = [], []
     for i, m in enumerate(members):
         p = parent[m]
@@ -215,9 +214,8 @@ def _comp_spec(tree, members, books, stage, root_outs_known=True):
         if not kids or (i == 0 and not root_outs_known):
             outs.append(())
             continue
-        slots = slot_sets[m]
         outs.append(tuple([u for u in kids
-                           if u not in mset and u not in slots]))
+                           if origin[u] == m and u not in mset]))
     virtual = books.virtual
     return Record(stage, "connected", members[0], tuple(members), None,
                   tuple(sorted([m for m in members if m in virtual])), None,
@@ -313,31 +311,25 @@ def _pack(items, sizes, cap):
 def _apply_results(tree, books, bundles):
     """Apply one round to the host tree, from its bundles of plans, one per
     machine in machine order, and what their machines wrote to the table.
-    The host derives a survivor's slot ids: for a component, the slots its
-    members held plus the outs of every member but the survivor, less the
-    members; a folded leaf has none. The survivor's payload count in the
-    table is checked against the budget for that many slots. Each machine's
-    LOG entry, read once under its first plan's key, adds its records and
-    their count to the log. Folded leaves go once the round's records are
-    in, one pass per parent."""
+    Each survivor's payload count in the table is checked against the
+    budget for its slots, its children by the origin rule once its component
+    is contracted. Each machine's LOG entry, read once under its first
+    plan's key, adds its records and their count to the log. Folded leaves
+    go once the round's records are in, one pass per parent."""
     table, fault, c_w = books.table, books.fault, books.c_w
-    slot_sets, virtual, log = books.slots, books.virtual, books.log
+    origin, virtual, log = books.origin, books.virtual, books.log
+    children = tree.children
     folded = {}
     for plans in bundles:
         for plan in plans:
             members, survivor = plan.members, plan.survivor
             if plan.kind == "connected":
-                mset = set(members)
-                slots = set().union(*[slot_sets[m] for m in members],
-                                    *plan.outs[1:])
-                slots -= mset
-                tree.contract(mset, survivor)
+                tree.contract(set(members), survivor)
             else:
                 folded.setdefault(plan.parent_out, []).extend(members[1:])
                 virtual.add(survivor)
-                slots = _NO_SLOTS
-            slot_sets[survivor] = slots
-            pwords, budget = table[survivor][1], c_w * (len(slots) + 1)
+            slots = sum([origin[u] != survivor for u in children[survivor]])
+            pwords, budget = table[survivor][1], c_w * (slots + 1)
             if pwords > budget:
                 payload_fault(fault, "%s survivor %r" % (plan.label, survivor),
                               pwords, budget)
@@ -359,21 +351,17 @@ def sibling_batch(cfg):
     return max(2, math.ceil(cfg.n ** cfg.epsilon))
 
 
-def _round(tree, plugin, books, plans, cap):
-    """One round that carries out `plans`, all of one stage: the plans,
-    sized by _estimate, are packed into bundles of `cap` words (with cap
-    None, `plans` are bundles already), one machine each, which writes one
-    LOG entry. Once the round has run, the stream resumes and applies the
-    bundles from the table."""
-    bundles = plans if cap is None else _pack(
-        plans, [_estimate(books.table, plan) for plan in plans], cap)
+def _round(tree, plugin, books, bundles):
+    """One round that carries out `bundles`, lists of plans of one stage,
+    one machine each, which writes one LOG entry. Once the round has run,
+    the stream resumes and applies the bundles from the table."""
     yield ("round", [_machine(plugin, bundle) for bundle in bundles])
     _apply_results(tree, books, bundles)
 
 
 def _rake(tree, plugin, cfg, books, stage, root_outs_known):
     """One round under `stage` that contracts every parent with its leaf
-    children, one plan per parent, which _round sizes and packs."""
+    children, one plan per parent, packed by _estimate."""
     children = tree.children
     plans = []
     for p, kids in children.items():
@@ -381,7 +369,8 @@ def _rake(tree, plugin, cfg, books, stage, root_outs_known):
         if leaf_kids:
             plans.append(_comp_spec(tree, (p,) + tuple(leaf_kids), books,
                                     stage, root_outs_known))
-    yield from _round(tree, plugin, books, plans, cfg.S)
+    yield from _round(tree, plugin, books, _pack(
+        plans, [_estimate(books.table, plan) for plan in plans], cfg.S))
 
 
 def _bounded_units(tree, plugin, cfg, books, prefix=""):
@@ -415,7 +404,7 @@ def _bounded_units(tree, plugin, cfg, books, prefix=""):
             if len(comp) > 1:
                 per_group.setdefault(gi, []).append(
                     _comp_spec(tree, comp, books, label + " compress"))
-        yield from _round(tree, plugin, books, per_group.values(), None)
+        yield from _round(tree, plugin, books, per_group.values())
         yield from _rake(tree, plugin, cfg, books, label + " rake", True)
         if tree.n > max(1, k):
             raise LogIntegrityError(
@@ -427,6 +416,7 @@ def _general_units(tree, plugin, cfg, books):
     lam = degree_budget(cfg)
     alpha = sibling_batch(cfg)
     table, virtual, children = books.table, books.virtual, tree.children
+    origin = books.origin
     phase = 0
     while tree.n > 1:
         # the all-vertex plan holds 4 words per vertex besides its payloads,
@@ -434,7 +424,7 @@ def _general_units(tree, plugin, cfg, books):
         if 4 * tree.n <= cfg.S:
             plan = _comp_spec(tree, tuple(tree.vertices()), books, "final")
             if _estimate(table, plan) <= cfg.S:
-                yield from _round(tree, plugin, books, [plan], cfg.S)
+                yield from _round(tree, plugin, books, [[plan]])
                 break
         phase += 1
         if phase > cfg.phase_cap:
@@ -443,7 +433,7 @@ def _general_units(tree, plugin, cfg, books):
         label = "phase %d" % phase
         n_before = tree.n
         yield ("charge", "connectivity", cfg.inv_eps)
-        direct, nested = [], []
+        direct, sizes, nested = [], [], []
         for members, is_fringe in low_degree_components(tree, lam + 1):
             if not is_fringe or len(members) < 2:
                 continue
@@ -453,11 +443,13 @@ def _general_units(tree, plugin, cfg, books):
                 nested.append(members)
                 continue
             plan = _comp_spec(tree, members, books, label + " compress")
-            if _estimate(table, plan) <= cfg.S:
+            words = _estimate(table, plan)
+            if words <= cfg.S:
                 direct.append(plan)
+                sizes.append(words)
             else:
                 nested.append(members)
-        yield from _round(tree, plugin, books, direct, cfg.S)
+        yield from _round(tree, plugin, books, _pack(direct, sizes, cfg.S))
         if nested:
             slices, subs = [], []
             for members in nested:
@@ -476,9 +468,8 @@ def _general_units(tree, plugin, cfg, books):
             stage = "%s rake L%d" % (label, level + 1)
             batches = []
             for p, kids in children.items():
-                slots = books.slots[p]
                 leaf_kids = [u for u in kids
-                             if not children[u] and u not in slots]
+                             if not children[u] and origin[u] == p]
                 for i in range(0, len(leaf_kids), alpha):
                     chunk = tuple(leaf_kids[i:i + alpha])
                     if len(chunk) > 1:
@@ -492,7 +483,8 @@ def _general_units(tree, plugin, cfg, books):
             if level > cfg.inv_eps:
                 books.fault("%s sibling level %d exceeds %d"
                             % (label, level, cfg.inv_eps))
-            yield from _round(tree, plugin, books, batches, cfg.S)
+            yield from _round(tree, plugin, books, _pack(
+                batches, [_estimate(table, b) for b in batches], cfg.S))
         yield from _rake(tree, plugin, cfg, books, label + " fold", False)
         if tree.n >= n_before:
             raise LogIntegrityError("%s made no progress (%d vertices)"
@@ -605,7 +597,7 @@ def _fresh_run(tree, plugin, sim):
             payload_fault(fault, "vertex %r" % (v,), words, c_w)
         entries.append((v, (("k", v, edge, data, ()), words)))
     sim.store(entries)
-    books = _Books(MappingProxyType(sim.generation), fault, c_w, dict.fromkeys(parent, _NO_SLOTS),
+    books = _Books(MappingProxyType(sim.generation), fault, c_w, tree_parent,
                    set(), ContractionLog(tree.root, parent))
     return Tree.of_shape(tree.root, parent, children), books
 

@@ -1,16 +1,17 @@
 """Facts the engine keeps instead of recomputing must equal recomputation.
 
-The host derives each survivor's slot ids from the round's plans, the
+The host tells a payload's pending slots by the input tree's parent map (a
+live child u of v is a slot of v's payload iff origin[u] != v), the
 simulator's table holds each value beside its word count, and a machine's
 LOG entry is counted from the words its records' payload reads were charged
 plus each record's header.
 Every problem runs here at n = 2^9 with checks swapped in: each count a
-writer passes to `_Ctx.write` must equal `word_count` of the value, each
-kept slot set `_comp_spec` reads must equal the slot ids of the member's
-payload in the store, after every round each table entry must be a
-(value, words) pair whose words equal `word_count` of the value, and the
-host's books must equal what the live payloads in the store give when
-walked again.
+writer passes to `_Ctx.write` must equal `word_count` of the value, before
+each `_comp_spec` the slots the origin rule gives each member must equal
+the slot ids of its payload in the store, after every round each table
+entry must be a (value, words) pair whose words equal `word_count` of the
+value, and the host's books must equal what the live payloads in the store
+give when walked again.
 """
 
 import pytest
@@ -26,11 +27,16 @@ SEED = 5
 
 
 def _slot_nodes(rnode):
-    """Slot nodes of a residual tree, counted with multiplicity: the budget
-    check's slot count before slot sets were kept."""
+    """Slot nodes of a residual tree, counted with multiplicity, found by
+    walking every node of it."""
     if rnode[0] == "s":
         return 1
     return sum(_slot_nodes(kid) for kid in rnode[4])
+
+
+def _origin_slots(tree, books, v):
+    """The children of v that the origin rule calls slots of v's payload."""
+    return [u for u in tree.children[v] if books.origin[u] != v]
 
 
 def _expression():
@@ -55,6 +61,9 @@ CASES = {
         (" rake L2", "phase 2 phase 1 compress")),
     "mwis": ("mwis", 0.5, lambda: ([oracles.with_vertex_weights(
         oracles.star(N), SEED)], None), (" rake L2", " fold")),
+    # lambda = 2 at this small S, and runs are nested
+    "mwis_caterpillar": ("mwis", 0.15, lambda: ([oracles.with_vertex_weights(
+        oracles.caterpillar(N), SEED)], None), ("phase 1 phase 1 compress",)),
     "mis": ("mis", 0.5, lambda: ([oracles.random_tree(N, SEED)], None),
             ("phase 1 compress",)),
     "matching": ("matching", 0.5, lambda: ([oracles.broom(N)], None),
@@ -105,7 +114,10 @@ def checked(monkeypatch):
     def checked_comp_spec(tree, members, books, stage, root_outs_known=True):
         generation = store["generation"]
         for m in members:
-            assert books.slots[m] == payload_slot_ids(generation[m][0]), m
+            payload = generation[m][0]
+            slots = _origin_slots(tree, books, m)
+            assert set(slots) == payload_slot_ids(payload), m
+            assert len(slots) == _slot_nodes(payload), m
         seen["specs"] += 1
         return comp_spec(tree, members, books, stage, root_outs_known)
 
@@ -119,8 +131,9 @@ def checked(monkeypatch):
         for v in tree.vertices():
             payload = generation[v][0]
             assert books.table[v] is generation[v], v
-            assert books.slots[v] == payload_slot_ids(payload), v
-            assert len(books.slots[v]) == _slot_nodes(payload), v
+            slots = _origin_slots(tree, books, v)
+            assert set(slots) == payload_slot_ids(payload), v
+            assert len(slots) == _slot_nodes(payload), v
         seen["books"] += 1
 
     monkeypatch.setattr(sim._Ctx, "write", checked_write)

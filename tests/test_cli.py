@@ -140,6 +140,16 @@ class TestSolve:
         log = ContractionLog.load(str(logp))
         assert log.root == 1 and set(log.vertices) == {1, 2, 3}
 
+    def test_log_of_several_instances_is_an_input_error(self, tmp_path,
+                                                         capsys):
+        src = self._write(tmp_path, "3 1\n1 -\n2 1\n3 2\n")
+        logp = tmp_path / "run.log"
+        code, out, err = run(capsys, "solve", "--problem", "height",
+                             "--input", src, "--input", src,
+                             "--log", str(logp))
+        assert code == 3 and out == "" and "--log" in err
+        assert not logp.exists()
+
     def test_iso_verdict_codes(self, tmp_path, capsys):
         p = self._write(tmp_path, "3 1\n1 -\n2 1\n3 2\n", "p.tree")
         s = self._write(tmp_path, "3 1\n1 -\n2 1\n3 1\n", "s.tree")
@@ -276,6 +286,8 @@ class TestExitCodes:
         (["solve", "--problem", "mwm", "--epsilon", "abc"],
          "invalid float value: 'abc'"),
         ([], "the following arguments are required: cmd"),
+        (["verify", "--problem", "height", "--input", "t", "--log", "x"],
+         "unrecognized arguments: --log x"),
     ])
     def test_malformed_argument(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

@@ -312,14 +312,16 @@ class TestGeneral:
     def test_compress_plans_are_built_only_where_estimate_fits(
             self, monkeypatch, n, epsilon, seed):
         # components of at most S/4 members whose payloads put them over S
-        # go to a nested run without a plan being built for them
+        # go to a nested run without a plan being built for them, and each
+        # plan is sized once
         t = random_tree(n, seed)
         c = cfg(t.n, epsilon=epsilon)
-        estimates = []
+        estimates, sized = [], []
         estimate = engine._estimate
 
         def spied(table, plan):
             words = estimate(table, plan)
+            sized.append(plan)  # held, so no two live plans share an id
             if re.fullmatch(r"phase \d+ compress", plan.label):
                 estimates.append(words)
             return words
@@ -329,6 +331,7 @@ class TestGeneral:
         assert metrics["violations"] == []
         assert reconstruct(log, HeightAlgebra()) == oracles.height_table(t)
         assert estimates and max(estimates) <= c.S
+        assert len({id(plan) for plan in sized}) == len(sized)
         assert any(rec.label.startswith("phase 1 phase")
                    for rec in log.records)
 
