@@ -308,6 +308,21 @@ def _pack(items, sizes, cap):
     return bins
 
 
+def _fill(items, sizes, cap):
+    """Next-fit packing in item order; returns lists of items. An item that
+    does not fit the last bin's room opens the next bin, one over cap
+    included, so a bin of more than one item holds at most cap and the
+    items keep their order across the bins."""
+    bins, room = [], -1
+    for item, size in zip(items, sizes):
+        if size > room:
+            bins.append([])
+            room = cap
+        bins[-1].append(item)
+        room -= size
+    return bins
+
+
 def _apply_results(tree, books, bundles):
     """Apply one round to the host tree, from its bundles of plans, one per
     machine in machine order, and what their machines wrote to the table.
@@ -352,9 +367,11 @@ def sibling_batch(cfg):
 
 
 def _round(tree, plugin, books, bundles):
-    """One round that carries out `bundles`, lists of plans of one stage,
-    one machine each, which writes one LOG entry. Once the round has run,
-    the stream resumes and applies the bundles from the table."""
+    """One round that carries out `bundles`, lists of plans of one stage
+    already packed by their sizes into machines of S words (by _fill in plan
+    order, or by _pack), one machine each, which writes one LOG entry. Once
+    the round has run, the stream resumes and applies the bundles from the
+    table."""
     yield ("round", [_machine(plugin, bundle) for bundle in bundles])
     _apply_results(tree, books, bundles)
 
@@ -378,7 +395,10 @@ def _bounded_units(tree, plugin, cfg, books, prefix=""):
     for every live vertex. Yields ("charge", label, rounds) and ("round",
     machines); a phase over the cap is reported to books.fault. Planning
     reads tree.vertices() as the preorder to decompose, so tree must be
-    keyed in preorder."""
+    keyed in preorder. A phase's compress plans, one per component of a
+    group, are packed by _estimate next-fit into machines of S words in the
+    order group_components yields them, so a machine may hold plans of
+    several groups and the log keeps that order."""
     lam = degree_budget(cfg)
     children = tree.children
     for v, kids in children.items():
@@ -399,12 +419,10 @@ def _bounded_units(tree, plugin, cfg, books, prefix=""):
             yield ("charge", "relabel", 1)
         dec = decompose(tree, lam, tree.vertices())
         k = dec.k
-        per_group = {}
-        for gi, comp in group_components(tree, dec):
-            if len(comp) > 1:
-                per_group.setdefault(gi, []).append(
-                    _comp_spec(tree, comp, books, label + " compress"))
-        yield from _round(tree, plugin, books, per_group.values())
+        plans = [_comp_spec(tree, comp, books, label + " compress")
+                 for _gi, comp in group_components(tree, dec) if len(comp) > 1]
+        yield from _round(tree, plugin, books, _fill(
+            plans, [_estimate(books.table, plan) for plan in plans], cfg.S))
         yield from _rake(tree, plugin, cfg, books, label + " rake", True)
         if tree.n > max(1, k):
             raise LogIntegrityError(
@@ -416,7 +434,6 @@ def _general_units(tree, plugin, cfg, books):
     lam = degree_budget(cfg)
     alpha = sibling_batch(cfg)
     table, virtual, children = books.table, books.virtual, tree.children
-    origin = books.origin
     phase = 0
     while tree.n > 1:
         # the all-vertex plan holds 4 words per vertex besides its payloads,
@@ -437,18 +454,15 @@ def _general_units(tree, plugin, cfg, books):
         for members, is_fringe in low_degree_components(tree, lam + 1):
             if not is_fringe or len(members) < 2:
                 continue
-            # 4 words a member and the members' payloads, a lower bound on
-            # _estimate that the outs only add to, put the plan over S
-            if 4 * len(members) + sum([table[m][1] for m in members]) > cfg.S:
+            # a fringe component is closed below, so its plan has no outs
+            # and this sum is its _estimate
+            words = 4 * len(members) + sum([table[m][1] for m in members])
+            if words > cfg.S:
                 nested.append(members)
                 continue
-            plan = _comp_spec(tree, members, books, label + " compress")
-            words = _estimate(table, plan)
-            if words <= cfg.S:
-                direct.append(plan)
-                sizes.append(words)
-            else:
-                nested.append(members)
+            direct.append(_comp_spec(tree, members, books,
+                                     label + " compress"))
+            sizes.append(words)
         yield from _round(tree, plugin, books, _pack(direct, sizes, cfg.S))
         if nested:
             slices, subs = [], []
@@ -468,8 +482,7 @@ def _general_units(tree, plugin, cfg, books):
             stage = "%s rake L%d" % (label, level + 1)
             batches = []
             for p, kids in children.items():
-                leaf_kids = [u for u in kids
-                             if not children[u] and origin[u] == p]
+                leaf_kids = [u for u in kids if not children[u]]
                 for i in range(0, len(leaf_kids), alpha):
                     chunk = tuple(leaf_kids[i:i + alpha])
                     if len(chunk) > 1:

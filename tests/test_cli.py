@@ -312,6 +312,22 @@ class TestExitCodes:
                            "--input", "1+")
         assert code == 3
 
+    @pytest.mark.parametrize("problem, inputs, message", [
+        ("eval", ["1", "2"], "problem 'eval' takes exactly one expression "
+                             "input"),
+        ("iso", [None], "problem 'iso' takes inputs in groups of 2"),
+        ("eval", ["(1$2)"], "unexpected character '$' at position 2"),
+    ])
+    def test_wrong_input_count_or_character(self, tmp_path, capsys, problem,
+                                            inputs, message):
+        tree = tmp_path / "t.tree"
+        tree.write_text("2 1\n1 -\n2 1\n")
+        argv = ["solve", "--problem", problem]
+        for text in inputs:
+            argv += ["--input", str(tree) if text is None else text]
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and err.strip() == "error: " + message
+
     @pytest.mark.parametrize("text, message", [
         ("1+2)", "unbalanced ')' at position 3"),
         ("(1+2", "unbalanced '(' at position 0"),

@@ -244,6 +244,59 @@ class TestBounded:
             assert metrics["violations"] == []
 
 
+class TestBoundedCompressPacking:
+    """The bounded compress packs its plans next-fit, in the order
+    group_components yields them, into machines of S words."""
+
+    def test_fill_keeps_order_and_gives_an_oversized_item_its_own_bin(self):
+        assert engine._fill("abcdef", [3, 4, 2, 9, 1, 5], 6) == [
+            ["a"], ["b", "c"], ["d"], ["e", "f"]]
+        assert engine._fill([], [], 6) == []
+
+    @pytest.mark.parametrize("make, epsilon", [
+        (path, 0.25), (caterpillar, 0.5)])
+    def test_machines_carry_several_plans_in_group_order(self, monkeypatch,
+                                                         make, epsilon):
+        t = valued(make(1 << 10))
+        c = cfg(t.n, epsilon=epsilon)
+        machine, group_components = engine._machine, engine.group_components
+        given, group_of, packed = [], {}, []
+
+        def spied_groups(tree, dec):
+            comps = group_components(tree, dec)
+            for gi, comp in comps:
+                if len(comp) > 1:
+                    given.append(comp)
+                    group_of[comp[0]] = (len(given), gi)
+            return comps
+
+        def spied_machine(plugin, plans):
+            built = machine(plugin, plans)
+            run = built.run
+
+            def recorded_run(ctx):
+                run(ctx)
+                if plans[0].label.endswith(" compress"):
+                    packed.append(([group_of[plan.survivor] for plan in plans],
+                                   built.input_words + ctx.read_words))
+
+            built.run = recorded_run
+            return built
+
+        monkeypatch.setattr(engine, "group_components", spied_groups)
+        monkeypatch.setattr(engine, "_machine", spied_machine)
+        answer, log, metrics = bounded_tree_contract(t, sum_plugin(), c)
+        assert answer == t.n and metrics["violations"] == []
+        assert [rec.members for rec in log.records
+                if rec.label.endswith(" compress")] == given
+        several = [(plans, words) for plans, words in packed if len(plans) > 1]
+        assert several and all(words <= c.S for _plans, words in several)
+        # a machine takes consecutive plans, across group boundaries too
+        assert all([i for i, _gi in plans] == list(range(
+            plans[0][0], plans[0][0] + len(plans))) for plans, _ in several)
+        assert any(len({gi for _i, gi in plans}) > 1 for plans, _ in several)
+
+
 class TestGeneral:
     def test_tiny_tree_contracts_in_one_final_round(self):
         t = valued(path(4))
@@ -317,16 +370,20 @@ class TestGeneral:
         t = random_tree(n, seed)
         c = cfg(t.n, epsilon=epsilon)
         estimates, sized = [], []
-        estimate = engine._estimate
+        estimate, comp_spec = engine._estimate, engine._comp_spec
 
         def spied(table, plan):
-            words = estimate(table, plan)
             sized.append(plan)  # held, so no two live plans share an id
-            if re.fullmatch(r"phase \d+ compress", plan.label):
-                estimates.append(words)
-            return words
+            return estimate(table, plan)
+
+        def spied_spec(tree, members, books, stage, root_outs_known=True):
+            plan = comp_spec(tree, members, books, stage, root_outs_known)
+            if re.fullmatch(r"phase \d+ compress", stage):
+                estimates.append(estimate(books.table, plan))
+            return plan
 
         monkeypatch.setattr(engine, "_estimate", spied)
+        monkeypatch.setattr(engine, "_comp_spec", spied_spec)
         _answer, log, metrics = tree_contract(t, HeightAlgebra(), c)
         assert metrics["violations"] == []
         assert reconstruct(log, HeightAlgebra()) == oracles.height_table(t)
@@ -334,6 +391,44 @@ class TestGeneral:
         assert len({id(plan) for plan in sized}) == len(sized)
         assert any(rec.label.startswith("phase 1 phase")
                    for rec in log.records)
+
+    @pytest.mark.parametrize("problem, make, epsilon", [
+        ("mwm", lambda: with_edge_weights(broom(1 << 10), 3), 0.5),
+        ("height", lambda: star(1 << 10), 0.5),
+        ("sum", lambda: two_tails([60, 5, 5]), 1 / 3),
+        ("mwis", lambda: oracles.with_vertex_weights(broom(1 << 10), 3),
+         0.25),
+    ])
+    def test_main_tree_holds_no_pending_slot(self, monkeypatch, problem,
+                                             make, epsilon):
+        # the general algorithm contracts fringe components, which are
+        # closed below, leaf rakes, sibling batches and whole nested slices,
+        # so no vertex of its main work tree ever adopts a child: every
+        # live vertex keeps its input parent and no plan there has outs
+        general, round_ = engine._general_units, engine._round
+        mains, labels = [], []
+
+        def spied_general(tree, plugin, cfg, books):
+            mains.append(tree)
+            return general(tree, plugin, cfg, books)
+
+        def spied_round(tree, plugin, books, bundles):
+            yield from round_(tree, plugin, books, bundles)
+            if any(tree is main for main in mains):
+                for plans in bundles:
+                    labels.append(plans[0].label)
+                    assert all(not any(plan.outs) for plan in plans
+                               if plan.kind == "connected")
+                assert all(books.origin[u] == tree.parent[u]
+                           for u in tree.vertices())
+
+        monkeypatch.setattr(engine, "_general_units", spied_general)
+        monkeypatch.setattr(engine, "_round", spied_round)
+        tree = make()
+        result = REGISTRY[problem]["solve"](
+            [tree], None, cfg(tree.n, epsilon=epsilon, seed=3), 3)
+        assert REGISTRY[problem]["check"]([tree], None, result)[2]
+        assert mains and labels
 
     def test_all_small_shapes_agree(self):
         plugin = sum_plugin()
