@@ -390,6 +390,22 @@ def _rake(tree, plugin, cfg, books, stage, root_outs_known):
         plans, [_estimate(books.table, plan) for plan in plans], cfg.S))
 
 
+def _final(tree, plugin, cfg, books, stage):
+    """One round under `stage` that contracts the whole tree on one machine
+    if its all-vertex plan fits S; returns whether the tree is one vertex."""
+    if tree.n == 1:
+        return True
+    # the all-vertex plan holds 4 words per vertex besides its payloads, so
+    # it cannot fit while 4n > S; test that before building it
+    if 4 * tree.n > cfg.S:
+        return False
+    plan = _comp_spec(tree, tuple(tree.vertices()), books, stage)
+    if _estimate(books.table, plan) > cfg.S:
+        return False
+    yield from _round(tree, plugin, books, [[plan]])
+    return True
+
+
 def _bounded_units(tree, plugin, cfg, books, prefix=""):
     """Unit stream of the bounded-degree contraction; books is kept current
     for every live vertex. Yields ("charge", label, rounds) and ("round",
@@ -398,7 +414,8 @@ def _bounded_units(tree, plugin, cfg, books, prefix=""):
     keyed in preorder. A phase's compress plans, one per component of a
     group, are packed by _estimate next-fit into machines of S words in the
     order group_components yields them, so a machine may hold plans of
-    several groups and the log keeps that order."""
+    several groups and the log keeps that order. The run ends in _final,
+    tried at the top of each phase and again after its compress."""
     lam = degree_budget(cfg)
     children = tree.children
     for v, kids in children.items():
@@ -407,7 +424,7 @@ def _bounded_units(tree, plugin, cfg, books, prefix=""):
                 "vertex %r has degree %d over the budget %d; use the general "
                 "contraction or an expansion first" % (v, len(kids), lam))
     phase = 0
-    while tree.n > 1:
+    while not (yield from _final(tree, plugin, cfg, books, prefix + "final")):
         phase += 1
         if phase > cfg.phase_cap:
             books.fault("%sphase %d exceeds the cap of %d"
@@ -423,6 +440,8 @@ def _bounded_units(tree, plugin, cfg, books, prefix=""):
                  for _gi, comp in group_components(tree, dec) if len(comp) > 1]
         yield from _round(tree, plugin, books, _fill(
             plans, [_estimate(books.table, plan) for plan in plans], cfg.S))
+        if (yield from _final(tree, plugin, cfg, books, prefix + "final")):
+            break
         yield from _rake(tree, plugin, cfg, books, label + " rake", True)
         if tree.n > max(1, k):
             raise LogIntegrityError(
@@ -431,18 +450,14 @@ def _bounded_units(tree, plugin, cfg, books, prefix=""):
 
 
 def _general_units(tree, plugin, cfg, books):
+    """Unit stream of the general contraction: phases of compress, nested
+    bounded runs, sibling folds and a fold, ended by _final, tried at the
+    top of each phase."""
     lam = degree_budget(cfg)
     alpha = sibling_batch(cfg)
     table, virtual, children = books.table, books.virtual, tree.children
     phase = 0
-    while tree.n > 1:
-        # the all-vertex plan holds 4 words per vertex besides its payloads,
-        # so it cannot fit while 4n > S; test that before building it
-        if 4 * tree.n <= cfg.S:
-            plan = _comp_spec(tree, tuple(tree.vertices()), books, "final")
-            if _estimate(table, plan) <= cfg.S:
-                yield from _round(tree, plugin, books, [[plan]])
-                break
+    while not (yield from _final(tree, plugin, cfg, books, "final")):
         phase += 1
         if phase > cfg.phase_cap:
             books.fault("phase %d exceeds the cap of %d"

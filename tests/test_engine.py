@@ -209,10 +209,14 @@ class TestBounded:
         assert reconstruct(log, sum_plugin()) == {1: 7}
 
     def test_path16_counts_in_two_phases(self):
+        # at epsilon 1/2 a path of 16 fits S after phase 1's compress and
+        # ends in a final round; at 1/3 it needs a second phase first
         t = valued(path(16))
-        answer, log, metrics = bounded_tree_contract(t, sum_plugin(), cfg(16))
+        answer, log, metrics = bounded_tree_contract(
+            t, sum_plugin(), cfg(16, epsilon=1 / 3))
         assert answer == 16
         assert max_phase(log) == 2
+        assert log.records[-1].label == "final"
         assert metrics["violations"] == []
         assert metrics["rounds"] <= 6 * 2 * 2
 
@@ -295,6 +299,69 @@ class TestBoundedCompressPacking:
         assert all([i for i, _gi in plans] == list(range(
             plans[0][0], plans[0][0] + len(plans))) for plans, _ in several)
         assert any(len({gi for _i, gi in plans}) > 1 for plans, _ in several)
+
+
+GATE_FAMILIES = {
+    "path": path,
+    "star": star,
+    "caterpillar": caterpillar,
+    "broom": broom,
+    "random": lambda n: random_tree(n, seed=n),
+}
+
+
+class TestFinal:
+    """Both algorithms finish a run or a nested slice with one final round
+    once its whole tree fits S, and only then."""
+
+    @pytest.mark.parametrize("epsilon", [0.5, 0.25])
+    @pytest.mark.parametrize("n", [30, 300, 2000])
+    @pytest.mark.parametrize("family", sorted(GATE_FAMILIES))
+    @pytest.mark.parametrize("problem", ["height", "sum", "mwm"])
+    def test_a_run_ends_in_its_only_final(self, monkeypatch, problem, family,
+                                          n, epsilon):
+        final, bounded = engine._final, engine._bounded_units
+        round_ = engine._round
+        space, bounded_trees, rounds_of = {}, [], {}
+
+        def spied_final(tree, plugin, cfg, books, stage):
+            space[id(tree)] = cfg.S
+            return final(tree, plugin, cfg, books, stage)
+
+        def spied_bounded(tree, plugin, cfg, books, prefix=""):
+            bounded_trees.append(tree)  # held, so no two share an id
+            return bounded(tree, plugin, cfg, books, prefix)
+
+        def spied_round(tree, plugin, books, bundles):
+            label = bundles[0][0].label if bundles else ""
+            if (re.fullmatch(r"(phase \d+ )+(compress|rake)", label)
+                    and any(tree is t for t in bounded_trees)):
+                # the live tree's all-vertex plan does not fit S
+                whole = engine._comp_spec(tree, tuple(tree.vertices()),
+                                          books, "probe")
+                assert (4 * tree.n > space[id(tree)]
+                        or engine._estimate(books.table, whole)
+                        > space[id(tree)]), (label, tree.n)
+            if bundles:
+                rounds_of.setdefault(id(tree), (tree, []))[1].append(label)
+            yield from round_(tree, plugin, books, bundles)
+
+        monkeypatch.setattr(engine, "_final", spied_final)
+        monkeypatch.setattr(engine, "_bounded_units", spied_bounded)
+        monkeypatch.setattr(engine, "_round", spied_round)
+        tree = GATE_FAMILIES[family](n)
+        if problem == "mwm":
+            tree = with_edge_weights(tree, 7)
+        result = REGISTRY[problem]["solve"](
+            [tree], None, cfg(tree.n, epsilon=epsilon, seed=7), 7)
+        assert REGISTRY[problem]["check"]([tree], None, result)[2]
+        finals = [rec for rec in result["log"].records
+                  if re.fullmatch(r"(phase \d+ )?final", rec.label)]
+        assert all(len(rec.members) >= 2 for rec in finals)
+        for _tree, labels in rounds_of.values():
+            ends = [i for i, label in enumerate(labels)
+                    if label.endswith("final")]
+            assert ends in ([], [len(labels) - 1]), labels
 
 
 class TestGeneral:
@@ -805,10 +872,11 @@ class TestBudgets:
     def test_nested_streams_report_their_own_cap_faults(self, monkeypatch):
         # the two tails run as nested bounded streams side by side, the
         # longer one for a phase more; with a cap of 1 each stream reports
-        # every phase past it, in stream order within a step
+        # every phase past it, in stream order within a step. At epsilon 1/3
+        # each tail would fit S a phase earlier and end in a final round
         t = two_tails([60, 200])
         monkeypatch.setattr(simmod, "C_P", 0.25)
-        c = cfg(t.n, epsilon=1 / 3, strict=False)
+        c = cfg(t.n, epsilon=1 / 4, strict=False)
         assert c.phase_cap == 1
         answer, log, metrics = tree_contract(t, sum_plugin(), c)
         assert answer == t.n

@@ -51,59 +51,59 @@ CASES = {
 
 GOLDEN = {
     "eval": {
-        "rounds": 14, "peak_machine_words": 521, "total_words": 9055,
-        "dht_reads": 651, "dht_writes": 132, "log_words": 9022,
+        "rounds": 12, "peak_machine_words": 521, "total_words": 9011,
+        "dht_reads": 649, "dht_writes": 129, "log_words": 8979,
         "log_sha256":
-            "5f5bbbb7a3fbad6c889f37939c1bb486bd141df8454b064258f43f42df1a14dc",
+            "acb51ebfa9f507a21c9864e8ca3b2458836b89108453f8cf9b35e6ea0fea4c4e",
         "answer_sha256":
             "e638fca512667951489f2214927307b319e402239327a760f6445a108a393c64"},
     "height": {
-        "rounds": 47, "peak_machine_words": 90, "total_words": 13897,
-        "dht_reads": 1590, "dht_writes": 744, "log_words": 13715,
+        "rounds": 36, "peak_machine_words": 90, "total_words": 13517,
+        "dht_reads": 1562, "dht_writes": 701, "log_words": 13350,
         "log_sha256":
-            "dba642bf4e826d8e5017577501eb0a5baee10ccf4a8a1518e4e6a6eabe4e7369",
+            "5c0a879c354645f6f4f499c6cb0d637e787cbe210dcce2c4f44fdc03d59675e8",
         "answer_sha256":
             "3fdba35f04dc8c462986c992bcf875546257113072a909c162f7e470e581e278"},
     "matching": {
-        "rounds": 10, "peak_machine_words": 514, "total_words": 6771,
-        "dht_reads": 1073, "dht_writes": 60, "log_words": 6740,
+        "rounds": 8, "peak_machine_words": 514, "total_words": 6691,
+        "dht_reads": 1072, "dht_writes": 58, "log_words": 6661,
         "log_sha256":
-            "6950182c647f5e54868b0558ff823a0bec722d78b2eb1e9c79f22a92b31e31c6",
+            "577b6b7d3b1c3b644154acdf27d9d72993bc4eee670a702d77e710e3ca3de294",
         "answer_sha256":
             "35d8319ab2e3befbc3518577800ff94ee16bb18cef3a163b4acf7542aa0febd9"},
     "mis": {
-        "rounds": 6, "peak_machine_words": 511, "total_words": 9016,
+        "rounds": 5, "peak_machine_words": 511, "total_words": 9016,
         "dht_reads": 1198, "dht_writes": 198, "log_words": 8988,
         "log_sha256":
-            "cc7d5953269570d6200d45c99b99f34cac5ebaa21f9668c243a4fcd895586525",
+            "1971b81de79cffe608c17b448a6222c4574b50f5c883c056cb0b422353a0d192",
         "answer_sha256":
             "9e83f45de39d4a54c25c2d3489d2b360f59d4e7314c0d8aa1dc96dceb4b3431e"},
     "mwis": {
-        "rounds": 13, "peak_machine_words": 452, "total_words": 19869,
-        "dht_reads": 1156, "dht_writes": 188, "log_words": 19807,
+        "rounds": 11, "peak_machine_words": 452, "total_words": 19852,
+        "dht_reads": 1155, "dht_writes": 186, "log_words": 19791,
         "log_sha256":
-            "e26a46757c17e1b91c27b1065e3bfd3014800ff059d3ca22cb940be640856199",
+            "fd8dc859490762f1eaa8518231037402764a41f8ac94f92179987a46bb060b00",
         "answer_sha256":
             "f1241a65c837e6459b2221ac28d7893f04f4d6118fb4168648b12177b014b666"},
     "mwm": {
-        "rounds": 14, "peak_machine_words": 512, "total_words": 15350,
-        "dht_reads": 1268, "dht_writes": 283, "log_words": 15306,
+        "rounds": 12, "peak_machine_words": 512, "total_words": 15321,
+        "dht_reads": 1266, "dht_writes": 280, "log_words": 15278,
         "log_sha256":
-            "b981cc92fdcf13dc37b90aeff895821e395ee2c16846c86348a141562bfb4d69",
+            "38a2c7ba5c03a87d738e69a6b63a71d68153c03fdac384c73f53909f2471a779",
         "answer_sha256":
             "85508e52fbf4c41db32f6773b137242cd8d0089146013bf3666acb6e9d34eb61"},
     "sum": {
-        "rounds": 19, "peak_machine_words": 82, "total_words": 10120,
-        "dht_reads": 1283, "dht_writes": 417, "log_words": 9958,
+        "rounds": 16, "peak_machine_words": 85, "total_words": 10082,
+        "dht_reads": 1280, "dht_writes": 412, "log_words": 9922,
         "log_sha256":
-            "c813e0e97d85b298312bdc268a2439b611c809da2d8d7ead7524c6e543c3b8d4",
+            "ced558b43b0ffd0b29d497f60ce25d217178778f92df238bc3d70c4d5d83404f",
         "answer_sha256":
             "e39eef82f61b21e2e7f762fcc4307358f165757f2e77ec855d6992f7e0191932"},
 }
 
 ISO_GOLDEN = {
-    "rounds": 23, "peak_machine_words": 512, "total_words": 22565,
-    "dht_reads": 5076, "dht_writes": 1100, "verdict": True,
+    "rounds": 19, "peak_machine_words": 512, "total_words": 22515,
+    "dht_reads": 5068, "dht_writes": 1088, "verdict": True,
     "modulus": 326637205720375, "q_left": 117040723017685,
     "q_right": 117040723017685,
 }
