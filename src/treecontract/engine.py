@@ -308,21 +308,6 @@ def _pack(items, sizes, cap):
     return bins
 
 
-def _fill(items, sizes, cap):
-    """Next-fit packing in item order; returns lists of items. An item that
-    does not fit the last bin's room opens the next bin, one over cap
-    included, so a bin of more than one item holds at most cap and the
-    items keep their order across the bins."""
-    bins, room = [], -1
-    for item, size in zip(items, sizes):
-        if size > room:
-            bins.append([])
-            room = cap
-        bins[-1].append(item)
-        room -= size
-    return bins
-
-
 def _apply_results(tree, books, bundles):
     """Apply one round to the host tree, from its bundles of plans, one per
     machine in machine order, and what their machines wrote to the table.
@@ -366,12 +351,12 @@ def sibling_batch(cfg):
     return max(2, math.ceil(cfg.n ** cfg.epsilon))
 
 
-def _round(tree, plugin, books, bundles):
-    """One round that carries out `bundles`, lists of plans of one stage
-    already packed by their sizes into machines of S words (by _fill in plan
-    order, or by _pack), one machine each, which writes one LOG entry. Once
-    the round has run, the stream resumes and applies the bundles from the
-    table."""
+def _round(tree, plugin, cfg, books, plans, sizes):
+    """One round that carries out `plans`, of one stage: _pack packs them by
+    `sizes`, their _estimate, first-fit decreasing into machines of S words,
+    and each machine writes one LOG entry. Once the round has run, the
+    stream resumes and applies the machines' bundles from the table."""
+    bundles = _pack(plans, sizes, cfg.S)
     yield ("round", [_machine(plugin, bundle) for bundle in bundles])
     _apply_results(tree, books, bundles)
 
@@ -386,23 +371,27 @@ def _rake(tree, plugin, cfg, books, stage, root_outs_known):
         if leaf_kids:
             plans.append(_comp_spec(tree, (p,) + tuple(leaf_kids), books,
                                     stage, root_outs_known))
-    yield from _round(tree, plugin, books, _pack(
-        plans, [_estimate(books.table, plan) for plan in plans], cfg.S))
+    yield from _round(tree, plugin, cfg, books, plans,
+                      [_estimate(books.table, plan) for plan in plans])
 
 
 def _final(tree, plugin, cfg, books, stage):
     """One round under `stage` that contracts the whole tree on one machine
-    if its all-vertex plan fits S; returns whether the tree is one vertex."""
+    if its all-vertex plan fits S; returns whether the tree is one vertex.
+    The plan is sized before it is built, and only built if it fits."""
     if tree.n == 1:
         return True
-    # the all-vertex plan holds 4 words per vertex besides its payloads, so
-    # it cannot fit while 4n > S; test that before building it
+    # the all-vertex plan holds 4 words per vertex besides its payloads,
+    # and no outs, as a whole tree has none: so it cannot fit while 4n > S,
+    # and the sum below is its _estimate
     if 4 * tree.n > cfg.S:
         return False
-    plan = _comp_spec(tree, tuple(tree.vertices()), books, stage)
-    if _estimate(books.table, plan) > cfg.S:
+    members, table = tuple(tree.vertices()), books.table
+    words = 4 * tree.n + sum([table[v][1] for v in members])
+    if words > cfg.S:
         return False
-    yield from _round(tree, plugin, books, [[plan]])
+    yield from _round(tree, plugin, cfg, books,
+                      [_comp_spec(tree, members, books, stage)], [words])
     return True
 
 
@@ -412,10 +401,9 @@ def _bounded_units(tree, plugin, cfg, books, prefix=""):
     machines); a phase over the cap is reported to books.fault. Planning
     reads tree.vertices() as the preorder to decompose, so tree must be
     keyed in preorder. A phase's compress plans, one per component of a
-    group, are packed by _estimate next-fit into machines of S words in the
-    order group_components yields them, so a machine may hold plans of
-    several groups and the log keeps that order. The run ends in _final,
-    tried at the top of each phase and again after its compress."""
+    group, go to _round like every other round's, so a machine may hold
+    plans of several groups. The run ends in _final, tried at the top of
+    each phase and again after its compress."""
     lam = degree_budget(cfg)
     children = tree.children
     for v, kids in children.items():
@@ -438,8 +426,8 @@ def _bounded_units(tree, plugin, cfg, books, prefix=""):
         k = dec.k
         plans = [_comp_spec(tree, comp, books, label + " compress")
                  for _gi, comp in group_components(tree, dec) if len(comp) > 1]
-        yield from _round(tree, plugin, books, _fill(
-            plans, [_estimate(books.table, plan) for plan in plans], cfg.S))
+        yield from _round(tree, plugin, cfg, books, plans,
+                          [_estimate(books.table, plan) for plan in plans])
         if (yield from _final(tree, plugin, cfg, books, prefix + "final")):
             break
         yield from _rake(tree, plugin, cfg, books, label + " rake", True)
@@ -478,7 +466,7 @@ def _general_units(tree, plugin, cfg, books):
             direct.append(_comp_spec(tree, members, books,
                                      label + " compress"))
             sizes.append(words)
-        yield from _round(tree, plugin, books, _pack(direct, sizes, cfg.S))
+        yield from _round(tree, plugin, cfg, books, direct, sizes)
         if nested:
             slices, subs = [], []
             for members in nested:
@@ -511,8 +499,8 @@ def _general_units(tree, plugin, cfg, books):
             if level > cfg.inv_eps:
                 books.fault("%s sibling level %d exceeds %d"
                             % (label, level, cfg.inv_eps))
-            yield from _round(tree, plugin, books, _pack(
-                batches, [_estimate(table, b) for b in batches], cfg.S))
+            yield from _round(tree, plugin, cfg, books, batches,
+                              [_estimate(table, b) for b in batches])
         yield from _rake(tree, plugin, cfg, books, label + " fold", False)
         if tree.n >= n_before:
             raise LogIntegrityError("%s made no progress (%d vertices)"

@@ -51,17 +51,17 @@ CASES = {
 
 GOLDEN = {
     "eval": {
-        "rounds": 12, "peak_machine_words": 521, "total_words": 9011,
-        "dht_reads": 649, "dht_writes": 129, "log_words": 8979,
+        "rounds": 12, "peak_machine_words": 521, "total_words": 9010,
+        "dht_reads": 649, "dht_writes": 128, "log_words": 8979,
         "log_sha256":
-            "acb51ebfa9f507a21c9864e8ca3b2458836b89108453f8cf9b35e6ea0fea4c4e",
+            "7461d17940c8819f24429a254f9ecced80c2548240cd2c8a221d7d5e5fbeef71",
         "answer_sha256":
             "e638fca512667951489f2214927307b319e402239327a760f6445a108a393c64"},
     "height": {
         "rounds": 36, "peak_machine_words": 90, "total_words": 13517,
         "dht_reads": 1562, "dht_writes": 701, "log_words": 13350,
         "log_sha256":
-            "5c0a879c354645f6f4f499c6cb0d637e787cbe210dcce2c4f44fdc03d59675e8",
+            "a94c9553e51146a9969740480c6cf025f69738d45bd0e4efa5cd5c58bd9e6f96",
         "answer_sha256":
             "3fdba35f04dc8c462986c992bcf875546257113072a909c162f7e470e581e278"},
     "matching": {
@@ -72,24 +72,24 @@ GOLDEN = {
         "answer_sha256":
             "35d8319ab2e3befbc3518577800ff94ee16bb18cef3a163b4acf7542aa0febd9"},
     "mis": {
-        "rounds": 5, "peak_machine_words": 511, "total_words": 9016,
-        "dht_reads": 1198, "dht_writes": 198, "log_words": 8988,
+        "rounds": 5, "peak_machine_words": 512, "total_words": 9015,
+        "dht_reads": 1198, "dht_writes": 197, "log_words": 8988,
         "log_sha256":
-            "1971b81de79cffe608c17b448a6222c4574b50f5c883c056cb0b422353a0d192",
+            "2902aff57e68b709757c22f3eabdef4c4b0e611d7d0a851b9a9f4ef072b691e4",
         "answer_sha256":
             "9e83f45de39d4a54c25c2d3489d2b360f59d4e7314c0d8aa1dc96dceb4b3431e"},
     "mwis": {
         "rounds": 11, "peak_machine_words": 452, "total_words": 19852,
         "dht_reads": 1155, "dht_writes": 186, "log_words": 19791,
         "log_sha256":
-            "fd8dc859490762f1eaa8518231037402764a41f8ac94f92179987a46bb060b00",
+            "ab914f37538c5ff4d72e76d55d0ea9afa0a886ef3662d42eb8727a3fbff5ad7a",
         "answer_sha256":
             "f1241a65c837e6459b2221ac28d7893f04f4d6118fb4168648b12177b014b666"},
     "mwm": {
-        "rounds": 12, "peak_machine_words": 512, "total_words": 15321,
-        "dht_reads": 1266, "dht_writes": 280, "log_words": 15278,
+        "rounds": 12, "peak_machine_words": 512, "total_words": 15319,
+        "dht_reads": 1266, "dht_writes": 278, "log_words": 15278,
         "log_sha256":
-            "38a2c7ba5c03a87d738e69a6b63a71d68153c03fdac384c73f53909f2471a779",
+            "b2ee256e6b87e2a79a4879adf32a600d421a31439a78b4220b80a6518b23d5b5",
         "answer_sha256":
             "85508e52fbf4c41db32f6773b137242cd8d0089146013bf3666acb6e9d34eb61"},
     "sum": {
@@ -102,8 +102,8 @@ GOLDEN = {
 }
 
 ISO_GOLDEN = {
-    "rounds": 19, "peak_machine_words": 512, "total_words": 22515,
-    "dht_reads": 5068, "dht_writes": 1088, "verdict": True,
+    "rounds": 19, "peak_machine_words": 512, "total_words": 22514,
+    "dht_reads": 5068, "dht_writes": 1086, "verdict": True,
     "modulus": 326637205720375, "q_left": 117040723017685,
     "q_right": 117040723017685,
 }
