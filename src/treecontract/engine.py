@@ -361,7 +361,7 @@ def _round(tree, plugin, cfg, books, plans, sizes):
     _apply_results(tree, books, bundles)
 
 
-def _rake(tree, plugin, cfg, books, stage, root_outs_known):
+def _rake(tree, plugin, cfg, books, stage):
     """One round under `stage` that contracts every parent with its leaf
     children, one plan per parent, packed by _estimate."""
     children = tree.children
@@ -370,7 +370,7 @@ def _rake(tree, plugin, cfg, books, stage, root_outs_known):
         leaf_kids = [u for u in kids if not children[u]]
         if leaf_kids:
             plans.append(_comp_spec(tree, (p,) + tuple(leaf_kids), books,
-                                    stage, root_outs_known))
+                                    stage))
     yield from _round(tree, plugin, cfg, books, plans,
                       [_estimate(books.table, plan) for plan in plans])
 
@@ -430,7 +430,7 @@ def _bounded_units(tree, plugin, cfg, books, prefix=""):
                           [_estimate(books.table, plan) for plan in plans])
         if (yield from _final(tree, plugin, cfg, books, prefix + "final")):
             break
-        yield from _rake(tree, plugin, cfg, books, label + " rake", True)
+        yield from _rake(tree, plugin, cfg, books, label + " rake")
         if tree.n > max(1, k):
             raise LogIntegrityError(
                 "%s left %d vertices, over the group count %d"
@@ -439,8 +439,16 @@ def _bounded_units(tree, plugin, cfg, books, prefix=""):
 
 def _general_units(tree, plugin, cfg, books):
     """Unit stream of the general contraction: phases of compress, nested
-    bounded runs, sibling folds and a fold, ended by _final, tried at the
-    top of each phase."""
+    bounded runs and leaf levels, ended by _final, tried at the top of each
+    phase. The direct compress round runs as the first stream beside the
+    nested runs, so it shares their first compress round. Each leaf level
+    is one round: a parent with at most alpha eligible leaves is raked with
+    them, when that plan fits S or holds one leaf, and leaves the loop; the
+    eligible leaves of every other parent fold in sibling batches of alpha.
+    The eligible leaves are the leaves the loop starts with: a vertex that
+    a rake turns into a leaf is not raked into its parent in the same
+    phase, so the levels do not walk up a caterpillar's spine. Only levels
+    that hold a sibling batch count toward the cap of inv_eps."""
     lam = degree_budget(cfg)
     alpha = sibling_batch(cfg)
     table, virtual, children = books.table, books.virtual, tree.children
@@ -466,42 +474,58 @@ def _general_units(tree, plugin, cfg, books):
             direct.append(_comp_spec(tree, members, books,
                                      label + " compress"))
             sizes.append(words)
-        yield from _round(tree, plugin, cfg, books, direct, sizes)
+        compress = _round(tree, plugin, cfg, books, direct, sizes)
         if nested:
-            slices, subs = [], []
+            slices, streams = [], [compress]
             for members in nested:
                 sub = tree.slice(members, members[0])
                 slices.append((members, sub))
-                subs.append(_bounded_units(sub, plugin, cfg, books,
-                                           prefix=label + " "))
-            yield from _merged(subs, cfg.machine_cap)
+                streams.append(_bounded_units(sub, plugin, cfg, books,
+                                              prefix=label + " "))
+            yield from _merged(streams, cfg.machine_cap)
             for members, sub in slices:
                 if sub.n != 1:
                     raise LogIntegrityError(
                         "nested run left %d vertices" % sub.n)
                 tree.contract(set(members), members[0])
-        level = 0
+        else:
+            yield from compress
+        eligible = {v for v, kids in children.items() if not kids}
+        level = sibling_levels = 0
         while True:
-            stage = "%s rake L%d" % (label, level + 1)
-            batches = []
+            level += 1
+            stage = "%s rake L%d" % (label, level)
+            plans, sizes, batched = [], [], False
             for p, kids in children.items():
-                leaf_kids = [u for u in kids if not children[u]]
-                for i in range(0, len(leaf_kids), alpha):
-                    chunk = tuple(leaf_kids[i:i + alpha])
+                leaves = [u for u in kids if u in eligible]
+                if not leaves:
+                    continue
+                if len(leaves) <= alpha:
+                    rake = _comp_spec(tree, (p,) + tuple(leaves), books,
+                                      stage, root_outs_known=False)
+                    words = _estimate(table, rake)
+                    if words <= cfg.S or len(leaves) == 1:
+                        plans.append(rake)
+                        sizes.append(words)
+                        continue
+                for i in range(0, len(leaves), alpha):
+                    chunk = tuple(leaves[i:i + alpha])
                     if len(chunk) > 1:
-                        batches.append(Record(
+                        batch = Record(
                             stage, "sibling", chunk[0], chunk, None,
                             tuple(sorted([u for u in chunk if u in virtual])),
-                            p))
-            if not batches:
+                            p)
+                        plans.append(batch)
+                        sizes.append(_estimate(table, batch))
+                        batched = True
+            if not plans:
                 break
-            level += 1
-            if level > cfg.inv_eps:
-                books.fault("%s sibling level %d exceeds %d"
-                            % (label, level, cfg.inv_eps))
-            yield from _round(tree, plugin, cfg, books, batches,
-                              [_estimate(table, b) for b in batches])
-        yield from _rake(tree, plugin, cfg, books, label + " fold", False)
+            if batched:
+                sibling_levels += 1
+                if sibling_levels > cfg.inv_eps:
+                    books.fault("%s sibling level %d exceeds %d"
+                                % (label, sibling_levels, cfg.inv_eps))
+            yield from _round(tree, plugin, cfg, books, plans, sizes)
         if tree.n >= n_before:
             raise LogIntegrityError("%s made no progress (%d vertices)"
                                     % (label, tree.n))
@@ -512,20 +536,20 @@ def _general_units(tree, plugin, cfg, books):
 # ("charge", label, rounds) and ("round", machines). A stream resumes only
 # once its round has run, and reads what the round's machines wrote from the
 # table, their only output. _merged turns several streams into one, so that
-# independent runs (the nested bounded runs of a general phase, or whole runs
-# side by side) share their rounds; _drive executes one stream and is the
-# only engine code that advances the simulator. Budget and cap violations do
-# not travel as units: the streams report them to the simulator's fault hook
-# themselves.
+# independent runs (a general phase's direct compress and its nested bounded
+# runs, or whole runs side by side) share their rounds; _drive executes one
+# stream and is the only engine code that advances the simulator. Budget and
+# cap violations do not travel as units: the streams report them to the
+# simulator's fault hook themselves.
 
 def _merged(streams, cap):
     """One stream running `streams` side by side. While any stream is at a
-    round, every stream at a round runs it: whole streams are packed in
-    stream order into rounds of at most `cap` machines (a stream over the
-    cap by itself gets a round of its own). Streams at a charge wait
-    meanwhile; once every stream is at a charge, each distinct charge is
-    booked once, in stream order. A stream that finishes just drops out; a
-    unit that is neither a round nor a charge is a LogIntegrityError."""
+    charge, each distinct charge among them is booked once, in stream order,
+    and those streams move on, while the streams at a round wait. Once every
+    stream is at a round, the rounds run: whole streams are packed in stream
+    order into rounds of at most `cap` machines (a stream over the cap by
+    itself gets a round of its own). A stream that finishes just drops out;
+    a unit that is neither a round nor a charge is a LogIntegrityError."""
     live = [[stream, None] for stream in streams]  # stream, its next unit
     while True:
         for entry in live:
@@ -539,15 +563,15 @@ def _merged(streams, cap):
         live = [entry for entry in live if entry[0] is not None]
         if not live:
             return
-        at_round = [entry for entry in live if entry[1][0] == "round"]
-        if not at_round:
-            for charge in dict.fromkeys([entry[1] for entry in live]):
+        at_charge = [entry for entry in live if entry[1][0] == "charge"]
+        if at_charge:
+            for charge in dict.fromkeys([entry[1] for entry in at_charge]):
                 yield charge
-            for entry in live:
+            for entry in at_charge:
                 entry[1] = None
             continue
         bins, count = [], 0
-        for entry in at_round:
+        for entry in live:
             k = len(entry[1][1])
             if not bins or count + k > cap:
                 bins.append([])
@@ -556,7 +580,7 @@ def _merged(streams, cap):
             count += k
         for group in bins:
             yield ("round", [m for entry in group for m in entry[1][1]])
-        for entry in at_round:
+        for entry in live:
             entry[1] = None
 
 
@@ -698,9 +722,11 @@ def bounded_tree_contract(tree, plugin, cfg, sim=None):
 def tree_contract(tree, plugin, cfg, sim=None):
     """General contraction: per phase, contract the low-degree fringe of the
     degree-split structure (components too big for one machine run the
-    bounded algorithm on a slice, side by side with their peers), then fold
-    leaf siblings in batches and absorb the last leaf of every star. With
-    sim given, cfg is not read; else run_simulator sets one up."""
+    bounded algorithm on a slice, side by side with their peers and with
+    the components that fit), then rake every parent with its leaves, level
+    by level: a parent with more than alpha leaves folds them in sibling
+    batches first. With sim given, cfg is not read; else run_simulator sets
+    one up."""
     ((answer, log),), metrics = _contract(
         [(tree, plugin)], sim or run_simulator(plugin, cfg, tree.n),
         _general_units, "contract")

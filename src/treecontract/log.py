@@ -352,8 +352,9 @@ def reconstruct(log, plugin):
     snapshots, then values them children first from one walk of each
     snapshot: its kids, the member's children in the component that no slot
     took, then its outs. The survivor's value is only checked against the
-    stored one; a fold survivor carries its batch aggregate until its own
-    fold record restores its single value."""
+    stored one, and only when its outs are known: a leaf rake ships none.
+    A sibling batch's survivor carries the batch aggregate until its
+    sibling record restores its single value."""
     if log.final_payload is None:
         raise LogIntegrityError("log has no final payload")
     node_value, through_edge, absorb = (plugin.node_value,

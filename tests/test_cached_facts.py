@@ -11,12 +11,15 @@ each `_comp_spec` the slots the origin rule gives each member must equal
 the slot ids of its payload in the store, after every round each table
 entry must be a (value, words) pair whose words equal `word_count` of the
 value, and the host's books must equal what the live payloads in the store
-give when walked again.
+give when walked again. While a general phase's nested runs are live, each
+vertex is walked against the tree that owns it that round: a member of a
+nested slice after its slice's apply, every other vertex after the main
+tree's apply.
 """
 
 import pytest
 
-from treecontract import engine, oracles, sim
+from treecontract import engine, oracles, sim, trees as treemod
 from treecontract.problems import REGISTRY, iso
 from treecontract.sim import SimConfig
 from treecontract.trees import word_count
@@ -51,16 +54,20 @@ def _expression():
 
 
 # name -> (problem, epsilon, make_inputs, endings of record labels the run
-# must produce: nested bounded runs, sibling fold levels, the final machine)
+# must produce: nested bounded runs, sibling fold levels, leaf rakes, the
+# final machine); a (kind, ending) pair asks for a record of that kind
 CASES = {
     "mwm": ("mwm", 0.5, lambda: ([oracles.with_edge_weights(
         oracles.random_tree(N, SEED), SEED)], None),
         ("phase 1 phase 1 compress",)),
     "mwm_broom": ("mwm", 0.5, lambda: ([oracles.with_edge_weights(
         oracles.broom(N), SEED)], None),
-        (" rake L2", "phase 2 phase 1 compress")),
+        (("sibling", " rake L1"), ("connected", " rake L2"),
+         "phase 2 phase 1 compress")),
+    # the last sibling level's survivors are raked with their parent
     "mwis": ("mwis", 0.5, lambda: ([oracles.with_vertex_weights(
-        oracles.star(N), SEED)], None), (" rake L2", " fold")),
+        oracles.star(N), SEED)], None),
+        (("sibling", " rake L1"), ("connected", " rake L2"))),
     # lambda = 2 at this small S, and runs are nested
     "mwis_caterpillar": ("mwis", 0.15, lambda: ([oracles.with_vertex_weights(
         oracles.caterpillar(N), SEED)], None), ("phase 1 phase 1 compress",)),
@@ -84,6 +91,7 @@ def checked(monkeypatch):
     """Swaps the checks in; returns the tally of what they saw."""
     seen = {"given": 0, "books": 0, "specs": 0, "rounds": 0}
     store = {}  # "generation": the current run's simulator store
+    slices = []  # (tree sliced, members) of every nested run
     write = sim._Ctx.write
 
     def checked_write(ctx, key, value, words=None):
@@ -121,6 +129,12 @@ def checked(monkeypatch):
         seen["specs"] += 1
         return comp_spec(tree, members, books, stage, root_outs_known)
 
+    tree_slice = treemod.Tree.slice
+
+    def recorded_slice(tree, members, root):
+        slices.append((tree, members))
+        return tree_slice(tree, members, root)
+
     apply_results = engine._apply_results
 
     def checked_apply(tree, books, plans):
@@ -128,7 +142,13 @@ def checked(monkeypatch):
         generation = store["generation"]
         with pytest.raises(TypeError):
             books.table[tree.root] = None
+        # a slice is live until its tree contracts its members into one
+        sliced = {m for source, members in slices
+                  if source is tree and members[1] in tree.parent
+                  for m in members}
         for v in tree.vertices():
+            if v in sliced:
+                continue
             payload = generation[v][0]
             assert books.table[v] is generation[v], v
             slots = _origin_slots(tree, books, v)
@@ -141,6 +161,7 @@ def checked(monkeypatch):
     monkeypatch.setattr(engine, "_fresh_run", recorded_fresh_run)
     monkeypatch.setattr(engine, "_comp_spec", checked_comp_spec)
     monkeypatch.setattr(engine, "_apply_results", checked_apply)
+    monkeypatch.setattr(treemod.Tree, "slice", recorded_slice)
     return seen
 
 
@@ -159,7 +180,9 @@ def test_kept_facts_match_recomputation(checked, name):
     assert checked["rounds"] > 0
     # the run went through the path this case is here for
     for label in labels:
-        assert any(rec.label.endswith(label) for rec in log.records), label
+        kind, ending = label if type(label) is tuple else (None, label)
+        assert any(rec.label.endswith(ending) and kind in (None, rec.kind)
+                   for rec in log.records), label
     ok = REGISTRY[problem]["check"](trees, text, result)[2]
     assert ok
 

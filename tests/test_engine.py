@@ -94,6 +94,16 @@ def cfg(n, epsilon=0.5, **kw):
     return SimConfig(epsilon=epsilon, n=n, **kw)
 
 
+def hairy_caterpillar(n, legs):
+    """A spine of n // (legs + 1) vertices, the other vertices dealt onto it
+    round-robin as legs, so each spine vertex has about `legs` of them."""
+    k = max(1, n // (legs + 1))
+    parent = {v: (v - 1 if v > 1 else None) for v in range(1, k + 1)}
+    for i, v in enumerate(range(k + 1, n + 1)):
+        parent[v] = i % k + 1
+    return Tree(1, parent)
+
+
 def two_tails(tails, hub_leaves=40):
     """A hub with `hub_leaves` leaves and one path per entry of `tails`
     (that many vertices), in that order; every value is 1."""
@@ -382,6 +392,20 @@ class TestFinal:
         assert built and sorted(built) == sorted(ran)
 
 
+def _round_labels(monkeypatch):
+    """The set of machine labels of each round run from now on, in round
+    order."""
+    rounds = []
+    run_round = Simulator.run_round
+
+    def spied(sim_, machines):
+        rounds.append({m.label for m in machines})
+        return run_round(sim_, machines)
+
+    monkeypatch.setattr(Simulator, "run_round", spied)
+    return rounds
+
+
 class TestGeneral:
     def test_tiny_tree_contracts_in_one_final_round(self):
         t = valued(path(4))
@@ -391,14 +415,16 @@ class TestGeneral:
         assert [rec.label for rec in log.records] == ["final"]
 
     def test_star16_single_phase(self):
-        # 15 leaves, batch width 4: two sibling levels, then the last leaf
-        # folds into the root
+        # 15 leaves, batch width 4: one sibling level, then the root is
+        # raked with the level's four survivors
         t = valued(star(16))
         answer, log, metrics = tree_contract(t, sum_plugin(), cfg(16))
         assert answer == 16
         assert max_phase(log) == 1
-        levels = {rec.label for rec in log.records if "rake" in rec.label}
-        assert levels == {"phase 1 rake L1", "phase 1 rake L2"}
+        levels = {(rec.label, rec.kind) for rec in log.records
+                  if "rake" in rec.label}
+        assert levels == {("phase 1 rake L1", "sibling"),
+                          ("phase 1 rake L2", "connected")}
         assert metrics["violations"] == []
 
     def test_low_degree_tree_equals_bounded_plus_connectivity(self):
@@ -514,6 +540,119 @@ class TestGeneral:
             [tree], None, cfg(tree.n, epsilon=epsilon, seed=3), 3)
         assert REGISTRY[problem]["check"]([tree], None, result)[2]
         assert mains and labels
+
+    def test_direct_compress_shares_the_nested_runs_first_round(
+            self, monkeypatch):
+        # the 5-vertex tails fit a machine and are compressed directly; the
+        # 60-vertex tail runs nested, and its first compress round is theirs
+        rounds = _round_labels(monkeypatch)
+        t = two_tails([60, 5, 5])
+        answer, log, metrics = tree_contract(t, sum_plugin(),
+                                             cfg(t.n, epsilon=1 / 3))
+        assert answer == t.n and metrics["violations"] == []
+        assert {"phase 1 compress", "phase 1 phase 1 compress"} in rounds
+        assert reconstruct(log, sum_plugin()) == subtree_sums(t)
+
+    @pytest.mark.parametrize("problem, make, epsilon", [
+        ("height", lambda: star(1 << 10), 0.5),
+        ("height", lambda: star(1 << 9), 0.25),
+        ("height", lambda: random_tree(1 << 9, 5), 0.25),
+        ("mwm", lambda: with_edge_weights(broom(1 << 10), 3), 0.5),
+        ("mwis", lambda: oracles.with_vertex_weights(
+            hairy_caterpillar(1 << 9, 7), 3), 0.15),
+    ])
+    def test_no_round_follows_the_last_sibling_level(self, monkeypatch,
+                                                      problem, make,
+                                                      epsilon):
+        # a phase's leaf levels are its last rounds: every level but the
+        # last holds a sibling batch, and the last rakes every parent left
+        # with its leaves, so no round of the phase follows it
+        rounds = _round_labels(monkeypatch)
+        tree = make()
+        result = REGISTRY[problem]["solve"](
+            [tree], None, cfg(tree.n, epsilon=epsilon, seed=3), 3)
+        assert REGISTRY[problem]["check"]([tree], None, result)[2]
+        kinds = {}
+        for rec in result["log"].records:
+            kinds.setdefault(rec.label, set()).add(rec.kind)
+        levels = {}  # phase -> its leaf levels, in round order
+        for labels in rounds:
+            for label in labels:
+                hit = re.fullmatch(r"phase (\d+) (.*)", label)
+                if hit is None:
+                    continue
+                phase, rest = hit.groups()
+                level = re.fullmatch(r"rake L(\d+)", rest)
+                if level is not None:
+                    levels.setdefault(phase, []).append(int(level.group(1)))
+                else:
+                    # a compress or nested round comes before the levels
+                    assert phase not in levels, label
+        assert levels
+        for phase, steps in levels.items():
+            assert steps == list(range(1, len(steps) + 1)), phase
+            for step in steps[:-1]:
+                assert "sibling" in kinds["phase %s rake L%d" % (phase, step)]
+            assert kinds["phase %s rake L%d" % (phase, steps[-1])] == {
+                "connected"}
+
+    @pytest.mark.parametrize("make", [
+        lambda n: hairy_caterpillar(n, 7), broom])
+    def test_caterpillar_and_broom_stay_under_the_level_cap(self, make):
+        # a vertex a rake turns into a leaf is not raked again in the same
+        # phase, so a caterpillar's spine is not walked up level by level
+        t = make(1 << 12)
+        c = cfg(t.n, epsilon=0.15)
+        value, log, metrics = tree_contract(t, HeightAlgebra(), c)
+        assert value == oracles.height_table(t)[t.root]
+        assert metrics["violations"] == []
+        steps = {}
+        for rec in log.records:
+            hit = re.fullmatch(r"phase (\d+) rake L(\d+)", rec.label)
+            if hit is not None:
+                phase, step = map(int, hit.groups())
+                steps[phase] = max(steps.get(phase, 0), step)
+        assert steps and max(steps.values()) <= c.inv_eps + 1
+
+    def test_sibling_levels_over_the_cap_fault(self, monkeypatch):
+        # batches of 2 fold a 63-leaf star in five sibling levels, three
+        # over the cap of 2; the sixth level only rakes and is not counted
+        monkeypatch.setattr(engine, "sibling_batch", lambda cfg: 2)
+        t = star(64)
+        c = cfg(t.n, strict=False)
+        assert c.inv_eps == 2
+        value, log, metrics = tree_contract(t, HeightAlgebra(), c)
+        assert value == 1
+        assert metrics["violations"] == [
+            "phase 1 sibling level 3 exceeds 2",
+            "phase 1 sibling level 4 exceeds 2",
+            "phase 1 sibling level 5 exceeds 2"]
+        assert {rec.kind for rec in log.records
+                if rec.label == "phase 1 rake L6"} == {"connected"}
+        assert reconstruct(log, HeightAlgebra()) == oracles.height_table(t)
+        with pytest.raises(SimFault, match="sibling level 3 exceeds 2"):
+            tree_contract(t, HeightAlgebra(), cfg(t.n))
+
+    # general height rounds at n = 2^9, as they stood before a phase's leaf
+    # levels shared rounds; a run may take fewer, never more
+    ROUND_CEILINGS = {
+        ("path", 0.5): 9, ("path", 0.25): 28,
+        ("star", 0.5): 5, ("star", 0.25): 9,
+        ("caterpillar", 0.5): 9, ("caterpillar", 0.25): 28,
+        ("broom", 0.5): 11, ("broom", 0.25): 34,
+        ("random", 0.5): 9, ("random", 0.25): 37,
+    }
+
+    @pytest.mark.parametrize("family, epsilon", sorted(ROUND_CEILINGS))
+    def test_rounds_stay_under_the_table(self, family, epsilon):
+        make = {"path": path, "star": star, "caterpillar": caterpillar,
+                "broom": broom,
+                "random": lambda n: random_tree(n, seed=n)}[family]
+        t = make(1 << 9)
+        value, _log, metrics = tree_contract(t, HeightAlgebra(),
+                                             cfg(t.n, epsilon=epsilon))
+        assert value == oracles.height_table(t)[t.root]
+        assert metrics["rounds"] <= self.ROUND_CEILINGS[family, epsilon]
 
     def test_all_small_shapes_agree(self):
         plugin = sum_plugin()
@@ -686,7 +825,7 @@ def _drive_merged(sim, order, *unit_lists):
 
 
 class TestScheduler:
-    def test_a_charge_waits_while_a_round_runs(self):
+    def test_a_charge_is_booked_before_a_round_runs(self):
         sim = Simulator(cfg(16))
         order = []
         got = _drive_merged(
@@ -695,13 +834,28 @@ class TestScheduler:
             [("round", _labelled(order, "b1")),
              ("round", _labelled(order, "b2")),
              ("charge", "relabel", 1)])
-        # b's two rounds run while a waits at its charge; the charges then
-        # fall in the same step and are booked once
-        assert order == ["b1", "b2", "a1"]
-        # each stream resumes only once its round has run
-        assert got == [[2, 3], [1, 2, 2]]
+        # b's first round waits while a's charge is booked, then a's round
+        # joins it; b's own charge comes after its second round
+        assert order == ["a1", "b1", "b2"]
+        # each stream resumes only once its unit is done
+        assert got == [[0, 2], [2, 3, 3]]
         assert sim.rounds == 4
-        assert [p["label"] for p in sim.phases] == ["relabel"]
+        assert [p["label"] for p in sim.phases] == ["relabel", "relabel"]
+
+    def test_a_round_shares_the_round_after_a_charge(self):
+        # a stream at a round runs with one that first books a charge,
+        # as a general phase's direct compress runs with its nested runs
+        sim = Simulator(cfg(16))
+        order = []
+        got = _drive_merged(
+            sim, order,
+            [("round", _labelled(order, "direct"))],
+            [("charge", "preorder", 2), ("round", _labelled(order, "n1"))],
+            [("charge", "preorder", 2), ("round", _labelled(order, "m1"))])
+        assert order == ["direct", "n1", "m1"]
+        assert got == [[3], [0, 3], [0, 3]]
+        assert sim.rounds == 3
+        assert [p["label"] for p in sim.phases] == ["preorder"]
 
     def test_distinct_charges_are_booked_one_after_the_other(self):
         # the third stream's charge equals the first's and is booked with it
@@ -1046,6 +1200,18 @@ class TestLogCodec:
         with pytest.raises(InputError, match="truncated"):
             ContractionLog.load(p)
 
+    def test_zero_denominator(self, tmp_path):
+        # the header (1, (1,), 1/0, 0) by hand: the Fraction's tag 5, its
+        # zigzag numerator 2, then the denominator 0 at offset 10
+        header = bytes([7, 4, 3, 2, 7, 1, 3, 2, 5, 2, 0, 3, 0])
+        with pytest.raises(InputError, match="zero denominator at offset 10"):
+            _dec_obj(header, 0)
+        p = tmp_path / "zero.tclog"
+        p.write_bytes(LOG_MAGIC + header)
+        with pytest.raises(InputError, match="zero denominator at offset %d"
+                                             % (len(LOG_MAGIC) + 10)):
+            ContractionLog.load(p)
+
     @staticmethod
     def load_record(tmp_path, edits):
         """Load a one-record log of members (1, 2) with each field i of
@@ -1251,11 +1417,11 @@ class TestHeaderWords:
             None, (None, 3, 5), ((), (), (10, 11)))
         sibling = Record("phase 1 rake L1", "sibling", 4, (4, 6, 7),
                          (leaf(4), leaf(6), leaf(7)), (6, 7), 2)
-        fold = Record("phase 1 fold", "connected", 2, (2, 4),
+        rake = Record("phase 1 rake L2", "connected", 2, (2, 4),
                       (leaf(2), leaf(4)), (4,), None, (None, 2), ((), ()),
                       False)
         assert sibling.parents == () and sibling.outs == ()
-        for rec, words in ((connected, 13), (sibling, 10), (fold, 10)):
+        for rec, words in ((connected, 13), (sibling, 10), (rake, 10)):
             assert rec.header_words() == word_count(header_of(rec)) == words
 
     def test_every_record_of_a_run(self):
@@ -1624,21 +1790,21 @@ def registry_expression(seed, length):
 N_REG, SEED_REG = 1 << 9, 5
 # name -> (problem, epsilon, make_inputs, endings of connected-record labels
 # the run must produce); between them the runs reach both algorithms, nested
-# bounded runs, the fold and the final machine
+# bounded runs, leaf rakes and the final machine
 REGISTRY_RUNS = {
     "mwm": ("mwm", 0.5, lambda: ([with_edge_weights(
         random_tree(N_REG, SEED_REG), SEED_REG)], None),
         ("phase 1 phase 1 compress", "phase 1 phase 1 rake")),
     "mwis": ("mwis", 0.5, lambda: ([oracles.with_vertex_weights(
         broom(N_REG), SEED_REG)], None),
-        (" fold", "phase 2 phase 1 compress")),
+        (" rake L2", "phase 2 phase 1 compress")),
     "mis": ("mis", 0.5, lambda: ([random_tree(N_REG, SEED_REG)], None),
             ("phase 1 compress", "phase 1 rake")),
     "matching": ("matching", 0.5, lambda: ([broom(N_REG)], None),
                  ("phase 1 compress", "phase 1 rake")),
     "height": ("height", 0.25, lambda: ([random_tree(N_REG, SEED_REG)],
                                         None),
-               ("final", " fold", "phase 1 phase 1 compress")),
+               ("final", " rake L1", "phase 1 phase 1 compress")),
     "sum": ("sum", 0.25, lambda: ([path(N_REG)], None),
             ("phase 1 phase 1 compress",)),
     "eval": ("eval", 0.5, lambda: ([], registry_expression(SEED_REG, N_REG)),
@@ -2250,8 +2416,8 @@ def reference_reconstruct(log, plugin):
     Maintains, per vertex id, the value and upward edge current for the
     moment the replay has reached; each record rewrites its members' entries
     from the stored snapshots, so earlier records always see the state their
-    machines saw. Fold survivors carry the batch aggregate until their own
-    fold record restores the single-vertex value."""
+    machines saw. A sibling batch's survivor carries the batch aggregate
+    until its sibling record restores the single-vertex value."""
     if log.final_payload is None:
         raise LogIntegrityError("log has no final payload")
     values = {log.root: plugin.node_value(log.final_payload[3])}
@@ -2361,7 +2527,8 @@ REPLAY_RUNS = {
         random_tree(N_REPLAY, SEED_REPLAY), SEED_REPLAY), None)),
 }
 # the max-plus runs whose logs hold every record kind: sibling, connected,
-# a virtual member standing in for a folded batch, and a fold
+# a virtual member standing in for a folded batch, and the rake of a parent
+# with its last sibling level's survivors
 EVERY_KIND = ("mwm/broom", "mwis/star")
 # the solvers whose answers need no replay: theirs is run on their log
 REPLAY_PLUGINS = {"eval": EvalAlgebra, "height": HeightAlgebra,
@@ -2414,7 +2581,10 @@ class TestReplay:
             records = [rec for log, _p, _o in calls for rec in log.records]
             assert {rec.kind for rec in records} == {"sibling", "connected"}
             assert any(rec.virtual for rec in records)
-            assert any(rec.label.endswith(" fold") for rec in records)
+            assert any(rec.kind == "connected" and rec.virtual
+                       and not rec.root_outs_known
+                       and re.search(r" rake L\d+$", rec.label)
+                       for rec in records)
         for log, plugin, out in calls:
             want = reference_reconstruct(log, plugin)
             assert list(out.items()) == list(want.items())

@@ -58,10 +58,10 @@ GOLDEN = {
         "answer_sha256":
             "e638fca512667951489f2214927307b319e402239327a760f6445a108a393c64"},
     "height": {
-        "rounds": 36, "peak_machine_words": 90, "total_words": 13517,
-        "dht_reads": 1562, "dht_writes": 701, "log_words": 13350,
+        "rounds": 31, "peak_machine_words": 90, "total_words": 12249,
+        "dht_reads": 1432, "dht_writes": 566, "log_words": 12087,
         "log_sha256":
-            "a94c9553e51146a9969740480c6cf025f69738d45bd0e4efa5cd5c58bd9e6f96",
+            "9b2f5b0e481d4dd49e878e73ba94682cf653853c72137efc3ce3002bd1931632",
         "answer_sha256":
             "3fdba35f04dc8c462986c992bcf875546257113072a909c162f7e470e581e278"},
     "matching": {
