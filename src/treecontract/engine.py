@@ -400,10 +400,16 @@ def _bounded_units(tree, plugin, cfg, books, prefix=""):
     for every live vertex. Yields ("charge", label, rounds) and ("round",
     machines); a phase over the cap is reported to books.fault. Planning
     reads tree.vertices() as the preorder to decompose, so tree must be
-    keyed in preorder. A phase's compress plans, one per component of a
-    group, go to _round like every other round's, so a machine may hold
-    plans of several groups. The run ends in _final, tried at the top of
-    each phase and again after its compress."""
+    keyed in preorder. Each phase charges that numbering: a standalone
+    run's first phase a preorder of inv_eps rounds, every other phase a
+    1-round relabel. A nested run (prefix set) is a fringe component, its
+    top's whole subtree and so a contiguous run of the main tree's
+    preorder, which the general run has charged: its ranks are the main
+    tree's less its top's, so its first phase is a relabel too. A phase's
+    compress plans, one per component of a group, go to _round like every
+    other round's, so a machine may hold plans of several groups. The run
+    ends in _final, tried at the top of each phase and again after its
+    compress."""
     lam = degree_budget(cfg)
     children = tree.children
     for v, kids in children.items():
@@ -418,10 +424,10 @@ def _bounded_units(tree, plugin, cfg, books, prefix=""):
             books.fault("%sphase %d exceeds the cap of %d"
                         % (prefix, phase, cfg.phase_cap))
         label = "%sphase %d" % (prefix, phase)
-        if phase == 1:
-            yield ("charge", "preorder", cfg.inv_eps)
-        else:
+        if phase > 1 or prefix:
             yield ("charge", "relabel", 1)
+        else:
+            yield ("charge", "preorder", cfg.inv_eps)
         dec = decompose(tree, lam, tree.vertices())
         k = dec.k
         plans = [_comp_spec(tree, comp, books, label + " compress")
@@ -440,15 +446,19 @@ def _bounded_units(tree, plugin, cfg, books, prefix=""):
 def _general_units(tree, plugin, cfg, books):
     """Unit stream of the general contraction: phases of compress, nested
     bounded runs and leaf levels, ended by _final, tried at the top of each
-    phase. The direct compress round runs as the first stream beside the
-    nested runs, so it shares their first compress round. Each leaf level
-    is one round: a parent with at most alpha eligible leaves is raked with
-    them, when that plan fits S or holds one leaf, and leaves the loop; the
-    eligible leaves of every other parent fold in sibling batches of alpha.
-    The eligible leaves are the leaves the loop starts with: a vertex that
-    a rake turns into a leaf is not raked into its parent in the same
-    phase, so the levels do not walk up a caterpillar's spine. Only levels
-    that hold a sibling batch count toward the cap of inv_eps."""
+    phase. Each phase charges connectivity, inv_eps rounds; phase 1 also
+    numbers the tree in preorder in those rounds, an independent
+    computation on the same tree, and every nested run inherits that order,
+    as contraction keeps its restriction a preorder. The direct compress
+    round runs as the first stream beside the nested runs, so it shares
+    their first compress round. Each leaf level is one round: a parent with
+    at most alpha eligible leaves is raked with them, when that plan fits S
+    or holds one leaf, and leaves the loop; the eligible leaves of every
+    other parent fold in sibling batches of alpha. The eligible leaves are
+    the leaves the loop starts with: a vertex that a rake turns into a leaf
+    is not raked into its parent in the same phase, so the levels do not
+    walk up a caterpillar's spine. Only levels that hold a sibling batch
+    count toward the cap of inv_eps."""
     lam = degree_budget(cfg)
     alpha = sibling_batch(cfg)
     table, virtual, children = books.table, books.virtual, tree.children
@@ -460,7 +470,8 @@ def _general_units(tree, plugin, cfg, books):
                         % (phase, cfg.phase_cap))
         label = "phase %d" % phase
         n_before = tree.n
-        yield ("charge", "connectivity", cfg.inv_eps)
+        yield ("charge", "connectivity, preorder" if phase == 1
+               else "connectivity", cfg.inv_eps)
         direct, sizes, nested = [], [], []
         for members, is_fringe in low_degree_components(tree, lam + 1):
             if not is_fringe or len(members) < 2:

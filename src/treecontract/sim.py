@@ -23,7 +23,8 @@ rather than re-implemented: the engine's preorder numbering, connectivity
 and relabeling; the bypass expansion, greedy edges and set extraction of
 the independent-set problems; matching's match pointers and segmentation;
 eval's five text stages (insertions, paren scan, paren merge, paren
-deletions, operator scan); and iso's modulus draw.
+deletions, operator scan); and iso's modulus draw. The metrics report their
+sum as charged_rounds, so rounds less charged_rounds are the rounds run.
 """
 
 import math
@@ -149,6 +150,7 @@ class Simulator:
     def __init__(self, cfg):
         self.cfg = cfg
         self.rounds = 0
+        self.charged_rounds = 0
         self.generation = {}
         self._gen_words = 0
         self.peak_machine_words = 0
@@ -259,6 +261,7 @@ class Simulator:
         if rounds < 1:
             raise InputError("charged rounds must be >= 1")
         self._advance(rounds)
+        self.charged_rounds += rounds
         if self._phase is None:
             self.phases.append({"label": name, "rounds": rounds})
 
@@ -278,6 +281,7 @@ class Simulator:
     def snapshot_metrics(self):
         return {
             "rounds": self.rounds,
+            "charged_rounds": self.charged_rounds,
             "phases": [dict(p) for p in self.phases],
             "peak_machine_words": self.peak_machine_words,
             "total_words": self.total_words,

@@ -434,7 +434,9 @@ class TestGeneral:
             a1, log1, m1 = bounded_tree_contract(t, sum_plugin(), c)
             a2, log2, m2 = tree_contract(t, sum_plugin(), c)
             assert a1 == a2 == 64
-            assert m2["rounds"] == m1["rounds"] + c.inv_eps
+            # the general run's connectivity rounds also number the tree in
+            # preorder, so its nested run relabels instead
+            assert m2["rounds"] == m1["rounds"] + 1
 
     def test_nested_runs_share_rounds(self):
         # two oversized low-degree tails hang under one high-degree hub;
@@ -552,6 +554,85 @@ class TestGeneral:
         assert answer == t.n and metrics["violations"] == []
         assert {"phase 1 compress", "phase 1 phase 1 compress"} in rounds
         assert reconstruct(log, sum_plugin()) == subtree_sums(t)
+
+    @staticmethod
+    def _solve_general(problem, family, epsilon, n=2000):
+        tree = GATE_FAMILIES[family](n)
+        if problem == "mwm":
+            tree = with_edge_weights(tree, 7)
+        elif problem == "mwis":
+            tree = oracles.with_vertex_weights(tree, 7)
+        result = REGISTRY[problem]["solve"](
+            [tree], None, cfg(tree.n, epsilon=epsilon, seed=7), 7)
+        assert REGISTRY[problem]["check"]([tree], None, result)[2]
+
+    @pytest.mark.parametrize("epsilon", [0.5, 0.25, 0.15])
+    @pytest.mark.parametrize("problem", ["height", "mwm", "mwis", "sum"])
+    def test_nested_slices_are_preorder_runs(self, monkeypatch, problem,
+                                             epsilon):
+        # a nested slice is its top's whole subtree, so a contiguous run of
+        # the main tree's key order, a preorder: its ranks are the main
+        # tree's less its top's
+        sliced, seen = Tree.slice, []
+
+        def spied(tree, members, root):
+            order = list(tree.vertices())
+            below, walk = set(), [root]
+            while walk:
+                v = walk.pop()
+                below.add(v)
+                walk.extend(tree.children[v])
+            assert set(members) == below
+            i = order.index(root)
+            assert tuple(order[i:i + len(members)]) == tuple(members)
+            sub = sliced(tree, members, root)
+            assert tuple(sub.vertices()) == tuple(members)
+            seen.append(len(members))
+            return sub
+
+        monkeypatch.setattr(Tree, "slice", spied)
+        for family in sorted(GATE_FAMILIES):
+            self._solve_general(problem, family, epsilon)
+        assert seen
+
+    @pytest.mark.parametrize("epsilon", [0.5, 0.25, 0.15])
+    @pytest.mark.parametrize("problem", ["height", "mwm", "mwis", "sum"])
+    def test_preorder_is_charged_once_a_general_run(self, monkeypatch,
+                                                    problem, epsilon):
+        # phase 1's connectivity rounds number the main tree in preorder;
+        # no run charges a preorder again, and each nested run's first
+        # charge relabels its slice
+        charge, bounded = Simulator.charge_subroutine, engine._bounded_units
+        names, nested = [], []
+
+        def spied_charge(sim_, name, rounds):
+            names.append(name)
+            return charge(sim_, name, rounds)
+
+        def spied_bounded(tree, plugin, cfg, books, prefix=""):
+            charges = []
+            if prefix:
+                nested.append(charges)
+            for unit in bounded(tree, plugin, cfg, books, prefix):
+                if unit[0] == "charge":
+                    charges.append(unit[1])
+                yield unit
+
+        monkeypatch.setattr(Simulator, "charge_subroutine", spied_charge)
+        monkeypatch.setattr(engine, "_bounded_units", spied_bounded)
+        runs = 0
+        for family in sorted(GATE_FAMILIES):
+            del names[:], nested[:]
+            self._solve_general(problem, family, epsilon)
+            assert names.count("connectivity, preorder") == 1, family
+            assert "preorder" not in names, family
+            assert all(charges[0] == "relabel" for charges in nested)
+            runs += len(nested)
+        assert runs
+        del names[:]
+        bounded_tree_contract(valued(path(2000)), sum_plugin(), cfg(2000))
+        assert names.count("preorder") == 1
+        assert "connectivity, preorder" not in names
 
     @pytest.mark.parametrize("problem, make, epsilon", [
         ("height", lambda: star(1 << 10), 0.5),

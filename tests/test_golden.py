@@ -58,7 +58,7 @@ GOLDEN = {
         "answer_sha256":
             "e638fca512667951489f2214927307b319e402239327a760f6445a108a393c64"},
     "height": {
-        "rounds": 31, "peak_machine_words": 90, "total_words": 12249,
+        "rounds": 25, "peak_machine_words": 90, "total_words": 12249,
         "dht_reads": 1432, "dht_writes": 566, "log_words": 12087,
         "log_sha256":
             "9b2f5b0e481d4dd49e878e73ba94682cf653853c72137efc3ce3002bd1931632",
@@ -79,21 +79,21 @@ GOLDEN = {
         "answer_sha256":
             "9e83f45de39d4a54c25c2d3489d2b360f59d4e7314c0d8aa1dc96dceb4b3431e"},
     "mwis": {
-        "rounds": 11, "peak_machine_words": 452, "total_words": 19852,
+        "rounds": 10, "peak_machine_words": 452, "total_words": 19852,
         "dht_reads": 1155, "dht_writes": 186, "log_words": 19791,
         "log_sha256":
             "ab914f37538c5ff4d72e76d55d0ea9afa0a886ef3662d42eb8727a3fbff5ad7a",
         "answer_sha256":
             "f1241a65c837e6459b2221ac28d7893f04f4d6118fb4168648b12177b014b666"},
     "mwm": {
-        "rounds": 12, "peak_machine_words": 512, "total_words": 15319,
+        "rounds": 11, "peak_machine_words": 512, "total_words": 15319,
         "dht_reads": 1266, "dht_writes": 278, "log_words": 15278,
         "log_sha256":
             "b2ee256e6b87e2a79a4879adf32a600d421a31439a78b4220b80a6518b23d5b5",
         "answer_sha256":
             "85508e52fbf4c41db32f6773b137242cd8d0089146013bf3666acb6e9d34eb61"},
     "sum": {
-        "rounds": 16, "peak_machine_words": 85, "total_words": 10082,
+        "rounds": 13, "peak_machine_words": 85, "total_words": 10082,
         "dht_reads": 1280, "dht_writes": 412, "log_words": 9922,
         "log_sha256":
             "ced558b43b0ffd0b29d497f60ce25d217178778f92df238bc3d70c4d5d83404f",
@@ -102,7 +102,7 @@ GOLDEN = {
 }
 
 ISO_GOLDEN = {
-    "rounds": 19, "peak_machine_words": 512, "total_words": 22514,
+    "rounds": 17, "peak_machine_words": 512, "total_words": 22514,
     "dht_reads": 5068, "dht_writes": 1086, "verdict": True,
     "modulus": 326637205720375, "q_left": 117040723017685,
     "q_right": 117040723017685,

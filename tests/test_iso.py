@@ -225,7 +225,7 @@ class TestPairedPasses:
         t1, t2 = (parse_tree(serialize_tree(t)) for t in (left, right))
         got, want = assert_matches_reference(
             t1, t2, SimConfig(epsilon=0.5, n=t1.n, seed=seed), seed)
-        assert (got["rounds"], want["rounds"]) == (19, 37)
+        assert (got["rounds"], want["rounds"]) == (17, 33)
 
     @pytest.mark.parametrize("family", ["path", "star", "caterpillar",
                                         "broom", "random"])

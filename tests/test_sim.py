@@ -7,6 +7,8 @@ import pytest
 
 import treecontract.sim as simmod
 from treecontract.errors import InputError, SimFault
+from treecontract.oracles import broom, random_tree, star
+from treecontract.problems import REGISTRY
 from treecontract.sim import Machine, SimConfig, Simulator
 from treecontract.trees import word_count
 
@@ -514,6 +516,7 @@ class TestMetrics:
         m = json.loads(json.dumps(sim.snapshot_metrics()))
         assert set(m) == {
             "rounds",
+            "charged_rounds",
             "phases",
             "peak_machine_words",
             "total_words",
@@ -524,6 +527,31 @@ class TestMetrics:
         assert isinstance(m["rounds"], int)
         assert isinstance(m["phases"], list)
         assert isinstance(m["violations"], list)
+
+    @pytest.mark.parametrize("problem, make, text", [
+        ("height", lambda: [random_tree(1 << 10, 1)], None),
+        ("mis", lambda: [star(300)], None),
+        ("matching", lambda: [broom(1 << 9)], None),
+        ("eval", lambda: [], "((1+2)*(3-4))+(5*6)"),
+        ("iso", lambda: [random_tree(1 << 9, 2), random_tree(1 << 9, 2)],
+         None),
+    ])
+    def test_charged_rounds_are_the_rounds_not_run(self, monkeypatch,
+                                                   problem, make, text):
+        run_round, ran = Simulator.run_round, []
+
+        def spied(sim_, machines):
+            ran.append(len(machines))
+            return run_round(sim_, machines)
+
+        monkeypatch.setattr(Simulator, "run_round", spied)
+        trees = make()
+        n = max([4, len(text or "")] + [t.n for t in trees])
+        result = REGISTRY[problem]["solve"](
+            trees, text, cfg(epsilon=0.25, n=n), 1)
+        m = result["metrics"]
+        assert ran and m["charged_rounds"] > 0
+        assert m["rounds"] - m["charged_rounds"] == len(ran)
 
     def test_snapshot_is_pure(self):
         sim = Simulator(cfg())
