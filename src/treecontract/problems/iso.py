@@ -1,10 +1,10 @@
-"""Randomized rooted-tree isomorphism, plus the height contractor it needs.
+"""Randomized rooted-tree isomorphism, and the subtree-height contractor.
 
-Each vertex gets the polynomial Q_v = prod over children u of (x_{h_v} - Q_u),
-with Q = 1 at leaves and one indeterminate per height level. Two isomorphic
+Each vertex gets the polynomial Q_v = prod over children u of (x_{d_v} - Q_u),
+with Q = 1 at leaves and one indeterminate per depth level. Two isomorphic
 trees share Q for every assignment; non-isomorphic trees of equal size and
 height disagree with high probability once the x_i are drawn at random mod m.
-Both evaluations run through the contraction engine: an edge is an affine map
+The evaluation runs through the contraction engine: an edge is an affine map
 t -> (a*t + b) mod m, so removing chain vertices stays one multiplication.
 """
 
@@ -68,17 +68,16 @@ def subtree_heights(log):
 class IsoAlgebra(Algebra):
     """Data is the running product of (x - Q_child) factors mod m; an edge
     (a, b) maps a pending child's polynomial value t to (a*t + b) mod m. The
-    fresh edge of v is t -> x_{h(parent)} - t, with x_i = xs[i - 1] the
-    drawn values and h = heights the subtree heights of the tree it runs
-    on."""
+    fresh edge of v is t -> x_{d(parent)} - t, with x_i = xs[i] the drawn
+    values and d = depths the depths of the tree it runs on."""
 
     name = "iso"
     C_w = 16
 
-    def __init__(self, m, xs, heights):
+    def __init__(self, m, xs, depths):
         self.m = m
         self.xs = xs
-        self.heights = heights
+        self.depths = depths
 
     def init_data(self, tree, v):
         return 1
@@ -87,7 +86,7 @@ class IsoAlgebra(Algebra):
         p = tree.parent[v]
         if p is None:
             return None
-        return (self.m - 1, self.xs[self.heights[p] - 1] % self.m)
+        return (self.m - 1, self.xs[self.depths[p]] % self.m)
 
     def node_value(self, data):
         return data % self.m
@@ -133,48 +132,47 @@ def _shifted(tree, offset):
 ALPHA = 1
 
 
+def _depths(tree):
+    """Each vertex's depth, the root at 0, from one preorder walk."""
+    depth = {tree.root: 0}
+    for v in tree.preorder():
+        depth.update(dict.fromkeys(tree.children[v], depth[v] + 1))
+    return depth
+
+
 def tree_isomorphism(t1, t2, cfg, seed=0):
     """Verdict plus a JSON-safe detail dict. One-sided: isomorphic inputs are
     never rejected; a non-isomorphic pair can slip through with probability
-    shrinking in n^ALPHA, so callers repeat with fresh seeds. Two steps run
-    on one simulator sized by t1, each contracting both trees side by side
-    in shared rounds: the height pass (phase "iso height"), then, after the
-    modulus draw, the polynomial pass (phase "iso polynomial"). Once the
-    host has replayed the height logs to subtree heights, it retires every
-    key the height pass left (its LOG records and both root payloads), so
-    the polynomial pass starts on an empty table and the run's total words
-    are the larger pass's peak, not their sum. The modulus is a random
-    integer in [B^2, 2B^2], B = max(1, h) * n^(ALPHA+1) for the common
-    height h, drawn from seed. t2 runs on a copy whose ids lie past t1's,
-    as the two runs share one table."""
+    shrinking in n^ALPHA, so callers repeat with fresh seeds. Both trees'
+    depths are charged as one Euler-tour ranking (phase "depth"); the
+    largest depth is the root's height. Trees of equal height h then run
+    one polynomial pass side by side (phase "iso polynomial") on a
+    simulator sized by t1, modulo a random integer in [B^2, 2B^2],
+    B = max(1, h) * n^(ALPHA+1), drawn from seed. t2 runs on a copy whose
+    ids lie past t1's, as the two runs share one table."""
     detail = {"n_left": t1.n, "n_right": t2.n, "alpha": ALPHA, "seed": seed}
-    height = HeightAlgebra()
-    sim = run_simulator(height, cfg, t1.n)
+    sim = run_simulator(IsoAlgebra, cfg, t1.n)
     if t1.n != t2.n:
         detail["reason"] = "size"
         detail["metrics"] = sim.snapshot_metrics()
         return False, detail
     t2 = _shifted(t2, max(t1.parent) + 1 - min(t2.parent))
-    ((h1, log1), (h2, log2)), _ = contract_side_by_side(
-        [(t1, height), (t2, height)], sim, "iso height")
+    d1, d2 = _depths(t1), _depths(t2)
+    sim.charge_subroutine("depth", cfg.inv_eps)
+    h1, h2 = max(d1.values()), max(d2.values())
     detail["height_left"] = h1
     detail["height_right"] = h2
     if h1 != h2:
         detail["reason"] = "height"
         detail["metrics"] = sim.snapshot_metrics()
         return False, detail
-    heights1, heights2 = subtree_heights(log1), subtree_heights(log2)
-    del log1, log2
-    # the heights are read: nothing reads the height pass's records and root
-    # payloads again, so the polynomial pass starts on an empty table
-    sim.store((), list(sim.generation))
     rng = random.Random(seed)
     base = max(1, h1) * t1.n ** (ALPHA + 1)
     m = rng.randint(base * base, 2 * base * base)
     sim.charge_subroutine("modulus draw", 1)
     xs = [rng.randint(1, m) for _ in range(h1)]
     ((q1, _), (q2, _)), metrics = contract_side_by_side(
-        [(t1, IsoAlgebra(m, xs, heights1)), (t2, IsoAlgebra(m, xs, heights2))],
+        [(t1, IsoAlgebra(m, xs, d1)), (t2, IsoAlgebra(m, xs, d2))],
         sim, "iso polynomial")
     detail.update(reason="polynomial", modulus=m, q_left=q1, q_right=q2,
                   metrics=metrics)

@@ -3,15 +3,13 @@
 Machines run one round at a time against a frozen previous hash-table
 generation; their writes materialize the next generation at round end, and a
 machine may retire keys whose values it has consumed, which the next
-generation then drops. Between rounds the host may retire keys too, once it
-has read their values and no later round reads them (iso's height-pass log,
-once replayed to heights); a host retire is no DHT read or write. So the
-table (and its peak, total_words) holds only what a later round can still
-read. All budgets are counted in machine words (word_count in trees.py). A
-value's words are counted once, when it is written, and kept beside it: the
-generation maps each key to the pair (value, words), a read is charged the
-pair's count, and the round-end merge reuses the writer's count for the new
-value and the stored count for the value it replaces. A writer that already
+generation then drops. So the table (and its peak, total_words) holds only
+what a later round can still read. All budgets are counted in machine words
+(word_count in trees.py). A value's words are counted once, when it is
+written, and kept beside it: the generation maps each key to the pair
+(value, words), a read is charged the pair's count, and the round-end merge
+reuses the writer's count for the new value and the stored count for the
+value it replaces. A writer that already
 holds the count passes it to the write: the engine counts a machine's LOG
 entry, the tuple of its contraction records, as the sum over its records of
 the words their payload reads were charged plus each record's header. The
@@ -23,8 +21,9 @@ rather than re-implemented: the engine's preorder numbering, connectivity
 and relabeling; the bypass expansion, greedy edges and set extraction of
 the independent-set problems; matching's match pointers and segmentation;
 eval's five text stages (insertions, paren scan, paren merge, paren
-deletions, operator scan); and iso's modulus draw. The metrics report their
-sum as charged_rounds, so rounds less charged_rounds are the rounds run.
+deletions, operator scan); and iso's depths (an Euler-tour ranking) and
+modulus draw. The metrics report their sum as charged_rounds, so rounds
+less charged_rounds are the rounds run.
 """
 
 import math
@@ -176,10 +175,8 @@ class Simulator:
         are, where words is the value's word count; keep the generation's
         size and its peak (total_words) current, the peak taken once both
         are applied. An entry costs one word for its key plus its value's
-        words. The host seeds payloads through here, and between rounds
-        retires what it has read and no later round reads (a finished
-        pass's log, once replayed); run_round merges each round's retires
-        and writes through here."""
+        words. The host seeds payloads through here; run_round merges each
+        round's retires and writes through here."""
         table = self.generation
         size = self._gen_words
         for key in retired:

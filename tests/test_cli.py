@@ -186,7 +186,7 @@ class TestSolve:
             json.loads(line) for line in rep.read_text().splitlines()]
         phases = iso_report["metrics"]["phases"]
         assert [ph["label"] for ph in phases] == [
-            "iso height", "modulus draw", "iso polynomial"]
+            "depth", "modulus draw", "iso polynomial"]
         assert sum(ph["rounds"] for ph in phases) == (
             iso_report["metrics"]["rounds"])
         # a single run keeps its one phase
@@ -219,6 +219,22 @@ class TestVerify:
         lines = [json.loads(l) for l in out.strip().splitlines()]
         assert code == 0 and len(lines) == 3
         assert len({l["digest"] for l in lines}) == 3
+
+    def test_report_appends_the_printed_lines(self, tmp_path, capsys):
+        argv = ["verify", "--problem", "height"]
+        for i in range(3):
+            dest = tmp_path / ("t%d.tree" % i)
+            run(capsys, "gen", "--family", "random", "--n", str(20 + i),
+                "--seed", str(i), "--out", str(dest))
+            argv += ["--input", str(dest)]
+        rep = tmp_path / "rep.jsonl"
+        rep.write_text('{"earlier": true}\n')
+        code, out, _ = run(capsys, *argv, "--report", str(rep))
+        lines = rep.read_text().splitlines()
+        assert code == 0 and len(lines) == 4
+        assert json.loads(lines[0]) == {"earlier": True}
+        assert lines[1:] == out.strip().splitlines()
+        assert all(json.loads(line)["equal"] for line in lines[1:])
 
     def test_eval_verify(self, capsys):
         code, out, _ = run(capsys, "verify", "--problem", "eval",

@@ -47,7 +47,7 @@ from treecontract.oracles import (
 )
 from treecontract.problems.exprs import EvalAlgebra
 from treecontract.problems.indep import MisbAlgebra, MwisAlgebra
-from treecontract.problems.iso import HeightAlgebra
+from treecontract.problems.iso import HeightAlgebra, IsoAlgebra
 from treecontract.problems.matching import MwmAlgebra, mwm_solve
 from treecontract.problems import REGISTRY, exprs, indep, iso, lifted, matching
 from treecontract.sim import Machine, SimConfig, Simulator
@@ -2049,7 +2049,7 @@ class TestNoCycles:
 SOLVE_PLUGIN = {"mwm": MwmAlgebra, "mwis": MwisAlgebra, "mis": MisbAlgebra,
                 "matching": MisbAlgebra, "height": HeightAlgebra,
                 "sum": sum_plugin(), "eval": EvalAlgebra,
-                "iso": HeightAlgebra}
+                "iso": IsoAlgebra}
 
 
 def contracted_size(name, trees, text, config):
@@ -2097,16 +2097,18 @@ class TestOneRecordForm:
         epsilon = REGISTRY_RUNS[name][1] if name in REGISTRY_RUNS else 0.5
         n = max(4, len(text)) if text is not None else trees[0].n
         config = cfg(n, epsilon=epsilon, seed=SEED_REG)
-        plugin = (lifted.sum_plugin() if name == "sum"
-                  else SOLVE_PLUGIN[name]())
         if name == "iso":
             t1, t2 = trees
             t2 = iso._shifted(t2, max(t1.parent) + 1 - min(t2.parent))
-            sim = run_simulator(plugin, config, t1.n + t2.n)
-            runs, _m = contract_side_by_side([(t1, plugin), (t2, plugin)],
-                                             sim, "iso height")
+            sim = run_simulator(IsoAlgebra, config, t1.n + t2.n)
+            m, xs = 2 ** 61 - 1, list(range(3, 3 + t1.n))
+            runs, _m = contract_side_by_side(
+                [(t, IsoAlgebra(m, xs, iso._depths(t))) for t in (t1, t2)],
+                sim, "iso polynomial")
             logs = [log for _answer, log in runs]
         else:
+            plugin = (lifted.sum_plugin() if name == "sum"
+                      else SOLVE_PLUGIN[name]())
             if name in ("mis", "matching"):
                 tree = indep.bypass_expand(trees[0], config)[0]
                 contract = bounded_tree_contract
@@ -2192,10 +2194,7 @@ class TestRetiredPayloads:
     """A machine retires the payload keys of the members it contracts: each
     consumed payload lives on only inside the record written with it, and a
     finished solve's table holds one LOG entry per machine and its roots'
-    payloads.
-    The host retires keys only in iso, once, between its two passes: once
-    it has read the heights, every key the height pass left goes, so the
-    polynomial pass starts on an empty table."""
+    payloads. The host retires no key: every retire is a machine's."""
 
     @pytest.mark.parametrize("name", REGISTRY_NAMES)
     def test_the_table_after_a_solve(self, monkeypatch, name):
@@ -2219,14 +2218,7 @@ class TestRetiredPayloads:
         def recorded_store(sim, entries, retired=()):
             entries, retired = list(entries), list(retired)
             if retired and not in_round:
-                keys = set(sim.generation)
-                store(sim, entries, retired)
-                machines_run[0] = 0
-                host_retires.append((
-                    [p["label"] for p in sim.phases], entries,
-                    len(retired) == len(keys) and set(retired) == keys,
-                    dict(sim.generation), sim._gen_words))
-                return
+                host_retires.append(retired)
             records = [rec for key, (value, _w) in entries
                        if type(key) is tuple for rec in value]
             for rec in records:
@@ -2244,14 +2236,7 @@ class TestRetiredPayloads:
         run_registry(name, *registry_inputs(name))
         [sim] = sims
         assert contracted and unheld == []
-        if name == "iso":
-            # after the height pass, before the modulus draw: all of the
-            # table's keys, each once, and nothing stored in their place
-            assert host_retires == [(["iso height"], [], True, {}, 0)]
-            assert [p["label"] for p in sim.phases] == [
-                "iso height", "modulus draw", "iso polynomial"]
-        else:
-            assert host_retires == []
+        assert host_retires == []
         table = sim.generation
         # a LOG key is a tuple, a payload's key its vertex id
         logged = [key for key in table if type(key) is tuple]
@@ -2657,7 +2642,8 @@ class TestReplay:
             calls.append((result["log"], plugin,
                           replay(result["log"], plugin)))
         assert problem != "eval" or "**" in text
-        assert calls
+        # iso reads only its roots' answers: it replays no log
+        assert bool(calls) == (problem != "iso")
         if name in EVERY_KIND:
             records = [rec for log, _p, _o in calls for rec in log.records]
             assert {rec.kind for rec in records} == {"sibling", "connected"}

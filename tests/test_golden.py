@@ -102,10 +102,10 @@ GOLDEN = {
 }
 
 ISO_GOLDEN = {
-    "rounds": 17, "peak_machine_words": 512, "total_words": 22514,
-    "dht_reads": 5068, "dht_writes": 1086, "verdict": True,
-    "modulus": 326637205720375, "q_left": 117040723017685,
-    "q_right": 117040723017685,
+    "rounds": 11, "peak_machine_words": 512, "total_words": 22514,
+    "dht_reads": 2534, "dht_writes": 543, "verdict": True,
+    "modulus": 326637205720375, "q_left": 38924579800711,
+    "q_right": 38924579800711,
 }
 
 

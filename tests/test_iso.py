@@ -1,4 +1,5 @@
-"""Height contractor and randomized isomorphism: one-sidedness, detection."""
+"""Height contractor and randomized isomorphism: one-sidedness, detection,
+the depth-indexed polynomial and its single pass."""
 
 import random
 
@@ -13,7 +14,7 @@ from treecontract.problems import iso
 from treecontract.problems.iso import (HeightAlgebra, IsoAlgebra, NEG_INF,
                                        detection_count, height_run,
                                        subtree_heights, tree_isomorphism)
-from treecontract.sim import SimConfig
+from treecontract.sim import SimConfig, Simulator
 from treecontract.trees import Tree, parse_tree, serialize_tree
 
 
@@ -160,20 +161,20 @@ class TestInvariance:
 
 
 # ---------------------------------------------------------------------------
-# the four passes one after another, as tree_isomorphism ran them before its
-# paired passes shared rounds: kept as the reference the paired passes must
-# reproduce, in every detail but rounds and total words
+# the polynomial pass run on one tree, then on the other, on one simulator:
+# kept as the reference the side-by-side pass must reproduce, in every
+# detail but rounds and total words
 
 def reference_tree_isomorphism(t1, t2, cfg, alpha=1, seed=0):
     detail = {"n_left": t1.n, "n_right": t2.n, "alpha": alpha, "seed": seed}
-    height = HeightAlgebra()
-    sim = run_simulator(height, cfg, t1.n)
+    sim = run_simulator(IsoAlgebra, cfg, t1.n)
     if t1.n != t2.n:
         detail["reason"] = "size"
         detail["metrics"] = sim.snapshot_metrics()
         return False, detail
-    h1, log1, _ = tree_contract(t1, height, cfg, sim)
-    h2, log2, _ = tree_contract(t2, height, cfg, sim)
+    d1, d2 = depth_table(t1), depth_table(t2)
+    sim.charge_subroutine("depth", cfg.inv_eps)
+    h1, h2 = max(d1.values()), max(d2.values())
     detail["height_left"] = h1
     detail["height_right"] = h2
     if h1 != h2:
@@ -185,10 +186,8 @@ def reference_tree_isomorphism(t1, t2, cfg, alpha=1, seed=0):
     m = rng.randint(base * base, 2 * base * base)
     sim.charge_subroutine("modulus draw", 1)
     xs = [rng.randint(1, m) for _ in range(h1)]
-    q1, _, _ = tree_contract(t1, IsoAlgebra(m, xs, subtree_heights(log1)),
-                             cfg, sim)
-    q2, _, _ = tree_contract(t2, IsoAlgebra(m, xs, subtree_heights(log2)),
-                             cfg, sim)
+    q1, _, _ = tree_contract(t1, IsoAlgebra(m, xs, d1), cfg, sim)
+    q2, _, _ = tree_contract(t2, IsoAlgebra(m, xs, d2), cfg, sim)
     detail.update(reason="polynomial", modulus=m, q_left=q1, q_right=q2,
                   metrics=sim.snapshot_metrics())
     return q1 == q2, detail
@@ -225,7 +224,7 @@ class TestPairedPasses:
         t1, t2 = (parse_tree(serialize_tree(t)) for t in (left, right))
         got, want = assert_matches_reference(
             t1, t2, SimConfig(epsilon=0.5, n=t1.n, seed=seed), seed)
-        assert (got["rounds"], want["rounds"]) == (17, 33)
+        assert (got["rounds"], want["rounds"]) == (11, 19)
 
     @pytest.mark.parametrize("family", ["path", "star", "caterpillar",
                                         "broom", "random"])
@@ -261,16 +260,59 @@ class TestPairedPasses:
 
 
 # ---------------------------------------------------------------------------
-# the table between the passes: once the heights are read, the height pass's
-# records and root payloads are retired, so the run peaks at one pass's size
+# the depth-indexed polynomial, evaluated exactly: Q_v is monic in x_{d(v)}
+# and its factors' constant terms are the children's Q, which involve only
+# deeper variables, so Q at the root determines the rooted tree
 
-def leaf_moved_to_root(tree):
-    """tree with one of its shallower-than-height leaves moved under the
-    root: the same size and height."""
+def depth_table(tree):
     depth = {tree.root: 0}
     for v in tree.preorder():
         for c in tree.children[v]:
             depth[c] = depth[v] + 1
+    return depth
+
+
+def exact_q(tree, xs):
+    """Q at the root over the integers, x_i = xs[i]."""
+    depth, q = depth_table(tree), {}
+    for v in tree.postorder():
+        q[v] = 1
+        for c in tree.children[v]:
+            q[v] *= xs[depth[v]] - q[c]
+    return q[tree.root]
+
+
+class TestDepthPolynomial:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_exact_values_tell_every_shape_apart(self, n):
+        rng = random.Random(n)
+        xs = [rng.randrange(1, 2 ** 64) for _ in range(n)]
+        shapes = list(all_shapes(n))
+        values = [exact_q(t, xs) for t in shapes]
+        assert len(set(values)) == len(shapes)
+        for k, t in enumerate(shapes):
+            assert exact_q(relabeled_copy(t, k), xs) == values[k]
+
+    def test_the_pass_evaluates_q_mod_m(self):
+        for k, t in enumerate(all_shapes(7)):
+            r = relabeled_copy(t, k)
+            verdict, detail = tree_isomorphism(t, r, cfg_for(7), seed=k)
+            assert verdict
+            h, m = detail["height_left"], detail["modulus"]
+            rng = random.Random(k)
+            base = max(1, h) * 7 ** 2
+            assert rng.randint(base * base, 2 * base * base) == m
+            xs = [rng.randint(1, m) for _ in range(h)]
+            assert detail["q_left"] == exact_q(t, xs) % m
+
+
+# ---------------------------------------------------------------------------
+# one polynomial pass: the depths are charged once, no host retire
+
+def leaf_moved_to_root(tree):
+    """tree with one of its shallower-than-height leaves moved under the
+    root: the same size and height."""
+    depth = depth_table(tree)
     top = max(depth.values())
     leaf = next(v for v in tree.preorder() if not tree.children[v]
                 and 1 < depth[v] < top)
@@ -289,36 +331,66 @@ def iso_pair(kind):
     return t, other
 
 
-@pytest.fixture
-def passes(monkeypatch):
-    """label -> (the table as the pass starts, its words, total_words as
-    the pass ends), for each pass tree_isomorphism runs."""
-    seen = {}
-
-    def spied(runs, sim, label):
-        start = (dict(sim.generation), sim._gen_words)
-        out = contract_side_by_side(runs, sim, label)
-        seen[label] = start + (sim.total_words,)
-        return out
-
-    monkeypatch.setattr(iso, "contract_side_by_side", spied)
-    return seen
-
-
-class TestTableBetweenPasses:
+class TestOnePass:
     @pytest.mark.parametrize("kind", ["isomorphic", "equal-height"])
-    def test_polynomial_pass_starts_on_an_empty_table(self, passes, kind):
+    def test_one_pass_and_one_depth_charge(self, monkeypatch, kind):
+        passes, charges = [], []
+        charge = Simulator.charge_subroutine
+
+        def spied_pass(runs, sim, label):
+            passes.append((label, len(runs), dict(sim.generation),
+                           list(charges)))
+            return contract_side_by_side(runs, sim, label)
+
+        def spied_charge(sim, name, rounds):
+            charges.append((name, rounds))
+            return charge(sim, name, rounds)
+
+        monkeypatch.setattr(iso, "contract_side_by_side", spied_pass)
+        monkeypatch.setattr(Simulator, "charge_subroutine", spied_charge)
+        t1, t2 = iso_pair(kind)
+        cfg = cfg_for(t1.n)
+        _verdict, detail = tree_isomorphism(t1, t2, cfg, seed=3)
+        assert detail["reason"] == "polynomial"
+        # the pass starts on an empty table, after the two host charges;
+        # the rest are the pass's own
+        assert passes == [("iso polynomial", 2, {},
+                           [("depth", cfg.inv_eps), ("modulus draw", 1)])]
+        assert [name for name, _k in charges].count("depth") == 1
+        assert [p["label"] for p in detail["metrics"]["phases"]] == [
+            "depth", "modulus draw", "iso polynomial"]
+
+    def test_height_mismatch_books_only_the_depths(self, monkeypatch):
+        passes = []
+        monkeypatch.setattr(iso, "contract_side_by_side",
+                            lambda *args: passes.append(args))
+        cfg = cfg_for(30)
+        verdict, detail = tree_isomorphism(path(30), star(30), cfg)
+        assert not verdict and detail["reason"] == "height"
+        assert passes == []
+        assert detail["metrics"]["rounds"] == cfg.inv_eps
+
+    @pytest.mark.parametrize("kind", ["isomorphic", "equal-height"])
+    def test_no_host_retire(self, monkeypatch, kind):
+        host_retires, in_round = [], []
+        store, run_round = Simulator.store, Simulator.run_round
+
+        def spied_store(sim, entries, retired=()):
+            retired = list(retired)
+            if retired and not in_round:
+                host_retires.append(retired)
+            return store(sim, entries, retired)
+
+        def spied_run_round(sim, machines):
+            in_round.append(True)
+            try:
+                return run_round(sim, machines)
+            finally:
+                in_round.pop()
+
+        monkeypatch.setattr(Simulator, "store", spied_store)
+        monkeypatch.setattr(Simulator, "run_round", spied_run_round)
         t1, t2 = iso_pair(kind)
         _verdict, detail = tree_isomorphism(t1, t2, cfg_for(t1.n), seed=3)
         assert detail["reason"] == "polynomial"
-        table, words, _peak = passes["iso polynomial"]
-        assert table == {} and words == 0
-
-    @pytest.mark.parametrize("kind", ["isomorphic", "equal-height"])
-    def test_total_words_is_the_height_pass_peak(self, passes, kind):
-        t1, t2 = iso_pair(kind)
-        _verdict, detail = tree_isomorphism(t1, t2, cfg_for(t1.n), seed=3)
-        assert detail["reason"] == "polynomial"
-        height_peak = passes["iso height"][2]
-        assert height_peak > 0
-        assert detail["metrics"]["total_words"] == height_peak
+        assert host_retires == []

@@ -109,11 +109,11 @@ class Reach:
 
 
 class IsoReach(Reach):
-    """IsoAlgebra's fresh edge reads the parent's height level; each tree
+    """IsoAlgebra's fresh edge reads the parent's depth level; each tree
     draws it."""
 
     def tree(self):
-        self.plugin.heights[1] = self.rng.randint(1, len(self.plugin.xs))
+        self.plugin.depths[1] = self.rng.randrange(len(self.plugin.xs))
         return super().tree()
 
 
