@@ -217,8 +217,8 @@ def _comp_spec(tree, members, books, stage, root_outs_known=True):
         outs.append(tuple([u for u in kids
                            if origin[u] == m and u not in mset]))
     virtual = books.virtual
-    return Record(stage, "connected", members[0], tuple(members), None,
-                  tuple(sorted([m for m in members if m in virtual])), None,
+    return Record(stage, tuple(members), None,
+                  tuple(sorted([m for m in members if m in virtual])),
                   tuple(parents), tuple(outs), root_outs_known)
 
 
@@ -248,7 +248,7 @@ def _machine(plugin, plans):
     def run(ctx):
         records, words = [], 0
         for plan in plans:
-            members, survivor = plan.members, plan.survivor
+            members, survivor = plan.members, plan.members[0]
             read_before = ctx.read_words
             payloads = tuple([ctx.read(m) for m in members])
             words += ctx.read_words - read_before
@@ -268,8 +268,8 @@ def _machine(plugin, plans):
             rec = plan._replace(payloads=payloads)
             records.append(rec)
             words += rec.header_words()
-        ctx.write(("LOG", plans[0].label, plans[0].survivor), tuple(records),
-                  words)
+        ctx.write(("LOG", plans[0].label, plans[0].members[0]),
+                  tuple(records), words)
 
     return Machine(sum(map(_plan_words, plans)), run, plans[0].label)
 
@@ -315,25 +315,26 @@ def _apply_results(tree, books, bundles):
     budget for its slots, its children by the origin rule once its component
     is contracted. Each machine's LOG entry, read once under its first
     plan's key, adds its records and their count to the log. Folded leaves
-    go once the round's records are in, one pass per parent."""
+    go once the round's records are in, one pass per parent, the parent of
+    their batch's survivor: no plan of a round contracts a batch's parent."""
     table, fault, c_w = books.table, books.fault, books.c_w
     origin, virtual, log = books.origin, books.virtual, books.log
-    children = tree.children
+    parent, children = tree.parent, tree.children
     folded = {}
     for plans in bundles:
         for plan in plans:
-            members, survivor = plan.members, plan.survivor
+            members, survivor = plan.members, plan.members[0]
             if plan.kind == "connected":
                 tree.contract(set(members), survivor)
             else:
-                folded.setdefault(plan.parent_out, []).extend(members[1:])
+                folded.setdefault(parent[survivor], []).extend(members[1:])
                 virtual.add(survivor)
             slots = sum([origin[u] != survivor for u in children[survivor]])
             pwords, budget = table[survivor][1], c_w * (slots + 1)
             if pwords > budget:
                 payload_fault(fault, "%s survivor %r" % (plan.label, survivor),
                               pwords, budget)
-        log.extend(*table[("LOG", plans[0].label, plans[0].survivor)])
+        log.extend(*table[("LOG", plans[0].label, plans[0].members[0])])
     for p, leaves in folded.items():
         tree.remove_leaves(p, leaves)
 
@@ -523,9 +524,8 @@ def _general_units(tree, plugin, cfg, books):
                     chunk = tuple(leaves[i:i + alpha])
                     if len(chunk) > 1:
                         batch = Record(
-                            stage, "sibling", chunk[0], chunk, None,
-                            tuple(sorted([u for u in chunk if u in virtual])),
-                            p)
+                            stage, chunk, None,
+                            tuple(sorted([u for u in chunk if u in virtual])))
                         plans.append(batch)
                         sizes.append(_estimate(table, batch))
                         batched = True

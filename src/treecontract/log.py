@@ -27,52 +27,51 @@ def _compose(plugin, hi, lo):
 # contraction log
 
 class Record(namedtuple("Record", (
-        "label", "kind", "survivor", "members", "payloads", "virtual",
-        "parent_out", "parents", "outs", "root_outs_known"),
-        defaults=((), (), True))):
+        "label", "members", "payloads", "virtual", "parents", "outs",
+        "root_outs_known"), defaults=((), (), True))):
     """One contraction, as the machine builds it and the file stores it.
     members is survivor-first in component preorder; payloads are theirs in
     member order, as the machine read them; virtual is the sorted tuple of
     members that stood in for a folded sibling batch; parents give each
     member's attachment within the component, and outs (a tuple per member)
     its live children outside it (for the root only when root_outs_known).
-    A sibling record has neither, and parent_out is the batch's parent."""
+    A sibling record, a folded batch of leaves, has neither."""
 
     __slots__ = ()
 
+    @property
+    def kind(self):
+        return "connected" if self.parents else "sibling"
+
     def header_words(self):
         """Words of the record outside the payloads, from the fields' shape:
-        label, kind, survivor, parent_out and root_outs_known are one word
-        each, and so is every vertex id in members, virtual, parents and
-        outs (a parent outside the component is None, also one word)."""
-        return (5 + len(self.members) + len(self.parents) + len(self.virtual)
+        label and root_outs_known are one word each, and so is every vertex
+        id in members, virtual, parents and outs (a parent outside the
+        component is None, also one word)."""
+        return (2 + len(self.members) + len(self.parents) + len(self.virtual)
                 + sum(map(len, self.outs)))
 
 
 def _loaded_record(obj):
     """The decoded value obj as a Record. Raises ValueError when a field has
     the wrong type (members, payloads, virtual, parents, outs and each outs
-    entry are tuples, root_outs_known a bool), the kind is neither
-    "connected" nor "sibling", the survivor is not the first member, a
-    length disagrees with members (one payload per member, and for a
-    connected record one parent and one outs entry per member; a sibling
-    record has neither), a member repeats, a connected record's parents are
-    not None for the survivor and an earlier member for every other member,
-    or an outs entry names one of the record's own members: the replay keeps
-    one value and one edge per id, and values a component children first."""
+    entry are tuples, root_outs_known a bool), members is empty, a length
+    disagrees with members (one payload per member; one parent and one outs
+    entry per member, or neither, a sibling record), a member repeats, a
+    connected record's parents are not None for the survivor, members[0],
+    and an earlier member for every other member, or an outs entry names
+    one of the record's own members: the replay keeps one value and one
+    edge per id, and values a component children first."""
     rec = Record._make(obj)
     tuples = (rec.members, rec.payloads, rec.virtual, rec.parents, rec.outs)
     if (any(type(f) is not tuple for f in tuples)
             or any(type(o) is not tuple for o in rec.outs)
             or type(rec.root_outs_known) is not bool):
         raise ValueError("record field of the wrong type")
-    if rec.kind not in ("connected", "sibling"):
-        raise ValueError("record of unknown kind %r" % (rec.kind,))
-    if not rec.members or rec.survivor != rec.members[0]:
-        raise ValueError("survivor %r is not the first member"
-                         % (rec.survivor,))
+    if not rec.members:
+        raise ValueError("record of no members")
     n = len(rec.members)
-    per_member = 0 if rec.kind == "sibling" else n
+    per_member = len(rec.parents) and n
     if (len(rec.payloads), len(rec.parents), len(rec.outs)) != (
             n, per_member, per_member):
         raise ValueError(
@@ -84,7 +83,7 @@ def _loaded_record(obj):
     for i, p in enumerate(rec.parents):
         if i == 0 and p is not None:
             raise ValueError("survivor %r has the parent %r"
-                             % (rec.survivor, p))
+                             % (rec.members[0], p))
         if i and index.get(p, i) >= i:
             raise ValueError("member %r has the parent %r, not an earlier "
                              "member" % (rec.members[i], p))
@@ -94,7 +93,7 @@ def _loaded_record(obj):
     return rec
 
 
-LOG_MAGIC = b"TCLOG1\n"
+LOG_MAGIC = b"TCLOG2\n"
 
 
 def _enc_uint(n, out):
@@ -121,9 +120,8 @@ _SMALL_TUPLE = [bytes((7, n)) for n in range(0x80)]
 # are safe; the bytes never depend on it.
 _UINTS = ((), 0)
 
-# Encodings of exact strs, made on first use: "k", "s", the kinds and the
-# record labels fit, and a run with more labels than this encodes the rest
-# each time.
+# Encodings of exact strs, made on first use: "k", "s" and the record
+# labels fit; a run with more labels encodes the rest each time.
 _STRS = {}
 _STRS_MAX = 256
 
@@ -374,7 +372,7 @@ def reconstruct(log, plugin):
                 if m not in virtual:
                     _resolve(out, m, values[m])
             continue
-        survivor, outs = rec.survivor, rec.outs
+        survivor, outs = members[0], rec.outs
         kids_of = {}
         for u, pu, snap in zip(members, rec.parents, rec.payloads):
             edges[u] = snap[2]

@@ -505,4 +505,14 @@ def ahu_code(tree, v=None):
 
 
 def isomorphic_rooted(a, b):
-    return a.n == b.n and ahu_code(a) == ahu_code(b)
+    """AHU on both trees: each vertex's sorted tuple of child codes is
+    interned as a small int, in one table for both trees, so comparing two
+    codes never recurses, however deep the trees."""
+    table, roots = {}, []
+    for tree in (a, b):
+        code = {}
+        for u in tree.postorder():
+            code[u] = table.setdefault(
+                tuple(sorted([code[c] for c in tree.children[u]])), len(table))
+        roots.append(code[tree.root])
+    return a.n == b.n and roots[0] == roots[1]

@@ -286,8 +286,9 @@ class TestBoundedCompressPacking:
             def recorded_run(ctx):
                 run(ctx)
                 if plans[0].label.endswith(" compress"):
-                    packed.append(([group_of[plan.survivor] for plan in plans],
-                                   built.input_words + ctx.read_words))
+                    packed.append((
+                        [group_of[plan.members[0]] for plan in plans],
+                        built.input_words + ctx.read_words))
 
             built.run = recorded_run
             return built
@@ -1139,8 +1140,8 @@ class TestBudgets:
         for rec in log.records:
             m = re.match(r"phase 1 phase (\d+) ", rec.label)
             if m:
-                i = int(rec.survivor >= tops[1])
-                assert rec.survivor >= tops[0]
+                i = int(rec.members[0] >= tops[1])
+                assert rec.members[0] >= tops[0]
                 phases[i] = max(phases[i], int(m.group(1)))
         assert phases == [2, 3]
         assert metrics["violations"] == [
@@ -1233,8 +1234,16 @@ class TestLogCodec:
         with pytest.raises(InputError, match="trailing"):
             ContractionLog.load(p)
 
-    def test_magic_is_versioned(self):
-        assert LOG_MAGIC == b"TCLOG1\n"
+    def test_magic_is_versioned(self, tmp_path):
+        assert LOG_MAGIC == b"TCLOG2\n"
+        # a log of the older ten-field format fails at its header
+        t = valued(path(6))
+        _a, log, _m = tree_contract(t, sum_plugin(), cfg(6))
+        p = tmp_path / "run.tclog"
+        log.save(p)
+        p.write_bytes(b"TCLOG1\n" + p.read_bytes()[len(LOG_MAGIC):])
+        with pytest.raises(InputError, match="bad header"):
+            ContractionLog.load(p)
 
     def test_truncated_file(self, tmp_path):
         tree = with_edge_weights(random_tree(200, 3), 3)
@@ -1295,29 +1304,27 @@ class TestLogCodec:
 
     @staticmethod
     def load_record(tmp_path, edits):
-        """Load a one-record log of members (1, 2) with each field i of
-        `edits` set to edits[i]."""
-        rec = ["x", "connected", 1, (1, 2),
-               (("k", 1, None, 0, ()), ("k", 2, None, 0, ())), (), None,
-               (None, 1), ((), ()), True]
-        for field, value in edits.items():
-            rec[field] = value
+        """Load a one-record log of members (1, 2) with each field named in
+        `edits` set to its value there."""
+        rec = Record("x", (1, 2),
+                     (("k", 1, None, 0, ()), ("k", 2, None, 0, ())), (),
+                     (None, 1), ((), ()), True)._replace(**edits)
         out = bytearray(LOG_MAGIC)
         _enc_obj((1, (1, 2), ("k", 1, None, 0, ()), 1), out)
-        _enc_obj(tuple(rec), out)
+        _enc_obj(rec, out)
         p = tmp_path / "run.tclog"
         p.write_bytes(bytes(out))
         return ContractionLog.load(p)
 
     def test_a_well_formed_record_loads_as_a_record(self, tmp_path):
-        [rec] = self.load_record(tmp_path, {0: "x"}).records
+        [rec] = self.load_record(tmp_path, {"label": "x"}).records
         assert type(rec) is Record
         assert rec.members == (1, 2) and rec.root_outs_known is True
 
     @pytest.mark.parametrize("field,short", [
-        (4, (("k", 1, None, 0, ()),)),
-        (7, (None,)),
-        (8, ((),)),
+        ("payloads", (("k", 1, None, 0, ()),)),
+        ("parents", (None,)),
+        ("outs", ((),)),
     ])
     def test_record_fields_must_match_its_members(self, tmp_path, field,
                                                   short):
@@ -1327,8 +1334,10 @@ class TestLogCodec:
 
     # a str of the right length would pass the length check alone
     @pytest.mark.parametrize("field,value", [
-        (3, "ab"), (4, "ab"), (5, "a"), (5, 2), (7, "ab"), (8, "ab"),
-        (8, ("ab", ())), (8, None), (9, 1), (9, None),
+        ("members", "ab"), ("payloads", "ab"), ("virtual", "a"),
+        ("virtual", 2), ("parents", "ab"), ("outs", "ab"),
+        ("outs", ("ab", ())), ("outs", None), ("root_outs_known", 1),
+        ("root_outs_known", None),
     ], ids=["members str", "payloads str", "virtual str", "virtual int",
             "parents str", "outs str", "outs entry str", "outs None",
             "root_outs_known int", "root_outs_known None"])
@@ -1337,34 +1346,35 @@ class TestLogCodec:
         with pytest.raises(InputError, match="malformed.*wrong type"):
             self.load_record(tmp_path, {field: value})
 
-    # a record the replay would refuse is refused at load, as malformed
+    # a record the replay would refuse is refused at load, as malformed. Its
+    # kind is read off its parents, sibling when they are empty, and its
+    # survivor is its first member
     @pytest.mark.parametrize("edits,message", [
-        ({1: "bogus", 2: 2}, "record of unknown kind 'bogus'"),
-        ({1: "bogus"}, "record of unknown kind 'bogus'"),
-        ({1: 1}, "record of unknown kind 1"),
-        ({2: 2}, "survivor 2 is not the first member"),
-        ({2: None}, "survivor None is not the first member"),
-        ({3: (), 4: ()}, "survivor 1 is not the first member"),
-        ({3: (1, 1)}, "record repeats a member"),
-        ({8: ((2,), ())}, "outs name the record's own member 2"),
-        ({8: ((), (1,))}, "outs name the record's own member 1"),
-        ({7: (None, 99)}, "member 2 has the parent 99, not an earlier member"),
-        ({7: (2, 1)}, "survivor 1 has the parent 2"),
-        ({7: (None, None)},
+        ({"members": (), "payloads": ()}, "record of no members"),
+        ({"members": (1, 1)}, "record repeats a member"),
+        ({"outs": ((2,), ())}, "outs name the record's own member 2"),
+        ({"outs": ((), (1,))}, "outs name the record's own member 1"),
+        ({"parents": (None, 99)},
+         "member 2 has the parent 99, not an earlier member"),
+        ({"parents": (2, 1)}, "survivor 1 has the parent 2"),
+        ({"parents": (None, None)},
          "member 2 has the parent None, not an earlier member"),
-    ], ids=["bogus kind and survivor", "bogus kind", "int kind",
-            "survivor not first", "no survivor", "no members",
-            "repeated member", "outs name a member", "outs name the survivor",
-            "parent not a member", "survivor with a parent",
-            "member without a parent"])
+        ({"parents": ()},
+         "record of 2 members has 2 payloads, 0 parents and 2 outs"),
+        ({"outs": ()},
+         "record of 2 members has 2 payloads, 2 parents and 0 outs"),
+    ], ids=["no members", "repeated member", "outs name a member",
+            "outs name the survivor", "parent not a member",
+            "survivor with a parent", "member without a parent",
+            "outs without parents", "parents without outs"])
     def test_kind_and_survivor_are_checked(self, tmp_path, edits, message):
         with pytest.raises(InputError, match="^malformed contraction log: "
                            + re.escape(message) + "$"):
             self.load_record(tmp_path, edits)
 
-    @pytest.mark.parametrize("obj", [7, (), ("x",) * 9, ("x",) * 11,
-                                     "ten chars!"])
-    def test_a_record_must_be_a_tuple_of_ten_fields(self, tmp_path, obj):
+    @pytest.mark.parametrize("obj", [7, (), ("x",) * 6, ("x",) * 8,
+                                     "7 chars"])
+    def test_a_record_must_be_a_tuple_of_seven_fields(self, tmp_path, obj):
         out = bytearray(LOG_MAGIC)
         _enc_obj((1, (1,), ("k", 1, None, 0, ()), 1), out)
         _enc_obj(obj, out)
@@ -1483,7 +1493,7 @@ class TestEncoderDispatch:
 
 def header_of(rec):
     """The record without the payloads: what header_words() counts."""
-    return rec[:4] + rec[5:]
+    return rec[:2] + rec[3:]
 
 
 def leaf(v, edge=None, data=1):
@@ -1493,16 +1503,17 @@ def leaf(v, edge=None, data=1):
 class TestHeaderWords:
     def test_hand_built_records(self):
         connected = Record(
-            "phase 1 compress", "connected", 3, (3, 5, 8),
+            "phase 1 compress", (3, 5, 8),
             (("k", 3, None, 2, (("s", 9, None),)), leaf(5), leaf(8)), (),
-            None, (None, 3, 5), ((), (), (10, 11)))
-        sibling = Record("phase 1 rake L1", "sibling", 4, (4, 6, 7),
-                         (leaf(4), leaf(6), leaf(7)), (6, 7), 2)
-        rake = Record("phase 1 rake L2", "connected", 2, (2, 4),
-                      (leaf(2), leaf(4)), (4,), None, (None, 2), ((), ()),
-                      False)
+            (None, 3, 5), ((), (), (10, 11)))
+        sibling = Record("phase 1 rake L1", (4, 6, 7),
+                         (leaf(4), leaf(6), leaf(7)), (6, 7))
+        rake = Record("phase 1 rake L2", (2, 4), (leaf(2), leaf(4)), (4,),
+                      (None, 2), ((), ()), False)
         assert sibling.parents == () and sibling.outs == ()
-        for rec, words in ((connected, 13), (sibling, 10), (rake, 10)):
+        assert (connected.kind, sibling.kind, rake.kind) == (
+            "connected", "sibling", "connected")
+        for rec, words in ((connected, 10), (sibling, 7), (rake, 7)):
             assert rec.header_words() == word_count(header_of(rec)) == words
 
     def test_every_record_of_a_run(self):
@@ -1555,14 +1566,12 @@ def records(draw):
     members = tuple(draw(st.lists(ids, min_size=1, max_size=3)))
     n = len(members)
     return Record(
-        draw(st.text(max_size=12)),
-        draw(st.sampled_from(["connected", "sibling"])), members[0], members,
+        draw(st.text(max_size=12)), members,
         tuple(draw(payloads) for _ in members),
         tuple(sorted(draw(st.lists(st.sampled_from(members), max_size=n,
                                    unique=True)))),
-        draw(st.one_of(st.none(), ids)),
-        tuple(draw(st.lists(st.one_of(st.none(), ids), min_size=n,
-                            max_size=n))),
+        tuple(draw(st.one_of(st.just([]), st.lists(
+            st.one_of(st.none(), ids), min_size=n, max_size=n)))),
         tuple(tuple(draw(st.one_of(
             st.lists(ids, max_size=3),
             st.lists(st.integers(0, 20000), min_size=128, max_size=129))))
@@ -1598,6 +1607,30 @@ def solved_log_bytes(problem):
     result = REGISTRY[problem]["solve"](
         [tree], None, SimConfig(epsilon=0.5, n=tree.n), 0)
     return saved_bytes(result["log"])
+
+
+# the problems of one input, each of which saves one log
+LOGGED = sorted(p for p, entry in REGISTRY.items() if entry["arity"] < 2)
+
+
+@functools.cache
+def solved_log(problem, family="random_tree"):
+    """Log of `problem` on a weighted 512-vertex tree of `family`, or of
+    `eval` on 30 random expressions."""
+    n, seed = 1 << 9, 3
+    if problem == "eval":
+        trees, text = [], "+".join(
+            "(%s)" % oracles.random_expression(seed * 100 + i, max_depth=5)
+            for i in range(30))
+        n = len(text)
+    else:
+        shape = (oracles.random_tree(n, seed) if family == "random_tree"
+                 else getattr(oracles, family)(n))
+        tree = oracles.with_vertex_weights(oracles.with_edge_weights(
+            shape, seed), seed)
+        trees, text = [tree], None
+    return REGISTRY[problem]["solve"](
+        trees, text, SimConfig(epsilon=0.5, n=n, seed=seed), seed)["log"]
 
 
 def enc(obj):
@@ -1672,9 +1705,9 @@ class TestShapeSave:
                (("s", False, 0), ("k", IntId(1), None, IntId(0), ()),
                 ("k", True, None, 1, ()), ("k", float("-inf"), None, 0, ()),
                 ("s", 1)))
-        rec = Record("rake", "connected", 1, (1, 2, 8),
-                     (wide, odd, ("k", 8, None, "8", ())), (2, 8), True,
-                     (None, 1, True), ((True, 1), (), tuple(range(128))), 1)
+        rec = Record("rake", (1, 2, 8), (wide, odd, ("k", 8, None, "8", ())),
+                     (2, 8), (None, 1, True),
+                     ((True, 1), (), tuple(range(128))), 1)
         log = ContractionLog(1, (True, 1, 2, 8))
         log.final_payload = odd
         log.extend((rec,), 0)
@@ -1683,29 +1716,37 @@ class TestShapeSave:
         _enc_obj(rec, out)
         assert saved_bytes(log) == bytes(out)
 
-    @pytest.mark.parametrize("problem", sorted(
-        p for p, entry in REGISTRY.items() if entry["arity"] < 2))
+    @pytest.mark.parametrize("problem", LOGGED)
     def test_load_then_save_gives_the_same_bytes(self, problem, tmp_path):
-        n, seed = 1 << 9, 3
-        if problem == "eval":
-            trees, text = [], "+".join(
-                "(%s)" % oracles.random_expression(seed * 100 + i,
-                                                   max_depth=5)
-                for i in range(30))
-            n = len(text)
-        else:
-            tree = oracles.with_vertex_weights(oracles.with_edge_weights(
-                oracles.random_tree(n, seed), seed), seed)
-            trees, text = [tree], None
-        result = REGISTRY[problem]["solve"](
-            trees, text, SimConfig(epsilon=0.5, n=n, seed=seed), seed)
+        log = solved_log(problem)
         first, again = tmp_path / "first.tclog", tmp_path / "again.tclog"
-        result["log"].save(first)
+        log.save(first)
         back = ContractionLog.load(first)
         back.save(again)
         assert len(back.records) > 1
         assert again.read_bytes() == first.read_bytes()
-        assert back.total_words == result["log"].total_words
+        assert back.total_words == log.total_words
+
+    @pytest.mark.parametrize("problem", LOGGED)
+    def test_a_reloaded_log_has_the_same_records_and_kinds(self, problem,
+                                                           tmp_path):
+        # the file stores no kind: a record without parents reads as a
+        # sibling batch, which only a leaf level folds. A broom's bristles
+        # fold in batches, but eval's operator trees and the bypass
+        # scaffolds of matching and mis give no batch
+        log = solved_log(problem, "broom")
+        log.save(tmp_path / "run.tclog")
+        back = ContractionLog.load(tmp_path / "run.tclog")
+        assert back.records == log.records
+        kinds = [rec.kind for rec in back.records]
+        assert kinds == [rec.kind for rec in log.records]
+        assert "connected" in kinds
+        assert ("sibling" in kinds) == (problem not in ("eval", "matching",
+                                                        "mis"))
+        for rec in back.records:
+            if rec.kind == "sibling":
+                assert rec.outs == () and len(rec.members) > 1
+                assert re.search(r" rake L\d+$", rec.label)
 
 
 # ---------------------------------------------------------------------------
@@ -2125,7 +2166,7 @@ class TestOneRecordForm:
             i = 0
             while i < len(log.records):
                 rec = log.records[i]
-                entry = sim.generation[("LOG", rec.label, rec.survivor)][0]
+                entry = sim.generation[("LOG", rec.label, rec.members[0])][0]
                 assert type(entry) is tuple and entry
                 for j, held in enumerate(entry):
                     assert type(held) is Record
@@ -2152,7 +2193,7 @@ class TestOneRecordForm:
                     for plan in plans]
                 run(ctx)
                 entry = ctx.writes[("LOG", plans[0].label,
-                                    plans[0].survivor)][0]
+                                    plans[0].members[0])][0]
                 assert type(entry) is tuple and len(entry) == len(plans)
                 for plan, rec, held in zip(plans, want, entry):
                     assert type(plan) is Record and plan.payloads is None
@@ -2275,7 +2316,7 @@ class TestWritesPerRound:
             entries = []
             for bundle in plans:
                 value, words = sim.generation[
-                    ("LOG", bundle[0].label, bundle[0].survivor)]
+                    ("LOG", bundle[0].label, bundle[0].members[0])]
                 assert type(value) is tuple and len(value) == len(bundle)
                 assert words == sum(word_count(rec) for rec in value)
                 entries.append(value)
@@ -2298,7 +2339,7 @@ class TestWritesPerRound:
             for log in logs:
                 ids = set(log.vertices)
                 records = [rec for entries in rounds for value in entries
-                           if value[0].survivor in ids for rec in value]
+                           if value[0].members[0] in ids for rec in value]
                 assert len(records) == len(log.records) > 0
                 assert all(a is b for a, b in zip(records, log.records))
 
@@ -2534,7 +2575,7 @@ def reference_reconstruct(log, plugin):
                                        _compose(plugin, acc, edge))
 
         for i, m in reversed(list(enumerate(rec.members))):
-            if m == rec.survivor and not rec.root_outs_known:
+            if m == rec.members[0] and not rec.root_outs_known:
                 continue
             extra = [plugin.through_edge(local[u], snaps[u][2])
                      for u in kids_of[m]]
@@ -2543,14 +2584,14 @@ def reference_reconstruct(log, plugin):
             local[m] = reference_rnode_value(plugin, snaps[m], slot_fn,
                                              extra)
         if rec.root_outs_known:
-            if values.get(rec.survivor) != local[rec.survivor]:
+            if values.get(rec.members[0]) != local[rec.members[0]]:
                 raise LogIntegrityError(
                     "undo mismatch at %r: stored %r, derived %r"
-                    % (rec.survivor, values.get(rec.survivor),
-                       local[rec.survivor]))
+                    % (rec.members[0], values.get(rec.members[0]),
+                       local[rec.members[0]]))
         for m in rec.members:
             edges[m] = snaps[m][2]
-            if m == rec.survivor:
+            if m == rec.members[0]:
                 continue
             values[m] = local[m]
             if m not in rec.virtual:

@@ -51,58 +51,58 @@ CASES = {
 
 GOLDEN = {
     "eval": {
-        "rounds": 12, "peak_machine_words": 521, "total_words": 9010,
-        "dht_reads": 649, "dht_writes": 128, "log_words": 8979,
+        "rounds": 12, "peak_machine_words": 521, "total_words": 8689,
+        "dht_reads": 649, "dht_writes": 128, "log_words": 8658,
         "log_sha256":
-            "7461d17940c8819f24429a254f9ecced80c2548240cd2c8a221d7d5e5fbeef71",
+            "eec48b976dca422bce82cd22f63b537925c930ec3fe0579d846a99b4b2ce0a47",
         "answer_sha256":
             "e638fca512667951489f2214927307b319e402239327a760f6445a108a393c64"},
     "height": {
-        "rounds": 25, "peak_machine_words": 90, "total_words": 12249,
-        "dht_reads": 1432, "dht_writes": 566, "log_words": 12087,
+        "rounds": 25, "peak_machine_words": 90, "total_words": 11022,
+        "dht_reads": 1432, "dht_writes": 566, "log_words": 10860,
         "log_sha256":
-            "9b2f5b0e481d4dd49e878e73ba94682cf653853c72137efc3ce3002bd1931632",
+            "b644f9045054e60505ccfaa545409eda5adadfafa99c677b7387747b212961d9",
         "answer_sha256":
             "3fdba35f04dc8c462986c992bcf875546257113072a909c162f7e470e581e278"},
     "matching": {
-        "rounds": 8, "peak_machine_words": 514, "total_words": 6691,
-        "dht_reads": 1072, "dht_writes": 58, "log_words": 6661,
+        "rounds": 8, "peak_machine_words": 514, "total_words": 6592,
+        "dht_reads": 1072, "dht_writes": 58, "log_words": 6562,
         "log_sha256":
-            "577b6b7d3b1c3b644154acdf27d9d72993bc4eee670a702d77e710e3ca3de294",
+            "c6f4c6c870dd46d3ab24238590e5df80e9a8c7f0afd97d7e2ff42ba5e4a0e29f",
         "answer_sha256":
             "35d8319ab2e3befbc3518577800ff94ee16bb18cef3a163b4acf7542aa0febd9"},
     "mis": {
-        "rounds": 5, "peak_machine_words": 512, "total_words": 9015,
-        "dht_reads": 1198, "dht_writes": 197, "log_words": 8988,
+        "rounds": 5, "peak_machine_words": 512, "total_words": 8490,
+        "dht_reads": 1198, "dht_writes": 197, "log_words": 8463,
         "log_sha256":
-            "2902aff57e68b709757c22f3eabdef4c4b0e611d7d0a851b9a9f4ef072b691e4",
+            "9ae9380c7b3d29826f41a7da16f0bae0912532410a841c91a333b4eb5ba60e9a",
         "answer_sha256":
             "9e83f45de39d4a54c25c2d3489d2b360f59d4e7314c0d8aa1dc96dceb4b3431e"},
     "mwis": {
-        "rounds": 10, "peak_machine_words": 452, "total_words": 19852,
-        "dht_reads": 1155, "dht_writes": 186, "log_words": 19791,
+        "rounds": 10, "peak_machine_words": 452, "total_words": 19456,
+        "dht_reads": 1155, "dht_writes": 186, "log_words": 19395,
         "log_sha256":
-            "ab914f37538c5ff4d72e76d55d0ea9afa0a886ef3662d42eb8727a3fbff5ad7a",
+            "4ad49bb43c3d5cc2390f1db504331a025b6efdbd1e367438e22d2608e7a2a897",
         "answer_sha256":
             "f1241a65c837e6459b2221ac28d7893f04f4d6118fb4168648b12177b014b666"},
     "mwm": {
-        "rounds": 11, "peak_machine_words": 512, "total_words": 15319,
-        "dht_reads": 1266, "dht_writes": 278, "log_words": 15278,
+        "rounds": 11, "peak_machine_words": 512, "total_words": 14590,
+        "dht_reads": 1266, "dht_writes": 278, "log_words": 14549,
         "log_sha256":
-            "b2ee256e6b87e2a79a4879adf32a600d421a31439a78b4220b80a6518b23d5b5",
+            "6856ea53fb7bf65ab596789c6db3994b7911b5fa04e7ecba7449a4b06a41069a",
         "answer_sha256":
             "85508e52fbf4c41db32f6773b137242cd8d0089146013bf3666acb6e9d34eb61"},
     "sum": {
-        "rounds": 13, "peak_machine_words": 85, "total_words": 10082,
-        "dht_reads": 1280, "dht_writes": 412, "log_words": 9922,
+        "rounds": 13, "peak_machine_words": 85, "total_words": 9311,
+        "dht_reads": 1280, "dht_writes": 412, "log_words": 9151,
         "log_sha256":
-            "ced558b43b0ffd0b29d497f60ce25d217178778f92df238bc3d70c4d5d83404f",
+            "d95f38c58c79472b26f3ffb7ae36499b502b9431d0f69ca1d46a8c1608854362",
         "answer_sha256":
             "e39eef82f61b21e2e7f762fcc4307358f165757f2e77ec855d6992f7e0191932"},
 }
 
 ISO_GOLDEN = {
-    "rounds": 11, "peak_machine_words": 512, "total_words": 22514,
+    "rounds": 11, "peak_machine_words": 512, "total_words": 21050,
     "dht_reads": 2534, "dht_writes": 543, "verdict": True,
     "modulus": 326637205720375, "q_left": 38924579800711,
     "q_right": 38924579800711,

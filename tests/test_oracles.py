@@ -40,6 +40,7 @@ from treecontract.oracles import (
     with_edge_weights,
     with_vertex_weights,
 )
+from treecontract.trees import Tree
 from reference import (
     brute_mis,
     enumerate_mwis,
@@ -339,6 +340,24 @@ def test_ahu_basics():
     assert isomorphic_rooted(path(4), path(4))
     assert not isomorphic_rooted(path(5), star(5))
     assert not isomorphic_rooted(path(4), path(5))
+
+
+def test_isomorphism_reference_on_deep_trees():
+    # a nested-tuple code of a 2000-vertex path compares 2000 levels deep
+    assert isomorphic_rooted(path(2000), relabeled_copy(path(2000), 1))
+    # the same path with its last vertex hung one level higher
+    parent = dict(path(2000).parent)
+    parent[2000] = 1998
+    assert not isomorphic_rooted(path(2000), Tree(1, parent))
+    assert isomorphic_rooted(broom(2000, handle=1990),
+                             relabeled_copy(broom(2000, handle=1990), 2))
+
+
+def test_isomorphic_rooted_agrees_with_the_codes_on_small_shapes():
+    shapes = [(t, ahu_code(t)) for n in range(1, 8) for t in all_shapes(n)]
+    for a, code_a in shapes:
+        for b, code_b in shapes:
+            assert isomorphic_rooted(a, b) == (code_a == code_b)
 
 
 def test_ahu_separates_all_small_shapes():
