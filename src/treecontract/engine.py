@@ -398,13 +398,13 @@ def _final(tree, plugin, cfg, books, stage):
 
 def _bounded_units(tree, plugin, cfg, books, prefix=""):
     """Unit stream of the bounded-degree contraction; books is kept current
-    for every live vertex. Yields ("charge", label, rounds) and ("round",
-    machines); a phase over the cap is reported to books.fault. Planning
-    reads tree.vertices() as the preorder to decompose, so tree must be
-    keyed in preorder. Each phase charges that numbering: a standalone
-    run's first phase a preorder of inv_eps rounds, every other phase a
-    1-round relabel. A nested run (prefix set) is a fringe component, its
-    top's whole subtree and so a contiguous run of the main tree's
+    for every live vertex. Yields ("charge", label) and ("round", machines);
+    a phase over the cap is reported to books.fault. Planning reads
+    tree.vertices() as the preorder to decompose, so tree must be keyed in
+    preorder. Each phase charges that numbering: a standalone run's first
+    phase a preorder, every other phase a relabel, for the rounds
+    sim.CHARGES gives each. A nested run (prefix set) is a fringe component,
+    its top's whole subtree and so a contiguous run of the main tree's
     preorder, which the general run has charged: its ranks are the main
     tree's less its top's, so its first phase is a relabel too. A phase's
     compress plans, one per component of a group, go to _round like every
@@ -426,9 +426,9 @@ def _bounded_units(tree, plugin, cfg, books, prefix=""):
                         % (prefix, phase, cfg.phase_cap))
         label = "%sphase %d" % (prefix, phase)
         if phase > 1 or prefix:
-            yield ("charge", "relabel", 1)
+            yield ("charge", "relabel")
         else:
-            yield ("charge", "preorder", cfg.inv_eps)
+            yield ("charge", "preorder")
         dec = decompose(tree, lam, tree.vertices())
         k = dec.k
         plans = [_comp_spec(tree, comp, books, label + " compress")
@@ -447,10 +447,10 @@ def _bounded_units(tree, plugin, cfg, books, prefix=""):
 def _general_units(tree, plugin, cfg, books):
     """Unit stream of the general contraction: phases of compress, nested
     bounded runs and leaf levels, ended by _final, tried at the top of each
-    phase. Each phase charges connectivity, inv_eps rounds; phase 1 also
-    numbers the tree in preorder in those rounds, an independent
-    computation on the same tree, and every nested run inherits that order,
-    as contraction keeps its restriction a preorder. The direct compress
+    phase. Each phase charges connectivity; phase 1 also numbers the tree
+    in preorder in the same rounds, an independent computation on the same
+    tree, and every nested run inherits that order, as contraction keeps
+    its restriction a preorder. The direct compress
     round runs as the first stream beside the nested runs, so it shares
     their first compress round. Each leaf level is one round: a parent with
     at most alpha eligible leaves is raked with them, when that plan fits S
@@ -472,7 +472,7 @@ def _general_units(tree, plugin, cfg, books):
         label = "phase %d" % phase
         n_before = tree.n
         yield ("charge", "connectivity, preorder" if phase == 1
-               else "connectivity", cfg.inv_eps)
+               else "connectivity")
         direct, sizes, nested = [], [], []
         for members, is_fringe in low_degree_components(tree, lam + 1):
             if not is_fringe or len(members) < 2:
@@ -544,8 +544,8 @@ def _general_units(tree, plugin, cfg, books):
 
 # ---------------------------------------------------------------------------
 # scheduling: a unit stream is a one-way iterator of two unit kinds,
-# ("charge", label, rounds) and ("round", machines). A stream resumes only
-# once its round has run, and reads what the round's machines wrote from the
+# ("charge", label) and ("round", machines). A stream resumes only once
+# its round has run, and reads what the round's machines wrote from the
 # table, their only output. _merged turns several streams into one, so that
 # independent runs (a general phase's direct compress and its nested bounded
 # runs, or whole runs side by side) share their rounds; _drive executes one
@@ -555,12 +555,12 @@ def _general_units(tree, plugin, cfg, books):
 
 def _merged(streams, cap):
     """One stream running `streams` side by side. While any stream is at a
-    charge, each distinct charge among them is booked once, in stream order,
-    and those streams move on, while the streams at a round wait. Once every
-    stream is at a round, the rounds run: whole streams are packed in stream
-    order into rounds of at most `cap` machines (a stream over the cap by
-    itself gets a round of its own). A stream that finishes just drops out;
-    a unit that is neither a round nor a charge is a LogIntegrityError."""
+    ("charge", label), each distinct label among them is charged once, in
+    stream order, and those streams move on; the streams at a round wait.
+    Once every stream is at a round, the rounds run: whole streams are
+    packed in stream order into rounds of at most `cap` machines (a stream
+    over the cap by itself gets a round of its own). A stream that finishes
+    drops out; any other unit is a LogIntegrityError."""
     live = [[stream, None] for stream in streams]  # stream, its next unit
     while True:
         for entry in live:
@@ -600,7 +600,7 @@ def _drive(sim, units):
     machines runs no round."""
     for unit in units:
         if unit[0] == "charge":
-            sim.charge_subroutine(unit[1], unit[2])
+            sim.charge(unit[1])
         elif unit[1]:
             sim.run_round(unit[1])
 

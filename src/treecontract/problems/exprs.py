@@ -349,12 +349,9 @@ def _simplify(s, cfg):
 
 
 def _charge_pipeline(sim, levels):
-    sim.charge_subroutine("insertions", 1)
-    sim.charge_subroutine("paren scan", 1)
-    if levels:
-        sim.charge_subroutine("paren merge", levels)
-    sim.charge_subroutine("paren deletions", 1)
-    sim.charge_subroutine("operator scan", 1)
+    for label in ("insertions", "paren scan", "paren merge",
+                  "paren deletions", "operator scan"):
+        sim.charge(label, levels)
 
 
 # ---------------------------------------------------------------------------

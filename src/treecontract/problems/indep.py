@@ -114,7 +114,7 @@ def _misb_run(tree, cfg):
     work, expanded = bypass_expand(tree, cfg)
     sim = run_simulator(plugin, cfg, work.n)
     if expanded:
-        sim.charge_subroutine("bypass", cfg.inv_eps)
+        sim.charge("bypass")
     _, log, _ = bounded_tree_contract(work, plugin, cfg, sim)
     return reconstruct(log, plugin), work, log, sim
 
@@ -131,7 +131,7 @@ def maximal_matching_solve(tree, cfg):
     """Greedy-canonical maximal matching: the free bit obeys the standard
     vertex rule, and a non-free vertex matches its first free child."""
     bits, work, log, sim = _misb_run(tree, cfg)
-    sim.charge_subroutine("greedy edges", 1)
+    sim.charge("greedy edges")
     edges = []
     for v in tree.vertices():
         if not bits[v]:
@@ -190,8 +190,7 @@ def mwis_solve(tree, cfg):
     sim = run_simulator(plugin, cfg, tree.n)
     value, log, _ = tree_contract(tree, plugin, cfg, sim)
     tables = reconstruct(log, plugin)
-    sim.charge_subroutine("set extraction",
-                          max(1, segmentation_levels(tree.n, cfg.epsilon)))
+    sim.charge("set extraction", segmentation_levels(tree.n, cfg.epsilon))
     chosen = set()
     state = {tree.root: tables[tree.root][0] > tables[tree.root][1]}
     for v in tree.preorder():

@@ -158,7 +158,7 @@ def tree_isomorphism(t1, t2, cfg, seed=0):
         return False, detail
     t2 = _shifted(t2, max(t1.parent) + 1 - min(t2.parent))
     d1, d2 = _depths(t1), _depths(t2)
-    sim.charge_subroutine("depth", cfg.inv_eps)
+    sim.charge("depth")
     h1, h2 = max(d1.values()), max(d2.values())
     detail["height_left"] = h1
     detail["height_right"] = h2
@@ -169,7 +169,7 @@ def tree_isomorphism(t1, t2, cfg, seed=0):
     rng = random.Random(seed)
     base = max(1, h1) * t1.n ** (ALPHA + 1)
     m = rng.randint(base * base, 2 * base * base)
-    sim.charge_subroutine("modulus draw", 1)
+    sim.charge("modulus draw")
     xs = [rng.randint(1, m) for _ in range(h1)]
     ((q1, _), (q2, _)), metrics = contract_side_by_side(
         [(t1, IsoAlgebra(m, xs, d1)), (t2, IsoAlgebra(m, xs, d2))],

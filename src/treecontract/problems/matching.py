@@ -117,10 +117,10 @@ def extract_matching(tree, tables, sim):
     """Resolve the pointer paths top-down; the result is a matching whose
     weight equals the computed c value at the root."""
     ptr = match_pointers(tree, tables)
-    sim.charge_subroutine("match pointers", 1)
+    sim.charge("match pointers")
     levels = segmentation_levels(tree.n, sim.cfg.epsilon)
-    if ptr and levels:
-        sim.charge_subroutine("segmentation", levels)
+    if ptr:
+        sim.charge("segmentation", levels)
     consumed = set()
     edges = []
     for v in tree.preorder():

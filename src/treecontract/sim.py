@@ -16,14 +16,8 @@ the words their payload reads were charged plus each record's header. The
 table is the machines' only output. It is the only holder of
 payloads and their counts; the host reads counts and records from a
 read-only view of it and copies neither.
-Costs of cited external subroutines are charged as opaque round blocks
-rather than re-implemented: the engine's preorder numbering, connectivity
-and relabeling; the bypass expansion, greedy edges and set extraction of
-the independent-set problems; matching's match pointers and segmentation;
-eval's five text stages (insertions, paren scan, paren merge, paren
-deletions, operator scan); and iso's depths (an Euler-tour ranking) and
-modulus draw. The metrics report their sum as charged_rounds, so rounds
-less charged_rounds are the rounds run.
+Cited external subroutines are not run but charged as round blocks, by the
+rules in CHARGES; the metrics report their sum as charged_rounds.
 """
 
 import math
@@ -38,6 +32,17 @@ C_S = 16  # local space: S = max(4, ceil(C_S * n^epsilon)) words per machine
 C_Q = 4  # reads and writes per machine-round: C_Q * S words each
 C_P = 4  # outer phase loop: ceil(C_P / epsilon) phases
 TOTAL_BUDGET_FACTOR = 64  # machines per round and log words: this times n
+
+# label -> its rounds as a rule of (cfg, k), k the caller's level count
+CHARGES = {
+    **dict.fromkeys(("connectivity", "connectivity, preorder", "preorder",
+                     "depth", "bypass"), lambda cfg, k: cfg.inv_eps),
+    **dict.fromkeys(("relabel", "greedy edges", "match pointers",
+                     "modulus draw", "insertions", "paren scan",
+                     "paren deletions", "operator scan"), lambda cfg, k: 1),
+    **dict.fromkeys(("paren merge", "segmentation"), lambda cfg, k: k),
+    "set extraction": lambda cfg, k: max(1, k),
+}
 
 
 class SimConfig:
@@ -253,10 +258,19 @@ class Simulator:
         return "round %d machine %d%s" % (
             self.rounds, i, " (%s)" % m.label if m.label else "")
 
+    def charge(self, label, levels=0):
+        """Book `label` for the rounds its CHARGES rule gives, if any; an
+        unknown label goes on to charge_subroutine, which refuses it."""
+        rounds = CHARGES[label](self.cfg, levels) if label in CHARGES else 1
+        if rounds:
+            self.charge_subroutine(label, rounds)
+
     def charge_subroutine(self, name, rounds):
         """Advance the clock for a cited external subroutine."""
         if rounds < 1:
             raise InputError("charged rounds must be >= 1")
+        if name not in CHARGES:
+            raise SimFault("no charge rule for %r" % (name,))
         self._advance(rounds)
         self.charged_rounds += rounds
         if self._phase is None:

@@ -912,10 +912,10 @@ class TestScheduler:
         order = []
         got = _drive_merged(
             sim, order,
-            [("charge", "relabel", 1), ("round", _labelled(order, "a1"))],
+            [("charge", "relabel"), ("round", _labelled(order, "a1"))],
             [("round", _labelled(order, "b1")),
              ("round", _labelled(order, "b2")),
-             ("charge", "relabel", 1)])
+             ("charge", "relabel")])
         # b's first round waits while a's charge is booked, then a's round
         # joins it; b's own charge comes after its second round
         assert order == ["a1", "b1", "b2"]
@@ -932,23 +932,24 @@ class TestScheduler:
         got = _drive_merged(
             sim, order,
             [("round", _labelled(order, "direct"))],
-            [("charge", "preorder", 2), ("round", _labelled(order, "n1"))],
-            [("charge", "preorder", 2), ("round", _labelled(order, "m1"))])
+            [("charge", "preorder"), ("round", _labelled(order, "n1"))],
+            [("charge", "preorder"), ("round", _labelled(order, "m1"))])
         assert order == ["direct", "n1", "m1"]
         assert got == [[3], [0, 3], [0, 3]]
         assert sim.rounds == 3
         assert [p["label"] for p in sim.phases] == ["preorder"]
 
     def test_distinct_charges_are_booked_one_after_the_other(self):
-        # the third stream's charge equals the first's and is booked with it
-        for other in [("charge", "relabel", 2), ("charge", "preorder", 1)]:
+        # the third stream's charge equals the first's and is booked with
+        # it; the second's label is another, of 2 rounds or of 1
+        for other, rounds in [("preorder", 2), ("modulus draw", 1)]:
             sim = Simulator(cfg(16))
-            got = _drive_merged(sim, [], [("charge", "relabel", 1)], [other],
-                                [("charge", "relabel", 1)])
+            got = _drive_merged(sim, [], [("charge", "relabel")],
+                                [("charge", other)], [("charge", "relabel")])
             assert got == [[0], [0], [0]]
-            assert sim.rounds == 1 + other[2]
+            assert sim.rounds == 1 + rounds
             assert sim.phases == [{"label": "relabel", "rounds": 1},
-                                  {"label": other[1], "rounds": other[2]}]
+                                  {"label": other, "rounds": rounds}]
 
     def test_streams_over_the_cap_together_run_in_turn(self):
         sim = Simulator(cfg(16))
@@ -990,8 +991,8 @@ class TestScheduler:
 
     def test_agreeing_charge_is_booked_once(self):
         sim = Simulator(cfg(16))
-        got = _drive_merged(sim, [], [("charge", "relabel", 1)],
-                            [("charge", "relabel", 1)])
+        got = _drive_merged(sim, [], [("charge", "relabel")],
+                            [("charge", "relabel")])
         assert sim.rounds == 1
         assert got == [[0], [0]]
 
@@ -1002,7 +1003,7 @@ class TestScheduler:
             sim, order,
             [("round", _labelled(order, "a1"))],
             [("round", _labelled(order, "b1")),
-             ("charge", "relabel", 1),
+             ("charge", "relabel"),
              ("round", _labelled(order, "b2"))])
         assert got == [[2], [2, 2, 3]]
         assert order == ["a1", "b1", "b2"]

@@ -30,9 +30,8 @@ def match_parens(s, cfg, sim=None):
     are opaque. Each merge level books one round on the ledger."""
     out, levels = _match_levels(s, cfg.epsilon)
     if sim is not None:
-        sim.charge_subroutine("paren scan", 1)
-        if levels:
-            sim.charge_subroutine("paren merge", levels)
+        sim.charge("paren scan")
+        sim.charge("paren merge", levels)
     return out
 
 
@@ -112,6 +111,9 @@ class TestInsertions:
 class TestMatcher:
     def test_single_pair(self):
         assert match_parens("()", cfg_for("()")) == {0: 1, 1: 0}
+
+    def test_empty_string_has_no_pairs_and_no_levels(self):
+        assert _match_levels("", 0.5) == ({}, 0)
 
     def test_nested_and_siblings(self):
         s = "(()())"

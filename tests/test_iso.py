@@ -173,7 +173,7 @@ def reference_tree_isomorphism(t1, t2, cfg, alpha=1, seed=0):
         detail["metrics"] = sim.snapshot_metrics()
         return False, detail
     d1, d2 = depth_table(t1), depth_table(t2)
-    sim.charge_subroutine("depth", cfg.inv_eps)
+    sim.charge("depth")
     h1, h2 = max(d1.values()), max(d2.values())
     detail["height_left"] = h1
     detail["height_right"] = h2
@@ -184,7 +184,7 @@ def reference_tree_isomorphism(t1, t2, cfg, alpha=1, seed=0):
     rng = random.Random(seed)
     base = max(1, h1) * t1.n ** (alpha + 1)
     m = rng.randint(base * base, 2 * base * base)
-    sim.charge_subroutine("modulus draw", 1)
+    sim.charge("modulus draw")
     xs = [rng.randint(1, m) for _ in range(h1)]
     q1, _, _ = tree_contract(t1, IsoAlgebra(m, xs, d1), cfg, sim)
     q2, _, _ = tree_contract(t2, IsoAlgebra(m, xs, d2), cfg, sim)

@@ -7,6 +7,7 @@ import pytest
 
 import treecontract.sim as simmod
 from treecontract.errors import InputError, SimFault
+from treecontract import oracles
 from treecontract.oracles import broom, random_tree, star
 from treecontract.problems import REGISTRY
 from treecontract.sim import Machine, SimConfig, Simulator
@@ -167,8 +168,35 @@ class TestCharges:
         sim4 = Simulator(cfg(epsilon=0.25))
         sim4.charge_subroutine("connectivity", sim4.cfg.inv_eps)
         assert sim4.rounds == 4
-        sim4.charge_subroutine("anything", 1)
+        sim4.charge_subroutine("relabel", 1)
         assert sim4.rounds == 5
+
+    def test_the_table_sets_the_rounds(self):
+        sim = Simulator(cfg(epsilon=0.25))
+        sim.charge("connectivity")
+        assert sim.rounds == 4
+        sim.charge("relabel", 7)
+        assert sim.rounds == 5
+        sim.charge("paren merge", 3)
+        assert sim.rounds == 8
+        # a rule that gives 0 rounds books nothing
+        sim.charge("segmentation")
+        assert sim.rounds == 8
+        sim.charge("set extraction")
+        assert sim.rounds == sim.charged_rounds == 9
+        assert [p["label"] for p in sim.phases] == [
+            "connectivity", "relabel", "paren merge", "set extraction"]
+
+    def test_an_unknown_label_is_a_fault(self):
+        # a program defect, so relaxed mode raises it too, and no round
+        # is booked
+        sim = Simulator(cfg(strict=False))
+        with pytest.raises(SimFault, match="no charge rule for 'anything'"):
+            sim.charge("anything")
+        with pytest.raises(SimFault, match="no charge rule for 'tail'"):
+            sim.charge_subroutine("tail", 1)
+        assert sim.rounds == sim.charged_rounds == 0
+        assert sim.phases == [] and sim.violations == []
 
     def test_charge_requires_positive(self):
         sim = Simulator(cfg())
@@ -180,10 +208,10 @@ class TestCharges:
         with sim.phase("contract"):
             sim.run_round([])
             sim.charge_subroutine("preorder", 2)
-        sim.charge_subroutine("tail", 1)
+        sim.charge_subroutine("modulus draw", 1)
         assert sim.snapshot_metrics()["phases"] == [
             {"label": "contract", "rounds": 3},
-            {"label": "tail", "rounds": 1},
+            {"label": "modulus draw", "rounds": 1},
         ]
         assert sim.rounds == 4
 
@@ -507,6 +535,87 @@ class TestDeterminism:
         a, b = self._workload(), self._workload()
         assert a.snapshot_metrics() == b.snapshot_metrics()
         assert a.generation == b.generation
+
+
+# the charge policy as stated in README, "Charges": rounds per label, from
+# the run's config and the caller's level count
+RULES = {
+    **dict.fromkeys(["connectivity", "connectivity, preorder", "preorder",
+                     "depth", "bypass"], lambda c, levels: c.inv_eps),
+    **dict.fromkeys(["relabel", "greedy edges", "match pointers",
+                     "modulus draw", "insertions", "paren scan",
+                     "paren deletions", "operator scan"],
+                    lambda c, levels: 1),
+    "paren merge": lambda c, levels: levels,
+    "segmentation": lambda c, levels: levels,
+    "set extraction": lambda c, levels: max(1, levels),
+}
+
+
+def _registry_solves():
+    """Every registry problem: the single-tree ones on a random tree and a
+    star, each at two epsilons, then eval on a parenthesized sum and iso on
+    an isomorphic pair."""
+    trees = {"random": oracles.with_vertex_weights(oracles.with_edge_weights(
+        random_tree(300, 5), 5), 5), "star": star(300)}
+    for problem in ("height", "sum", "mwm", "mwis", "mis", "matching"):
+        for tree in trees.values():
+            for epsilon in (0.5, 0.25):
+                yield problem, [tree], None, epsilon
+    yield "eval", [], "(1+2*3)+((4-5)*6)+(7/(8+9))+(2**3)", 0.5
+    t = random_tree(200, 8)
+    yield "iso", [t, oracles.relabeled_copy(t, 3)], None, 0.5
+
+
+class TestChargeTable:
+    def test_rules_cover_the_table(self):
+        assert set(simmod.CHARGES) == set(RULES)
+        for config in (cfg(epsilon=0.5), cfg(epsilon=0.25, n=5000)):
+            for label, rule in RULES.items():
+                for levels in (0, 1, 3):
+                    assert simmod.CHARGES[label](config, levels) == \
+                        rule(config, levels), label
+
+    def test_every_solve_books_by_the_table(self, monkeypatch):
+        charge = Simulator.charge
+        charge_subroutine = Simulator.charge_subroutine
+        calls, booked, inside = [], [], []
+
+        def spied_charge(sim_, label, levels=0):
+            calls.append((label, levels, sim_.cfg))
+            inside.append(len(calls) - 1)
+            try:
+                return charge(sim_, label, levels)
+            finally:
+                inside.pop()
+
+        def spied_subroutine(sim_, name, rounds):
+            booked.append((name, rounds, inside[-1] if inside else None))
+            return charge_subroutine(sim_, name, rounds)
+
+        monkeypatch.setattr(Simulator, "charge", spied_charge)
+        monkeypatch.setattr(Simulator, "charge_subroutine", spied_subroutine)
+        for problem, trees, text, epsilon in _registry_solves():
+            n = max([4, len(text or "")] + [t.n for t in trees])
+            result = REGISTRY[problem]["solve"](
+                trees, text, cfg(epsilon=epsilon, n=n), 1)
+            _want, _got, equal = REGISTRY[problem]["check"](trees, text,
+                                                            result)
+            assert equal, problem
+        assert booked
+        for name, rounds, at in booked:
+            # every booking comes from charge, for the label it was given
+            assert at is not None, name
+            label, levels, config = calls[at]
+            assert name == label and name in simmod.CHARGES
+            assert rounds == RULES[label](config, levels) >= 1
+        # a charge that books nothing is one whose rule gives 0
+        made = {at for _name, _rounds, at in booked}
+        for at, (label, levels, config) in enumerate(calls):
+            if at not in made:
+                assert RULES[label](config, levels) == 0, label
+        # the solves reach every label of the table
+        assert {name for name, _rounds, _at in booked} == set(RULES)
 
 
 class TestMetrics:

@@ -245,6 +245,9 @@ def test_shape_keeps_structure_only():
                                                         t.children)
     sub = work.slice({3, 4}, 3)
     assert sub.attrs is None and sub.parent == {3: None, 4: 3}
+    # 3's child 4 is not a member
+    with pytest.raises(InputError, match="slice is not closed below 3"):
+        work.slice({3}, 3)
     work.remove_leaves(3, [4])
     work.contract({1, 3}, 1)
     work.remove_leaf(2)
@@ -546,6 +549,11 @@ def test_decompose_star3():
     assert list(dec.boundaries) == [0, 1, 4]
 
 
+def test_decompose_rejects_a_lambda_below_1():
+    with pytest.raises(InputError, match="lambda must be positive"):
+        decompose(path(3), 0)
+
+
 def test_decompose_rejects_high_degree():
     with pytest.raises(InputError) as e:
         decompose(star(5), 3)
@@ -631,6 +639,11 @@ def test_low_degree_components_whole_tree():
     assert len(comps) == 1
     assert set(comps[0][0]) == set(t.vertices())
     assert comps[0][1] is True
+
+
+def test_low_degree_components_rejects_an_alpha_below_2():
+    with pytest.raises(InputError, match="alpha must be >= 2"):
+        low_degree_components(path(3), 1)
 
 
 def test_low_degree_components_star():
