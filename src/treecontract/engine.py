@@ -2,11 +2,12 @@
 
 Payload representation shared by every problem plugin: a vertex's payload is
 a small residual tree encoded as nested tuples. A known node is
-("k", vertex_id, edge_up, data, kids); an unresolved child slot is
-("s", child_id, acc) where acc is an edge accumulated from vertices removed
-between the child and this node (None = nothing pending). edge_up is the
-problem's edge object toward the current parent (None at the tree root, and
-everywhere in unary algebras). Plain pending children are not represented:
+(edge_up, data, kids); an unresolved child slot is (acc, child_id), where acc
+is an edge accumulated from vertices removed between the child and this node
+(None = nothing pending). Index 0 holds the edge in both, the arity tells
+them apart, and a node's own id is its table key or record member. edge_up is
+the problem's edge object toward the current parent (None at the tree root,
+and everywhere in unary algebras). Plain pending children are not represented:
 only the payload's root node may have them, and the host ships their ids
 alongside each component, so a payload stays O(C_w) words no matter how many
 children a vertex has. A live child u of v is a slot of v's payload iff
@@ -116,21 +117,21 @@ def _settle(plugin, data, kid, kept):
     `data`: absorb a known leaf, remove a known node with one hole by chain
     (or, with identity edges, merge_chain into the parent), else keep it on
     `kept`. Returns the parent's data."""
-    if kid[0] == "s":
+    if len(kid) == 2:
         kept.append(kid)
         return data
-    edge, kdata, holes = kid[2], kid[3], kid[4]
+    edge, kdata, holes = kid
     if not holes:
         return plugin.absorb(data, plugin.through_edge(
             plugin.node_value(kdata), edge))
     if len(holes) == 1:
         hole = holes[0]
-        # a known hole's index-2 field is its edge, a slot's its acc
-        chained = plugin.chain(edge, kdata, hole[2])
+        # a known hole's index-0 field is its edge, a slot's its acc
+        chained = plugin.chain(edge, kdata, hole[0])
         if chained is not NotImplemented:
-            kept.append(hole[:2] + (chained,) + hole[3:])
+            kept.append((chained,) + hole[1:])
             return data
-        if edge is None and (hole[0] == "k" or hole[2] is None):
+        if edge is None and (len(hole) == 3 or hole[0] is None):
             merged = plugin.merge_chain(data, kdata)
             if merged is not NotImplemented:
                 kept.append(hole)
@@ -145,23 +146,22 @@ def _contract_payload(plugin, node, done, plain=(), outs=()):
     finished node, edge composed with the slot's acc; the members in `plain`
     that no slot took settle after the root's own kids; `outs` become fresh
     slots at the end of the root's kids."""
-    data = node[3]
+    edge, data, kids = node
     kept = []
-    for kid in node[4]:
-        if kid[0] == "k":
+    for kid in kids:
+        if len(kid) == 3:
             kid = _contract_payload(plugin, kid, done)
         else:
             sub = done.pop(kid[1], None)
             if sub is not None:
-                kid = ("k", sub[1], _compose(plugin, kid[2], sub[2]), sub[3],
-                       sub[4])
+                kid = (_compose(plugin, kid[0], sub[0]),) + sub[1:]
         data = _settle(plugin, data, kid, kept)
     for m in plain:
         sub = done.pop(m, None)
         if sub is not None:
             data = _settle(plugin, data, sub, kept)
-    kept.extend([("s", u, None) for u in outs])
-    return ("k", node[1], node[2], data, tuple(kept))
+    kept.extend([(None, u) for u in outs])
+    return (edge, data, tuple(kept))
 
 
 def contract_component(plugin, members, parents, outs, payloads):
@@ -257,12 +257,12 @@ def _machine(plugin, plans):
                                              plan.outs, payloads)
             else:
                 for leaf, node in zip(members, payloads):
-                    if node[4]:
+                    if node[2]:
                         raise SimFault("%s: sibling %r is not fully "
                                        "contracted" % (plan.label, leaf))
                 data, edge = plugin.sibling_fold([plugin.through_edge(
-                    plugin.node_value(node[3]), node[2]) for node in payloads])
-                payload = ("k", survivor, edge, data, ())
+                    plugin.node_value(node[1]), node[0]) for node in payloads])
+                payload = (edge, data, ())
             ctx.write(survivor, payload)
             ctx.retire(members[1:])
             rec = plan._replace(payloads=payloads)
@@ -640,13 +640,12 @@ def _fresh_run(tree, plugin, sim):
         children[v] = kids[:]
         stack += kids[::-1]
         edge, data = fresh_edge(tree, v), init_data(tree, v)
-        # "k" and the vertex id are a word each, the empty kids tuple none;
-        # two calls cost less than one on the whole payload, whose loop
-        # would take the scalars off word_count's fast path
-        words = 2 + word_count(edge) + word_count(data)
+        # two calls cost less than one on the whole payload (the empty kids
+        # tuple is no word), whose loop would take scalars off the fast path
+        words = word_count(edge) + word_count(data)
         if words > c_w:
             payload_fault(fault, "vertex %r" % (v,), words, c_w)
-        entries.append((v, (("k", v, edge, data, ()), words)))
+        entries.append((v, ((edge, data, ()), words)))
     sim.store(entries)
     books = _Books(MappingProxyType(sim.generation), fault, c_w, tree_parent,
                    set(), ContractionLog(tree.root, parent))
@@ -692,7 +691,7 @@ def _contract(runs, sim, units, label):
         out = []
         for work, plugin, books in started:
             payload = sim.generation[work.root][0]
-            if payload[4]:
+            if payload[2]:
                 raise LogIntegrityError(
                     "root payload still has pending children")
             log = books.log
@@ -700,7 +699,7 @@ def _contract(runs, sim, units, label):
             if log.total_words > cfg.log_cap:
                 sim.fault("contraction log of %d words exceeds %d"
                           % (log.total_words, cfg.log_cap))
-            out.append((plugin.finalize(payload[3]), log))
+            out.append((plugin.finalize(payload[1]), log))
         return out, sim.snapshot_metrics()
     finally:
         if gc.get_freeze_count():

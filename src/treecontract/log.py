@@ -93,7 +93,7 @@ def _loaded_record(obj):
     return rec
 
 
-LOG_MAGIC = b"TCLOG2\n"
+LOG_MAGIC = b"TCLOG3\n"
 
 
 def _enc_uint(n, out):
@@ -120,8 +120,8 @@ _SMALL_TUPLE = [bytes((7, n)) for n in range(0x80)]
 # are safe; the bytes never depend on it.
 _UINTS = ((), 0)
 
-# Encodings of exact strs, made on first use: "k", "s" and the record
-# labels fit; a run with more labels encodes the rest each time.
+# Encodings of exact strs, made on first use: the record labels fit; a run
+# with more labels encodes the rest each time.
 _STRS = {}
 _STRS_MAX = 256
 
@@ -314,23 +314,23 @@ def _replay_data(plugin, node, values, edges, met):
     """Data of the residual node `node` with every kid absorbed in order: a
     known kid's value through its own edge, a slot child's through the slot's
     acc composed with the child's edge. Each slot id met is added to `met`."""
-    data = node[3]
-    for kid in node[4]:
-        if kid[0] == "s":
-            u = kid[1]
+    data = node[1]
+    for kid in node[2]:
+        if len(kid) == 2:
+            acc, u = kid
             met.add(u)
             if u not in edges:
                 raise LogIntegrityError("missing edge for vertex %r" % (u,))
             edge = edges[u]
-            if kid[2] is not None:
-                edge = _compose(plugin, kid[2], edge)
+            if acc is not None:
+                edge = _compose(plugin, acc, edge)
             if u not in values:
                 raise LogIntegrityError("missing value for vertex %r" % (u,))
             value = values[u]
         else:
             value = plugin.node_value(
                 _replay_data(plugin, kid, values, edges, met))
-            edge = kid[2]
+            edge = kid[0]
         data = plugin.absorb(data, plugin.through_edge(value, edge))
     return data
 
@@ -357,37 +357,37 @@ def reconstruct(log, plugin):
         raise LogIntegrityError("log has no final payload")
     node_value, through_edge, absorb = (plugin.node_value,
                                         plugin.through_edge, plugin.absorb)
-    values = {log.root: node_value(log.final_payload[3])}
+    values = {log.root: node_value(log.final_payload[1])}
     edges = {}
     out = {log.root: values[log.root]}
     for rec in reversed(log.records):
         members, virtual = rec.members, set(rec.virtual)
         if rec.kind == "sibling":
             for m, snap in zip(members, rec.payloads):
-                if snap[4]:
+                if snap[2]:
                     raise LogIntegrityError(
                         "folded sibling %r had pending children" % (m,))
-                values[m] = node_value(snap[3])
-                edges[m] = snap[2]
+                values[m] = node_value(snap[1])
+                edges[m] = snap[0]
                 if m not in virtual:
                     _resolve(out, m, values[m])
             continue
         survivor, outs = members[0], rec.outs
         kids_of = {}
         for u, pu, snap in zip(members, rec.parents, rec.payloads):
-            edges[u] = snap[2]
+            edges[u] = snap[0]
             if pu is not None:
                 kids_of.setdefault(pu, []).append(u)
         # members[0] is the survivor, valued only when its outs are known
         for i in range(len(members) - 1, -1 if rec.root_outs_known else 0, -1):
             m, snap = members[i], rec.payloads[i]
-            if snap[0] == "s":
+            if len(snap) == 2:
                 raise LogIntegrityError("value of a bare slot %r" % (snap[1],))
-            if snap[4]:
+            if snap[2]:
                 met = set()
                 data = _replay_data(plugin, snap, values, edges, met)
             else:
-                met, data = (), snap[3]
+                met, data = (), snap[1]
             for u in kids_of.get(m, ()):
                 if u not in met:
                     data = absorb(data, through_edge(values[u], edges[u]))

@@ -91,8 +91,8 @@ def payload_slot_ids(rnode):
     stack = [rnode]
     while stack:
         nd = stack.pop()
-        if nd[0] == "s":
+        if len(nd) == 2:
             out.add(nd[1])
         else:
-            stack.extend(nd[4])
+            stack.extend(nd[2])
     return out

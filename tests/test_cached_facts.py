@@ -32,9 +32,9 @@ SEED = 5
 def _slot_nodes(rnode):
     """Slot nodes of a residual tree, counted with multiplicity, found by
     walking every node of it."""
-    if rnode[0] == "s":
+    if len(rnode) == 2:
         return 1
-    return sum(_slot_nodes(kid) for kid in rnode[4])
+    return sum(_slot_nodes(kid) for kid in rnode[2])
 
 
 def _origin_slots(tree, books, v):

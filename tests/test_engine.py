@@ -60,7 +60,7 @@ def add(a, b):
 
 
 def initial_payload(plugin, tree, v):
-    return ("k", v, plugin.fresh_edge(tree, v), plugin.init_data(tree, v), ())
+    return (plugin.fresh_edge(tree, v), plugin.init_data(tree, v), ())
 
 
 def sum_plugin():
@@ -173,7 +173,7 @@ class TestComponentContraction:
         outs = ((), (), (), (), (6,))
         out = contract_component(plugin, (1, 2, 3, 4, 5), parents, outs,
                                  payloads)
-        assert out == ("k", 1, None, 15, (("s", 6, None),))
+        assert out == (None, 15, ((None, 6),))
 
     @pytest.mark.parametrize("keep", [False, True])
     def test_long_path_component_needs_no_deep_recursion(self, keep):
@@ -181,20 +181,20 @@ class TestComponentContraction:
         # every rule declined the survivor payload nests 5000 deep
         n = 5000
         plugin = Keeper() if keep else sum_plugin()
-        t = valued(path(n))
         members = tuple(range(1, n + 1))
-        payloads = tuple(initial_payload(plugin, t, v) for v in members)
+        # each member's data is its id, so the nesting order shows
+        payloads = tuple((None, v, ()) for v in members)
         parents = (None,) + members[:-1]
         outs = ((),) * (n - 1) + ((n + 1,),)
         out = contract_component(plugin, members, parents, outs, payloads)
         if not keep:
-            assert out == ("k", 1, None, n, (("s", n + 1, None),))
+            assert out == (None, n * (n + 1) // 2, ((None, n + 1),))
             return
         node, depth = out, 1
-        while node[0] == "k":
-            assert node[1] == depth and len(node[4]) == 1
-            node, depth = node[4][0], depth + 1
-        assert node == ("s", n + 1, None) and depth == n + 1
+        while len(node) == 3:
+            assert node[1] == depth and len(node[2]) == 1
+            node, depth = node[2][0], depth + 1
+        assert node == (None, n + 1) and depth == n + 1
 
     def test_leaf_star_folds_pairwise(self):
         calls = []
@@ -1083,13 +1083,13 @@ class TestSideBySide:
 class Hoarder(Algebra):
     """Keeps every absorbed contribution in its data, so a vertex that
     absorbs two children outgrows C_w; the value is still the subtree's
-    weight, 4 per vertex."""
+    weight, 6 per vertex."""
 
     name = "hoarder"
     C_w = 8
 
     def init_data(self, tree, v):
-        return (1, 1, 1, 1)
+        return (1, 1, 1, 1, 1, 1)
 
     def fresh_edge(self, tree, v):
         return None
@@ -1118,11 +1118,11 @@ class TestBudgets:
         t = complete_kary(7, 2)
         answer, log, metrics = bounded_tree_contract(
             t, Hoarder(), cfg(7, strict=False))
-        assert answer == 4 * 7
+        assert answer == 6 * 7
         assert metrics["violations"][0] == self.SURVIVOR_FAULT
         assert all("non-conforming" in v for v in metrics["violations"])
         assert reconstruct(log, Hoarder()) == {
-            v: 4 * s for v, s in subtree_sums(valued(t)).items()}
+            v: 6 * s for v, s in subtree_sums(valued(t)).items()}
 
     def test_nested_streams_report_their_own_cap_faults(self, monkeypatch):
         # the two tails run as nested bounded streams side by side, the
@@ -1169,7 +1169,7 @@ class TestBudgets:
         sim = run_simulator(Fat(), cfg(2, strict=False), t.n)
         engine._fresh_run(t, Fat(), sim)
         assert sim.violations == [
-            "vertex %d: payload of 103 words exceeds 16 (non-conforming "
+            "vertex %d: payload of 101 words exceeds 16 (non-conforming "
             "contractor)" % v for v in (1, 2)]
 
     def test_log_words_within_global_budget(self):
@@ -1236,15 +1236,18 @@ class TestLogCodec:
             ContractionLog.load(p)
 
     def test_magic_is_versioned(self, tmp_path):
-        assert LOG_MAGIC == b"TCLOG2\n"
-        # a log of the older ten-field format fails at its header
+        assert LOG_MAGIC == b"TCLOG3\n"
+        # a log of the older formats, ten-field records (TCLOG1) or tagged
+        # payload nodes (TCLOG2), fails at its header
         t = valued(path(6))
         _a, log, _m = tree_contract(t, sum_plugin(), cfg(6))
         p = tmp_path / "run.tclog"
         log.save(p)
-        p.write_bytes(b"TCLOG1\n" + p.read_bytes()[len(LOG_MAGIC):])
-        with pytest.raises(InputError, match="bad header"):
-            ContractionLog.load(p)
+        body = p.read_bytes()[len(LOG_MAGIC):]
+        for old in (b"TCLOG1\n", b"TCLOG2\n"):
+            p.write_bytes(old + body)
+            with pytest.raises(InputError, match="bad header"):
+                ContractionLog.load(p)
 
     def test_truncated_file(self, tmp_path):
         tree = with_edge_weights(random_tree(200, 3), 3)
@@ -1308,10 +1311,10 @@ class TestLogCodec:
         """Load a one-record log of members (1, 2) with each field named in
         `edits` set to its value there."""
         rec = Record("x", (1, 2),
-                     (("k", 1, None, 0, ()), ("k", 2, None, 0, ())), (),
+                     ((None, 0, ()), (None, 0, ())), (),
                      (None, 1), ((), ()), True)._replace(**edits)
         out = bytearray(LOG_MAGIC)
-        _enc_obj((1, (1, 2), ("k", 1, None, 0, ()), 1), out)
+        _enc_obj((1, (1, 2), (None, 0, ()), 1), out)
         _enc_obj(rec, out)
         p = tmp_path / "run.tclog"
         p.write_bytes(bytes(out))
@@ -1323,7 +1326,7 @@ class TestLogCodec:
         assert rec.members == (1, 2) and rec.root_outs_known is True
 
     @pytest.mark.parametrize("field,short", [
-        ("payloads", (("k", 1, None, 0, ()),)),
+        ("payloads", ((None, 0, ()),)),
         ("parents", (None,)),
         ("outs", ((),)),
     ])
@@ -1377,7 +1380,7 @@ class TestLogCodec:
                                      "7 chars"])
     def test_a_record_must_be_a_tuple_of_seven_fields(self, tmp_path, obj):
         out = bytearray(LOG_MAGIC)
-        _enc_obj((1, (1,), ("k", 1, None, 0, ()), 1), out)
+        _enc_obj((1, (1,), (None, 0, ()), 1), out)
         _enc_obj(obj, out)
         p = tmp_path / "run.tclog"
         p.write_bytes(bytes(out))
@@ -1497,19 +1500,19 @@ def header_of(rec):
     return rec[:2] + rec[3:]
 
 
-def leaf(v, edge=None, data=1):
-    return ("k", v, edge, data, ())
+def leaf(edge=None, data=1):
+    return (edge, data, ())
 
 
 class TestHeaderWords:
     def test_hand_built_records(self):
         connected = Record(
             "phase 1 compress", (3, 5, 8),
-            (("k", 3, None, 2, (("s", 9, None),)), leaf(5), leaf(8)), (),
+            ((None, 2, ((None, 9),)), leaf(), leaf()), (),
             (None, 3, 5), ((), (), (10, 11)))
         sibling = Record("phase 1 rake L1", (4, 6, 7),
-                         (leaf(4), leaf(6), leaf(7)), (6, 7))
-        rake = Record("phase 1 rake L2", (2, 4), (leaf(2), leaf(4)), (4,),
+                         (leaf(), leaf(), leaf()), (6, 7))
+        rake = Record("phase 1 rake L2", (2, 4), (leaf(), leaf()), (4,),
                       (None, 2), ((), ()), False)
         assert sibling.parents == () and sibling.outs == ()
         assert (connected.kind, sibling.kind, rake.kind) == (
@@ -1542,24 +1545,22 @@ node_values = st.recursive(
     log_scalars, lambda inner: st.lists(inner, max_size=4).map(tuple),
     max_leaves=6)
 pending = st.one_of(st.none(), node_values)
-slots = st.builds(lambda v, acc: ("s", v, acc), ids, pending)
+slots = st.builds(lambda v, acc: (acc, v), ids, pending)
 # wide parts are drawn from cheap items, so an example stays within
 # Hypothesis's data budget
-wide_kids = st.lists(st.integers(0, 300).map(lambda v: ("s", v, None)),
+wide_kids = st.lists(st.integers(0, 300).map(lambda v: (None, v)),
                      min_size=128, max_size=130).map(tuple)
 rnodes = st.recursive(
     slots,
-    lambda kids: st.builds(
-        lambda v, edge, data, kids: ("k", v, edge, data, kids), ids, pending,
-        node_values, st.one_of(st.lists(kids, max_size=3).map(tuple),
-                              wide_kids)),
+    lambda kids: st.tuples(
+        pending, node_values,
+        st.one_of(st.lists(kids, max_size=3).map(tuple), wide_kids)),
     max_leaves=12)
 # a payload is mostly a residual-tree node, but any log value must encode
 payloads = st.one_of(rnodes, rnodes, log_values,
-                     st.builds(lambda v, kids: ("k", v, None, 0, kids), ids,
-                               wide_kids),
-                     st.tuples(st.just("k"), ids, pending),
-                     st.tuples(st.just("s"), st.fractions(), pending))
+                     st.tuples(st.none(), st.just(0), wide_kids),
+                     st.tuples(pending, ids),
+                     st.tuples(st.fractions(), pending))
 
 
 @st.composite
@@ -1656,7 +1657,7 @@ class TestIntTable:
             return real(obj, out)
 
         log = ContractionLog(1, (1,))
-        log.final_payload = ("k", 1, None, 0, ())
+        log.final_payload = (None, 0, ())
         with mock.patch.object(logmod, "_enc_obj", spy):
             log.save(tmp_path / "run.tclog")
         assert tops and set(tops) == {0x2000}
@@ -1701,12 +1702,11 @@ class TestShapeSave:
 
     def test_lookalike_items(self):
         # True == 1 and IntId(1) == 1 hash alike; each keeps its own bytes
-        wide = ("k", 1, None, 1, tuple(("s", i, None) for i in range(130)))
-        odd = ("k", 2, (1, True), True,
-               (("s", False, 0), ("k", IntId(1), None, IntId(0), ()),
-                ("k", True, None, 1, ()), ("k", float("-inf"), None, 0, ()),
-                ("s", 1)))
-        rec = Record("rake", (1, 2, 8), (wide, odd, ("k", 8, None, "8", ())),
+        wide = (None, 1, tuple((None, i) for i in range(130)))
+        odd = ((1, True), True,
+               ((0, False), (None, IntId(1)), (None, IntId(0), ()),
+                (True, 1, ()), (float("-inf"), 0, ()), (1,)))
+        rec = Record("rake", (1, 2, 8), (wide, odd, (None, "8", ())),
                      (2, 8), (None, 1, True),
                      ((True, 1), (), tuple(range(128))), 1)
         log = ContractionLog(1, (True, 1, 2, 8))
@@ -1773,10 +1773,10 @@ class _LN:
 
 
 def _thaw(rnode):
-    if rnode[0] == "s":
-        return _LN(False, rnode[1], acc=rnode[2])
-    node = _LN(True, rnode[1], edge=rnode[2], data=rnode[3])
-    for kid in rnode[4]:
+    if len(rnode) == 2:
+        return _LN(False, rnode[1], acc=rnode[0])
+    node = _LN(True, None, edge=rnode[0], data=rnode[1])
+    for kid in rnode[2]:
         child = _thaw(kid)
         child.parent = node
         node.kids.append(child)
@@ -1785,13 +1785,13 @@ def _thaw(rnode):
 
 def _freeze(node, is_root=True):
     if not node.known:
-        return ("s", node.vid, node.acc)
+        return (node.acc, node.vid)
     kids = [_freeze(kid, False) for kid in node.kids]
     if not is_root:
         # a surviving inner vertex must expose its remaining plain children,
         # or later stitches cannot find their place in the structure
-        kids.extend(("s", u, None) for u in node.outs)
-    return ("k", node.vid, node.edge, node.data, tuple(kids))
+        kids.extend((None, u) for u in node.outs)
+    return (node.edge, node.data, tuple(kids))
 
 
 def _stitch(plugin, members, parents, outs, payloads):
@@ -1999,11 +1999,11 @@ def components(draw):
     slots = {m: [] for m in members}
     for m, pm in zip(members[1:], parents[1:]):
         if draw(st.booleans()):
-            slots[pm].append(("s", m, draw(st.one_of(st.none(), edges))))
+            slots[pm].append((draw(st.one_of(st.none(), edges)), m))
     outside = iter(range(100, 200))
     outs = []
     for m in members:
-        slots[m] += [("s", next(outside), draw(st.one_of(st.none(), edges)))
+        slots[m] += [(draw(st.one_of(st.none(), edges)), next(outside))
                      for _ in range(draw(st.integers(0, 1)))]
         outs.append(tuple(next(outside)
                           for _ in range(draw(st.integers(0, 2)))))
@@ -2011,7 +2011,7 @@ def components(draw):
     for m in members:
         kids = draw(st.permutations(slots[m]))
         edge = draw(edges) if m > 1 else None
-        payloads.append(("k", m, edge, draw(st.integers(0, 9)), tuple(kids)))
+        payloads.append((edge, draw(st.integers(0, 9)), tuple(kids)))
     return plugin, members, parents, tuple(outs), tuple(payloads)
 
 
@@ -2504,15 +2504,15 @@ def reference_rnode_value(plugin, rnode, slot_fn, extra=()):
     """Subtree value of a residual tree. slot_fn(child_id, acc) supplies the
     contribution of a slot child; extra lists contributions of the root
     node's plain pending children."""
-    if rnode[0] == "s":
+    if len(rnode) == 2:
         raise LogIntegrityError("value of a bare slot %r" % (rnode[1],))
-    data = rnode[3]
-    for kid in rnode[4]:
-        if kid[0] == "s":
-            data = plugin.absorb(data, slot_fn(kid[1], kid[2]))
+    data = rnode[1]
+    for kid in rnode[2]:
+        if len(kid) == 2:
+            data = plugin.absorb(data, slot_fn(kid[1], kid[0]))
         else:
             data = plugin.absorb(data, plugin.through_edge(
-                reference_rnode_value(plugin, kid, slot_fn), kid[2]))
+                reference_rnode_value(plugin, kid, slot_fn), kid[0]))
     for contribution in extra:
         data = plugin.absorb(data, contribution)
     return plugin.node_value(data)
@@ -2528,7 +2528,7 @@ def reference_reconstruct(log, plugin):
     until its sibling record restores the single-vertex value."""
     if log.final_payload is None:
         raise LogIntegrityError("log has no final payload")
-    values = {log.root: plugin.node_value(log.final_payload[3])}
+    values = {log.root: plugin.node_value(log.final_payload[1])}
     edges = {}
     out = {log.root: values[log.root]}
 
@@ -2554,11 +2554,11 @@ def reference_reconstruct(log, plugin):
         if rec.kind == "sibling":
             for m in rec.members:
                 snap = snaps[m]
-                if snap[4]:
+                if snap[2]:
                     raise LogIntegrityError(
                         "folded sibling %r had pending children" % (m,))
-                values[m] = plugin.node_value(snap[3])
-                edges[m] = snap[2]
+                values[m] = plugin.node_value(snap[1])
+                edges[m] = snap[0]
                 if m not in rec.virtual:
                     resolve(m, values[m])
             continue
@@ -2571,14 +2571,14 @@ def reference_reconstruct(log, plugin):
         local = {}
 
         def slot_fn(u, acc):
-            edge = snaps[u][2] if u in snaps else edge_of(u)
+            edge = snaps[u][0] if u in snaps else edge_of(u)
             return plugin.through_edge(value_of(u, local),
                                        _compose(plugin, acc, edge))
 
         for i, m in reversed(list(enumerate(rec.members))):
             if m == rec.members[0] and not rec.root_outs_known:
                 continue
-            extra = [plugin.through_edge(local[u], snaps[u][2])
+            extra = [plugin.through_edge(local[u], snaps[u][0])
                      for u in kids_of[m]]
             extra.extend(plugin.through_edge(value_of(u, local), edge_of(u))
                          for u in rec.outs[i])
@@ -2591,7 +2591,7 @@ def reference_reconstruct(log, plugin):
                     % (rec.members[0], values.get(rec.members[0]),
                        local[rec.members[0]]))
         for m in rec.members:
-            edges[m] = snaps[m][2]
+            edges[m] = snaps[m][0]
             if m == rec.members[0]:
                 continue
             values[m] = local[m]
@@ -2730,22 +2730,22 @@ class TestReplay:
             else:
                 last = rec.payloads[-1]
                 records[i] = rec._replace(payloads=rec.payloads[:-1] + (
-                    last[:4] + (last[4] + (("s", ghost, None),),),))
+                    last[:2] + (last[2] + ((None, ghost),),),))
         elif tamper == "drop":
             del records[sibling]
         elif tamper == "duplicate":
             records.insert(sibling, rec)
         elif tamper == "survivor value":
             final = log.final_payload
-            log.final_payload = final[:3] + (final[3] + 1,) + final[4:]
+            log.final_payload = final[:1] + (final[1] + 1,) + final[2:]
         elif tamper == "sibling kids":
             last = rec.payloads[-1]
             records[sibling] = rec._replace(
-                payloads=rec.payloads[:-1] + (last[:4] + (("s", 999, None),),))
+                payloads=rec.payloads[:-1] + (last[:2] + (((None, 999),),),))
         else:
             records[sibling] = rec._replace(
                 members=rec.members + (ghost,),
-                payloads=rec.payloads + (("k", ghost, None, 1, ()),))
+                payloads=rec.payloads + ((None, 1, ()),))
         got = _raised(reconstruct, log, plugin)
         assert check in got
         assert got == _raised(reference_reconstruct, log, plugin)
@@ -2756,7 +2756,7 @@ class TestReplay:
                  if log.records[i].kind == "connected")
         rec = log.records[i]
         log.records[i] = rec._replace(
-            payloads=rec.payloads[:-1] + (("s", rec.members[-1], None),))
+            payloads=rec.payloads[:-1] + ((None, rec.members[-1]),))
         got = _raised(reconstruct, log, sum_plugin())
         assert "bare slot" in got
         assert got == _raised(reference_reconstruct, log, sum_plugin())

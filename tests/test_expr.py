@@ -304,6 +304,19 @@ class TestEvaluate:
             with pytest.raises(ExprArithmeticError):
                 eval_reference(s)
 
+    @pytest.mark.parametrize("s", [
+        "+".join(["(1+2)"] * 400),
+        "+".join(["(1+2*3)"] * 150),
+        "(((1-1)**2**((3+2)/(1**2**0)))+((((1-1)**2*0)*(2**0**0))/"
+        "((2**0-(1-1)**2)-(2*2**0))))",
+    ], ids=["400 (1+2)", "150 (1+2*3)", "fuzzed powers"])
+    def test_fits_the_strict_payload_budget(self, s):
+        # each faulted a survivor's budget, by 12, 5 and 1 words, while
+        # every known payload node also held its vertex id and a tag
+        got, _, _, metrics = evaluate_expression(s, cfg_for(s))
+        assert got == eval_reference(s)
+        assert not metrics["violations"]
+
     def test_residual_power_vertex(self):
         # non-literal exponents stay vertices and ride as residual payload
         for s in ["5*(2**(1+1))+1", "2**(1+1)*3", "1+2**(2*2)"]:

@@ -51,59 +51,59 @@ CASES = {
 
 GOLDEN = {
     "eval": {
-        "rounds": 12, "peak_machine_words": 521, "total_words": 8689,
-        "dht_reads": 649, "dht_writes": 128, "log_words": 8658,
+        "rounds": 12, "peak_machine_words": 521, "total_words": 7036,
+        "dht_reads": 649, "dht_writes": 124, "log_words": 7011,
         "log_sha256":
-            "eec48b976dca422bce82cd22f63b537925c930ec3fe0579d846a99b4b2ce0a47",
+            "4ff8f89198c885b9f2b33efc02eda9a90926ffbee6d3bb46ae6af4875b0c20ff",
         "answer_sha256":
             "e638fca512667951489f2214927307b319e402239327a760f6445a108a393c64"},
     "height": {
-        "rounds": 25, "peak_machine_words": 90, "total_words": 11022,
-        "dht_reads": 1432, "dht_writes": 566, "log_words": 10860,
+        "rounds": 22, "peak_machine_words": 91, "total_words": 8016,
+        "dht_reads": 1419, "dht_writes": 515, "log_words": 7894,
         "log_sha256":
-            "b644f9045054e60505ccfaa545409eda5adadfafa99c677b7387747b212961d9",
+            "25e57dbd8e7319cb296e03deea6d4daea43b24c17d42f636065d543ac80324bd",
         "answer_sha256":
             "3fdba35f04dc8c462986c992bcf875546257113072a909c162f7e470e581e278"},
     "matching": {
-        "rounds": 8, "peak_machine_words": 514, "total_words": 6592,
-        "dht_reads": 1072, "dht_writes": 58, "log_words": 6562,
+        "rounds": 8, "peak_machine_words": 396, "total_words": 4422,
+        "dht_reads": 1072, "dht_writes": 50, "log_words": 4402,
         "log_sha256":
-            "c6f4c6c870dd46d3ab24238590e5df80e9a8c7f0afd97d7e2ff42ba5e4a0e29f",
+            "88aaceff79b49a07f8b2a5de85a7b0238742ce59d4714c223cc29f477028035c",
         "answer_sha256":
             "35d8319ab2e3befbc3518577800ff94ee16bb18cef3a163b4acf7542aa0febd9"},
     "mis": {
-        "rounds": 5, "peak_machine_words": 512, "total_words": 8490,
-        "dht_reads": 1198, "dht_writes": 197, "log_words": 8463,
+        "rounds": 5, "peak_machine_words": 512, "total_words": 5817,
+        "dht_reads": 1198, "dht_writes": 192, "log_words": 5797,
         "log_sha256":
-            "9ae9380c7b3d29826f41a7da16f0bae0912532410a841c91a333b4eb5ba60e9a",
+            "7376117f804a85678c8fda350257d673042008d744f030ba3caca6c1ad4e12a8",
         "answer_sha256":
             "9e83f45de39d4a54c25c2d3489d2b360f59d4e7314c0d8aa1dc96dceb4b3431e"},
     "mwis": {
-        "rounds": 10, "peak_machine_words": 452, "total_words": 19456,
-        "dht_reads": 1155, "dht_writes": 186, "log_words": 19395,
+        "rounds": 10, "peak_machine_words": 512, "total_words": 15676,
+        "dht_reads": 1155, "dht_writes": 169, "log_words": 15634,
         "log_sha256":
-            "4ad49bb43c3d5cc2390f1db504331a025b6efdbd1e367438e22d2608e7a2a897",
+            "71e1da9a534a89563ef81e675f3667d2fe4a5425c8cf40c6b08fa773abf587d7",
         "answer_sha256":
             "f1241a65c837e6459b2221ac28d7893f04f4d6118fb4168648b12177b014b666"},
     "mwm": {
-        "rounds": 11, "peak_machine_words": 512, "total_words": 14590,
-        "dht_reads": 1266, "dht_writes": 278, "log_words": 14549,
+        "rounds": 11, "peak_machine_words": 512, "total_words": 11754,
+        "dht_reads": 1266, "dht_writes": 272, "log_words": 11721,
         "log_sha256":
-            "6856ea53fb7bf65ab596789c6db3994b7911b5fa04e7ecba7449a4b06a41069a",
+            "198c96f7a94ebf909e2582a1afd18b0a7700c0679e54787759ee92646b9c9f1e",
         "answer_sha256":
             "85508e52fbf4c41db32f6773b137242cd8d0089146013bf3666acb6e9d34eb61"},
     "sum": {
-        "rounds": 13, "peak_machine_words": 85, "total_words": 9311,
-        "dht_reads": 1280, "dht_writes": 412, "log_words": 9151,
+        "rounds": 13, "peak_machine_words": 86, "total_words": 6473,
+        "dht_reads": 1280, "dht_writes": 387, "log_words": 6340,
         "log_sha256":
-            "d95f38c58c79472b26f3ffb7ae36499b502b9431d0f69ca1d46a8c1608854362",
+            "4b2d25ee8ae8a42d7e45976a8df430599746c1ba7afd8e0576191eb7bc58894d",
         "answer_sha256":
             "e39eef82f61b21e2e7f762fcc4307358f165757f2e77ec855d6992f7e0191932"},
 }
 
 ISO_GOLDEN = {
-    "rounds": 11, "peak_machine_words": 512, "total_words": 21050,
-    "dht_reads": 2534, "dht_writes": 543, "verdict": True,
+    "rounds": 9, "peak_machine_words": 512, "total_words": 15195,
+    "dht_reads": 2514, "dht_writes": 508, "verdict": True,
     "modulus": 326637205720375, "q_left": 38924579800711,
     "q_right": 38924579800711,
 }

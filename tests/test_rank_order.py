@@ -147,7 +147,7 @@ def test_payload_faults_are_reported_in_preorder():
     named = [int(msg.split(":")[0].split()[1]) for msg in sim.violations]
     assert named == list(preorder_number(t))
     assert named[:3] == [1, 3, 44]
-    with pytest.raises(SimFault, match="^vertex 1: payload of 23 words"):
+    with pytest.raises(SimFault, match="^vertex 1: payload of 21 words"):
         engine._fresh_run(t, _Fat(), engine.run_simulator(
             _Fat(), cfg.replaced(strict=True), t.n))
 
