@@ -1,12 +1,16 @@
 """The contraction log: its records, its file format and its replay. A file
-is LOG_MAGIC, then tagged values (None, bools, zigzag varint ints, -inf,
-Fractions, strs and tuples), all written by the one encoder _enc_obj: the
-header tuple, then each Record. reconstruct undoes the records
-newest-first, as Miller and Reif unravel a contraction, with nothing but
-the log and the Algebra."""
+is LOG_MAGIC, then values whose first byte says what each is: an int below
+2**7 is that byte, one below 2**14 takes two bytes and one below 2**20
+three; a tuple of fewer than 16 items is one byte, then its items; None,
+the bools and -inf are one byte each; and a str the save has written
+before is a back-reference to it, a byte and its index. The one encoder
+_enc_obj writes them all: the header tuple, then each Record. reconstruct
+undoes the records newest-first, as Miller and Reif unravel a contraction,
+with nothing but the log and the Algebra."""
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import product
 
 from .errors import InputError, LogIntegrityError, SimFault
 from .trees import NEG_INF, word_count
@@ -59,9 +63,11 @@ def _loaded_record(obj):
     disagrees with members (one payload per member; one parent and one outs
     entry per member, or neither, a sibling record), a member repeats, a
     connected record's parents are not None for the survivor, members[0],
-    and an earlier member for every other member, or an outs entry names
-    one of the record's own members: the replay keeps one value and one
-    edge per id, and values a component children first."""
+    and an earlier member for every other member, an outs entry names one
+    of the record's own members, or a payload is not a known node
+    (edge, data, kids) whose kids are known nodes or slots (acc, id): the
+    replay keeps one value and one edge per id, values a component
+    children first, and reads each node by its arity."""
     rec = Record._make(obj)
     tuples = (rec.members, rec.payloads, rec.virtual, rec.parents, rec.outs)
     if (any(type(f) is not tuple for f in tuples)
@@ -90,10 +96,19 @@ def _loaded_record(obj):
     clash = [u for o in rec.outs for u in o if u in index]
     if clash:
         raise ValueError("outs name the record's own member %r" % (clash[0],))
+    nodes = list(rec.payloads)
+    for i, node in enumerate(nodes):
+        if type(node) is tuple and len(node) == 3 and type(node[2]) is tuple:
+            nodes += node[2]
+        elif i < n:
+            raise ValueError("payload %r is not (edge, data, kids)" % (node,))
+        elif type(node) is not tuple or len(node) != 2:
+            raise ValueError("payload node %r is neither (edge, data, kids) "
+                             "nor (acc, id)" % (node,))
     return rec
 
 
-LOG_MAGIC = b"TCLOG3\n"
+LOG_MAGIC = b"TCLOG4\n"
 
 
 def _enc_uint(n, out):
@@ -111,43 +126,53 @@ def _zigzag(n):
     return n << 1 if n >= 0 else ((-n) << 1) | 1
 
 
-_SMALL_TUPLE = [bytes((7, n)) for n in range(0x80)]
+def _int_bytes(n):
+    """The encoding of the int n outside the table: up to 3 bytes below
+    2**20, else E3 and its zigzag varint."""
+    if 0 <= n < 0x4000:
+        return bytes((n,)) if n < 0x80 else bytes((0x80 | n >> 8, n & 0xFF))
+    if 0 <= n < 0x100000:
+        return bytes((0xC0 | n >> 16, n >> 8 & 0xFF, n & 0xFF))
+    out = bytearray((0xE3,))
+    _enc_uint(_zigzag(n), out)
+    return bytes(out)
 
-# The encodings of the ints 0..0x1FFF, the ids of trees below 8192 vertices,
-# and their count. Each save fills the table and empties it after, so it
-# costs nothing at import and holds no memory between saves. One read gives
-# an _enc_obj call the table and its length together, so concurrent saves
-# are safe; the bytes never depend on it.
+
+# The encodings of 0..n for a log of n vertices, so of its tree's ids 1..n,
+# and of no int past 0x3FFF, and their count. Each save fills the table and
+# empties it after, so it costs nothing at import and holds no memory
+# between saves. One read gives an _enc_obj call the table and its length
+# together, so concurrent saves are safe; the bytes never depend on it.
 _UINTS = ((), 0)
 
-# Encodings of exact strs, made on first use: the record labels fit; a run
-# with more labels encodes the rest each time.
-_STRS = {}
-_STRS_MAX = 256
+
+def _uint_table(top):
+    """The encodings of 0..top - 1, top <= 0x4000: the int itself below
+    0x80, then 0x80 | n >> 8 and n & 0xFF."""
+    ones = [n.to_bytes(1, "big") for n in range(0x100)]
+    pairs = product(ones[0x80:0x80 + (top + 0xFF >> 8)], ones)
+    return (ones[:0x80] + list(map(b"".join, pairs))[0x80:])[:top]
 
 
-def _uint_table():
-    """The encodings of 0..0x1FFF: the zigzag 2v takes one varint byte below
-    64 and two from there, the second byte being v >> 6."""
-    heads = [bytes((3, z)) for z in range(0x80, 0x100, 2)]
-    return ([bytes((3, z)) for z in range(0, 0x80, 2)]
-            + [head + bytes((hi,)) for hi in range(1, 0x80) for head in heads])
-
-
-def _enc_obj(obj, out):
-    """Append obj's encoding to out: a tag byte, then None (0), True (1),
-    False (2), an int as a zigzag varint (3), -inf (4), a Fraction as the
-    zigzag varint numerator and the varint denominator (5), a str as its
-    UTF-8 length and bytes (6), a tuple as its length and items (7). The
-    items of a tuple or Record are dispatched here by exact type; every
+def _enc_obj(obj, out, strs):
+    """Append obj's encoding to out. Its first byte says what it is: an int
+    0..0x7F itself; 0x80 | hi, then a byte, an int below 2**14; 0xC0 | hi,
+    then 2 bytes, an int below 2**20; 0xD0 | k, then k items, a tuple of
+    k < 16 items; E0 None, E1 True, E2 False, E4 -inf; E3 any other int as
+    a zigzag varint; E5 a Fraction as the zigzag varint numerator and the
+    varint denominator; E6 a str new to this save, its UTF-8 length as a
+    varint and its bytes; E7 a longer tuple, its varint length and items;
+    E8 a str met before in this save, its varint index in strs, the save's
+    table of strs in order of first use, which maps each to those bytes.
+    The items of a tuple or Record are dispatched here by exact type; every
     other value, subclasses included, goes down one isinstance chain."""
     cls = type(obj)
     if cls is tuple or cls is Record:
         n = len(obj)
-        if n < 0x80:
-            out += _SMALL_TUPLE[n]
+        if n < 0x10:
+            out.append(0xD0 | n)
         else:
-            out.append(7)
+            out.append(0xE7)
             _enc_uint(n, out)
         items = obj
     else:
@@ -159,38 +184,39 @@ def _enc_obj(obj, out):
             out += uints[item]
         elif cls is tuple:
             if item:
-                _enc_obj(item, out)
+                _enc_obj(item, out, strs)
             else:
-                out += b"\x07\x00"
-        elif cls is str and item in _STRS:
-            out += _STRS[item]
+                out.append(0xD0)
+        elif cls is str and item in strs:
+            out += strs[item]
         elif item is None:
-            out.append(0)
+            out.append(0xE0)
         elif isinstance(item, float):
             if item != NEG_INF:
                 raise InputError("only -inf floats are encodable")
-            out.append(4)
+            out.append(0xE4)
         elif item is True:
-            out.append(1)
+            out.append(0xE1)
         elif item is False:
-            out.append(2)
+            out.append(0xE2)
         elif isinstance(item, int):
-            out.append(3)
-            _enc_uint(_zigzag(item), out)
+            out += _int_bytes(item)
         elif isinstance(item, Fraction):
-            out.append(5)
+            out.append(0xE5)
             _enc_uint(_zigzag(item.numerator), out)
             _enc_uint(item.denominator, out)
-        elif isinstance(item, str):
+        elif cls is str:
             raw = item.encode("utf-8")
-            enc = bytearray((6,))
-            _enc_uint(len(raw), enc)
-            enc += raw
-            out += enc
-            if cls is str and len(_STRS) < _STRS_MAX:
-                _STRS[item] = bytes(enc)
+            out.append(0xE6)
+            _enc_uint(len(raw), out)
+            out += raw
+            ref = bytearray((0xE8,))
+            _enc_uint(len(strs), ref)
+            strs[item] = bytes(ref)
+        elif isinstance(item, str):
+            _enc_obj(str(item), out, strs)
         elif isinstance(item, tuple):
-            _enc_obj(tuple(item), out)
+            _enc_obj(tuple(item), out, strs)
         else:
             raise InputError("unencodable object %r" % (item,))
 
@@ -212,43 +238,60 @@ def _dec_uint(buf, pos):
         shift += 7
 
 
-def _dec_obj(buf, pos):
+def _dec_obj(buf, pos, strs):
+    """The value encoded at buf[pos:] and the offset after it. strs is the
+    load's table of strs, in order of first use, which each E6 extends."""
     if pos >= len(buf):
         raise _truncated(pos)
     tag = buf[pos]
     pos += 1
-    if tag == 0:
+    if tag < 0x80:
+        return tag, pos
+    if tag < 0xD0:
+        # the tag's low bits, then 1 or 2 more bytes, big-endian
+        k, mask = (1, 0x3FFF) if tag < 0xC0 else (2, 0xFFFFF)
+        if pos + k > len(buf):
+            raise _truncated(len(buf))
+        return int.from_bytes(buf[pos - 1:pos + k], "big") & mask, pos + k
+    if tag < 0xE0 or tag == 0xE7:
+        k, pos = _dec_uint(buf, pos) if tag == 0xE7 else (tag & 0x0F, pos)
+        items = []
+        for _ in range(k):
+            item, pos = _dec_obj(buf, pos, strs)
+            items.append(item)
+        return tuple(items), pos
+    if tag == 0xE0:
         return None, pos
-    if tag == 1:
+    if tag == 0xE1:
         return True, pos
-    if tag == 2:
+    if tag == 0xE2:
         return False, pos
-    if tag == 3:
+    if tag == 0xE3:
         z, pos = _dec_uint(buf, pos)
         return (-(z >> 1) if z & 1 else z >> 1), pos
-    if tag == 4:
+    if tag == 0xE4:
         return float("-inf"), pos
-    if tag == 5:
+    if tag == 0xE5:
         z, pos = _dec_uint(buf, pos)
         d, pos = _dec_uint(buf, pos)
         if not d:
             raise InputError("zero denominator at offset %d" % (pos - 1))
         return Fraction(-(z >> 1) if z & 1 else z >> 1, d), pos
-    if tag == 6:
+    if tag == 0xE6:
         k, pos = _dec_uint(buf, pos)
         if pos + k > len(buf):
             raise _truncated(len(buf))
         try:
-            return buf[pos:pos + k].decode("utf-8"), pos + k
+            strs.append(buf[pos:pos + k].decode("utf-8"))
         except UnicodeDecodeError:
             raise InputError("bad string at offset %d" % pos) from None
-    if tag == 7:
-        k, pos = _dec_uint(buf, pos)
-        items = []
-        for _ in range(k):
-            item, pos = _dec_obj(buf, pos)
-            items.append(item)
-        return tuple(items), pos
+        return strs[-1], pos + k
+    if tag == 0xE8:
+        i, after = _dec_uint(buf, pos)
+        if i >= len(strs):
+            raise InputError("string index %d of %d at offset %d"
+                             % (i, len(strs), pos - 1))
+        return strs[i], after
     raise InputError("bad tag %d at offset %d" % (tag, pos - 1))
 
 
@@ -272,14 +315,14 @@ class ContractionLog:
         """Write LOG_MAGIC, then _enc_obj of (root, vertices, final_payload,
         record count), then _enc_obj of each record."""
         global _UINTS
-        out = bytearray(LOG_MAGIC)
-        table = _uint_table()
+        out, strs = bytearray(LOG_MAGIC), {}
+        table = _uint_table(min(len(self.vertices) + 1, 0x4000))
         _UINTS = (table, len(table))
         try:
             _enc_obj((self.root, self.vertices, self.final_payload,
-                      len(self.records)), out)
+                      len(self.records)), out, strs)
             for rec in self.records:
-                _enc_obj(rec, out)
+                _enc_obj(rec, out, strs)
         finally:
             _UINTS = ((), 0)
         with open(path, "wb") as fh:
@@ -291,14 +334,14 @@ class ContractionLog:
             buf = fh.read()
         if not buf.startswith(LOG_MAGIC):
             raise InputError("not a contraction log: bad header")
-        pos = len(LOG_MAGIC)
-        header, pos = _dec_obj(buf, pos)
+        pos, strs = len(LOG_MAGIC), []
+        header, pos = _dec_obj(buf, pos, strs)
         try:
             root, vertices, final_payload, count = header
             log = cls(root, vertices)
             log.final_payload = final_payload
             for _ in range(count):
-                obj, pos = _dec_obj(buf, pos)
+                obj, pos = _dec_obj(buf, pos, strs)
                 log.extend((_loaded_record(obj),), word_count(obj))
         except (TypeError, ValueError) as exc:
             raise InputError("malformed contraction log: %s" % exc) from None

@@ -1190,22 +1190,23 @@ class TestBudgets:
 
 class TestLogCodec:
     def test_value_roundtrip(self):
-        probe = (None, True, False, 0, 1, -1, 63, 64, 2 ** 80, -(2 ** 80),
+        probe = (None, True, False, 0, 1, -1, 127, 128, 2 ** 14 - 1,
+                 2 ** 14, 2 ** 20 - 1, 2 ** 20, 2 ** 80, -(2 ** 80),
                  float("-inf"), Fraction(-3, 7), "", "héllo",
-                 ("nest", (1, (2,)), None))
+                 ("nest", (1, (2,)), None, "héllo", ""), tuple(range(16)))
         out = bytearray()
-        _enc_obj(probe, out)
-        back, pos = _dec_obj(bytes(out), 0)
+        _enc_obj(probe, out, {})
+        back, pos = _dec_obj(bytes(out), 0, [])
         assert back == probe
         assert pos == len(out)
 
     def test_only_neg_inf_floats(self):
         with pytest.raises(InputError):
-            _enc_obj(1.5, bytearray())
+            _enc_obj(1.5, bytearray(), {})
 
     def test_unencodable(self):
         with pytest.raises(InputError):
-            _enc_obj([1, 2], bytearray())
+            _enc_obj([1, 2], bytearray(), {})
 
     def test_save_load_roundtrip(self, tmp_path):
         plugin = sum_plugin()
@@ -1236,15 +1237,16 @@ class TestLogCodec:
             ContractionLog.load(p)
 
     def test_magic_is_versioned(self, tmp_path):
-        assert LOG_MAGIC == b"TCLOG3\n"
-        # a log of the older formats, ten-field records (TCLOG1) or tagged
-        # payload nodes (TCLOG2), fails at its header
+        assert LOG_MAGIC == b"TCLOG4\n"
+        # a log of the older formats, ten-field records (TCLOG1), tagged
+        # payload nodes (TCLOG2) or a tag byte on every value (TCLOG3),
+        # fails at its header
         t = valued(path(6))
         _a, log, _m = tree_contract(t, sum_plugin(), cfg(6))
         p = tmp_path / "run.tclog"
         log.save(p)
         body = p.read_bytes()[len(LOG_MAGIC):]
-        for old in (b"TCLOG1\n", b"TCLOG2\n"):
+        for old in (b"TCLOG1\n", b"TCLOG2\n", b"TCLOG3\n"):
             p.write_bytes(old + body)
             with pytest.raises(InputError, match="bad header"):
                 ContractionLog.load(p)
@@ -1271,7 +1273,7 @@ class TestLogCodec:
                 ContractionLog.load(p)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(["mwm", "height"]), st.data())
+    @given(st.sampled_from(["mwm", "height", "eval"]), st.data())
     def test_a_corrupted_byte_loads_or_is_an_input_error(self, problem,
                                                           data):
         bad = bytearray(solved_log_bytes(problem))
@@ -1288,23 +1290,64 @@ class TestLogCodec:
 
     def test_varint_runs_off_the_end(self, tmp_path):
         with pytest.raises(InputError, match="truncated"):
-            _dec_obj(bytes([3, 0x80, 0x80]), 0)
+            _dec_obj(bytes([0xE3, 0x80, 0x80]), 0, [])
         p = tmp_path / "run.tclog"
-        p.write_bytes(LOG_MAGIC + bytes([7, 0x84]))
+        p.write_bytes(LOG_MAGIC + bytes([0xE7, 0x84]))
         with pytest.raises(InputError, match="truncated"):
             ContractionLog.load(p)
 
     def test_zero_denominator(self, tmp_path):
-        # the header (1, (1,), 1/0, 0) by hand: the Fraction's tag 5, its
-        # zigzag numerator 2, then the denominator 0 at offset 10
-        header = bytes([7, 4, 3, 2, 7, 1, 3, 2, 5, 2, 0, 3, 0])
-        with pytest.raises(InputError, match="zero denominator at offset 10"):
-            _dec_obj(header, 0)
+        # the header (1, (1,), 1/0, 0) by hand: a 4-tuple, 1, a 1-tuple, 1,
+        # the Fraction's E5, its zigzag numerator 2, then the denominator 0
+        # at offset 6
+        header = bytes([0xD4, 1, 0xD1, 1, 0xE5, 2, 0, 0])
+        with pytest.raises(InputError, match="zero denominator at offset 6"):
+            _dec_obj(header, 0, [])
         p = tmp_path / "zero.tclog"
         p.write_bytes(LOG_MAGIC + header)
         with pytest.raises(InputError, match="zero denominator at offset %d"
-                                             % (len(LOG_MAGIC) + 10)):
+                                             % (len(LOG_MAGIC) + 6)):
             ContractionLog.load(p)
+
+    @staticmethod
+    def load_bytes(tmp_path, body):
+        p = tmp_path / "run.tclog"
+        p.write_bytes(LOG_MAGIC + body)
+        return ContractionLog.load(p)
+
+    @pytest.mark.parametrize("tag", range(0xE9, 0x100))
+    def test_a_bad_tag_names_its_offset(self, tmp_path, tag):
+        # the header's third item, at offset 4, is the bad tag
+        body = bytes([0xD4, 1, 0xD1, 1, tag, 0])
+        with pytest.raises(InputError, match="^bad tag %d at offset %d$"
+                           % (tag, len(LOG_MAGIC) + 4)):
+            self.load_bytes(tmp_path, body)
+
+    def test_a_string_index_past_the_table(self, tmp_path):
+        # one str, "ab", is written at offset 4; the back-reference at
+        # offset 8 names index 0 and loads, the one at offset 10 index 1
+        body = bytes([0xD4, 1, 0xD1, 1, 0xE6, 2, 0x61, 0x62, 0xE8, 0])
+        assert _dec_obj(body, 0, []) == ((1, (1,), "ab", "ab"), 10)
+        body = bytes([0xD4, 1, 0xD1, 1, 0xE6, 2, 0x61, 0x62, 0xE8, 1])
+        with pytest.raises(InputError, match="^string index 1 of 1 at "
+                           "offset %d$" % (len(LOG_MAGIC) + 8)):
+            self.load_bytes(tmp_path, body)
+        # no str before it: the table is empty
+        with pytest.raises(InputError, match="^string index 0 of 0 at "
+                           "offset %d$" % len(LOG_MAGIC)):
+            self.load_bytes(tmp_path, bytes([0xE8, 0]))
+
+    @pytest.mark.parametrize("body", [
+        [0x80], [0xBF], [0xC0], [0xCF], [0xC0, 0], [0xCF, 0xFF]],
+        ids=["2-byte, head only", "2-byte high, head only",
+             "3-byte, head only", "3-byte high, head only",
+             "3-byte, one byte", "3-byte high, one byte"])
+    def test_a_cut_off_int_is_truncated_at_the_end(self, tmp_path, body):
+        # the header's count, the last item, runs off the end of the file
+        body = bytes([0xD4, 1, 0xD1, 1, 0xE0] + body)
+        with pytest.raises(InputError, match="^contraction log truncated at "
+                           "offset %d$" % (len(LOG_MAGIC) + len(body))):
+            self.load_bytes(tmp_path, body)
 
     @staticmethod
     def load_record(tmp_path, edits):
@@ -1313,11 +1356,8 @@ class TestLogCodec:
         rec = Record("x", (1, 2),
                      ((None, 0, ()), (None, 0, ())), (),
                      (None, 1), ((), ()), True)._replace(**edits)
-        out = bytearray(LOG_MAGIC)
-        _enc_obj((1, (1, 2), (None, 0, ()), 1), out)
-        _enc_obj(rec, out)
         p = tmp_path / "run.tclog"
-        p.write_bytes(bytes(out))
+        p.write_bytes(LOG_MAGIC + enc((1, (1, 2), (None, 0, ()), 1), rec))
         return ContractionLog.load(p)
 
     def test_a_well_formed_record_loads_as_a_record(self, tmp_path):
@@ -1376,14 +1416,40 @@ class TestLogCodec:
                            + re.escape(message) + "$"):
             self.load_record(tmp_path, edits)
 
+    # a member's payload is a known node (edge, data, kids) and each of its
+    # kids a known node or a slot (acc, id), as the replay reads a node by
+    # its arity and indexes it
+    @pytest.mark.parametrize("payload,message", [
+        ((None,), "payload (None,) is not (edge, data, kids)"),
+        ((), "payload () is not (edge, data, kids)"),
+        ((None, 0, (), 5), "payload (None, 0, (), 5) is not "
+                           "(edge, data, kids)"),
+        ((None, 0, 5), "payload (None, 0, 5) is not (edge, data, kids)"),
+        ((None, 1), "payload (None, 1) is not (edge, data, kids)"),
+        ((None, 0, ((None,),)), "payload node (None,) is neither "
+                                "(edge, data, kids) nor (acc, id)"),
+        ((None, 0, ((None, 0, (7,)),)), "payload node 7 is neither "
+                                        "(edge, data, kids) nor (acc, id)"),
+    ], ids=["one item", "no items", "four items", "kids not a tuple",
+            "a bare slot", "a kid of one item", "a grandkid not a tuple"])
+    def test_payload_nodes_have_two_shapes(self, tmp_path, payload,
+                                           message):
+        with pytest.raises(InputError, match="^malformed contraction log: "
+                           + re.escape(message) + "$"):
+            self.load_record(tmp_path,
+                             {"payloads": ((None, 0, ()), payload)})
+
+    def test_kids_are_known_nodes_or_slots(self, tmp_path):
+        payload = (None, 0, ((None, 3), (None, 4, ((Fraction(1, 2), 5),))))
+        [rec] = self.load_record(
+            tmp_path, {"payloads": ((None, 0, ()), payload)}).records
+        assert rec.payloads[1] == payload
+
     @pytest.mark.parametrize("obj", [7, (), ("x",) * 6, ("x",) * 8,
                                      "7 chars"])
     def test_a_record_must_be_a_tuple_of_seven_fields(self, tmp_path, obj):
-        out = bytearray(LOG_MAGIC)
-        _enc_obj((1, (1,), (None, 0, ()), 1), out)
-        _enc_obj(obj, out)
         p = tmp_path / "run.tclog"
-        p.write_bytes(bytes(out))
+        p.write_bytes(LOG_MAGIC + enc((1, (1,), (None, 0, ()), 1), obj))
         with pytest.raises(InputError, match="malformed"):
             ContractionLog.load(p)
 
@@ -1398,9 +1464,7 @@ class TestLogCodec:
 
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "run.tclog"
-        out = bytearray(LOG_MAGIC)
-        _enc_obj((1, 2), out)
-        p.write_bytes(bytes(out))
+        p.write_bytes(LOG_MAGIC + enc((1, 2)))
         with pytest.raises(InputError, match="malformed"):
             ContractionLog.load(p)
 
@@ -1418,51 +1482,76 @@ def ref_uint(n, out):
     out.append(n)
 
 
-def ref_enc(obj, out):
+def ref_enc(obj, out, strs):
+    """obj's bytes by the table the format is defined by; strs lists the
+    strs the save has written so far, in order."""
     if obj is None:
-        out.append(0)
+        out.append(0xE0)
     elif isinstance(obj, bool):
-        out.append(1 if obj else 2)
+        out.append(0xE1 if obj else 0xE2)
     elif isinstance(obj, int):
-        # zigzag: 2v for v >= 0, 2|v|+1 for v < 0
-        out.append(3)
-        ref_uint(2 * obj if obj >= 0 else 2 * -obj + 1, out)
+        if 0 <= obj < 2 ** 7:
+            out.append(obj)
+        elif 0 <= obj < 2 ** 14:
+            out += bytes([0x80 + obj // 2 ** 8, obj % 2 ** 8])
+        elif 0 <= obj < 2 ** 20:
+            out += bytes([0xC0 + obj // 2 ** 16, obj // 2 ** 8 % 2 ** 8,
+                          obj % 2 ** 8])
+        else:
+            # zigzag: 2v for v >= 0, 2|v|+1 for v < 0
+            out.append(0xE3)
+            ref_uint(2 * obj if obj >= 0 else 2 * -obj + 1, out)
     elif isinstance(obj, float):
         assert obj == float("-inf")
-        out.append(4)
+        out.append(0xE4)
     elif isinstance(obj, Fraction):
         num = obj.numerator
-        out.append(5)
+        out.append(0xE5)
         ref_uint(2 * num if num >= 0 else 2 * -num + 1, out)
         ref_uint(obj.denominator, out)
     elif isinstance(obj, str):
-        raw = obj.encode("utf-8")
-        out.append(6)
-        ref_uint(len(raw), out)
-        out += raw
+        if obj in strs:
+            out.append(0xE8)
+            ref_uint(strs.index(obj), out)
+        else:
+            raw = obj.encode("utf-8")
+            out.append(0xE6)
+            ref_uint(len(raw), out)
+            out += raw
+            strs.append(obj)
     elif isinstance(obj, tuple):
-        out.append(7)
-        ref_uint(len(obj), out)
+        if len(obj) < 16:
+            out.append(0xD0 + len(obj))
+        else:
+            out.append(0xE7)
+            ref_uint(len(obj), out)
         for item in obj:
-            ref_enc(item, out)
+            ref_enc(item, out, strs)
     else:
         raise TypeError(obj)
 
 
-def ref_bytes(obj):
-    out = bytearray()
-    ref_enc(obj, out)
+def ref_bytes(*objs):
+    """The bytes of objs written one after another, as one save writes
+    them."""
+    out, strs = bytearray(), []
+    for obj in objs:
+        ref_enc(obj, out, strs)
     return bytes(out)
 
 
 log_scalars = st.one_of(
     st.integers(), st.integers(min_value=2 ** 14, max_value=2 ** 70),
     st.integers(min_value=-(2 ** 70), max_value=-1), st.booleans(),
-    st.none(), st.just(float("-inf")), st.fractions(), st.text(max_size=4))
-# tuples of 128 or more items take a multi-byte length
+    st.none(), st.just(float("-inf")), st.fractions(), st.text(max_size=4),
+    st.sampled_from(["rake", "compress"]))
+# tuples of 16 or more items take a varint length, of 128 or more a
+# multi-byte one
 log_values = st.recursive(
     log_scalars,
     lambda inner: st.one_of(st.lists(inner, max_size=6).map(tuple),
+                            st.lists(st.integers(-3, 3), min_size=15,
+                                     max_size=16).map(tuple),
                             st.lists(st.integers(-3, 3), min_size=127,
                                      max_size=129).map(tuple)),
     max_leaves=40)
@@ -1472,9 +1561,7 @@ class TestEncoderDispatch:
     @settings(max_examples=300, deadline=None)
     @given(log_values)
     def test_bytes_match_the_reference(self, obj):
-        out = bytearray()
-        _enc_obj(obj, out)
-        assert bytes(out) == ref_bytes(obj)
+        assert enc(obj) == ref_bytes(obj)
 
     @settings(max_examples=100, deadline=None)
     @given(log_values)
@@ -1539,6 +1626,10 @@ class IntId(int):
     """A vertex id of an int subclass: encoded as an int, never cached."""
 
 
+class Label(str):
+    """A str subclass: encoded as the equal str, with one table entry."""
+
+
 ids = st.one_of(st.integers(-200, 20000), st.integers(2 ** 14, 2 ** 40),
                 st.booleans(), st.integers(-70, 70).map(IntId))
 node_values = st.recursive(
@@ -1600,14 +1691,19 @@ def saved_bytes(log):
 
 @functools.cache
 def solved_log_bytes(problem):
-    """Saved log of `mwm` on a small weighted broom or of `height` on a
-    random tree."""
-    if problem == "mwm":
-        tree = with_edge_weights(broom(40), 5)
+    """Saved log of `mwm` on a small weighted broom, of `height` on a
+    random tree or of `eval` on a sum of 8 random expressions, whose log
+    holds Fractions and negative ints."""
+    if problem == "eval":
+        text = "+".join("(%s)" % oracles.random_expression(300 + i, 5)
+                        for i in range(8))
+        trees, n = [], len(text)
     else:
-        tree = random_tree(60, seed=5)
+        tree = (with_edge_weights(broom(40), 5) if problem == "mwm"
+                else random_tree(60, seed=5))
+        trees, text, n = [tree], None, tree.n
     result = REGISTRY[problem]["solve"](
-        [tree], None, SimConfig(epsilon=0.5, n=tree.n), 0)
+        trees, text, SimConfig(epsilon=0.5, n=n), 0)
     return saved_bytes(result["log"])
 
 
@@ -1635,9 +1731,12 @@ def solved_log(problem, family="random_tree"):
         trees, text, SimConfig(epsilon=0.5, n=n, seed=seed), seed)["log"]
 
 
-def enc(obj):
-    out = bytearray()
-    _enc_obj(obj, out)
+def enc(*objs):
+    """The bytes of objs written one after another with one str table, as
+    one save writes them."""
+    out, strs = bytearray(), {}
+    for obj in objs:
+        _enc_obj(obj, out, strs)
     return bytes(out)
 
 
@@ -1646,21 +1745,24 @@ class TestIntTable:
     _enc_obj gives the same bytes with it and without it."""
 
     def test_the_table_holds_each_ints_encoding(self):
-        table = logmod._uint_table()
-        assert table == [ref_bytes(v) for v in range(0x2000)]
+        table = logmod._uint_table(0x4000)
+        assert table == [ref_bytes(v) for v in range(0x4000)]
+        for top in (1, 0x80, 0x81, 0x100, 0x101, 0x2001):
+            assert logmod._uint_table(top) == table[:top]
 
     def test_a_save_fills_the_table_and_empties_it(self, tmp_path):
         real, tops = logmod._enc_obj, []
 
-        def spy(obj, out):
+        def spy(obj, out, strs):
             tops.append(logmod._UINTS[1])
-            return real(obj, out)
+            return real(obj, out, strs)
 
         log = ContractionLog(1, (1,))
         log.final_payload = (None, 0, ())
         with mock.patch.object(logmod, "_enc_obj", spy):
             log.save(tmp_path / "run.tclog")
-        assert tops and set(tops) == {0x2000}
+        # a log of one vertex: the table holds the ids 0 and 1
+        assert tops and set(tops) == {2}
         assert logmod._UINTS == ((), 0)
         log.final_payload = [1]
         with pytest.raises(InputError, match="unencodable"):
@@ -1672,17 +1774,10 @@ class TestIntTable:
     def test_same_bytes_inside_and_outside_a_save(self, obj):
         outside = enc(obj)
         with mock.patch.object(logmod, "_UINTS",
-                               (logmod._uint_table(), 0x2000)):
+                               (logmod._uint_table(0x4000), 0x4000)):
             inside = enc(obj)
         assert inside == outside == ref_bytes(obj)
 
-    def test_more_strs_than_the_memo_holds(self):
-        words = tuple("w%d" % i for i in range(logmod._STRS_MAX + 40))
-        with mock.patch.dict(logmod._STRS, clear=True):
-            first = enc(words)
-            assert len(logmod._STRS) == logmod._STRS_MAX
-            again = enc(words)
-        assert first == again == ref_bytes(words)
 
 
 class TestShapeSave:
@@ -1691,31 +1786,43 @@ class TestShapeSave:
     def test_bytes_are_the_record_encodings(self, log):
         header = (log.root, log.vertices, log.final_payload,
                   len(log.records))
-        out = bytearray(LOG_MAGIC)
-        _enc_obj(header, out)
-        ref = [LOG_MAGIC, ref_bytes(header)]
-        for rec in log.records:
-            _enc_obj(rec, out)
-            ref.append(ref_bytes(rec))
         data = saved_bytes(log)
-        assert data == bytes(out) == b"".join(ref)
+        assert data == LOG_MAGIC + enc(header, *log.records)
+        assert data == LOG_MAGIC + ref_bytes(header, *log.records)
 
     def test_lookalike_items(self):
-        # True == 1 and IntId(1) == 1 hash alike; each keeps its own bytes
+        # True == 1 and IntId(1) == 1 hash alike; each keeps its own bytes.
+        # Label("rake") takes the table entry that the record's label,
+        # "rake", then refers to
         wide = (None, 1, tuple((None, i) for i in range(130)))
         odd = ((1, True), True,
                ((0, False), (None, IntId(1)), (None, IntId(0), ()),
-                (True, 1, ()), (float("-inf"), 0, ()), (1,)))
+                (True, 1, ()), (float("-inf"), 0, ()), (1,)), Label("rake"))
         rec = Record("rake", (1, 2, 8), (wide, odd, (None, "8", ())),
                      (2, 8), (None, 1, True),
                      ((True, 1), (), tuple(range(128))), 1)
         log = ContractionLog(1, (True, 1, 2, 8))
         log.final_payload = odd
         log.extend((rec,), 0)
-        out = bytearray(LOG_MAGIC)
-        _enc_obj((log.root, log.vertices, odd, 1), out)
-        _enc_obj(rec, out)
-        assert saved_bytes(log) == bytes(out)
+        header = (log.root, log.vertices, odd, 1)
+        assert saved_bytes(log) == LOG_MAGIC + enc(header, rec)
+        assert saved_bytes(log) == LOG_MAGIC + ref_bytes(header, rec)
+
+    def test_each_save_has_its_own_str_table(self):
+        # a table that outlived its save would make the next save of the
+        # log write back-references where the first wrote its labels, and
+        # a save in between, of other strs and of the labels in another
+        # order, would shift their indices
+        log = solved_log("height")
+        labels = sorted({rec.label for rec in log.records})
+        assert len(labels) > 1
+        other = ContractionLog(1, (1,))
+        other.final_payload = ("other",) + tuple(reversed(labels))
+        first = saved_bytes(log)
+        saved_bytes(other)
+        assert saved_bytes(log) == first == LOG_MAGIC + ref_bytes(
+            (log.root, log.vertices, log.final_payload, len(log.records)),
+            *log.records)
 
     @pytest.mark.parametrize("problem", LOGGED)
     def test_load_then_save_gives_the_same_bytes(self, problem, tmp_path):

@@ -54,49 +54,49 @@ GOLDEN = {
         "rounds": 12, "peak_machine_words": 521, "total_words": 7036,
         "dht_reads": 649, "dht_writes": 124, "log_words": 7011,
         "log_sha256":
-            "4ff8f89198c885b9f2b33efc02eda9a90926ffbee6d3bb46ae6af4875b0c20ff",
+            "ada68e66cf17f22045b8d01d2c43fb50d301206e160f123c1018d6d4eb37b2ac",
         "answer_sha256":
             "e638fca512667951489f2214927307b319e402239327a760f6445a108a393c64"},
     "height": {
         "rounds": 22, "peak_machine_words": 91, "total_words": 8016,
         "dht_reads": 1419, "dht_writes": 515, "log_words": 7894,
         "log_sha256":
-            "25e57dbd8e7319cb296e03deea6d4daea43b24c17d42f636065d543ac80324bd",
+            "6f111955ec02b2e2d9067efd9bffdf83fe8fbf2b5f0a5da9d5faf0a98ec9b0c8",
         "answer_sha256":
             "3fdba35f04dc8c462986c992bcf875546257113072a909c162f7e470e581e278"},
     "matching": {
         "rounds": 8, "peak_machine_words": 396, "total_words": 4422,
         "dht_reads": 1072, "dht_writes": 50, "log_words": 4402,
         "log_sha256":
-            "88aaceff79b49a07f8b2a5de85a7b0238742ce59d4714c223cc29f477028035c",
+            "6e4a9652b4099fcc04db030436c36bd993f9dd25f9d6af75d555ff0a146e5e7d",
         "answer_sha256":
             "35d8319ab2e3befbc3518577800ff94ee16bb18cef3a163b4acf7542aa0febd9"},
     "mis": {
         "rounds": 5, "peak_machine_words": 512, "total_words": 5817,
         "dht_reads": 1198, "dht_writes": 192, "log_words": 5797,
         "log_sha256":
-            "7376117f804a85678c8fda350257d673042008d744f030ba3caca6c1ad4e12a8",
+            "2b1515d9fbed0dd851fd8c7319e3ae6cb111c96e15fad50f5bd99d6a4376b0e9",
         "answer_sha256":
             "9e83f45de39d4a54c25c2d3489d2b360f59d4e7314c0d8aa1dc96dceb4b3431e"},
     "mwis": {
         "rounds": 10, "peak_machine_words": 512, "total_words": 15676,
         "dht_reads": 1155, "dht_writes": 169, "log_words": 15634,
         "log_sha256":
-            "71e1da9a534a89563ef81e675f3667d2fe4a5425c8cf40c6b08fa773abf587d7",
+            "5db83edb85baf04f54b35aaa2918e01562aafd24de1e49b89294f3bc85595954",
         "answer_sha256":
             "f1241a65c837e6459b2221ac28d7893f04f4d6118fb4168648b12177b014b666"},
     "mwm": {
         "rounds": 11, "peak_machine_words": 512, "total_words": 11754,
         "dht_reads": 1266, "dht_writes": 272, "log_words": 11721,
         "log_sha256":
-            "198c96f7a94ebf909e2582a1afd18b0a7700c0679e54787759ee92646b9c9f1e",
+            "034c1709ddd77c81f955748b35e60c433bdd56323fbc2bb3dd12881f8ebbfa68",
         "answer_sha256":
             "85508e52fbf4c41db32f6773b137242cd8d0089146013bf3666acb6e9d34eb61"},
     "sum": {
         "rounds": 13, "peak_machine_words": 86, "total_words": 6473,
         "dht_reads": 1280, "dht_writes": 387, "log_words": 6340,
         "log_sha256":
-            "4b2d25ee8ae8a42d7e45976a8df430599746c1ba7afd8e0576191eb7bc58894d",
+            "200bfd22ba2a898014965b9278e68c0fde18cfc6520699241be50e45d27acc94",
         "answer_sha256":
             "e39eef82f61b21e2e7f762fcc4307358f165757f2e77ec855d6992f7e0191932"},
 }
